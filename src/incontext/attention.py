@@ -9,6 +9,10 @@ A single residual layer is attention followed by an MLP with unit skip; its
 displacement ``x -> F(x + Att(mu, x)) - x`` is the layer velocity.  In-context
 maps compose with the diamond rule: the second map sees the first map's
 pushed-forward context.
+
+All of it is evaluated by one batched kernel, :func:`layer_step`, on query
+rows of shape (m, d) against a canonical context; the single-point functions
+are its m = 1 calls.
 """
 
 from __future__ import annotations
@@ -102,23 +106,121 @@ def identity_mlp() -> MlpParams:
     return MlpParams(skip=1.0, layers=())
 
 
+@dataclass(frozen=True)
+class Layer:
+    """One attention+MLP block with an optional velocity scale."""
+
+    attention: AttentionParams
+    mlp: MlpParams
+    scale: float = 1.0
+
+
+# -- the batched layer kernel ------------------------------------------------------
+#
+# Every evaluation of attention, MLPs and layers runs through the row functions
+# below on queries X of shape (m, d).  Short contractions (key_dim, d) are
+# accumulated term by term with elementwise products and the atom axis is
+# reduced with ``np.sum`` along contiguous rows, so each output row depends on
+# its own query row only: evaluating m rows at once gives bitwise the same
+# result as evaluating each row alone.  BLAS products would not (their blocking
+# and kernels change with the operand shapes), so none is used here.
+
+
+def _rowmul(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Rows of ``X @ A.T``, accumulated over the shared axis term by term."""
+    cols = np.ascontiguousarray(A.T)
+    out = X[:, :1] * cols[0]
+    term = np.empty_like(out)
+    for j in range(1, X.shape[1]):
+        out += np.multiply(X[:, j : j + 1], cols[j], out=term)
+    return out
+
+
+def _attend(
+    params: AttentionParams,
+    ctx: DiscreteMeasure,
+    X: np.ndarray,
+    weights: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Attention displacement at every query row against the canonical ``ctx``.
+
+    Per head: logits (m, n) = (Q x) . (K x_l) / sqrt(key_dim), a weighted
+    softmax stabilized by each row's maximum, and the pooled values mapped
+    through W V.  The (m, n) softmax weights of each head are appended to
+    ``weights`` when it is given.
+    """
+    if ctx.n == 0:
+        raise EmptyMeasure("attention needs a nonempty context measure")
+    pts_t = np.ascontiguousarray(ctx.points.T)
+    scale = 1.0 / math.sqrt(params.key_dim)
+    out = np.zeros_like(X)
+    for head in params.heads:
+        p = _rowmul(_rowmul(X, head.q) * scale, _rowmul(ctx.points, head.k))
+        p -= np.max(p, axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p *= ctx.weights
+        p /= np.sum(p, axis=1, keepdims=True)
+        if weights is not None:
+            weights.append(p)
+        pooled = np.empty_like(X)
+        term = np.empty_like(p)
+        for j in range(pts_t.shape[0]):
+            pooled[:, j] = np.sum(np.multiply(p, pts_t[j], out=term), axis=1)
+        out = out + _rowmul(_rowmul(pooled, head.v), head.w)
+    return out
+
+
+def _mlp_rows(params: MlpParams, X: np.ndarray) -> np.ndarray:
+    if not params.layers:
+        return params.skip * X
+    act = ACTIVATIONS[params.activation]
+    h = X
+    for a, b in params.layers:
+        h = act(_rowmul(h, a) + b)
+    return params.skip * X + h
+
+
+def velocity_rows(
+    att: AttentionParams, mlp_p: MlpParams, ctx: DiscreteMeasure, X: np.ndarray
+) -> np.ndarray:
+    """Layer velocity Att(ctx, x) + H(x + Att(ctx, x)) at every row of X (m, d).
+
+    ``ctx`` must be canonical.  Requires a unit skip coefficient; rows do not
+    depend on how many are evaluated together.
+    """
+    if mlp_p.skip != 1.0:
+        raise SkipNotUnit(f"velocity needs skip coefficient 1, got {mlp_p.skip}")
+    a = _attend(att, ctx, X)
+    g = X + a
+    return a + (_mlp_rows(mlp_p, g) - g)
+
+
+def layer_step(layer: Layer, ctx: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
+    """The batched layer kernel: images of the query rows X (m, d) under one layer.
+
+    ``ctx`` must be canonical.  At scale 1 a row maps to F(x + Att(ctx, x));
+    at scale c to x + c * velocity.  Each row's result is bitwise independent
+    of the batch size m, so a row evaluated with others equals it alone.
+    """
+    X = np.asarray(X, dtype=float)
+    if layer.scale == 1.0:
+        return _mlp_rows(layer.mlp, X + _attend(layer.attention, ctx, X))
+    return X + layer.scale * velocity_rows(layer.attention, layer.mlp, ctx, X)
+
+
+def _row(x: np.ndarray) -> np.ndarray:
+    return np.asarray(x, dtype=float).reshape(1, -1)
+
+
 def attention_weights(params: AttentionParams, mu: DiscreteMeasure, x: np.ndarray) -> list[np.ndarray]:
     """Per-head measure-weighted softmax weights over the canonical atoms.
 
     Logits are (Q x) . (K x_l) / sqrt(key_dim), stabilized by subtracting the
     maximum before exponentiation; each returned vector sums to one.
     """
-    if mu.n == 0:
-        raise EmptyMeasure("attention needs a nonempty context measure")
-    mu_c = canonicalize(mu)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    scale = 1.0 / math.sqrt(params.key_dim)
-    out = []
-    for head in params.heads:
-        logits = (mu_c.points @ head.k.T) @ (head.q @ x) * scale
-        z = mu_c.weights * np.exp(logits - np.max(logits))
-        out.append(z / np.sum(z))
-    return out
+    weights: list[np.ndarray] = []
+    _attend(params, canonicalize(mu), _row(x), weights)
+    return [p[0] for p in weights]
 
 
 def attention(params: AttentionParams, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
@@ -127,32 +229,18 @@ def attention(params: AttentionParams, mu: DiscreteMeasure, x: np.ndarray) -> np
     Context atoms are reduced in canonical order, so the result is identical
     (bitwise) for any atom relabeling of ``mu``.
     """
-    mu_c = canonicalize(mu)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    weights = attention_weights(params, mu_c, x)
-    out = np.zeros(x.shape[0])
-    for head, p in zip(params.heads, weights):
-        pooled = p @ mu_c.points
-        out = out + head.w @ (head.v @ pooled)
-    return out
+    return _attend(params, canonicalize(mu), _row(x))[0]
 
 
 def gamma(params: AttentionParams, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
     """Residual attention layer x + Att(mu, x)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return x + attention(params, mu, x)
+    x = _row(x)
+    return (x + _attend(params, canonicalize(mu), x))[0]
 
 
 def mlp(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Evaluate the MLP (skip term plus activated layer chain)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if not params.layers:
-        return params.skip * x
-    act = ACTIVATIONS[params.activation]
-    h = x
-    for a, b in params.layers:
-        h = act(a @ h + b)
-    return params.skip * x + h
+    return _mlp_rows(params, _row(x))[0]
 
 
 def velocity(att: AttentionParams, mlp_p: MlpParams, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
@@ -161,12 +249,7 @@ def velocity(att: AttentionParams, mlp_p: MlpParams, mu: DiscreteMeasure, x: np.
     Requires a unit skip coefficient so that the layer is a perturbation of
     the identity; then x + velocity(mu, x) = F(x + Att(mu, x)) exactly.
     """
-    if mlp_p.skip != 1.0:
-        raise SkipNotUnit(f"velocity needs skip coefficient 1, got {mlp_p.skip}")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    a = attention(att, mu, x)
-    g = x + a
-    return a + (mlp(mlp_p, g) - g)
+    return velocity_rows(att, mlp_p, canonicalize(mu), _row(x))[0]
 
 
 @dataclass(eq=False)

@@ -3,7 +3,8 @@
 A stack of T layers acts on a point by threading it through each layer while
 the context measure is pushed forward alongside (the diamond rule).  The same
 stack acts on measures by relocating every atom, and on token sequences by
-acting pointwise while keeping the input order.
+acting pointwise while keeping the input order.  Each layer moves all atoms
+(or tokens) in one call of the batched kernel ``layer_step``.
 
 Each layer carries an optional velocity scale: at scale 1 the layer applies
 ``F(x + Att(mu, x))`` directly, at scale c it applies ``x + c * velocity``,
@@ -17,18 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionParams, MlpParams, gamma, mlp, velocity
+from .attention import Layer, layer_step
 from .errors import DimensionMismatch
-from .measures import DiscreteMeasure, TokenSequence, canonicalize, iota, push_forward
-
-
-@dataclass(frozen=True)
-class Layer:
-    """One attention+MLP block with an optional velocity scale."""
-
-    attention: AttentionParams
-    mlp: MlpParams
-    scale: float = 1.0
+from .measures import DiscreteMeasure, TokenSequence, canonicalize, iota, relocate
 
 
 @dataclass(frozen=True)
@@ -54,34 +46,34 @@ class LayerStack:
 
 def apply_layer(layer: Layer, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
     """One layer at context ``mu``: F(Gamma(mu, x)), or the scaled velocity step."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if layer.scale == 1.0:
-        return mlp(layer.mlp, gamma(layer.attention, mu, x))
-    return x + layer.scale * velocity(layer.attention, layer.mlp, mu, x)
+    return layer_step(layer, canonicalize(mu), np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
 def context_chain(stack: LayerStack, mu: DiscreteMeasure) -> list[DiscreteMeasure]:
     """Canonical context measures seen by each layer, plus the final measure.
 
     Entry tau is the context for layer tau; the last entry is the output
-    measure of the whole stack.
+    measure of the whole stack.  Each layer moves all atoms of its context in
+    one kernel call.
     """
     nu = canonicalize(mu)
     chain = [nu]
     for layer in stack.layers:
-        ctx = nu
-        nu = push_forward(ctx, lambda z: apply_layer(layer, ctx, z))
+        nu = relocate(nu, layer_step(layer, nu, nu.points))
         chain.append(nu)
     return chain
 
 
+def _map_rows(stack: LayerStack, chain: list[DiscreteMeasure], X: np.ndarray) -> np.ndarray:
+    for layer, ctx in zip(stack.layers, chain):
+        X = layer_step(layer, ctx, X)
+    return X
+
+
 def forward_map(stack: LayerStack, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
     """The stack's in-context map at (mu, x)."""
-    chain = context_chain(stack, mu)
-    y = np.asarray(x, dtype=float).reshape(-1)
-    for layer, ctx in zip(stack.layers, chain):
-        y = apply_layer(layer, ctx, y)
-    return y
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return _map_rows(stack, context_chain(stack, mu), x)[0]
 
 
 def forward_measure(stack: LayerStack, mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -92,18 +84,12 @@ def forward_measure(stack: LayerStack, mu: DiscreteMeasure) -> DiscreteMeasure:
 def forward_tokens(stack: LayerStack, seq: TokenSequence) -> TokenSequence:
     """Act on a token sequence, preserving the input order.
 
-    Every token is mapped through the stack against the contexts generated by
-    the sequence's empirical measure, so equal tokens receive equal images and
-    permuting the input permutes the output identically.
+    All tokens are mapped in one batch through the stack against the contexts
+    generated by the sequence's empirical measure.  Kernel rows do not depend
+    on the batch, so equal tokens receive equal images and permuting the
+    input permutes the output identically, bit for bit.
     """
-    mu = iota(seq)
-    chain = context_chain(stack, mu)
-    out = np.empty_like(seq.tokens)
-    for i in range(seq.n):
-        y = seq.tokens[i]
-        for layer, ctx in zip(stack.layers, chain):
-            y = apply_layer(layer, ctx, y)
-        out[i] = y
+    out = _map_rows(stack, context_chain(stack, iota(seq)), seq.tokens)
     box = seq.box if seq.box.contains(out) else seq.box.hull(out)
     out.flags.writeable = False
     return TokenSequence(out, box)

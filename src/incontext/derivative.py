@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .attention import InContextMap
+from .deep_transformer import LayerStack, forward_measure
 from .errors import AnchorsTooClose, DisplacementTooLarge, NonpositiveWeight
 from .measures import Box, DiscreteMeasure, add_atom, canonicalize, push_forward
 
@@ -210,9 +211,7 @@ class MeasureMap:
         return MeasureMap(lambda mu: push_forward(mu, lambda z: g(mu, z)), g.dim_out)
 
     @staticmethod
-    def from_stack(stack) -> "MeasureMap":
-        from .deep_transformer import forward_measure
-
+    def from_stack(stack: LayerStack) -> "MeasureMap":
         return MeasureMap(lambda mu: forward_measure(stack, mu), stack.dim)
 
 

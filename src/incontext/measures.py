@@ -226,6 +226,10 @@ def canonicalize(mu: DiscreteMeasure, tol: float = MERGE_TOL) -> DiscreteMeasure
     order = _lex_order(mu.points)
     pts = mu.points[order]
     w = mu.weights[order]
+    # The scan below first merges at a lex-adjacent pair within tol; without
+    # one, every atom is its own group and the sorted input is the result.
+    if not np.any(np.max(np.abs(np.diff(pts, axis=0)), axis=1) <= tol):
+        return _raw_measure(pts, w, mu.box, True)
     rep_rows: list[int] = []
     group_weights: list[float] = []
     current: list[float] = []
@@ -245,26 +249,35 @@ def canonicalize(mu: DiscreteMeasure, tol: float = MERGE_TOL) -> DiscreteMeasure
 def push_forward(mu: DiscreteMeasure, point_map: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:
     """Relocate every atom through ``point_map`` and canonicalize.
 
-    The output box is the input box when the images stay inside it (and the
-    dimension is unchanged); otherwise the smallest box containing the images
-    (hulled with the input box when dimensions match).  Total mass is
-    preserved up to merge-summation rounding.
+    The map is called once per atom; see :func:`relocate` for the output box
+    and the finiteness check.
     """
     images = []
     for i in range(mu.n):
         try:
-            y = np.asarray(point_map(mu.points[i]), dtype=float).reshape(-1)
+            images.append(np.asarray(point_map(mu.points[i]), dtype=float).reshape(-1))
         except Exception as exc:  # noqa: BLE001 - map failure is a domain error
             raise MapUndefinedAtAtom(f"map failed at atom {i}: {exc}") from exc
-        if not np.isfinite(y).all():
-            raise MapUndefinedAtAtom(f"map returned a non-finite value at atom {i}")
-        images.append(y)
-    img = np.vstack(images)
-    if img.shape[1] == mu.dim:
-        box = mu.box if mu.box.contains(img) else mu.box.hull(img)
+    return relocate(mu, np.vstack(images))
+
+
+def relocate(mu: DiscreteMeasure, images: np.ndarray) -> DiscreteMeasure:
+    """Canonical measure with atom i of ``mu`` moved to row i of ``images``.
+
+    Raises MapUndefinedAtAtom naming the first atom whose image is not
+    finite.  The output box is the input box when the images stay inside it
+    (and the dimension is unchanged); otherwise the smallest box containing
+    the images (hulled with the input box when dimensions match).  Total mass
+    is preserved up to merge-summation rounding.
+    """
+    bad = np.flatnonzero(~np.isfinite(images).all(axis=1))
+    if bad.size:
+        raise MapUndefinedAtAtom(f"map returned a non-finite value at atom {bad[0]}")
+    if images.shape[1] == mu.dim:
+        box = mu.box if mu.box.contains(images) else mu.box.hull(images)
     else:
-        box = Box(img.min(axis=0), img.max(axis=0))
-    return canonicalize(_raw_measure(img, mu.weights, box, False))
+        box = Box(images.min(axis=0), images.max(axis=0))
+    return canonicalize(_raw_measure(images, mu.weights, box, False))
 
 
 def add_atom(mu: DiscreteMeasure, x: np.ndarray, mass: float) -> DiscreteMeasure:

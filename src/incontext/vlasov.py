@@ -2,6 +2,7 @@
 
 The coupled system is ``dx_i/dt = v(t, mu_t, x_i)`` with ``mu_t`` the current
 empirical measure of the particles themselves, over the fixed horizon [0, 1].
+A velocity field is evaluated on all particles (and tracers) in one call.
 Explicit Euler realizes a depth-T residual stack whose layers carry velocity
 scale 1/T; classical RK4 provides the reference solution for convergence
 studies.  The characteristic map transports an arbitrary query point along the
@@ -15,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import AttentionParams, MlpParams, velocity
+from .attention import AttentionParams, Layer, MlpParams, velocity_rows
+from .deep_transformer import LayerStack, forward_measure
 from .errors import NonFiniteState, TooFewTimePoints
 from .measures import Box, DiscreteMeasure, canonicalize
 from .transport import w1_matching
@@ -25,30 +27,33 @@ VelocityFn = Callable[[float, DiscreteMeasure, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Velocity ``(t, mu, x) -> dx/dt`` with a smoothness tag."""
+    """Velocity ``(t, mu, X) -> dX/dt`` evaluated on query rows X of shape (m, d).
+
+    ``fn`` receives all m rows at once and returns an (m, d) array; row i is
+    the velocity at X[i] in the field of the measure ``mu``.
+    """
 
     fn: VelocityFn
-    smoothness: str = "c1"
 
-    def __call__(self, t: float, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(t, mu, x), dtype=float).reshape(-1)
+    def __call__(self, t: float, mu: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        return np.asarray(self.fn(t, mu, X), dtype=float).reshape(X.shape)
 
     @staticmethod
     def from_layer(att: AttentionParams, mlp_p: MlpParams) -> "VelocityField":
         """Time-independent field given by one attention+MLP layer displacement."""
-        return VelocityField(lambda t, mu, x: velocity(att, mlp_p, mu, x))
+        return VelocityField(lambda t, mu, X: velocity_rows(att, mlp_p, canonicalize(mu), X))
 
     @staticmethod
-    def from_stack(stack) -> "VelocityField":
+    def from_stack(stack: LayerStack) -> "VelocityField":
         """Piecewise-constant-in-time field: layer floor(t * depth) drives [0, 1]."""
         layers = stack.layers
         if not layers:
-            return VelocityField(lambda t, mu, x: np.zeros_like(np.asarray(x, dtype=float)))
+            return VelocityField(lambda t, mu, X: np.zeros_like(X))
 
-        def fn(t: float, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
-            idx = min(int(t * len(layers)), len(layers) - 1)
-            layer = layers[idx]
-            return layer.scale * velocity(layer.attention, layer.mlp, mu, x)
+        def fn(t: float, mu: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
+            layer = layers[min(int(t * len(layers)), len(layers) - 1)]
+            return layer.scale * velocity_rows(layer.attention, layer.mlp, canonicalize(mu), X)
 
         return VelocityField(fn)
 
@@ -64,10 +69,6 @@ class Trajectory:
     def final(self) -> DiscreteMeasure:
         return self.states[-1]
 
-    def positions(self) -> np.ndarray:
-        """Stacked atom positions, shape (n_times, n_atoms, dim)."""
-        return np.stack([s.points for s in self.states])
-
 
 def _state_measure(points: np.ndarray, weights: np.ndarray, box: Box) -> DiscreteMeasure:
     if not np.isfinite(points).all():
@@ -76,10 +77,6 @@ def _state_measure(points: np.ndarray, weights: np.ndarray, box: Box) -> Discret
     pts = np.array(points)
     pts.flags.writeable = False
     return DiscreteMeasure(pts, weights, state_box, False)
-
-
-def _eval_field(v: VelocityField, t: float, mu: DiscreteMeasure, points: np.ndarray) -> np.ndarray:
-    return np.stack([v(t, mu, points[i]) for i in range(points.shape[0])])
 
 
 def euler_flow(v: VelocityField, mu0: DiscreteMeasure, T: int) -> Trajectory:
@@ -100,41 +97,29 @@ def euler_flow(v: VelocityField, mu0: DiscreteMeasure, T: int) -> Trajectory:
     for step in range(T):
         t = step * dt
         frozen = states[-1]
-        x = x + dt * _eval_field(v, t, frozen, x)
+        x = x + dt * v(t, frozen, x)
         times.append((step + 1) * dt)
         states.append(_state_measure(x, w, box))
     return Trajectory(np.array(times), tuple(states))
 
 
 def _rk4_advance(
-    v: VelocityField,
-    x: np.ndarray,
-    w: np.ndarray,
-    box: Box,
-    t: float,
-    h: float,
-    tracer: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One RK4 step of the particle system, optionally dragging a passive tracer.
+    v: VelocityField, z: np.ndarray, n: int, w: np.ndarray, box: Box, t: float, h: float
+) -> np.ndarray:
+    """One RK4 step of the particle system z[:n]; rows from n on are passive tracers.
 
-    Stage measures are rebuilt from the stage particle positions; the tracer
-    sees those measures but never enters them.
+    Stage measures are rebuilt from the stage particle positions; the tracers
+    see those measures but never enter them.
     """
 
-    def stage(ts: float, xs: np.ndarray, ys: np.ndarray | None):
-        mu_s = _state_measure(xs, w, box)
-        kx = _eval_field(v, ts, mu_s, xs)
-        ky = v(ts, mu_s, ys) if ys is not None else None
-        return kx, ky
+    def k(ts: float, zs: np.ndarray) -> np.ndarray:
+        return v(ts, _state_measure(zs[:n], w, box), zs)
 
-    y = tracer
-    k1x, k1y = stage(t, x, y)
-    k2x, k2y = stage(t + h / 2, x + (h / 2) * k1x, None if y is None else y + (h / 2) * k1y)
-    k3x, k3y = stage(t + h / 2, x + (h / 2) * k2x, None if y is None else y + (h / 2) * k2y)
-    k4x, k4y = stage(t + h, x + h * k3x, None if y is None else y + h * k3y)
-    x_next = x + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
-    y_next = None if y is None else y + (h / 6) * (k1y + 2 * k2y + 2 * k3y + k4y)
-    return x_next, y_next
+    k1 = k(t, z)
+    k2 = k(t + h / 2, z + (h / 2) * k1)
+    k3 = k(t + h / 2, z + (h / 2) * k2)
+    k4 = k(t + h, z + h * k3)
+    return z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def rk4_flow(v: VelocityField, mu0: DiscreteMeasure, steps: int) -> Trajectory:
@@ -149,7 +134,7 @@ def rk4_flow(v: VelocityField, mu0: DiscreteMeasure, steps: int) -> Trajectory:
     times = [0.0]
     states = [_state_measure(x, w, box)]
     for step in range(steps):
-        x, _ = _rk4_advance(v, x, w, box, step * h, h, None)
+        x = _rk4_advance(v, x, x.shape[0], w, box, step * h, h)
         times.append((step + 1) * h)
         states.append(_state_measure(x, w, box))
     return Trajectory(np.array(times), tuple(states))
@@ -166,7 +151,8 @@ def characteristic_map(
 
     The particle system is integrated with RK4 while the query rides along as
     a passive tracer evaluated against the same stage measures, so a query
-    placed on an atom reproduces that atom's trajectory exactly.  ``steps``
+    placed on an atom reproduces that atom's trajectory exactly (the query is
+    one more row of each velocity evaluation).  ``steps``
     is the step count for the full unit horizon; integration to time t uses
     round(steps * t) steps of equal size.
     """
@@ -180,9 +166,10 @@ def characteristic_map(
     box = mu_c.box
     n = max(1, int(round(steps * t)))
     h = t / n
-    xs = np.array(mu_c.points)
+    z = np.vstack([mu_c.points, y])
     for step in range(n):
-        xs, y = _rk4_advance(v, xs, w, box, step * h, h, y)
+        z = _rk4_advance(v, z, mu_c.n, w, box, step * h, h)
+    y = z[-1]
     if not np.isfinite(y).all():
         raise NonFiniteState("characteristic became non-finite")
     return y
@@ -206,30 +193,20 @@ def weak_residual(traj: Trajectory, v: VelocityField, phi) -> float:
         dt2 = traj.times[k + 1] - traj.times[k - 1]
         lhs = (pairings[k + 1] - pairings[k - 1]) / dt2
         mu_k = traj.states[k]
-        rhs = float(
-            np.sum(
-                mu_k.weights
-                * np.array(
-                    [
-                        np.dot(phi.gradient(p), v(traj.times[k], mu_k, p))
-                        for p in mu_k.points
-                    ]
-                )
-            )
-        )
+        grads = np.array([phi.gradient(p) for p in mu_k.points])
+        vel = v(traj.times[k], mu_k, mu_k.points)
+        rhs = float(np.sum(mu_k.weights * np.sum(grads * vel, axis=1)))
         worst = max(worst, abs(lhs - rhs))
     return worst
 
 
 def scaled_stack(att: AttentionParams, mlp_p: MlpParams, T: int):
     """Depth-T stack whose every layer applies 1/T of the base layer velocity."""
-    from .deep_transformer import Layer, LayerStack
-
     layer = Layer(att, mlp_p, scale=1.0 / T)
     return LayerStack(tuple([layer] * T), att.dim)
 
 
-def velocity_family(att: AttentionParams, mlp_p: MlpParams) -> Callable[[int], "LayerStack"]:
+def velocity_family(att: AttentionParams, mlp_p: MlpParams) -> Callable[[int], LayerStack]:
     """The map T -> depth-T stack with layer velocities scaled by 1/T."""
     return lambda T: scaled_stack(att, mlp_p, T)
 
@@ -242,12 +219,6 @@ def depth_limit_error(stack_family, mu0: DiscreteMeasure, T: int) -> float:
     """
     base = stack_family(1).layers[0]
     v = VelocityField.from_layer(base.attention, base.mlp)
-    stack_final = _forward_measure(stack_family(T), mu0)
+    stack_final = forward_measure(stack_family(T), mu0)
     ref_final = rk4_flow(v, mu0, 4 * T).final
     return w1_matching(stack_final, ref_final).cost
-
-
-def _forward_measure(stack, mu0: DiscreteMeasure) -> DiscreteMeasure:
-    from .deep_transformer import forward_measure
-
-    return forward_measure(stack, mu0)

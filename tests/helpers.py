@@ -62,6 +62,17 @@ def random_stack(rng, dim, depth=1, heads=1):
     return ic.LayerStack(layers, dim)
 
 
+# positive coordinates make every logit +inf, and inf - max = nan
+OVERFLOW_POINTS = [[0.5, 1.0], [1.5, 0.2], [0.3, 0.3]]
+
+
+def overflowing_stack(d=2):
+    """Finite parameters whose logits overflow: Q = K = 1e200 everywhere."""
+    big = np.full((2, d), 1e200)
+    head = ic.HeadParams(q=big, k=big, v=np.eye(d), w=np.eye(d))
+    return ic.LayerStack((ic.Layer(ic.AttentionParams((head,), 2), ic.identity_mlp()),), d)
+
+
 # -- oracles -------------------------------------------------------------------
 
 
@@ -119,3 +130,73 @@ def gap_oracle_signed(weights, require_nonempty_k=False):
     if not np.any(mask):
         return math.inf
     return float(np.min(np.abs(sums[mask])))
+
+
+# -- per-point reference evaluation ----------------------------------------------
+#
+# The layer evaluation as it was before the batched kernel: one query point per
+# call, BLAS products, the context canonicalized on every call.  Batched
+# results must agree with it to 1e-12.
+
+
+def reference_attention_weights(params, mu, x):
+    mu_c = ic.canonicalize(mu)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    scale = 1.0 / math.sqrt(params.key_dim)
+    out = []
+    for head in params.heads:
+        logits = (mu_c.points @ head.k.T) @ (head.q @ x) * scale
+        z = mu_c.weights * np.exp(logits - np.max(logits))
+        out.append(z / np.sum(z))
+    return out
+
+
+def reference_attention(params, mu, x):
+    mu_c = ic.canonicalize(mu)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    out = np.zeros(x.shape[0])
+    for head, p in zip(params.heads, reference_attention_weights(params, mu_c, x)):
+        out = out + head.w @ (head.v @ (p @ mu_c.points))
+    return out
+
+
+def reference_mlp(params, x):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if not params.layers:
+        return params.skip * x
+    h = x
+    for a, b in params.layers:
+        h = np.tanh(a @ h + b)
+    return params.skip * x + h
+
+
+def reference_velocity(att, mlp_p, mu, x):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    a = reference_attention(att, mu, x)
+    g = x + a
+    return a + (reference_mlp(mlp_p, g) - g)
+
+
+def reference_apply_layer(layer, mu, x):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if layer.scale == 1.0:
+        return reference_mlp(layer.mlp, x + reference_attention(layer.attention, mu, x))
+    return x + layer.scale * reference_velocity(layer.attention, layer.mlp, mu, x)
+
+
+def reference_canonicalize(mu, tol=ic.measures.MERGE_TOL):
+    """The merge scan of ``canonicalize`` without its no-merge shortcut."""
+    order = np.lexsort(mu.points.T[::-1])
+    pts = mu.points[order]
+    w = mu.weights[order]
+    rep_rows, group_weights, current = [], [], []
+    for i in range(pts.shape[0]):
+        if rep_rows and np.max(np.abs(pts[i] - pts[rep_rows[-1]])) <= tol:
+            current.append(w[i])
+        else:
+            if current:
+                group_weights.append(float(np.sum(np.sort(current))))
+            rep_rows.append(i)
+            current = [w[i]]
+    group_weights.append(float(np.sum(np.sort(current))))
+    return ic.new_discrete(pts[rep_rows], np.array(group_weights), mu.box)

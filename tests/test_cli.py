@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,9 @@ from incontext import serialize as ser
 from incontext import selftest
 from incontext.cli import main
 
-from helpers import random_attention, random_measure, random_mlp, random_stack
+from helpers import OVERFLOW_POINTS, overflowing_stack, random_attention, random_measure, random_mlp, random_stack
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_measure(path, mu):
@@ -76,6 +82,28 @@ class TestForwardCommands:
         assert main(["forward-tokens", "--stack", s, "--tokens", str(t), "--out", str(out)]) == 0
         got = ser.tokens_from_doc(json.loads(out.read_text()))
         assert np.array_equal(got.tokens, ic.forward_tokens(stack, seq).tokens)
+
+
+    def test_overflowing_stack_exits_one(self, tmp_path, capsys):
+        s = write_stack(tmp_path / "s.json", overflowing_stack())
+        m = write_measure(tmp_path / "m.json", ic.new_discrete(OVERFLOW_POINTS, [0.2, 0.3, 0.5]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["forward", "--stack", s, "--measure", m, "--out", str(tmp_path / "y.json")]) == 1
+        assert "error: MapUndefinedAtAtom" in capsys.readouterr().err
+
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        rng = np.random.default_rng(9)
+        s = write_stack(tmp_path / "s.json", random_stack(rng, 4, depth=8, heads=2))
+        m = write_measure(tmp_path / "m.json", random_measure(rng, 256, 4))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"y{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+            argv = [sys.executable, "-m", "incontext.cli", "forward", "--stack", s, "--measure", m, "--out", str(out)]
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestFlowCommand:

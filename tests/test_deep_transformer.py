@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 import incontext as ic
+from incontext.errors import MapUndefinedAtAtom
 
-from helpers import random_attention, random_measure, random_mlp, random_stack
+from helpers import OVERFLOW_POINTS, overflowing_stack, random_attention, random_measure, random_mlp, random_stack
 
 
 def identity_layer(d, rng):
@@ -114,3 +116,17 @@ class TestForwardTokens:
         distinct_in = len(np.unique(toks))
         distinct_out = len(np.unique(out.tokens))
         assert distinct_out <= distinct_in
+
+
+class TestUndefinedMap:
+    def test_forward_measure_names_first_atom(self):
+        mu = ic.new_discrete(OVERFLOW_POINTS, [0.2, 0.3, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(MapUndefinedAtAtom, match="at atom 0"):
+                ic.forward_measure(overflowing_stack(), mu)
+
+    def test_forward_tokens_names_first_atom(self):
+        seq = ic.new_tokens(OVERFLOW_POINTS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(MapUndefinedAtAtom, match="at atom 0"):
+                ic.forward_tokens(overflowing_stack(), seq)

@@ -1,0 +1,131 @@
+"""The batched layer kernel: batch-size independence, agreement with the
+per-point reference evaluation, and the canonical-form shortcut."""
+
+import itertools
+
+import numpy as np
+
+import incontext as ic
+from incontext.measures import MERGE_TOL
+
+from helpers import (
+    random_attention,
+    random_measure,
+    random_mlp,
+    reference_apply_layer,
+    reference_attention,
+    reference_attention_weights,
+    reference_canonicalize,
+    reference_mlp,
+    reference_velocity,
+)
+
+SIZES = (1, 2, 3, 5, 17, 64, 256)
+
+
+def random_layer(rng, d, heads, key_dim, scale=1.0):
+    return ic.Layer(random_attention(rng, d, heads=heads, key_dim=key_dim), random_mlp(rng, d), scale)
+
+
+def cases(seed):
+    """(layer, canonical context, queries) over sizes, dimensions, heads and key dims."""
+    rng = np.random.default_rng(seed)
+    for n, d, heads in itertools.product(SIZES, range(1, 5), (1, 2)):
+        key_dim = int(rng.integers(1, 5))
+        scale = 1.0 if rng.random() < 0.5 else 0.125
+        ctx = ic.canonicalize(random_measure(rng, n, d))
+        queries = np.vstack([ctx.points, rng.uniform(-2.5, 2.5, size=(7, d))])
+        yield random_layer(rng, d, heads, key_dim, scale), ctx, queries
+
+
+class TestBatchIndependence:
+    def test_rows_equal_single_row_evaluations_bitwise(self):
+        for layer, ctx, X in cases(0):
+            batched = ic.layer_step(layer, ctx, X)
+            assert batched.shape == X.shape
+            for i in range(X.shape[0]):
+                alone = ic.layer_step(layer, ctx, X[i : i + 1])
+                assert np.array_equal(batched[i], alone[0]), (ctx.n, ctx.dim, i)
+
+    def test_row_order_does_not_matter(self):
+        rng = np.random.default_rng(1)
+        for layer, ctx, X in cases(1):
+            perm = rng.permutation(X.shape[0])
+            assert np.array_equal(ic.layer_step(layer, ctx, X[perm]), ic.layer_step(layer, ctx, X)[perm])
+
+    def test_velocity_rows_equal_single_rows(self):
+        for layer, ctx, X in cases(2):
+            batched = ic.velocity_rows(layer.attention, layer.mlp, ctx, X)
+            for i in range(X.shape[0]):
+                alone = ic.velocity_rows(layer.attention, layer.mlp, ctx, X[i : i + 1])
+                assert np.array_equal(batched[i], alone[0])
+
+    def test_point_functions_match_rows(self):
+        for layer, ctx, X in cases(3):
+            rows = ic.layer_step(layer, ctx, X)
+            for i in (0, X.shape[0] - 1):
+                assert np.array_equal(ic.deep_transformer.apply_layer(layer, ctx, X[i]), rows[i])
+
+
+class TestAgainstPerPointReference:
+    def test_layer_step(self):
+        for layer, ctx, X in cases(4):
+            want = np.array([reference_apply_layer(layer, ctx, x) for x in X])
+            assert np.max(np.abs(ic.layer_step(layer, ctx, X) - want)) <= 1e-12
+
+    def test_point_functions(self):
+        rng = np.random.default_rng(5)
+        for layer, ctx, X in cases(5):
+            att, mlp_p = layer.attention, layer.mlp
+            mu = ic.new_discrete(ctx.points[::-1], ctx.weights[::-1], ctx.box)  # not canonical
+            for x in X[rng.permutation(X.shape[0])[:3]]:
+                assert np.max(np.abs(ic.attention(att, mu, x) - reference_attention(att, mu, x))) <= 1e-12
+                assert np.max(np.abs(ic.gamma(att, mu, x) - x - reference_attention(att, mu, x))) <= 1e-12
+                assert np.max(np.abs(ic.mlp(mlp_p, x) - reference_mlp(mlp_p, x))) <= 1e-12
+                v = ic.velocity(att, mlp_p, mu, x)
+                assert np.max(np.abs(v - reference_velocity(att, mlp_p, mu, x))) <= 1e-12
+                for p, q in zip(ic.attention_weights(att, mu, x), reference_attention_weights(att, mu, x)):
+                    assert np.max(np.abs(p - q)) <= 1e-12
+
+    def test_forward_measure(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            d = int(rng.integers(1, 5))
+            layers = tuple(
+                random_layer(rng, d, int(rng.integers(1, 3)), int(rng.integers(1, 5))) for _ in range(3)
+            )
+            mu = random_measure(rng, int(rng.integers(1, 65)), d)
+            nu = ic.canonicalize(mu)
+            for layer in layers:
+                ctx = nu
+                nu = ic.push_forward(ctx, lambda z: reference_apply_layer(layer, ctx, z))
+            got = ic.forward_measure(ic.LayerStack(layers, d), mu)
+            assert got.n == nu.n
+            assert np.max(np.abs(got.points - nu.points)) <= 1e-12
+            assert np.max(np.abs(got.weights - nu.weights)) <= 1e-12
+
+
+class TestCanonicalShortcut:
+    def test_matches_merge_scan_near_tolerance(self):
+        rng = np.random.default_rng(7)
+        merged = 0
+        for trial in range(400):
+            d = int(rng.integers(1, 4))
+            base = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 8)), d))
+            copies = [base]
+            for _ in range(int(rng.integers(0, 4))):
+                # clusters spaced from 1e-10 to 1.1e-9 apart, either side of MERGE_TOL
+                shift = np.zeros_like(base)
+                axis = rng.integers(d, size=base.shape[0])
+                shift[np.arange(base.shape[0]), axis] = rng.uniform(0.1, 1.1, size=base.shape[0]) * MERGE_TOL
+                copies.append(copies[-1] + shift * rng.choice([-1.0, 1.0], size=(base.shape[0], 1)))
+            if trial % 5 == 0:
+                copies.append(base[:1])  # an exact duplicate
+            pts = np.vstack(copies)
+            perm = rng.permutation(pts.shape[0])
+            mu = ic.new_discrete(pts[perm], rng.uniform(0.2, 1.0, size=pts.shape[0]))
+            got, want = ic.canonicalize(mu), reference_canonicalize(mu)
+            assert got == want
+            assert got.is_canonical
+            merged += got.n < mu.n
+        assert 0 < merged < 400  # both the shortcut and the merge scan ran

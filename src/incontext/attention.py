@@ -259,21 +259,22 @@ class InContextMap:
     fn: Callable[[DiscreteMeasure, np.ndarray], np.ndarray]
     dim_in: int
     dim_out: int
-    _pushed: dict[int, tuple[DiscreteMeasure, DiscreteMeasure]] = field(
-        default_factory=dict, repr=False
-    )
+    _last_push: tuple[DiscreteMeasure, DiscreteMeasure] | None = field(default=None, repr=False)
 
     def __call__(self, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(mu, np.asarray(x, dtype=float).reshape(-1)), dtype=float)
 
     def push(self, mu: DiscreteMeasure) -> DiscreteMeasure:
-        """Push-forward of ``mu`` under this map's point action (cached per measure)."""
-        key = id(mu)
-        hit = self._pushed.get(key)
-        if hit is not None and hit[0] is mu:
-            return hit[1]
+        """Push-forward of ``mu`` under this map's point action.
+
+        Only the latest push is cached: a diamond composition pushes the same
+        measure once per query point, and older measures are not kept alive.
+        """
+        last = self._last_push
+        if last is not None and last[0] is mu:
+            return last[1]
         nu = push_forward(mu, lambda z: self.fn(mu, z))
-        self._pushed[key] = (mu, nu)
+        self._last_push = (mu, nu)
         return nu
 
     @staticmethod

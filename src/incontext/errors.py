@@ -88,6 +88,11 @@ class DisplacementTooLarge(DomainError):
     pass
 
 
+# -- serialization ---------------------------------------------------------------
+class NotAnObject(DomainError):
+    pass
+
+
 # -- counterexample ----------------------------------------------------------------
 class OutOfDomain(DomainError):
     pass

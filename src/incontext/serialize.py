@@ -15,7 +15,7 @@ import numpy as np
 
 from .attention import AttentionParams, HeadParams, MlpParams
 from .deep_transformer import Layer, LayerStack
-from .errors import LengthMismatch
+from .errors import LengthMismatch, NotAnObject
 from .measures import Box, DiscreteMeasure, TokenSequence, new_discrete, new_tokens
 from .transport import TransportPlan
 
@@ -62,9 +62,20 @@ def measure_to_doc(mu: DiscreteMeasure) -> dict:
     }
 
 
+def _object(value: Any, what: str) -> dict:
+    """``value`` itself, after checking that it is a JSON object."""
+    if not isinstance(value, dict):
+        raise NotAnObject(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _box_from_doc(box: Any) -> Box:
+    box = _object(box, "box")
+    return Box(np.asarray(box["lo"], dtype=float), np.asarray(box["hi"], dtype=float))
+
+
 def measure_from_doc(doc: dict) -> DiscreteMeasure:
-    box = Box(np.asarray(doc["box"]["lo"], dtype=float), np.asarray(doc["box"]["hi"], dtype=float))
-    return new_discrete(doc["points"], doc["weights"], box)
+    return new_discrete(doc["points"], doc["weights"], _box_from_doc(doc["box"]))
 
 
 def tokens_to_doc(seq: TokenSequence) -> dict:
@@ -75,7 +86,7 @@ def tokens_from_doc(doc: dict) -> TokenSequence:
     toks = np.atleast_2d(np.asarray(doc["tokens"], dtype=float))
     box = None
     if "box" in doc:
-        box = Box(np.asarray(doc["box"]["lo"], dtype=float), np.asarray(doc["box"]["hi"], dtype=float))
+        box = _box_from_doc(doc["box"])
     elif toks.size:
         lo = np.minimum(toks.min(axis=0), -3.0)
         hi = np.maximum(toks.max(axis=0), 3.0)
@@ -163,8 +174,9 @@ def plan_to_doc(plan: TransportPlan) -> dict:
 
 
 def load_json(path: str) -> dict:
+    """Parse a JSON file whose document is an object."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _object(json.load(fh), f"the document in {path}")
 
 
 def save_json(path: str, doc: Any) -> None:

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import DimensionNotOne, MassMismatch, ProblemTooLarge
 from .measures import DiscreteMeasure
@@ -96,6 +94,10 @@ def _uniform_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
 
 
 def _assignment_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
+    # scipy is imported here, not at module level, so that the routes which
+    # never solve an assignment or an LP start without loading it
+    from scipy.optimize import linear_sum_assignment
+
     dist = _dist_matrix(mu.points, nu.points)
     rows, cols = linear_sum_assignment(dist)
     mass = mu.weights[rows]
@@ -103,21 +105,28 @@ def _assignment_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     return TransportPlan(rows, cols, mass, cost)
 
 
+def _marginal_constraints(n: int, m: int):
+    """Equality-constraint matrix of the n x m transport LP, flow row-major.
+
+    Rows 0..n-1 sum each source atom's outgoing flow, rows n..n+m-1 each
+    target atom's incoming flow.
+    """
+    from scipy import sparse
+
+    rows = np.concatenate([np.repeat(np.arange(n), m), np.repeat(np.arange(n, n + m), n)])
+    cols = np.concatenate([np.arange(n * m), np.arange(n * m).reshape(n, m).T.reshape(-1)])
+    data = np.ones(2 * n * m)
+    return sparse.csr_matrix((data, (rows, cols)), shape=(n + m, n * m))
+
+
 def _lp_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
+    from scipy.optimize import linprog
+
     n, m = mu.n, nu.n
     dist = _dist_matrix(mu.points, nu.points)
     # rescale the target marginal so both sides sum identically
     b_target = nu.weights * (mu.total_mass / nu.total_mass)
-    rows = []
-    cols = []
-    for i in range(n):
-        rows.extend([i] * m)
-        cols.extend(range(i * m, (i + 1) * m))
-    for j in range(m):
-        rows.extend([n + j] * n)
-        cols.extend(range(j, n * m, m))
-    data = np.ones(2 * n * m)
-    a_eq = sparse.csr_matrix((data, (rows, cols)), shape=(n + m, n * m))
+    a_eq = _marginal_constraints(n, m)
     b_eq = np.concatenate([mu.weights, b_target])
     res = linprog(dist.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:

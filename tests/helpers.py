@@ -200,3 +200,19 @@ def reference_canonicalize(mu, tol=ic.measures.MERGE_TOL):
             current = [w[i]]
     group_weights.append(float(np.sum(np.sort(current))))
     return ic.new_discrete(pts[rep_rows], np.array(group_weights), mu.box)
+
+
+def reference_marginal_constraints(n, m):
+    """The transport LP's equality matrix built entry by entry from Python lists."""
+    from scipy import sparse
+
+    rows = []
+    cols = []
+    for i in range(n):
+        rows.extend([i] * m)
+        cols.extend(range(i * m, (i + 1) * m))
+    for j in range(m):
+        rows.extend([n + j] * n)
+        cols.extend(range(j, n * m, m))
+    data = np.ones(2 * n * m)
+    return sparse.csr_matrix((data, (rows, cols)), shape=(n + m, n * m))

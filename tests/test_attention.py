@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -233,3 +236,15 @@ class TestComposeDiamond:
         first = len(calls)
         g.push(mu)
         assert len(calls) == first
+
+    def test_push_cache_keeps_at_most_one_measure(self):
+        rng = np.random.default_rng(14)
+        g = ic.InContextMap(lambda mu, x: x + 1.0, 1, 1)
+        refs = []
+        for _ in range(100):
+            mu = random_measure(rng, 3, 1)
+            g.push(mu)
+            refs.append(weakref.ref(mu))
+        del mu
+        gc.collect()
+        assert sum(r() is not None for r in refs) <= 1

@@ -17,6 +17,13 @@ from helpers import OVERFLOW_POINTS, overflowing_stack, random_attention, random
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def src_env(**extra):
+    """The environment for a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def write_measure(path, mu):
     ser.save_json(str(path), ser.measure_to_doc(mu))
     return str(path)
@@ -98,12 +105,42 @@ class TestForwardCommands:
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"y{threads}.json"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+            env = src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             argv = [sys.executable, "-m", "incontext.cli", "forward", "--stack", s, "--measure", m, "--out", str(out)]
             subprocess.run(argv, env=env, check=True, capture_output=True)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def scipy_loaded_after(*argv):
+    """Whether a fresh interpreter has scipy loaded after importing the CLI
+    and, if ``argv`` is given, running ``main(argv)`` with exit code 0."""
+    code = (
+        "import sys\n"
+        "from incontext.cli import main\n"
+        "argv = sys.argv[1:]\n"
+        "assert not argv or main(argv) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=src_env(), check=True, capture_output=True, text=True)
+    return done.stdout.splitlines()[-1] == "True"
+
+
+class TestStartup:
+    def test_import_does_not_load_scipy(self):
+        assert not scipy_loaded_after()
+
+    def test_forward_does_not_load_scipy(self, tmp_path):
+        rng = np.random.default_rng(10)
+        s = write_stack(tmp_path / "s.json", random_stack(rng, 2))
+        m = write_measure(tmp_path / "m.json", random_measure(rng, 4, 2))
+        assert not scipy_loaded_after("forward", "--stack", s, "--measure", m, "--out", str(tmp_path / "y.json"))
+
+    def test_assignment_route_loads_scipy(self, tmp_path):
+        rng = np.random.default_rng(11)
+        a = write_measure(tmp_path / "a.json", random_measure(rng, 4, 2, uniform=True))
+        b = write_measure(tmp_path / "b.json", random_measure(rng, 4, 2, uniform=True))
+        assert scipy_loaded_after("w1", "--a", a, "--b", b, "--plan", str(tmp_path / "plan.json"))
 
 
 class TestFlowCommand:
@@ -226,6 +263,21 @@ class TestBadInputs:
         bad.write_text("{not json")
         assert main(["w1", "--a", str(bad), "--b", str(bad)]) == 1
         assert "BadInputFile" in capsys.readouterr().err
+
+    def test_non_object_document_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        b = write_measure(tmp_path / "b.json", ic.dirac([0.0]))
+        assert main(["w1", "--a", str(bad), "--b", b]) == 1
+        assert "error: NotAnObject" in capsys.readouterr().err
+
+    def test_non_object_box_exits_one(self, tmp_path, capsys):
+        doc = ser.measure_to_doc(ic.dirac([0.0]))
+        doc["box"] = 5
+        bad = tmp_path / "box.json"
+        ser.save_json(str(bad), doc)
+        assert main(["w1", "--a", str(bad), "--b", str(bad)]) == 1
+        assert "error: NotAnObject" in capsys.readouterr().err
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["w1", "--a", "/nonexistent.json", "--b", "/nonexistent.json"]) == 1

@@ -3,12 +3,14 @@ import pytest
 
 import incontext as ic
 from incontext.errors import DimensionNotOne, MassMismatch, ProblemTooLarge
+from incontext.transport import _marginal_constraints
 
 from helpers import (
     permutation_match_cost,
     permutation_match_costs,
     random_measure,
     random_probability,
+    reference_marginal_constraints,
 )
 
 
@@ -107,6 +109,17 @@ class TestW1Matching:
             want = min(costs)
             assert got in costs
             assert got - want <= 2 * np.spacing(max(want, 1.0))
+
+
+class TestLpAssembly:
+    @pytest.mark.parametrize("n,m", [(1, 1), (3, 5), (50, 40), (100, 80), (120, 120)])
+    def test_matches_list_built_matrix(self, n, m):
+        got = _marginal_constraints(n, m)
+        want = reference_marginal_constraints(n, m)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestMetricAxioms:

@@ -88,11 +88,6 @@ class DisplacementTooLarge(DomainError):
     pass
 
 
-# -- serialization ---------------------------------------------------------------
-class NotAnObject(DomainError):
-    pass
-
-
 # -- counterexample ----------------------------------------------------------------
 class OutOfDomain(DomainError):
     pass

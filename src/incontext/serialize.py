@@ -15,7 +15,7 @@ import numpy as np
 
 from .attention import AttentionParams, HeadParams, MlpParams
 from .deep_transformer import Layer, LayerStack
-from .errors import LengthMismatch, NotAnObject
+from .errors import LengthMismatch
 from .measures import Box, DiscreteMeasure, TokenSequence, new_discrete, new_tokens
 from .transport import TransportPlan
 
@@ -65,7 +65,7 @@ def measure_to_doc(mu: DiscreteMeasure) -> dict:
 def _object(value: Any, what: str) -> dict:
     """``value`` itself, after checking that it is a JSON object."""
     if not isinstance(value, dict):
-        raise NotAnObject(f"{what} must be a JSON object, got {type(value).__name__}")
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
 
 
@@ -108,6 +108,7 @@ def attention_to_doc(params: AttentionParams) -> dict:
 
 
 def attention_from_doc(doc: dict) -> AttentionParams:
+    doc = _object(doc, "attention")
     heads = tuple(
         HeadParams(
             q=np.asarray(h["Q"], dtype=float),
@@ -115,7 +116,7 @@ def attention_from_doc(doc: dict) -> AttentionParams:
             v=np.asarray(h["V"], dtype=float),
             w=np.asarray(h["W"], dtype=float),
         )
-        for h in doc["per_head"]
+        for h in (_object(h, "per_head entry") for h in doc["per_head"])
     )
     if len(heads) != int(doc["heads"]):
         raise LengthMismatch("head count does not match per_head entries")
@@ -131,9 +132,10 @@ def mlp_to_doc(params: MlpParams) -> dict:
 
 
 def mlp_from_doc(doc: dict) -> MlpParams:
+    doc = _object(doc, "mlp")
     layers = tuple(
         (np.asarray(layer["A"], dtype=float), np.asarray(layer["b"], dtype=float))
-        for layer in doc["layers"]
+        for layer in (_object(layer, "mlp layer") for layer in doc["layers"])
     )
     return MlpParams(float(doc["skip"]), layers, str(doc.get("activation", "tanh")))
 
@@ -155,7 +157,7 @@ def stack_from_doc(doc: dict) -> LayerStack:
             mlp_from_doc(entry["mlp"]),
             float(entry.get("scale", 1.0)),
         )
-        for entry in doc["layers"]
+        for entry in (_object(entry, "stack layer") for entry in doc["layers"])
     )
     return LayerStack(layers, int(doc["dim"]))
 

@@ -93,11 +93,27 @@ def _uniform_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     )
 
 
-def _assignment_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
-    # scipy is imported here, not at module level, so that the routes which
-    # never solve an assignment or an LP start without loading it
-    from scipy.optimize import linear_sum_assignment
+# The scipy solvers are imported on first call, not at module level, so that
+# the routes which never solve an assignment or an LP start without loading
+# scipy.  They keep scipy's names here because perfbench/tracer.py times the
+# solvers by wrapping these two module attributes.
 
+
+def linear_sum_assignment(cost: np.ndarray):
+    """``scipy.optimize.linear_sum_assignment`` on a dense cost matrix."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
+
+
+def linprog(c: np.ndarray, **kwargs):
+    """``scipy.optimize.linprog`` with cost vector ``c``."""
+    from scipy.optimize import linprog as solve
+
+    return solve(c, **kwargs)
+
+
+def _assignment_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     dist = _dist_matrix(mu.points, nu.points)
     rows, cols = linear_sum_assignment(dist)
     mass = mu.weights[rows]
@@ -120,8 +136,6 @@ def _marginal_constraints(n: int, m: int):
 
 
 def _lp_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
-    from scipy.optimize import linprog
-
     n, m = mu.n, nu.n
     dist = _dist_matrix(mu.points, nu.points)
     # rescale the target marginal so both sides sum identically

@@ -269,7 +269,7 @@ class TestBadInputs:
         bad.write_text("[1, 2]")
         b = write_measure(tmp_path / "b.json", ic.dirac([0.0]))
         assert main(["w1", "--a", str(bad), "--b", b]) == 1
-        assert "error: NotAnObject" in capsys.readouterr().err
+        assert "error: BadInputFile: ValueError: the document in" in capsys.readouterr().err
 
     def test_non_object_box_exits_one(self, tmp_path, capsys):
         doc = ser.measure_to_doc(ic.dirac([0.0]))
@@ -277,7 +277,27 @@ class TestBadInputs:
         bad = tmp_path / "box.json"
         ser.save_json(str(bad), doc)
         assert main(["w1", "--a", str(bad), "--b", str(bad)]) == 1
-        assert "error: NotAnObject" in capsys.readouterr().err
+        assert "error: BadInputFile: ValueError: box must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, what",
+        [
+            (lambda doc: doc.update(layers=[1]), "stack layer"),
+            (lambda doc: doc["layers"][0].update(attention=[1]), "attention"),
+            (lambda doc: doc["layers"][0]["attention"].update(per_head=[1]), "per_head entry"),
+            (lambda doc: doc["layers"][0].update(mlp=[1]), "mlp"),
+            (lambda doc: doc["layers"][0]["mlp"].update(layers=[1]), "mlp layer"),
+        ],
+    )
+    def test_non_object_stack_entry_exits_one(self, tmp_path, capsys, edit, what):
+        rng = np.random.default_rng(12)
+        doc = ser.stack_to_doc(random_stack(rng, 1))
+        edit(doc)
+        s = tmp_path / "s.json"
+        ser.save_json(str(s), doc)
+        m = write_measure(tmp_path / "m.json", random_measure(rng, 2, 1))
+        assert main(["forward", "--stack", str(s), "--measure", m, "--out", str(tmp_path / "y.json")]) == 1
+        assert f"error: BadInputFile: ValueError: {what} must be a JSON object" in capsys.readouterr().err
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["w1", "--a", "/nonexistent.json", "--b", "/nonexistent.json"]) == 1

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -120,6 +123,30 @@ class TestLpAssembly:
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestSolverTracing:
+    def test_benchmark_tracer_sees_each_solver_route(self):
+        # perfbench/tracer.py times the solvers by wrapping transport's
+        # linear_sum_assignment and linprog attributes
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+        try:
+            from tracer import Tracer
+        finally:
+            sys.path.pop(0)
+        rng = np.random.default_rng(13)
+        uniform = [random_measure(rng, 4, 2, uniform=True) for _ in range(2)]
+        weighted = [random_probability(rng, n, 2) for n in (3, 5)]
+        tracer = Tracer()
+        tracer.install()
+        try:
+            ic.w1_matching(*uniform)
+            ic.w1_matching(*weighted)
+        finally:
+            tracer.uninstall()
+        assert tracer.counts["transport.route_assignment"] == 1
+        assert tracer.counts["transport.route_lp"] == 1
+        assert tracer.counts["transport.lp_vars"] == 15
 
 
 class TestMetricAxioms:

@@ -69,6 +69,13 @@ def _object(value: Any, what: str) -> dict:
     return value
 
 
+def _list(value: Any, what: str) -> list:
+    """``value`` itself, after checking that it is a JSON array."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def _box_from_doc(box: Any) -> Box:
     box = _object(box, "box")
     return Box(np.asarray(box["lo"], dtype=float), np.asarray(box["hi"], dtype=float))
@@ -116,7 +123,7 @@ def attention_from_doc(doc: dict) -> AttentionParams:
             v=np.asarray(h["V"], dtype=float),
             w=np.asarray(h["W"], dtype=float),
         )
-        for h in (_object(h, "per_head entry") for h in doc["per_head"])
+        for h in (_object(h, "per_head entry") for h in _list(doc["per_head"], "per_head"))
     )
     if len(heads) != int(doc["heads"]):
         raise LengthMismatch("head count does not match per_head entries")
@@ -135,7 +142,7 @@ def mlp_from_doc(doc: dict) -> MlpParams:
     doc = _object(doc, "mlp")
     layers = tuple(
         (np.asarray(layer["A"], dtype=float), np.asarray(layer["b"], dtype=float))
-        for layer in (_object(layer, "mlp layer") for layer in doc["layers"])
+        for layer in (_object(layer, "mlp layer") for layer in _list(doc["layers"], "mlp layers"))
     )
     return MlpParams(float(doc["skip"]), layers, str(doc.get("activation", "tanh")))
 
@@ -157,7 +164,7 @@ def stack_from_doc(doc: dict) -> LayerStack:
             mlp_from_doc(entry["mlp"]),
             float(entry.get("scale", 1.0)),
         )
-        for entry in (_object(entry, "stack layer") for entry in doc["layers"])
+        for entry in (_object(entry, "stack layer") for entry in _list(doc["layers"], "stack layers"))
     )
     return LayerStack(layers, int(doc["dim"]))
 

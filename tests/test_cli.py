@@ -12,7 +12,15 @@ from incontext import serialize as ser
 from incontext import selftest
 from incontext.cli import main
 
-from helpers import OVERFLOW_POINTS, overflowing_stack, random_attention, random_measure, random_mlp, random_stack
+from helpers import (
+    OVERFLOW_POINTS,
+    overflowing_stack,
+    random_attention,
+    random_measure,
+    random_mlp,
+    random_probability,
+    random_stack,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -141,6 +149,12 @@ class TestStartup:
         a = write_measure(tmp_path / "a.json", random_measure(rng, 4, 2, uniform=True))
         b = write_measure(tmp_path / "b.json", random_measure(rng, 4, 2, uniform=True))
         assert scipy_loaded_after("w1", "--a", a, "--b", b, "--plan", str(tmp_path / "plan.json"))
+
+    def test_one_dim_plan_does_not_load_scipy(self, tmp_path):
+        rng = np.random.default_rng(15)
+        a = write_measure(tmp_path / "a.json", random_probability(rng, 5, 1))
+        b = write_measure(tmp_path / "b.json", random_probability(rng, 7, 1))
+        assert not scipy_loaded_after("w1", "--a", a, "--b", b, "--plan", str(tmp_path / "plan.json"))
 
 
 class TestFlowCommand:
@@ -298,6 +312,24 @@ class TestBadInputs:
         m = write_measure(tmp_path / "m.json", random_measure(rng, 2, 1))
         assert main(["forward", "--stack", str(s), "--measure", m, "--out", str(tmp_path / "y.json")]) == 1
         assert f"error: BadInputFile: ValueError: {what} must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, what",
+        [
+            (lambda doc: doc.update(layers=5), "stack layers"),
+            (lambda doc: doc["layers"][0]["attention"].update(per_head=3), "per_head"),
+            (lambda doc: doc["layers"][0]["mlp"].update(layers=3), "mlp layers"),
+        ],
+    )
+    def test_non_array_stack_entry_exits_one(self, tmp_path, capsys, edit, what):
+        rng = np.random.default_rng(14)
+        doc = ser.stack_to_doc(random_stack(rng, 2))
+        edit(doc)
+        s = tmp_path / "s.json"
+        ser.save_json(str(s), doc)
+        m = write_measure(tmp_path / "m.json", random_measure(rng, 2, 2))
+        assert main(["forward", "--stack", str(s), "--measure", m, "--out", str(tmp_path / "y.json")]) == 1
+        assert f"error: BadInputFile: ValueError: {what} must be a JSON array" in capsys.readouterr().err
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["w1", "--a", "/nonexistent.json", "--b", "/nonexistent.json"]) == 1

@@ -3,10 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import incontext as ic
 from incontext.errors import DimensionNotOne, MassMismatch, ProblemTooLarge
-from incontext.transport import _marginal_constraints
+from incontext.transport import _lp_plan, _marginal_constraints, _monotone_plan
 
 from helpers import (
     permutation_match_cost,
@@ -114,6 +116,96 @@ class TestW1Matching:
             assert got - want <= 2 * np.spacing(max(want, 1.0))
 
 
+# 1-D supports drawn partly from a few shared values, so that ties within a
+# support and atoms common to both supports occur often
+coordinate = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-2.5, 2.5))
+support = st.lists(st.tuples(coordinate, st.floats(0.01, 1.0)), min_size=1, max_size=25)
+
+
+def measure_1d(atoms, mass=None):
+    points, weights = map(np.array, zip(*atoms))
+    if mass is not None:
+        weights = weights * (mass / weights.sum())
+    return pair_1d(points, weights)
+
+
+class TestMonotonePlan:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(support, support)
+    def test_plan_properties(self, source, target):
+        a = measure_1d(source)
+        b = measure_1d(target, a.total_mass)
+        tol = 1e-10 * a.total_mass
+        plan = _monotone_plan(a, b)
+        row, col = plan.marginals(a.n, b.n)
+        assert np.max(np.abs(row - a.weights)) <= tol
+        assert np.max(np.abs(col - b.weights)) <= tol
+        assert abs(plan.cost - ic.w1_1d(a, b)) <= tol
+        assert abs(plan.cost - _lp_plan(a, b).cost) <= tol
+        # no crossing: a source to the right never sends to a target to the left
+        x, y = a.points[plan.source, 0], b.points[plan.target, 0]
+        assert np.all(np.subtract.outer(x, x) * np.subtract.outer(y, y) >= 0.0)
+        assert len(plan.mass) <= a.n + b.n - 1
+        assert np.array_equal(np.lexsort((plan.target, plan.source)), np.arange(len(plan.mass)))
+        again = _monotone_plan(a, b)
+        assert plan.triples() == again.triples() and plan.cost == again.cost
+
+    def test_one_dim_route_is_the_monotone_plan(self):
+        a = pair_1d([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])
+        b = pair_1d([2.0, -1.0], [0.4, 0.6])
+        plan = ic.w1_matching(a, b)
+        assert plan.triples() == _monotone_plan(a, b).triples()
+        # sorted, source masses 0.2 | 0.5 | 0.3 meet target masses 0.6 | 0.4
+        assert [(i, j) for i, j, _ in plan.triples()] == [(0, 1), (1, 0), (1, 1), (2, 0)]
+        assert plan.mass == pytest.approx([0.2, 0.1, 0.4, 0.3], abs=1e-15)
+        assert plan.cost == pytest.approx(0.2 * 1 + 0.1 * 1 + 0.4 * 2 + 0.3 * 1, abs=1e-15)
+
+
+class TestLpAccuracy:
+    @pytest.mark.parametrize("exponent", [-30, 10])
+    def test_matches_normalised_solve(self, exponent):
+        # integer weights with equal sums, scaled by a power of two, so both
+        # sides keep exactly equal masses of about 1e-6 and 1e6
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            wa = 1 + rng.multinomial(980, np.full(20, 1 / 20))
+            wb = 1 + rng.multinomial(975, np.full(25, 1 / 25))
+            pa, pb = rng.uniform(-2.5, 2.5, (20, 2)), rng.uniform(-2.5, 2.5, (25, 2))
+            scale = 2.0**exponent
+            a, b = ic.new_discrete(pa, wa * scale), ic.new_discrete(pb, wb * scale)
+            unit = ic.w1_matching(a.normalized(), b.normalized())
+            plan = ic.w1_matching(a, b)
+            mass = a.total_mass
+            assert np.array_equal(plan.source, unit.source) and np.array_equal(plan.target, unit.target)
+            assert np.max(np.abs(plan.mass - unit.mass * mass)) <= 1e-12 * mass
+            assert abs(plan.cost - unit.cost * mass) <= 1e-12 * mass
+            row, col = plan.marginals(a.n, b.n)
+            assert np.max(np.abs(row - a.weights)) <= 1e-10 * mass
+            assert np.max(np.abs(col - b.weights)) <= 1e-10 * mass
+
+    def test_near_equal_pairs_keep_their_marginals(self):
+        # weights a tiny jitter apart: HiGHS's default primal tolerance let
+        # these plans miss their marginals by up to 1e-7
+        rng = np.random.default_rng(18)
+        for trial in range(40):
+            n = int(rng.integers(2, 30))
+            pts = rng.uniform(-2.5, 2.5, (n, 2))
+            w = rng.choice([0.2, 0.4, 0.6, 0.8, 1.0], n)
+            v = w + rng.uniform(-1.0, 1.0, n) * 10.0 ** (-5 - trial % 5)
+            a, b = ic.new_discrete(pts, w), ic.new_discrete(pts, v * (w.sum() / v.sum()))
+            plan = ic.w1_matching(a, b)
+            row, col = plan.marginals(n, n)
+            assert np.max(np.abs(row - a.weights)) <= 1e-12 * a.total_mass
+            assert np.max(np.abs(col - b.weights)) <= 1e-12 * a.total_mass
+
+    def test_cost_optimal_on_near_tie(self):
+        # two plans 2e-9 apart in cost: HiGHS's default dual tolerance
+        # stopped at the worse one
+        a = pair_1d([-1.0, -1.0, -1.0, 1e-9], [1.0] * 4)
+        b = pair_1d([-1.0, -1.0, 0.0, 0.5], [1.0] * 4)
+        assert abs(_lp_plan(a, b).cost - ic.w1_1d(a, b)) <= 1e-12
+
+
 class TestLpAssembly:
     @pytest.mark.parametrize("n,m", [(1, 1), (3, 5), (50, 40), (100, 80), (120, 120)])
     def test_matches_list_built_matrix(self, n, m):
@@ -126,7 +218,8 @@ class TestLpAssembly:
 
 
 class TestSolverTracing:
-    def test_benchmark_tracer_sees_each_solver_route(self):
+    @staticmethod
+    def tracer():
         # perfbench/tracer.py times the solvers by wrapping transport's
         # linear_sum_assignment and linprog attributes
         sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -134,10 +227,13 @@ class TestSolverTracing:
             from tracer import Tracer
         finally:
             sys.path.pop(0)
+        return Tracer()
+
+    def test_benchmark_tracer_sees_each_solver_route(self):
         rng = np.random.default_rng(13)
         uniform = [random_measure(rng, 4, 2, uniform=True) for _ in range(2)]
         weighted = [random_probability(rng, n, 2) for n in (3, 5)]
-        tracer = Tracer()
+        tracer = self.tracer()
         tracer.install()
         try:
             ic.w1_matching(*uniform)
@@ -147,6 +243,17 @@ class TestSolverTracing:
         assert tracer.counts["transport.route_assignment"] == 1
         assert tracer.counts["transport.route_lp"] == 1
         assert tracer.counts["transport.lp_vars"] == 15
+
+    def test_one_dim_pair_reaches_no_solver(self):
+        tracer = self.tracer()
+        rng = np.random.default_rng(17)
+        tracer.install()
+        try:
+            ic.w1_matching(random_probability(rng, 6, 1), random_probability(rng, 9, 1))
+        finally:
+            tracer.uninstall()
+        assert tracer.counts["transport.route_lp"] == 0
+        assert tracer.counts["transport.route_assignment"] == 0
 
 
 class TestMetricAxioms:

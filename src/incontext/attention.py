@@ -127,7 +127,12 @@ class Layer:
 
 
 def _rowmul(X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Rows of ``X @ A.T``, accumulated over the shared axis term by term."""
+    """Rows of ``X @ A.T``, accumulated over the shared axis term by term.
+
+    Raises DimensionMismatch when the rows of X and of A differ in width.
+    """
+    if X.shape[1] != A.shape[1]:
+        raise DimensionMismatch(f"points of dimension {X.shape[1]} meet a matrix of width {A.shape[1]}")
     cols = np.ascontiguousarray(A.T)
     out = X[:, :1] * cols[0]
     term = np.empty_like(out)

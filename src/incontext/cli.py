@@ -15,16 +15,18 @@ import sys
 import numpy as np
 
 from . import __version__
-from .counterexample import discontinuity_scan
+from .counterexample import counter_map, discontinuity_scan
 from .deep_transformer import forward_measure, forward_tokens
 from .derivative import MeasureMap, extract_g_detailed
 from .errors import DomainError
 from .selftest import run_self_test
 from .serialize import (
+    attention_from_doc,
     fmt,
     load_json,
     measure_from_doc,
     measure_to_doc,
+    mlp_from_doc,
     plan_to_doc,
     save_json,
     stack_from_doc,
@@ -33,7 +35,7 @@ from .serialize import (
     write_csv,
 )
 from .transport import w1_1d, w1_extended, w1_matching
-from .vlasov import VelocityField, depth_limit_error, euler_flow, rk4_flow, velocity_family
+from .vlasov import VelocityField, depth_limit_error, euler_flow, rk4_flow
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,13 +136,11 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 
 def _cmd_depth_limit(args: argparse.Namespace) -> int:
-    from .serialize import attention_from_doc, mlp_from_doc
-
     doc = load_json(args.base)
-    family = velocity_family(attention_from_doc(doc["attention"]), mlp_from_doc(doc["mlp"]))
+    att, mlp_p = attention_from_doc(doc["attention"]), mlp_from_doc(doc["mlp"])
     mu = measure_from_doc(load_json(args.measure))
     depths = [int(s) for s in args.Ts.split(",") if s]
-    rows = [[T, depth_limit_error(family, mu, T)] for T in depths]
+    rows = [[T, depth_limit_error(att, mlp_p, mu, T)] for T in depths]
     write_csv(args.out, ["T", "error"], rows)
     return 0
 
@@ -149,8 +149,6 @@ def _make_map(name: str, dim: int) -> MeasureMap:
     if name == "identity":
         return MeasureMap.identity(dim)
     if name == "counterexample":
-        from .counterexample import counter_map
-
         return counter_map()
     if name.startswith("stack:"):
         return MeasureMap.from_stack(stack_from_doc(load_json(name[len("stack:"):])))

@@ -208,15 +208,11 @@ class MeasureMap:
 
     @staticmethod
     def from_in_context(g: InContextMap) -> "MeasureMap":
-        return MeasureMap(lambda mu: push_forward(mu, lambda z: g(mu, z)), g.dim_out)
+        return MeasureMap(g.push, g.dim_out)
 
     @staticmethod
     def from_stack(stack: LayerStack) -> "MeasureMap":
         return MeasureMap(lambda mu: forward_measure(stack, mu), stack.dim)
-
-
-def _pairing(psi: TestFunction, nu: DiscreteMeasure) -> float:
-    return float(np.sum(nu.weights * np.array([psi.value(p) for p in nu.points])))
 
 
 def _paired_quotient(
@@ -297,8 +293,8 @@ def _verified_probe(
     existing support keeps the full radius (the constant is the right value
     there).
     """
-    if eps <= 0.0:
-        raise NonpositiveWeight("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise NonpositiveWeight(f"eps must be positive and finite, got {eps!r}")
     for _ in range(MAX_HALVINGS + 1):
         probe = add_atom(mu, x, eps)
         f_probe = canonicalize(f(probe))

@@ -7,9 +7,8 @@ sorted lexicographically) gives every measure a unique representative, which is
 what makes reductions over atoms reproducible bit for bit.
 
 Alongside the carrier live the push-forward of a measure under a point map,
-the minimal subset-sum gap of the weight vector, a seeded perturbation that
-makes all disjoint subset sums distinct, and the identification between token
-sequences and uniform empirical measures.
+the minimal subset-sum gap of the weight vector, and the identification
+between token sequences and uniform empirical measures.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 from .errors import (
     EmptyMeasure,
     EmptySequence,
-    ExhaustedRetries,
     LengthMismatch,
     MapUndefinedAtAtom,
     NonpositiveWeight,
@@ -36,8 +34,6 @@ MERGE_TOL = 1e-9
 
 # Exhaustive subset-sum enumeration refuses beyond this support size.
 GAP_SUPPORT_CAP = 20
-
-_MAKE_DIF_TRIES = 64
 
 
 @dataclass(frozen=True)
@@ -113,9 +109,6 @@ class DiscreteMeasure:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
-
-    def atom(self, i: int) -> tuple[np.ndarray, float]:
-        return self.points[i], float(self.weights[i])
 
     def normalized(self) -> "DiscreteMeasure":
         """Same atoms with weights scaled to total mass one."""
@@ -283,8 +276,8 @@ def relocate(mu: DiscreteMeasure, images: np.ndarray) -> DiscreteMeasure:
 def add_atom(mu: DiscreteMeasure, x: np.ndarray, mass: float) -> DiscreteMeasure:
     """Canonical form of ``mu + mass * delta(x)`` (merges with an existing atom
     when x is within the merge tolerance)."""
-    if mass <= 0.0:
-        raise NonpositiveWeight("added mass must be positive")
+    if not 0.0 < mass < np.inf:
+        raise NonpositiveWeight(f"added mass must be positive and finite, got {mass!r}")
     x = np.asarray(x, dtype=float).reshape(1, -1)
     if x.shape[1] != mu.dim:
         raise LengthMismatch("atom dimension does not match the measure")
@@ -384,32 +377,6 @@ def gap_strict(mu: DiscreteMeasure, cap: int = GAP_SUPPORT_CAP) -> float:
 def is_dif(mu: DiscreteMeasure, cap: int = GAP_SUPPORT_CAP) -> bool:
     """Whether all sums over disjoint nonempty index subsets are distinct."""
     return _gap_both(mu, cap)[1] > 0.0
-
-
-def make_dif(mu: DiscreteMeasure, eps: float, seed: int) -> DiscreteMeasure:
-    """Perturb weights so all disjoint subset sums become distinct.
-
-    Each weight moves by less than eps/n, the perturbed measure stays within
-    extended-W1 distance eps of the canonical input, and the draw is
-    deterministic given ``seed``.  Measures already having distinct subset
-    sums are returned unchanged (canonicalized).
-    """
-    from .transport import w1_extended  # deferred: transport builds on measures
-
-    if eps <= 0.0:
-        raise NonpositiveWeight("eps must be positive")
-    mu_c = canonicalize(mu)
-    if is_dif(mu_c):
-        return mu_c
-    n = mu_c.n
-    delta = min(eps / (2.0 * n), float(np.min(mu_c.weights)) / 2.0)
-    rng = np.random.default_rng(seed)
-    for _ in range(_MAKE_DIF_TRIES):
-        eta = rng.uniform(-delta, delta, size=n)
-        cand = _raw_measure(mu_c.points, mu_c.weights + eta, mu_c.box, True)
-        if is_dif(cand) and w1_extended(mu_c, cand) < eps:
-            return cand
-    raise ExhaustedRetries(f"no valid perturbation found in {_MAKE_DIF_TRIES} draws")
 
 
 # -- token sequences ---------------------------------------------------------------

@@ -4,6 +4,9 @@ Each check re-verifies one headline property at small problem sizes and raises
 AssertionError with a short message on violation.  Checks call into the
 package through module attributes so a deliberately broken function (as in a
 mutation drill) is picked up rather than a captured reference.
+
+The seeded generators and the literal gap oracle below are also the test
+suite's: ``tests/helpers.py`` imports them from here.
 """
 
 from __future__ import annotations
@@ -28,13 +31,16 @@ trans_mod = importlib.import_module(".transport", __package__)
 vla_mod = importlib.import_module(".vlasov", __package__)
 
 
-def _random_measure(rng: np.random.Generator, n: int, dim: int) -> "meas_mod.DiscreteMeasure":
-    pts = rng.uniform(-2.5, 2.5, size=(n, dim))
-    w = rng.uniform(0.2, 1.0, size=n)
-    return meas_mod.new_discrete(pts, w, meas_mod.default_box(dim))
+def random_measure(
+    rng: np.random.Generator, n: int, dim: int, lo: float = -2.5, hi: float = 2.5, uniform: bool = False
+):
+    """n atoms uniform in [lo, hi]^dim; weights uniform in [0.2, 1], or all 1/n."""
+    pts = rng.uniform(lo, hi, size=(n, dim))
+    w = np.full(n, 1.0 / n) if uniform else rng.uniform(0.2, 1.0, size=n)
+    return meas_mod.new_discrete(pts, w)
 
 
-def _random_attention(rng: np.random.Generator, dim: int, heads: int = 1, key_dim: int = 2):
+def random_attention(rng: np.random.Generator, dim: int, heads: int = 1, key_dim: int = 2):
     hs = tuple(
         att_mod.HeadParams(
             q=rng.uniform(-0.5, 0.5, size=(key_dim, dim)),
@@ -47,7 +53,7 @@ def _random_attention(rng: np.random.Generator, dim: int, heads: int = 1, key_di
     return att_mod.AttentionParams(hs, key_dim)
 
 
-def _random_mlp(rng: np.random.Generator, dim: int):
+def random_mlp(rng: np.random.Generator, dim: int):
     return att_mod.MlpParams(
         skip=1.0,
         layers=(
@@ -57,18 +63,19 @@ def _random_mlp(rng: np.random.Generator, dim: int):
     )
 
 
-def _gap_oracle(weights: np.ndarray, allow_empty_k: bool) -> float:
+def gap_oracle_literal(weights, require_nonempty_k: bool = False) -> float:
+    """Gap by literal enumeration of disjoint index-set pairs (small n only)."""
     n = len(weights)
     best = math.inf
-    idx = range(n)
+    idx = list(range(n))
     for r_j in range(1, n + 1):
         for j_set in itertools.combinations(idx, r_j):
             rest = [i for i in idx if i not in j_set]
-            k_start = 0 if allow_empty_k else 1
-            for r_k in range(k_start, len(rest) + 1):
+            k_min = 1 if require_nonempty_k else 0
+            for r_k in range(k_min, len(rest) + 1):
                 for k_set in itertools.combinations(rest, r_k):
-                    val = abs(sum(weights[list(j_set)]) - sum(weights[list(k_set)]))
-                    best = min(best, val)
+                    s = sum(weights[i] for i in j_set) - sum(weights[i] for i in k_set)
+                    best = min(best, abs(s))
     return best
 
 
@@ -88,7 +95,7 @@ def check_canonical_roundtrip(seed: int) -> None:
 def check_pushforward_mass(seed: int) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(20):
-        mu = _random_measure(rng, int(rng.integers(1, 9)), 2)
+        mu = random_measure(rng, int(rng.integers(1, 9)), 2)
         nu = meas_mod.push_forward(mu, lambda p: np.tanh(p) + 0.5)
         rel = abs(nu.total_mass - mu.total_mass) / mu.total_mass
         assert rel <= 1e-12, f"push-forward mass drift {rel}"
@@ -101,7 +108,7 @@ def check_gap_oracle(seed: int) -> None:
         w = rng.uniform(0.1, 2.0, size=n)
         mu = meas_mod.new_discrete(rng.uniform(-1, 1, size=(n, 1)), w)
         got = meas_mod.gap(mu)
-        want = _gap_oracle(w, allow_empty_k=True)
+        want = gap_oracle_literal(w)
         assert abs(got - want) <= 1e-12, f"gap {got} vs oracle {want}"
 
 
@@ -111,7 +118,7 @@ def check_make_dif(seed: int) -> None:
         n = int(rng.integers(2, 7))
         w = np.repeat(rng.uniform(0.3, 1.0), n)  # equal weights: certainly degenerate
         mu = meas_mod.new_discrete(rng.uniform(-2, 2, size=(n, 1)), w)
-        out = meas_mod.make_dif(mu, 1e-3, seed=trial)
+        out = trans_mod.make_dif(mu, 1e-3, seed=trial)
         assert meas_mod.is_dif(out), "make_dif output still degenerate"
         moved = trans_mod.w1_extended(meas_mod.canonicalize(mu), out)
         assert moved < 1e-3, f"make_dif moved too far: {moved}"
@@ -120,7 +127,7 @@ def check_make_dif(seed: int) -> None:
 def check_w1_oracle(seed: int) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(25):
-        a = _random_measure(rng, int(rng.integers(1, 7)), 1)
+        a = random_measure(rng, int(rng.integers(1, 7)), 1)
         m = int(rng.integers(1, 7))
         pts = rng.uniform(-2.5, 2.5, size=(m, 1))
         w = rng.uniform(0.2, 1.0, size=m)
@@ -153,8 +160,8 @@ def check_attention_invariances(seed: int) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(10):
         dim = 2
-        params = _random_attention(rng, dim)
-        mu = _random_measure(rng, int(rng.integers(1, 6)), dim)
+        params = random_attention(rng, dim)
+        mu = random_measure(rng, int(rng.integers(1, 6)), dim)
         x = rng.uniform(-2, 2, size=dim)
         for p in att_mod.attention_weights(params, mu, x):
             assert abs(float(np.sum(p)) - 1.0) <= 1e-12, "softmax weights do not sum to 1"
@@ -171,9 +178,9 @@ def check_velocity_identity(seed: int) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(10):
         dim = int(rng.integers(1, 3))
-        params = _random_attention(rng, dim)
-        mlp_p = _random_mlp(rng, dim)
-        mu = _random_measure(rng, int(rng.integers(1, 5)), dim)
+        params = random_attention(rng, dim)
+        mlp_p = random_mlp(rng, dim)
+        mu = random_measure(rng, int(rng.integers(1, 5)), dim)
         x = rng.uniform(-2, 2, size=dim)
         v = att_mod.velocity(params, mlp_p, mu, x)
         direct = att_mod.mlp(mlp_p, att_mod.gamma(params, mu, x))
@@ -185,7 +192,7 @@ def check_token_equivariance(seed: int) -> None:
     for _ in range(10):
         dim = 2
         stack = deep_mod.LayerStack(
-            (deep_mod.Layer(_random_attention(rng, dim), _random_mlp(rng, dim)),),
+            (deep_mod.Layer(random_attention(rng, dim), random_mlp(rng, dim)),),
             dim,
         )
         n = int(rng.integers(2, 6))
@@ -213,11 +220,11 @@ def check_extraction(seed: int) -> None:
     rng = np.random.default_rng(seed)
     dim = 2
     stack = deep_mod.LayerStack(
-        (deep_mod.Layer(_random_attention(rng, dim), _random_mlp(rng, dim)),),
+        (deep_mod.Layer(random_attention(rng, dim), random_mlp(rng, dim)),),
         dim,
     )
     f = der_mod.MeasureMap.from_stack(stack)
-    mu = _random_measure(rng, 3, dim)
+    mu = random_measure(rng, 3, dim)
     for _ in range(3):
         x = rng.uniform(-2, 2, size=dim)
         got = der_mod.extract_g(f, mu, x, 1e-6)

@@ -81,8 +81,15 @@ def _box_from_doc(box: Any) -> Box:
     return Box(np.asarray(box["lo"], dtype=float), np.asarray(box["hi"], dtype=float))
 
 
+def _dim_checked(doc: dict, value):
+    """``value`` itself, after checking it against the document's optional ``dim``."""
+    if doc.get("dim", value.dim) != value.dim:
+        raise LengthMismatch(f"the document says dim {doc['dim']!r}, its entries have dimension {value.dim}")
+    return value
+
+
 def measure_from_doc(doc: dict) -> DiscreteMeasure:
-    return new_discrete(doc["points"], doc["weights"], _box_from_doc(doc["box"]))
+    return _dim_checked(doc, new_discrete(doc["points"], doc["weights"], _box_from_doc(doc["box"])))
 
 
 def tokens_to_doc(seq: TokenSequence) -> dict:
@@ -98,7 +105,7 @@ def tokens_from_doc(doc: dict) -> TokenSequence:
         lo = np.minimum(toks.min(axis=0), -3.0)
         hi = np.maximum(toks.max(axis=0), 3.0)
         box = Box(lo, hi)
-    return new_tokens(toks, box)
+    return _dim_checked(doc, new_tokens(toks, box))
 
 
 # -- parameters --------------------------------------------------------------------

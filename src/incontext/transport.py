@@ -16,7 +16,9 @@ Four routes:
   the bipartite atom graph, at a fixed total mass.
 
 ``w1_extended`` extends W1 to positive measures of unequal mass: the distance
-between the normalized measures plus the mass difference.
+between the normalized measures plus the mass difference.  ``make_dif``
+perturbs weights, within an extended-W1 budget, until all disjoint subset sums
+are distinct.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionNotOne, MassMismatch, ProblemTooLarge
-from .measures import DiscreteMeasure
+from .errors import DimensionNotOne, ExhaustedRetries, MassMismatch, NonpositiveWeight, ProblemTooLarge
+from .measures import DiscreteMeasure, _raw_measure, canonicalize, is_dif
 
 MASS_TOL = 1e-10
 ATOM_CAP = 200
@@ -34,6 +36,8 @@ ATOM_CAP = 200
 # absolute: a plan it returns can miss its marginals by the whole primal
 # tolerance and its optimal cost by the dual tolerance times the mass.
 LP_MASS = 1e3
+
+_MAKE_DIF_TRIES = 64
 
 
 @dataclass(frozen=True)
@@ -69,16 +73,16 @@ def _dist_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _require_equal_mass(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
-    if abs(mu.total_mass - nu.total_mass) > MASS_TOL:
-        raise MassMismatch(
-            f"total masses differ: {mu.total_mass!r} vs {nu.total_mass!r}"
-        )
+    """Total masses must agree to MASS_TOL relative to the larger one."""
+    a, b = mu.total_mass, nu.total_mass
+    if abs(a - b) > MASS_TOL * max(a, b):
+        raise MassMismatch(f"total masses differ: {a!r} vs {b!r}")
 
 
 def w1_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """W1 in dimension one via the integral of |F_mu - F_nu|.
 
-    Requires equal total mass (within 1e-10).  Exact up to summation rounding:
+    Requires equal total mass (relative 1e-10).  Exact up to summation rounding:
     the integrand is piecewise constant between the merged atom positions.
     """
     if mu.dim != 1 or nu.dim != 1:
@@ -227,3 +231,27 @@ def w1_extended(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     else:
         base = w1_matching(mu_n, nu_n).cost
     return base + abs(mu.total_mass - nu.total_mass)
+
+
+def make_dif(mu: DiscreteMeasure, eps: float, seed: int) -> DiscreteMeasure:
+    """Perturb weights so all disjoint subset sums become distinct.
+
+    Each weight moves by less than eps/n, the perturbed measure stays within
+    extended-W1 distance eps of the canonical input, and the draw is
+    deterministic given ``seed``.  Measures already having distinct subset
+    sums are returned unchanged (canonicalized).
+    """
+    if eps <= 0.0:
+        raise NonpositiveWeight("eps must be positive")
+    mu_c = canonicalize(mu)
+    if is_dif(mu_c):
+        return mu_c
+    n = mu_c.n
+    delta = min(eps / (2.0 * n), float(np.min(mu_c.weights)) / 2.0)
+    rng = np.random.default_rng(seed)
+    for _ in range(_MAKE_DIF_TRIES):
+        eta = rng.uniform(-delta, delta, size=n)
+        cand = _raw_measure(mu_c.points, mu_c.weights + eta, mu_c.box, True)
+        if is_dif(cand) and w1_extended(mu_c, cand) < eps:
+            return cand
+    raise ExhaustedRetries(f"no valid perturbation found in {_MAKE_DIF_TRIES} draws")

@@ -79,6 +79,26 @@ def _state_measure(points: np.ndarray, weights: np.ndarray, box: Box) -> Discret
     return DiscreteMeasure(pts, weights, state_box, False)
 
 
+def _integrate(advance, mu0: DiscreteMeasure, steps: int) -> Trajectory:
+    """``steps`` equal steps on [0, 1] from the canonical form of ``mu0``.
+
+    ``advance(state, w, box, t, h)`` returns the particle positions one step
+    of size h after ``state``, the measure at time t.  Weights and atom count
+    never change.
+    """
+    mu_c = canonicalize(mu0)
+    w = mu_c.weights
+    box = mu_c.box
+    h = 1.0 / steps
+    times = [0.0]
+    states = [_state_measure(mu_c.points, w, box)]
+    for step in range(steps):
+        x = advance(states[-1], w, box, step * h, h)
+        times.append((step + 1) * h)
+        states.append(_state_measure(x, w, box))
+    return Trajectory(np.array(times), tuple(states))
+
+
 def euler_flow(v: VelocityField, mu0: DiscreteMeasure, T: int) -> Trajectory:
     """T explicit Euler steps of size 1/T on [0, 1].
 
@@ -87,20 +107,7 @@ def euler_flow(v: VelocityField, mu0: DiscreteMeasure, T: int) -> Trajectory:
     """
     if T < 1:
         raise TooFewTimePoints("need at least one Euler step")
-    mu_c = canonicalize(mu0)
-    w = mu_c.weights
-    box = mu_c.box
-    dt = 1.0 / T
-    x = np.array(mu_c.points)
-    times = [0.0]
-    states = [_state_measure(x, w, box)]
-    for step in range(T):
-        t = step * dt
-        frozen = states[-1]
-        x = x + dt * v(t, frozen, x)
-        times.append((step + 1) * dt)
-        states.append(_state_measure(x, w, box))
-    return Trajectory(np.array(times), tuple(states))
+    return _integrate(lambda mu, w, box, t, h: mu.points + h * v(t, mu, mu.points), mu0, T)
 
 
 def _rk4_advance(
@@ -126,18 +133,9 @@ def rk4_flow(v: VelocityField, mu0: DiscreteMeasure, steps: int) -> Trajectory:
     """Classical 4-stage Runge-Kutta on the coupled particle system over [0, 1]."""
     if steps < 1:
         raise TooFewTimePoints("need at least one RK4 step")
-    mu_c = canonicalize(mu0)
-    w = mu_c.weights
-    box = mu_c.box
-    h = 1.0 / steps
-    x = np.array(mu_c.points)
-    times = [0.0]
-    states = [_state_measure(x, w, box)]
-    for step in range(steps):
-        x = _rk4_advance(v, x, x.shape[0], w, box, step * h, h)
-        times.append((step + 1) * h)
-        states.append(_state_measure(x, w, box))
-    return Trajectory(np.array(times), tuple(states))
+    return _integrate(
+        lambda mu, w, box, t, h: _rk4_advance(v, mu.points, mu.n, w, box, t, h), mu0, steps
+    )
 
 
 def characteristic_map(
@@ -206,19 +204,14 @@ def scaled_stack(att: AttentionParams, mlp_p: MlpParams, T: int):
     return LayerStack(tuple([layer] * T), att.dim)
 
 
-def velocity_family(att: AttentionParams, mlp_p: MlpParams) -> Callable[[int], LayerStack]:
-    """The map T -> depth-T stack with layer velocities scaled by 1/T."""
-    return lambda T: scaled_stack(att, mlp_p, T)
-
-
-def depth_limit_error(stack_family, mu0: DiscreteMeasure, T: int) -> float:
+def depth_limit_error(att: AttentionParams, mlp_p: MlpParams, mu0: DiscreteMeasure, T: int) -> float:
     """W1 gap between the depth-T scaled stack and the RK4 continuum reference.
 
-    The base layer velocity is read off the depth-1 member of the family; the
-    reference uses 4T RK4 steps of that velocity.
+    Both are built from one base layer (``att``, ``mlp_p``); the reference
+    uses 4T RK4 steps of that layer's velocity.
     """
-    base = stack_family(1).layers[0]
-    v = VelocityField.from_layer(base.attention, base.mlp)
-    stack_final = forward_measure(stack_family(T), mu0)
-    ref_final = rk4_flow(v, mu0, 4 * T).final
+    if T < 1:
+        raise TooFewTimePoints(f"need a depth of at least one, got {T}")
+    stack_final = forward_measure(scaled_stack(att, mlp_p, T), mu0)
+    ref_final = rk4_flow(VelocityField.from_layer(att, mlp_p), mu0, 4 * T).final
     return w1_matching(stack_final, ref_final).cost

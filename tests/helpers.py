@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's algorithms: transport costs
 come from literal permutation search, subset-sum gaps from explicit
 enumeration of index-set pairs.  Expected values frozen into tests were
-computed with these.
+computed with these.  The seeded measure, attention and MLP generators and the
+literal gap oracle are the ones ``self-test`` runs on, imported from
+``incontext.selftest``.
 """
 
 from __future__ import annotations
@@ -14,44 +16,18 @@ import math
 import numpy as np
 
 import incontext as ic
-
-
-def random_measure(rng, n, dim, box=None, lo=-2.5, hi=2.5, uniform=False):
-    pts = rng.uniform(lo, hi, size=(n, dim))
-    if uniform:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = rng.uniform(0.2, 1.0, size=n)
-    return ic.new_discrete(pts, w, box)
+from incontext.selftest import (  # noqa: F401 - re-exported for the tests
+    gap_oracle_literal,
+    random_attention,
+    random_measure,
+    random_mlp,
+)
 
 
 def random_probability(rng, n, dim, box=None, lo=-2.5, hi=2.5):
     pts = rng.uniform(lo, hi, size=(n, dim))
     w = rng.uniform(0.2, 1.0, size=n)
     return ic.new_discrete(pts, w / w.sum(), box)
-
-
-def random_attention(rng, dim, heads=1, key_dim=2, scale=0.5):
-    hs = tuple(
-        ic.HeadParams(
-            q=rng.uniform(-scale, scale, size=(key_dim, dim)),
-            k=rng.uniform(-scale, scale, size=(key_dim, dim)),
-            v=rng.uniform(-scale, scale, size=(dim, dim)),
-            w=rng.uniform(-scale, scale, size=(dim, dim)),
-        )
-        for _ in range(heads)
-    )
-    return ic.AttentionParams(hs, key_dim)
-
-
-def random_mlp(rng, dim, scale=0.5):
-    return ic.MlpParams(
-        skip=1.0,
-        layers=(
-            (rng.uniform(-scale, scale, size=(dim, dim)), rng.uniform(-0.2, 0.2, size=dim)),
-        ),
-        activation="tanh",
-    )
 
 
 def random_stack(rng, dim, depth=1, heads=1):
@@ -94,24 +70,6 @@ def permutation_match_costs(points_a, points_b, weights):
         sel = np.sqrt(np.sum(diff * diff, axis=1))
         costs.append(float(np.sum(weights * sel)))
     return costs
-
-
-def gap_oracle_literal(weights, require_nonempty_k=False):
-    """Gap by literal enumeration of disjoint index-set pairs (small n only)."""
-    n = len(weights)
-    best = math.inf
-    idx = list(range(n))
-    for r_j in range(1, n + 1):
-        for j_set in itertools.combinations(idx, r_j):
-            rest = [i for i in idx if i not in j_set]
-            k_min = 1 if require_nonempty_k else 0
-            for r_k in range(k_min, len(rest) + 1):
-                for k_set in itertools.combinations(rest, r_k):
-                    s = abs(
-                        sum(weights[i] for i in j_set) - sum(weights[i] for i in k_set)
-                    )
-                    best = min(best, s)
-    return best
 
 
 def gap_oracle_signed(weights, require_nonempty_k=False):

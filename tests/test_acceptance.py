@@ -252,9 +252,9 @@ def test_criterion_5_depth_limit():
     """Euler-like stacks approach the RK4 continuum reference at first order."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
-    family = ic.velocity_family(random_attention(rng, 2), random_mlp(rng, 2))
+    att, mlp_p = random_attention(rng, 2), random_mlp(rng, 2)
     mu0 = ic.new_discrete(rng.uniform(-1.5, 1.5, (4, 2)), np.full(4, 0.25))
-    errors = {T: ic.depth_limit_error(family, mu0, T) for T in (16, 32, 64, 128, 256)}
+    errors = {T: ic.depth_limit_error(att, mlp_p, mu0, T) for T in (16, 32, 64, 128, 256)}
     ratios = [errors[2 * T] / errors[T] for T in (16, 32, 64, 128)]
     monotone = all(errors[2 * T] < errors[T] for T in (16, 32, 64, 128))
     in_band = all(0.3 <= r <= 0.7 for r in ratios)

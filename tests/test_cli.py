@@ -345,3 +345,75 @@ class TestBadInputs:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,atom_index,x_1,weight"
         assert len(lines) == 1 + 5 * 2
+
+
+def _subcommand_argv(command, tmp_path, stack, mu):
+    """argv running ``command`` on the stack (or its first layer) and the measure."""
+    s = write_stack(tmp_path / "s.json", stack)
+    m = write_measure(tmp_path / "m.json", mu)
+    out = str(tmp_path / "out")
+    if command == "forward-tokens":
+        t = tmp_path / "t.json"
+        ser.save_json(str(t), ser.tokens_to_doc(ic.new_tokens(mu.points)))
+        return ["forward-tokens", "--stack", s, "--tokens", str(t), "--out", out]
+    if command == "depth-limit":
+        layer = stack.layers[0]
+        base = tmp_path / "base.json"
+        doc = {"attention": ser.attention_to_doc(layer.attention), "mlp": ser.mlp_to_doc(layer.mlp)}
+        ser.save_json(str(base), doc)
+        return ["depth-limit", "--base", str(base), "--measure", m, "--Ts", "2", "--out", out]
+    if command == "extract-g":
+        return ["extract-g", "--map", f"stack:{s}", "--measure", m, "--x", ",".join(["0.1"] * mu.dim)]
+    if command == "forward":
+        return ["forward", "--stack", s, "--measure", m, "--out", out]
+    return ["flow", "--stack", s, "--measure", m, "--T", "2", "--out", out]
+
+
+class TestDimensionMismatch:
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("command", ["forward", "forward-tokens", "flow", "depth-limit", "extract-g"])
+    def test_input_of_another_dimension_exits_one(self, tmp_path, capsys, command, dim):
+        rng = np.random.default_rng(30)
+        argv = _subcommand_argv(command, tmp_path, random_stack(rng, 2), random_measure(rng, 3, dim))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DimensionMismatch: points of dimension "), err
+
+    def test_matching_dimension_still_runs(self, tmp_path, capsys):
+        rng = np.random.default_rng(30)
+        for command in ["forward", "forward-tokens", "flow", "depth-limit", "extract-g"]:
+            assert main(_subcommand_argv(command, tmp_path, random_stack(rng, 2), random_measure(rng, 3, 2))) == 0
+
+
+class TestNonFiniteSizes:
+    def test_zero_depth_exits_one(self, tmp_path, capsys):
+        rng = np.random.default_rng(31)
+        argv = _subcommand_argv("depth-limit", tmp_path, random_stack(rng, 2), random_measure(rng, 3, 2))
+        argv[argv.index("--Ts") + 1] = "0"
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: TooFewTimePoints: ")
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_exits_one(self, tmp_path, capsys, eps):
+        m = write_measure(tmp_path / "m.json", ic.new_discrete([[0.1, -0.4], [1.2, 0.8]], [0.5, 0.5]))
+        assert main(["extract-g", "--map", "identity", "--measure", m, "--x", "0.7,0.2", "--eps", eps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: NonpositiveWeight: eps must be positive and finite")
+
+
+class TestDocumentDim:
+    def test_measure_dim_must_match_points(self, tmp_path, capsys):
+        doc = ser.measure_to_doc(ic.new_discrete([[0.1, 0.2]], [1.0]))
+        doc["dim"] = 3
+        a = tmp_path / "a.json"
+        ser.save_json(str(a), doc)
+        assert main(["w1", "--a", str(a), "--b", str(a)]) == 1
+        assert capsys.readouterr().err.startswith("error: LengthMismatch: the document says dim 3")
+
+    def test_tokens_dim_must_match_tokens(self, tmp_path, capsys):
+        s = write_stack(tmp_path / "s.json", random_stack(np.random.default_rng(32), 2))
+        t = tmp_path / "t.json"
+        ser.save_json(str(t), {"dim": 2, "tokens": 5})
+        assert main(["forward-tokens", "--stack", s, "--tokens", str(t), "--out", str(tmp_path / "u.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: LengthMismatch: the document says dim 2")

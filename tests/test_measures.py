@@ -129,6 +129,13 @@ class TestPushForward:
         assert nu.box.contains(nu.points)
 
 
+class TestAddAtom:
+    @pytest.mark.parametrize("mass", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_nonpositive_or_non_finite_mass(self, mass):
+        with pytest.raises(NonpositiveWeight):
+            ic.add_atom(ic.dirac([0.0]), [1.0], mass)
+
+
 class TestGap:
     def test_single_weight(self):
         assert ic.gap(ic.dirac([0.0])) == 1.0

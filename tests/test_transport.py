@@ -46,6 +46,29 @@ class TestW1OneDim:
             ic.w1_1d(ic.dirac([0.0]), ic.dirac([1.0], mass=2.0))
 
 
+class TestMassTolerance:
+    def test_rescaled_large_masses_are_equal(self):
+        # both sides rescaled to mass 1e6 end a few ulps apart (one ulp is
+        # 1.2e-10), which an absolute 1e-10 check rejected
+        rng = np.random.default_rng(20)
+        apart = 0
+        for _ in range(10):
+            a, b = (random_probability(rng, n, 1).scaled(1e6) for n in (20, 25))
+            apart += abs(a.total_mass - b.total_mass) > 1e-10
+            want = 1e6 * ic.w1_1d(a.normalized(), b.normalized())
+            assert abs(ic.w1_1d(a, b) - want) <= 1e-12 * 1e6
+            assert abs(ic.w1_matching(a, b).cost - want) <= 1e-12 * 1e6
+        assert apart >= 3
+
+    def test_small_masses_are_compared_relatively(self):
+        # 5e-5 relative at mass 1e-6 is 5e-11 absolute
+        a, b = ic.dirac([0.0], mass=1e-6), ic.dirac([1.0], mass=1e-6 * (1 + 5e-5))
+        with pytest.raises(MassMismatch):
+            ic.w1_1d(a, b)
+        with pytest.raises(MassMismatch):
+            ic.w1_matching(a, b)
+
+
 class TestW1Matching:
     def test_uniform_pairing(self):
         a = pair_1d([0.0, 2.0], [0.5, 0.5])

@@ -128,22 +128,28 @@ class TestWeakResidual:
 
 
 class TestDepthLimit:
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_rejects_depth_below_one(self, T):
+        rng = np.random.default_rng(5)
+        with pytest.raises(TooFewTimePoints):
+            ic.depth_limit_error(random_attention(rng, 2), random_mlp(rng, 2), ic.dirac([0.0, 0.0]), T)
+
     def test_zero_base_velocity(self):
         d = 1
         head = ic.HeadParams(
             q=np.zeros((1, d)), k=np.zeros((1, d)), v=np.eye(d), w=np.zeros((d, d))
         )
-        fam = ic.velocity_family(ic.AttentionParams((head,), 1), ic.identity_mlp())
+        att = ic.AttentionParams((head,), 1)
         mu0 = ic.new_discrete([[0.5], [-1.0]], [0.4, 0.6])
         for T in (4, 16):
-            assert ic.depth_limit_error(fam, mu0, T) <= 1e-15
+            assert ic.depth_limit_error(att, ic.identity_mlp(), mu0, T) <= 1e-15
 
     def test_first_order_ratio(self):
         rng = np.random.default_rng(42)
-        fam = ic.velocity_family(random_attention(rng, 2), random_mlp(rng, 2))
+        att, mlp_p = random_attention(rng, 2), random_mlp(rng, 2)
         mu0 = ic.new_discrete(rng.uniform(-1.5, 1.5, (4, 2)), np.full(4, 0.25))
-        e16 = ic.depth_limit_error(fam, mu0, 16)
-        e32 = ic.depth_limit_error(fam, mu0, 32)
+        e16 = ic.depth_limit_error(att, mlp_p, mu0, 16)
+        e32 = ic.depth_limit_error(att, mlp_p, mu0, 32)
         assert 0.3 <= e32 / e16 <= 0.7
 
     def test_scaled_layer_is_euler_step(self):

@@ -253,27 +253,27 @@ def _patch_radius(f_mu: DiscreteMeasure) -> float:
     return min(0.25 * dmin, MAX_PATCH_RADIUS)
 
 
-def _support_displacement(f_mu: DiscreteMeasure, f_probe: DiscreteMeasure) -> float:
-    """Max over atoms of f(mu) of the distance to the nearest atom of the probe image."""
+def _image_distances(f_mu: DiscreteMeasure, f_probe: DiscreteMeasure) -> np.ndarray:
+    """Distances (f_mu.n, f_probe.n) from each atom of f(mu) to each atom of the probe image."""
     diff = f_mu.points[:, None, :] - f_probe.points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    return float(np.max(np.min(dist, axis=1)))
+    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def _new_image_clearance(f_mu: DiscreteMeasure, f_probe: DiscreteMeasure, eps: float) -> float | None:
+def _new_image_clearance(dist: np.ndarray) -> float | None:
     """Distance from the probe's own image atom to the nearest existing image.
 
-    The probe atom is recognized by its mass (about eps, far below any real
-    atom weight for mass-preserving maps).  None when the image merged into
-    the existing support or cannot be identified.
+    ``dist`` is :func:`_image_distances`.  Every atom of f(mu) picks its
+    nearest atom of the probe image; the probe's own image is the one atom
+    that none of them picks, whatever its weight.  None unless exactly one
+    atom goes unpicked: the image merged into the existing support, or it
+    cannot be told apart.
     """
-    if f_probe.n <= f_mu.n:
+    unpicked = np.ones(dist.shape[1], dtype=bool)
+    unpicked[np.argmin(dist, axis=1)] = False
+    new = np.flatnonzero(unpicked)
+    if new.size != 1:
         return None
-    new_idx = int(np.argmin(f_probe.weights))
-    if f_probe.weights[new_idx] > 1.5 * eps + 1e-12:
-        return None
-    diff = f_mu.points - f_probe.points[new_idx]
-    return float(np.min(np.sqrt(np.sum(diff * diff, axis=1))))
+    return float(np.min(dist[:, new[0]]))
 
 
 def _verified_probe(
@@ -299,10 +299,11 @@ def _verified_probe(
         probe = add_atom(mu, x, eps)
         f_probe = canonicalize(f(probe))
         r_eff = r
-        clearance = _new_image_clearance(f_mu, f_probe, eps)
+        dist = _image_distances(f_mu, f_probe)
+        clearance = _new_image_clearance(dist)
         if clearance is not None and clearance < r:
             r_eff = max(clearance / 2.0, MIN_PATCH_RADIUS)
-        if _support_displacement(f_mu, f_probe) < r_eff / 4.0:
+        if np.max(np.min(dist, axis=1)) < r_eff / 4.0:
             return eps, f_probe, r_eff
         eps /= 2.0
     raise DisplacementTooLarge(

@@ -2,9 +2,11 @@
 
 The carrier type is :class:`DiscreteMeasure`, a finite weighted sum of point
 masses ``sum_i a_i * delta(x_i)`` with strictly positive weights, living inside
-a declared ambient box.  Canonical form (atoms merged within a tolerance and
-sorted lexicographically) gives every measure a unique representative, which is
-what makes reductions over atoms reproducible bit for bit.
+a declared ambient box.  Canonical form (identical atoms merged, atoms sorted
+lexicographically) gives every measure a unique representative, which is what
+makes reductions over atoms reproducible bit for bit.  Only exact duplicates
+merge, so canonical form keeps the cardinality of the support: atoms that are
+merely close stay apart.
 
 Alongside the carrier live the push-forward of a measure under a point map,
 the minimal subset-sum gap of the weight vector, and the identification
@@ -28,9 +30,6 @@ from .errors import (
     PointOutsideBox,
     SupportTooLarge,
 )
-
-# Atoms closer than this (max norm) are treated as the same point.
-MERGE_TOL = 1e-9
 
 # Exhaustive subset-sum enumeration refuses beyond this support size.
 GAP_SUPPORT_CAP = 20
@@ -116,8 +115,8 @@ class DiscreteMeasure:
         return _raw_measure(self.points, w, self.box, self.is_canonical)
 
     def scaled(self, s: float) -> "DiscreteMeasure":
-        if s <= 0.0:
-            raise NonpositiveWeight("scale factor must be positive")
+        if not 0.0 < s < np.inf:
+            raise NonpositiveWeight(f"scale factor must be positive and finite, got {s!r}")
         return _raw_measure(self.points, self.weights * s, self.box, self.is_canonical)
 
     def __eq__(self, other: object) -> bool:
@@ -181,7 +180,8 @@ def new_discrete(
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(weights, dtype=float).reshape(-1)
-    if pts.shape[0] == 0:
+    # an empty point list becomes shape (1, 0) under atleast_2d
+    if pts.size == 0:
         raise EmptyMeasure("a measure needs at least one atom")
     if pts.shape[0] != w.shape[0]:
         raise LengthMismatch(f"{pts.shape[0]} points vs {w.shape[0]} weights")
@@ -208,35 +208,31 @@ def _lex_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(points.T[::-1])
 
 
-def canonicalize(mu: DiscreteMeasure, tol: float = MERGE_TOL) -> DiscreteMeasure:
-    """Merge atoms within ``tol`` (max norm) and sort lexicographically.
+def canonicalize(mu: DiscreteMeasure) -> DiscreteMeasure:
+    """Merge identical atoms and sort the atoms lexicographically.
 
-    Weights inside a merge group are summed in ascending order, so the result
-    does not depend on the input atom order.  Idempotent.
+    Atoms merge exactly when their points are equal in every coordinate, with
+    -0.0 taken as +0.0, so the atom count is the number of distinct points.
+    A merged weight is the sum of its group's weights in ascending order, so
+    the result does not depend on the input atom order, bit for bit.
+    Idempotent.
     """
     if mu.is_canonical:
         return mu
-    order = _lex_order(mu.points)
-    pts = mu.points[order]
-    w = mu.weights[order]
-    # The scan below first merges at a lex-adjacent pair within tol; without
-    # one, every atom is its own group and the sorted input is the result.
-    if not np.any(np.max(np.abs(np.diff(pts, axis=0)), axis=1) <= tol):
-        return _raw_measure(pts, w, mu.box, True)
-    rep_rows: list[int] = []
-    group_weights: list[float] = []
-    current: list[float] = []
-    for i in range(pts.shape[0]):
-        if rep_rows and np.max(np.abs(pts[i] - pts[rep_rows[-1]])) <= tol:
-            current.append(w[i])
-        else:
-            if current:
-                group_weights.append(float(np.sum(np.sort(current))))
-            rep_rows.append(i)
-            current = [w[i]]
-    group_weights.append(float(np.sum(np.sort(current))))
-    out = _raw_measure(pts[rep_rows], np.array(group_weights), mu.box, True)
-    return out
+    pts = mu.points + 0.0  # -0.0 + 0.0 is +0.0
+    order = _lex_order(pts)
+    pts, w = pts[order], mu.weights[order]
+    # a group starts wherever a row differs from the row before it
+    bounds = np.flatnonzero(np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1), [True])))
+    first, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    weights = w[first]
+    # np.sum along a row of a (g, k) block gives, bit for bit, np.sum of that
+    # group alone; np.add.reduceat sums in another order
+    for k in set(sizes[sizes > 1].tolist()):
+        of_size_k = sizes == k
+        block = w[first[of_size_k, None] + np.arange(k)]
+        weights[of_size_k] = np.sum(np.sort(block, axis=1), axis=1)
+    return _raw_measure(pts[first], weights, mu.box, True)
 
 
 def push_forward(mu: DiscreteMeasure, point_map: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:
@@ -260,8 +256,9 @@ def relocate(mu: DiscreteMeasure, images: np.ndarray) -> DiscreteMeasure:
     Raises MapUndefinedAtAtom naming the first atom whose image is not
     finite.  The output box is the input box when the images stay inside it
     (and the dimension is unchanged); otherwise the smallest box containing
-    the images (hulled with the input box when dimensions match).  Total mass
-    is preserved up to merge-summation rounding.
+    the images (hulled with the input box when dimensions match).  Images
+    that coincide exactly merge; total mass is preserved up to the rounding
+    of those merged sums.
     """
     bad = np.flatnonzero(~np.isfinite(images).all(axis=1))
     if bad.size:
@@ -275,7 +272,7 @@ def relocate(mu: DiscreteMeasure, images: np.ndarray) -> DiscreteMeasure:
 
 def add_atom(mu: DiscreteMeasure, x: np.ndarray, mass: float) -> DiscreteMeasure:
     """Canonical form of ``mu + mass * delta(x)`` (merges with an existing atom
-    when x is within the merge tolerance)."""
+    only when x equals it exactly)."""
     if not 0.0 < mass < np.inf:
         raise NonpositiveWeight(f"added mass must be positive and finite, got {mass!r}")
     x = np.asarray(x, dtype=float).reshape(1, -1)

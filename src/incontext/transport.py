@@ -241,8 +241,8 @@ def make_dif(mu: DiscreteMeasure, eps: float, seed: int) -> DiscreteMeasure:
     deterministic given ``seed``.  Measures already having distinct subset
     sums are returned unchanged (canonicalized).
     """
-    if eps <= 0.0:
-        raise NonpositiveWeight("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise NonpositiveWeight(f"eps must be positive and finite, got {eps!r}")
     mu_c = canonicalize(mu)
     if is_dif(mu_c):
         return mu_c

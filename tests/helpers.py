@@ -142,14 +142,15 @@ def reference_apply_layer(layer, mu, x):
     return x + layer.scale * reference_velocity(layer.attention, layer.mlp, mu, x)
 
 
-def reference_canonicalize(mu, tol=ic.measures.MERGE_TOL):
-    """The merge scan of ``canonicalize`` without its no-merge shortcut."""
+def reference_canonicalize(mu):
+    """Canonical form by a per-atom scan over the lex-sorted atoms: an atom
+    equal to the first atom of the group before it joins that group."""
     order = np.lexsort(mu.points.T[::-1])
     pts = mu.points[order]
     w = mu.weights[order]
     rep_rows, group_weights, current = [], [], []
     for i in range(pts.shape[0]):
-        if rep_rows and np.max(np.abs(pts[i] - pts[rep_rows[-1]])) <= tol:
+        if rep_rows and np.array_equal(pts[i], pts[rep_rows[-1]]):
             current.append(w[i])
         else:
             if current:

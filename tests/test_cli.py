@@ -331,6 +331,14 @@ class TestBadInputs:
         assert main(["forward", "--stack", str(s), "--measure", m, "--out", str(tmp_path / "y.json")]) == 1
         assert f"error: BadInputFile: ValueError: {what} must be a JSON array" in capsys.readouterr().err
 
+    def test_empty_measure_file_exits_one(self, tmp_path, capsys):
+        doc = ser.measure_to_doc(ic.dirac([0.0]))
+        doc.update(points=[], weights=[])
+        empty = tmp_path / "empty.json"
+        ser.save_json(str(empty), doc)
+        assert main(["w1", "--a", str(empty), "--b", str(empty)]) == 1
+        assert capsys.readouterr().err.startswith("error: EmptyMeasure")
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["w1", "--a", "/nonexistent.json", "--b", "/nonexistent.json"]) == 1
         assert "FileNotFound" in capsys.readouterr().err

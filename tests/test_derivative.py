@@ -166,6 +166,18 @@ class TestExtractG:
             want = ic.forward_map(stack, mu, x)
             assert np.max(np.abs(got - want)) <= 1e-4
 
+    def test_light_atom_is_not_taken_for_the_probe(self):
+        # atoms lighter than eps: the probe's image is told by position, not by mass
+        rng = np.random.default_rng(5)
+        stack = ic.LayerStack((ic.Layer(random_attention(rng, 2), random_mlp(rng, 2)),), 2)
+        f = ic.MeasureMap.from_stack(stack)
+        x = np.array([0.1, -0.9])
+        for light in (1e-3, 5e-7, 1e-8, 1e-10):
+            mu = ic.new_discrete([[0.5, 0.2], [-0.7, 1.0], [1.2, -0.4]], [1.0, 1.0, light])
+            got, eps_used = ic.extract_g_detailed(f, mu, x)
+            assert eps_used == 1e-6
+            assert np.max(np.abs(got - ic.forward_map(stack, mu, x))) <= 1e-4
+
     def test_error_decreases_with_eps(self):
         rng = np.random.default_rng(6)
         stack = random_stack(rng, 2, depth=1)

@@ -1,12 +1,11 @@
-"""The batched layer kernel: batch-size independence, agreement with the
-per-point reference evaluation, and the canonical-form shortcut."""
+"""The batched layer kernel: batch-size independence and agreement with the
+per-point reference evaluation."""
 
 import itertools
 
 import numpy as np
 
 import incontext as ic
-from incontext.measures import MERGE_TOL
 
 from helpers import (
     random_attention,
@@ -15,7 +14,6 @@ from helpers import (
     reference_apply_layer,
     reference_attention,
     reference_attention_weights,
-    reference_canonicalize,
     reference_mlp,
     reference_velocity,
 )
@@ -103,29 +101,3 @@ class TestAgainstPerPointReference:
             assert got.n == nu.n
             assert np.max(np.abs(got.points - nu.points)) <= 1e-12
             assert np.max(np.abs(got.weights - nu.weights)) <= 1e-12
-
-
-class TestCanonicalShortcut:
-    def test_matches_merge_scan_near_tolerance(self):
-        rng = np.random.default_rng(7)
-        merged = 0
-        for trial in range(400):
-            d = int(rng.integers(1, 4))
-            base = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 8)), d))
-            copies = [base]
-            for _ in range(int(rng.integers(0, 4))):
-                # clusters spaced from 1e-10 to 1.1e-9 apart, either side of MERGE_TOL
-                shift = np.zeros_like(base)
-                axis = rng.integers(d, size=base.shape[0])
-                shift[np.arange(base.shape[0]), axis] = rng.uniform(0.1, 1.1, size=base.shape[0]) * MERGE_TOL
-                copies.append(copies[-1] + shift * rng.choice([-1.0, 1.0], size=(base.shape[0], 1)))
-            if trial % 5 == 0:
-                copies.append(base[:1])  # an exact duplicate
-            pts = np.vstack(copies)
-            perm = rng.permutation(pts.shape[0])
-            mu = ic.new_discrete(pts[perm], rng.uniform(0.2, 1.0, size=pts.shape[0]))
-            got, want = ic.canonicalize(mu), reference_canonicalize(mu)
-            assert got == want
-            assert got.is_canonical
-            merged += got.n < mu.n
-        assert 0 < merged < 400  # both the shortcut and the merge scan ran

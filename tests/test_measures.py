@@ -11,7 +11,7 @@ from incontext.errors import (
     SupportTooLarge,
 )
 
-from helpers import gap_oracle_literal, gap_oracle_signed, random_measure
+from helpers import gap_oracle_literal, gap_oracle_signed, random_measure, reference_canonicalize
 
 
 def box1():
@@ -49,6 +49,10 @@ class TestNewDiscrete:
     def test_rejects_empty(self):
         with pytest.raises(EmptyMeasure):
             ic.new_discrete(np.zeros((0, 1)), [], box1())
+
+    def test_rejects_empty_lists(self):
+        with pytest.raises(EmptyMeasure):
+            ic.new_discrete([], [])
 
     def test_arrays_are_read_only(self):
         mu = ic.new_discrete([[0.0]], [1.0], box1())
@@ -90,6 +94,44 @@ class TestCanonicalize:
             mu = ic.new_discrete([[1.0]] * 3, [w[i] for i in order], box1())
             results.append(ic.canonicalize(mu).weights[0])
         assert results[0] == results[1] == results[2]
+
+    def test_near_duplicates_stay_apart(self):
+        mu = ic.new_discrete([[0.0, 0.0], [1e-10, 0.0]], [0.5, 0.5])
+        assert ic.canonicalize(mu).n == 2
+
+    def test_signed_zero_merges_to_positive_zero(self):
+        a = ic.canonicalize(ic.new_discrete([[0.0], [-0.0]], [0.25, 0.75], box1()))
+        b = ic.canonicalize(ic.new_discrete([[-0.0], [0.0]], [0.75, 0.25], box1()))
+        assert a.points.tobytes() == b.points.tobytes() == np.array([[0.0]]).tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes() == np.array([1.0]).tobytes()
+
+    def test_matches_exact_merge_scan(self):
+        rng = np.random.default_rng(7)
+        large_groups = 0
+        for trial in range(400):
+            d = int(rng.integers(1, 4))
+            base = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 8)), d))
+            copies = [base]
+            for _ in range(int(rng.integers(0, 4))):
+                # near-duplicates 1e-10 to 1.1e-9 apart, which stay separate atoms
+                shift = np.zeros_like(base)
+                axis = rng.integers(d, size=base.shape[0])
+                shift[np.arange(base.shape[0]), axis] = rng.uniform(1e-10, 1.1e-9, size=base.shape[0])
+                copies.append(copies[-1] + shift * rng.choice([-1.0, 1.0], size=(base.shape[0], 1)))
+            distinct = np.vstack(copies)
+            # exact duplicates: groups of 8 or more meet np.sum's pairwise blocking
+            copies_per_row = rng.integers(1, 21, size=distinct.shape[0])
+            large_groups += int(np.sum(copies_per_row >= 8))
+            pts = np.repeat(distinct, copies_per_row, axis=0)
+            w = rng.uniform(0.2, 1.0, size=pts.shape[0]) * rng.choice([1e-3, 1.0, 1e3], size=pts.shape[0])
+            perm = rng.permutation(pts.shape[0])
+            mu = ic.new_discrete(pts[perm], w[perm])
+            got, want = ic.canonicalize(mu), reference_canonicalize(mu)
+            assert got.n == distinct.shape[0]
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.is_canonical
+        assert large_groups > 100
 
 
 class TestPushForward:
@@ -188,7 +230,20 @@ class TestGap:
         assert not ic.is_dif(mu)
 
 
+class TestScaled:
+    @pytest.mark.parametrize("s", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_nonpositive_or_non_finite_factor(self, s):
+        with pytest.raises(NonpositiveWeight):
+            ic.dirac([0.0]).scaled(s)
+
+
 class TestMakeDif:
+    @pytest.mark.parametrize("eps", [0.0, np.nan, np.inf])
+    def test_rejects_nonpositive_or_non_finite_eps(self, eps):
+        mu = ic.new_discrete([[0.0], [1.0]], [0.5, 0.5], box1())
+        with pytest.raises(NonpositiveWeight):
+            ic.make_dif(mu, eps, seed=0)
+
     def test_equal_pair_perturbs_within_bounds(self):
         mu = ic.new_discrete([[0.0], [1.0]], [0.5, 0.5], box1())
         out = ic.make_dif(mu, 0.01, seed=0)

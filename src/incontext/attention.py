@@ -259,7 +259,10 @@ def velocity(att: AttentionParams, mlp_p: MlpParams, mu: DiscreteMeasure, x: np.
 
 @dataclass(eq=False)
 class InContextMap:
-    """A map (measure, point) -> point, with a push-forward action on measures."""
+    """A map (measure, point) -> point, with a push-forward action on measures.
+
+    ``fn(mu, X)`` maps query rows X (m, d_in) to their image rows (m, d_out).
+    """
 
     fn: Callable[[DiscreteMeasure, np.ndarray], np.ndarray]
     dim_in: int
@@ -267,34 +270,34 @@ class InContextMap:
     _last_push: tuple[DiscreteMeasure, DiscreteMeasure] | None = field(default=None, repr=False)
 
     def __call__(self, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(mu, np.asarray(x, dtype=float).reshape(-1)), dtype=float)
+        return np.asarray(self.fn(mu, _row(x)), dtype=float)[0]
 
     def push(self, mu: DiscreteMeasure) -> DiscreteMeasure:
-        """Push-forward of ``mu`` under this map's point action.
+        """Push-forward of ``mu``: one call of ``fn`` on all atoms of ``mu``.
 
         Only the latest push is cached: a diamond composition pushes the same
-        measure once per query point, and older measures are not kept alive.
+        measure on every call, and older measures are not kept alive.
         """
         last = self._last_push
         if last is not None and last[0] is mu:
             return last[1]
-        nu = push_forward(mu, lambda z: self.fn(mu, z))
+        nu = push_forward(mu, lambda X: self.fn(mu, X))
         self._last_push = (mu, nu)
         return nu
 
     @staticmethod
     def identity(dim: int) -> "InContextMap":
-        return InContextMap(lambda mu, x: x, dim, dim)
+        return InContextMap(lambda mu, X: X, dim, dim)
 
     @staticmethod
     def from_gamma(params: AttentionParams) -> "InContextMap":
         d = params.dim
-        return InContextMap(lambda mu, x: gamma(params, mu, x), d, d)
+        return InContextMap(lambda mu, X: X + _attend(params, canonicalize(mu), X), d, d)
 
     @staticmethod
     def from_layer(att: AttentionParams, mlp_p: MlpParams) -> "InContextMap":
-        d = att.dim
-        return InContextMap(lambda mu, x: mlp(mlp_p, gamma(att, mu, x)), d, d)
+        layer = Layer(att, mlp_p)
+        return InContextMap(lambda mu, X: layer_step(layer, canonicalize(mu), X), att.dim, att.dim)
 
 
 def compose_diamond(g1: InContextMap, g2: InContextMap) -> InContextMap:
@@ -304,7 +307,7 @@ def compose_diamond(g1: InContextMap, g2: InContextMap) -> InContextMap:
             f"cannot chain output dimension {g1.dim_out} into input dimension {g2.dim_in}"
         )
 
-    def composed(mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
-        return g2(g1.push(mu), g1(mu, x))
+    def composed(mu: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
+        return g2.fn(g1.push(mu), g1.fn(mu, X))
 
     return InContextMap(composed, g1.dim_in, g2.dim_out)

@@ -6,7 +6,8 @@ measure places near the origin.  Two families of two-atom measures converging
 to the same point mass then force pointwise values near +1/10 and -1/10 at
 vanishing W1 distance, so no continuous in-context representation exists.  The
 scanner tabulates this numerically, extracting the pointwise values from the
-black-box map via the patched difference quotient.
+black-box map via the patched difference quotient.  The bump map acts on all
+atoms at once, elementwise.
 """
 
 from __future__ import annotations
@@ -31,30 +32,23 @@ def domain_box() -> Box:
     return Box(np.array([-DOMAIN_HALF_WIDTH]), np.array([DOMAIN_HALF_WIDTH]))
 
 
-def r_map(a: float, x: float) -> float:
+def r_map(a: float, x: float | np.ndarray) -> float | np.ndarray:
     """Identity outside (-1, 1); inside, add the oscillating bump.
 
     ``r_map(a, x) = x + (1/10) cos^2(pi x / 2) cos(a x)`` for |x| < 1.  The
     bump vanishes with its derivative at x = +-1, so the map is C^1 on the
-    whole interval and fixes everything with |x| >= 1.
+    whole interval and fixes everything with |x| >= 1.  Acts elementwise on
+    an array; a float gives a float.
     """
     if a < 0.0:
         raise OutOfDomain(f"frequency parameter must be nonnegative, got {a}")
-    if abs(x) > DOMAIN_HALF_WIDTH:
-        raise OutOfDomain(f"point {x} outside [-3, 3]")
-    if abs(x) >= 1.0:
-        return float(x)
-    c = math.cos(0.5 * math.pi * x)
-    return float(x + BUMP_AMPLITUDE * c * c * math.cos(a * x))
-
-
-def _near_origin_weight(x: float) -> float:
-    ax = abs(x)
-    if ax < 1.0:
-        return 1.0
-    if ax <= 2.0:
-        return 2.0 - ax
-    return 0.0
+    x = np.asarray(x, dtype=float)
+    outside = x[np.abs(x) > DOMAIN_HALF_WIDTH]
+    if outside.size:
+        raise OutOfDomain(f"point {outside[0]} outside [-3, 3]")
+    c = np.cos(0.5 * math.pi * x)
+    y = np.where(np.abs(x) < 1.0, x + BUMP_AMPLITUDE * c * c * np.cos(a * x), x)
+    return float(y) if y.ndim == 0 else y
 
 
 def kappa(mu: DiscreteMeasure) -> float:
@@ -63,9 +57,7 @@ def kappa(mu: DiscreteMeasure) -> float:
         raise OutOfDomain(f"defined in dimension one, got {mu.dim}")
     if np.any(np.abs(mu.points[:, 0]) > DOMAIN_HALF_WIDTH):
         raise OutOfDomain("support leaves [-3, 3]")
-    return float(
-        np.sum(mu.weights * np.array([_near_origin_weight(x) for x in mu.points[:, 0]]))
-    )
+    return float(np.sum(mu.weights * np.clip(2.0 - np.abs(mu.points[:, 0]), 0.0, 1.0)))
 
 
 def frequency(mu: DiscreteMeasure) -> float:
@@ -79,7 +71,7 @@ def f_counter(mu: DiscreteMeasure) -> DiscreteMeasure:
     if abs(mu.total_mass - 1.0) > PROBABILITY_TOL:
         raise NotProbability(f"total mass {mu.total_mass!r} is not 1")
     a = frequency(mu)
-    return push_forward(mu, lambda p: np.array([r_map(a, float(p[0]))]))
+    return push_forward(mu, lambda X: r_map(a, X))
 
 
 def f_counter_extended(mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -91,7 +83,7 @@ def f_counter_extended(mu: DiscreteMeasure) -> DiscreteMeasure:
     extra mass, evaluate through this extension.
     """
     a = frequency(mu.normalized())
-    return push_forward(mu, lambda p: np.array([r_map(a, float(p[0]))]))
+    return push_forward(mu, lambda X: r_map(a, X))
 
 
 def counter_map() -> MeasureMap:

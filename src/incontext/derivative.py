@@ -10,7 +10,8 @@ the full vector ``G(mu, x)`` of the in-context map with ``f = G(mu)_# mu``.
 
 Test functions are C^1 with compact support: a base evaluator with gradient, a
 Lipschitz bound, and an optional patch (anchor set, radius, C^1 ramp blending
-the function to its anchor values).
+the function to its anchor values).  Like every point map of the package,
+they evaluate points given as rows (m, d).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .attention import InContextMap
 from .deep_transformer import LayerStack, forward_measure
-from .errors import AnchorsTooClose, DisplacementTooLarge, NonpositiveWeight
+from .errors import AnchorsTooClose, DisplacementTooLarge, NonpositiveWeight, ProbeMassLost
 from .measures import Box, DiscreteMeasure, add_atom, canonicalize, push_forward
 
 # Space constants: mass cap and Lipschitz cap for admissible probe triples.
@@ -35,83 +36,83 @@ MIN_PATCH_RADIUS = 1e-8
 MAX_HALVINGS = 12
 
 
-def _smoothstep(u: np.ndarray | float) -> np.ndarray | float:
+def _smoothstep(u: np.ndarray) -> np.ndarray:
     """C^2 ramp: 0 for u <= 0, 1 for u >= 1, 6u^5 - 15u^4 + 10u^3 between."""
     u = np.clip(u, 0.0, 1.0)
     return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
 
 
-def _smoothstep_deriv(u: np.ndarray | float) -> np.ndarray | float:
-    inside = (u > 0.0) & (u < 1.0) if isinstance(u, np.ndarray) else 0.0 < u < 1.0
-    du = 30.0 * u * u * (u - 1.0) * (u - 1.0)
-    return np.where(inside, du, 0.0) if isinstance(u, np.ndarray) else (du if inside else 0.0)
+def _smoothstep_deriv(u: np.ndarray) -> np.ndarray:
+    return np.where((u > 0.0) & (u < 1.0), 30.0 * u * u * (u - 1.0) * (u - 1.0), 0.0)
+
+
+def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euclidean distances (len(A), len(B)) from each row of A to each row of B."""
+    diff = A[:, None, :] - B[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 @dataclass(frozen=True)
 class Patch:
-    """Anchor points and radius: the function is constant on balls of radius r/2."""
+    """Anchor points, their values and the radius: the function is constant
+    on balls of radius r/2."""
 
     anchors: np.ndarray
     radius: float
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """C^1 compactly supported scalar function with a Lipschitz bound.
 
-    ``base_value``/``base_gradient`` evaluate the unpatched function; when a
-    patch is present, evaluation blends to the anchor value inside each anchor
-    ball through a C^1 radial ramp (identically the anchor value within half
-    the patch radius).
+    ``base_value``/``base_gradient`` map point rows (m, d) to the unpatched
+    values (m,) and gradients (m, d); when a patch is present, evaluation
+    blends to the anchor value inside each anchor ball through a C^1 radial
+    ramp (identically the anchor value within half the patch radius).
+    ``value``/``gradient`` take rows too, or one point (d,).
     """
 
-    base_value: Callable[[np.ndarray], float]
+    base_value: Callable[[np.ndarray], np.ndarray]
     base_gradient: Callable[[np.ndarray], np.ndarray]
     lip: float
     patch: Patch | None = None
 
-    def _nearest_anchor(self, y: np.ndarray) -> tuple[int, float] | None:
-        if self.patch is None:
-            return None
-        d = np.sqrt(np.sum((self.patch.anchors - y) ** 2, axis=1))
-        j = int(np.argmin(d))
-        if d[j] >= self.patch.radius:
-            return None
-        return j, float(d[j])
+    def _nearest_anchor(self, Y: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per row: nearest anchor, its distance and value, and (dist - r/2) / (r/2)."""
+        dist = _distances(Y, self.patch.anchors)
+        j = np.argmin(dist, axis=1)
+        dist = dist[np.arange(Y.shape[0]), j]
+        half = self.patch.radius / 2.0
+        return j, dist, self.patch.values[j], (dist - half) / half
 
-    def value(self, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=float).reshape(-1)
-        hit = self._nearest_anchor(y)
-        if hit is None:
-            return float(self.base_value(y))
-        j, dist = hit
-        r = self.patch.radius
-        anchor_val = float(self.base_value(self.patch.anchors[j]))
-        if dist <= r / 2.0:
-            return anchor_val
-        s = float(_smoothstep((dist - r / 2.0) / (r / 2.0)))
-        return anchor_val + s * (float(self.base_value(y)) - anchor_val)
+    def value(self, y: np.ndarray) -> float | np.ndarray:
+        y = np.asarray(y, dtype=float)
+        Y = np.atleast_2d(y)
+        v = self.base_value(Y)
+        if self.patch is not None:
+            _, dist, a, u = self._nearest_anchor(Y)
+            r = self.patch.radius
+            v = np.where(dist >= r, v, np.where(dist <= r / 2.0, a, a + _smoothstep(u) * (v - a)))
+        return float(v[0]) if y.ndim == 1 else v
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float).reshape(-1)
-        hit = self._nearest_anchor(y)
-        if hit is None:
-            return np.asarray(self.base_gradient(y), dtype=float).reshape(-1)
-        j, dist = hit
-        r = self.patch.radius
-        if dist <= r / 2.0:
-            return np.zeros_like(y)
-        u = (dist - r / 2.0) / (r / 2.0)
-        s = float(_smoothstep(u))
-        ds = float(_smoothstep_deriv(u)) / (r / 2.0)
-        anchor = self.patch.anchors[j]
-        anchor_val = float(self.base_value(anchor))
-        grad = np.asarray(self.base_gradient(y), dtype=float).reshape(-1)
-        radial = (y - anchor) / dist
-        return s * grad + ds * (float(self.base_value(y)) - anchor_val) * radial
+        y = np.asarray(y, dtype=float)
+        Y = np.atleast_2d(y)
+        g = np.asarray(self.base_gradient(Y), dtype=float)
+        if self.patch is not None:
+            j, dist, a, u = self._nearest_anchor(Y)
+            r = self.patch.radius
+            lift = _smoothstep_deriv(u) / (r / 2.0) * (self.base_value(Y) - a)
+            # only rows beyond r/2 are blended; the floor keeps the others finite
+            radial = (Y - self.patch.anchors[j]) / np.maximum(dist, r / 2.0)[:, None]
+            blend = _smoothstep(u)[:, None] * g + lift[:, None] * radial
+            g = np.where((dist >= r)[:, None], g, np.where((dist <= r / 2.0)[:, None], 0.0, blend))
+        return g[0] if y.ndim == 1 else g
 
     def with_patch(self, anchors: np.ndarray, radius: float) -> "TestFunction":
-        return TestFunction(self.base_value, self.base_gradient, self.lip, Patch(anchors, radius))
+        patch = Patch(anchors, radius, self.base_value(anchors))
+        return TestFunction(self.base_value, self.base_gradient, self.lip, patch)
 
 
 def coordinate_test(ell: int, box: Box, ramp_width: float = 1.0) -> TestFunction:
@@ -123,32 +124,31 @@ def coordinate_test(ell: int, box: Box, ramp_width: float = 1.0) -> TestFunction
     """
     lo, hi = box.lo, box.hi
 
-    def cutoff(y: np.ndarray) -> float:
-        below = (lo - y) / ramp_width
-        above = (y - hi) / ramp_width
+    def cutoff(Y: np.ndarray) -> np.ndarray:
+        below = (lo - Y) / ramp_width
+        above = (Y - hi) / ramp_width
         factors = (1.0 - _smoothstep(below)) * (1.0 - _smoothstep(above))
-        return float(np.prod(factors))
+        return np.prod(factors, axis=1)
 
-    def cutoff_grad(y: np.ndarray) -> np.ndarray:
-        below = (lo - y) / ramp_width
-        above = (y - hi) / ramp_width
+    def cutoff_grad(Y: np.ndarray) -> np.ndarray:
+        below = (lo - Y) / ramp_width
+        above = (Y - hi) / ramp_width
         f = (1.0 - _smoothstep(below)) * (1.0 - _smoothstep(above))
         df = (
             _smoothstep_deriv(below) / ramp_width * (1.0 - _smoothstep(above))
             - (1.0 - _smoothstep(below)) * _smoothstep_deriv(above) / ramp_width
         )
-        grad = np.zeros_like(y)
-        for i in range(y.shape[0]):
-            others = np.prod(np.delete(f, i))
-            grad[i] = df[i] * others
+        grad = np.empty_like(Y)
+        for i in range(Y.shape[1]):
+            grad[:, i] = df[:, i] * np.prod(np.delete(f, i, axis=1), axis=1)
         return grad
 
-    def val(y: np.ndarray) -> float:
-        return float(y[ell]) * cutoff(y)
+    def val(Y: np.ndarray) -> np.ndarray:
+        return Y[:, ell] * cutoff(Y)
 
-    def grad(y: np.ndarray) -> np.ndarray:
-        g = cutoff_grad(y) * float(y[ell])
-        g[ell] += cutoff(y)
+    def grad(Y: np.ndarray) -> np.ndarray:
+        g = cutoff_grad(Y) * Y[:, ell : ell + 1]
+        g[:, ell] += cutoff(Y)
         return g
 
     reach = float(np.max(np.abs(np.stack([lo, hi])))) + ramp_width
@@ -178,8 +178,7 @@ def build_patched_test(base: TestFunction, anchors: np.ndarray, r: float) -> Tes
     if r <= 0.0:
         raise AnchorsTooClose("patch radius must be positive")
     if anchors.shape[0] > 1:
-        diff = anchors[:, None, :] - anchors[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        dist = _distances(anchors, anchors)
         dmin = float(np.min(dist[np.triu_indices(anchors.shape[0], k=1)]))
         if r >= dmin / 2.0:
             r = 0.49 * dmin
@@ -203,8 +202,9 @@ class MeasureMap:
         return MeasureMap(lambda mu: canonicalize(mu), dim)
 
     @staticmethod
-    def from_point_map(point_map: Callable[[np.ndarray], np.ndarray], dim_out: int) -> "MeasureMap":
-        return MeasureMap(lambda mu: push_forward(mu, point_map), dim_out)
+    def from_point_map(rows_map: Callable[[np.ndarray], np.ndarray], dim_out: int) -> "MeasureMap":
+        """Push-forward under ``rows_map``: atom rows (n, d) to images (n, dim_out)."""
+        return MeasureMap(lambda mu: push_forward(mu, rows_map), dim_out)
 
     @staticmethod
     def from_in_context(g: InContextMap) -> "MeasureMap":
@@ -224,45 +224,36 @@ def _paired_quotient(
 ) -> float:
     """<psi_p, f_probe - f_mu> / eps with matched atoms cancelled in place.
 
-    Probe atoms inside an anchor's constant ball carry exactly the anchor's
-    patched value, so grouping the signed sums by anchor removes the large
-    common terms before any rounding can be amplified by 1/eps.
+    ``psi_p`` is patched at the atoms of ``f_mu``.  Probe atoms inside an
+    anchor's constant ball carry exactly the anchor's patched value, so
+    grouping the signed sums by anchor removes the large common terms before
+    any rounding can be amplified by 1/eps.
     """
-    anchor_vals = np.array([psi_p.value(p) for p in f_mu.points])
-    diff = f_probe.points[:, None, :] - f_mu.points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = _distances(f_probe.points, f_mu.points)
     nearest = np.argmin(dist, axis=1)
-    near_dist = dist[np.arange(f_probe.n), nearest]
+    matched = dist[np.arange(f_probe.n), nearest] <= r / 2.0
     matched_mass = np.zeros(f_mu.n)
-    total = 0.0
-    for k in range(f_probe.n):
-        if near_dist[k] <= r / 2.0:
-            matched_mass[nearest[k]] += f_probe.weights[k]
-        else:
-            total += f_probe.weights[k] * psi_p.value(f_probe.points[k])
-    total += float(np.sum((matched_mass - f_mu.weights) * anchor_vals))
-    return total / eps
+    np.add.at(matched_mass, nearest[matched], f_probe.weights[matched])
+    unmatched = f_probe.weights[~matched] * psi_p.value(f_probe.points[~matched])
+    anchored = np.sum((matched_mass - f_mu.weights) * psi_p.patch.values)
+    # summed left to right from 0.0 (np.sum would pair the terms)
+    total = np.add.accumulate(np.concatenate(([0.0], unmatched, [anchored])))[-1]
+    return float(total) / eps
 
 
 def _patch_radius(f_mu: DiscreteMeasure) -> float:
     if f_mu.n < 2:
         return MAX_PATCH_RADIUS
-    diff = f_mu.points[:, None, :] - f_mu.points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = _distances(f_mu.points, f_mu.points)
     dmin = float(np.min(dist[np.triu_indices(f_mu.n, k=1)]))
     return min(0.25 * dmin, MAX_PATCH_RADIUS)
-
-
-def _image_distances(f_mu: DiscreteMeasure, f_probe: DiscreteMeasure) -> np.ndarray:
-    """Distances (f_mu.n, f_probe.n) from each atom of f(mu) to each atom of the probe image."""
-    diff = f_mu.points[:, None, :] - f_probe.points[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 def _new_image_clearance(dist: np.ndarray) -> float | None:
     """Distance from the probe's own image atom to the nearest existing image.
 
-    ``dist`` is :func:`_image_distances`.  Every atom of f(mu) picks its
+    ``dist`` holds the distances (f_mu.n, f_probe.n) from each atom of f(mu)
+    to each atom of the probe image.  Every atom of f(mu) picks its
     nearest atom of the probe image; the probe's own image is the one atom
     that none of them picks, whatever its weight.  None unless exactly one
     atom goes unpicked: the image merged into the existing support, or it
@@ -287,19 +278,21 @@ def _verified_probe(
     """Settle on (eps, probe image, patch radius) passing the safety checks.
 
     eps is halved until every existing image moves less than a quarter of the
-    working patch radius.  When the probe's own image lands inside the default
-    patch ball of an existing image, the radius is shrunk below half their
-    separation so the reading is never blended; an image that merges into the
-    existing support keeps the full radius (the constant is the right value
-    there).
+    working patch radius; ProbeMassLost is raised once eps vanishes in
+    rounding.  When the probe's own image lands inside the default patch ball
+    of an existing image, the radius is shrunk below half their separation so
+    the reading is never blended; an image that merges into the existing
+    support keeps the full radius (the constant is the right value there).
     """
     if not 0.0 < eps < np.inf:
         raise NonpositiveWeight(f"eps must be positive and finite, got {eps!r}")
     for _ in range(MAX_HALVINGS + 1):
         probe = add_atom(mu, x, eps)
+        if probe.n == mu.n and np.array_equal(probe.weights, mu.weights):
+            raise ProbeMassLost(f"probe mass {eps:.3g} at an atom of mu is lost to rounding")
         f_probe = canonicalize(f(probe))
         r_eff = r
-        dist = _image_distances(f_mu, f_probe)
+        dist = _distances(f_mu.points, f_probe.points)
         clearance = _new_image_clearance(dist)
         if clearance is not None and clearance < r:
             r_eff = max(clearance / 2.0, MIN_PATCH_RADIUS)
@@ -389,8 +382,6 @@ def split_reg_irreg(
     x = np.asarray(x, dtype=float).reshape(-1)
     probe = add_atom(mu_c, x, eps)
     reg = psi.value(g(probe, x))
-    drift = np.array(
-        [psi.value(g(probe, p)) - psi.value(g(mu_c, p)) for p in mu_c.points]
-    )
+    drift = psi.value(g.fn(probe, mu_c.points)) - psi.value(g.fn(mu_c, mu_c.points))
     irreg = float(np.sum(mu_c.weights * drift)) / eps
     return reg, irreg

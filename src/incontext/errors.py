@@ -88,6 +88,10 @@ class DisplacementTooLarge(DomainError):
     pass
 
 
+class ProbeMassLost(DomainError):
+    pass
+
+
 # -- counterexample ----------------------------------------------------------------
 class OutOfDomain(DomainError):
     pass

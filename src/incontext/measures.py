@@ -8,9 +8,10 @@ makes reductions over atoms reproducible bit for bit.  Only exact duplicates
 merge, so canonical form keeps the cardinality of the support: atoms that are
 merely close stay apart.
 
-Alongside the carrier live the push-forward of a measure under a point map,
-the minimal subset-sum gap of the weight vector, and the identification
-between token sequences and uniform empirical measures.
+Alongside the carrier live the push-forward of a measure under a rows map
+(all atoms as rows (n, d) to their images (n, d'), in one call), the minimal
+subset-sum gap of the weight vector, and the identification between token
+sequences and uniform empirical measures.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .errors import (
 
 # Exhaustive subset-sum enumeration refuses beyond this support size.
 GAP_SUPPORT_CAP = 20
+
+# iota_inv accepts a multiplicity n * weight this close to an integer.
+MULTIPLICITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -235,19 +239,20 @@ def canonicalize(mu: DiscreteMeasure) -> DiscreteMeasure:
     return _raw_measure(pts[first], weights, mu.box, True)
 
 
-def push_forward(mu: DiscreteMeasure, point_map: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:
-    """Relocate every atom through ``point_map`` and canonicalize.
+def push_forward(mu: DiscreteMeasure, rows_map: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:
+    """Relocate every atom through ``rows_map`` and canonicalize.
 
-    The map is called once per atom; see :func:`relocate` for the output box
-    and the finiteness check.
+    ``rows_map`` takes all atoms as rows (n, d) to their images (n, d'); a
+    map that raises or returns another row count raises MapUndefinedAtAtom.
+    See :func:`relocate` for the output box and the finiteness check.
     """
-    images = []
-    for i in range(mu.n):
-        try:
-            images.append(np.asarray(point_map(mu.points[i]), dtype=float).reshape(-1))
-        except Exception as exc:  # noqa: BLE001 - map failure is a domain error
-            raise MapUndefinedAtAtom(f"map failed at atom {i}: {exc}") from exc
-    return relocate(mu, np.vstack(images))
+    try:
+        images = np.asarray(rows_map(mu.points), dtype=float)
+    except Exception as exc:  # noqa: BLE001 - map failure is a domain error
+        raise MapUndefinedAtAtom(f"map failed: {exc}") from exc
+    if images.shape[:1] != (mu.n,):
+        raise MapUndefinedAtAtom(f"map returned shape {images.shape} for {mu.n} atoms")
+    return relocate(mu, images.reshape(mu.n, -1))
 
 
 def relocate(mu: DiscreteMeasure, images: np.ndarray) -> DiscreteMeasure:
@@ -403,17 +408,18 @@ def iota(seq: TokenSequence) -> DiscreteMeasure:
     return canonicalize(_raw_measure(seq.tokens, w, seq.box, False))
 
 
-def iota_inv(mu: DiscreteMeasure, n: int, tol: float = 1e-9) -> TokenSequence:
+def iota_inv(mu: DiscreteMeasure, n: int) -> TokenSequence:
     """Canonical token sequence of length n identified with ``mu``.
 
-    Requires every weight to be an integer multiple of 1/n (within ``tol`` on
-    the multiplicity) with multiplicities summing to n; otherwise raises
-    NotRationalGrid.  Output tokens are sorted lexicographically.
+    Requires every weight to be an integer multiple of 1/n (within
+    MULTIPLICITY_TOL on the multiplicity) with multiplicities summing to n;
+    otherwise raises NotRationalGrid.  Output tokens are sorted
+    lexicographically.
     """
     mu_c = canonicalize(mu)
     counts = mu_c.weights * n
     rounded = np.rint(counts)
-    if np.any(np.abs(counts - rounded) > tol) or np.any(rounded < 1):
+    if np.any(np.abs(counts - rounded) > MULTIPLICITY_TOL) or np.any(rounded < 1):
         raise NotRationalGrid(f"weights are not multiples of 1/{n}")
     ks = rounded.astype(int)
     if int(ks.sum()) != n:

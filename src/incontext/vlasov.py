@@ -178,20 +178,17 @@ def weak_residual(traj: Trajectory, v: VelocityField, phi) -> float:
 
     Compares the central difference of t -> <phi, mu_t> with
     <grad(phi) . v(t, mu_t, .), mu_t>.  ``phi`` must expose ``value`` and
-    ``gradient``.
+    ``gradient`` on points given as rows (n, d), as a TestFunction does.
     """
     if len(traj.states) < 3:
         raise TooFewTimePoints("need at least three time points")
-    pairings = [
-        float(np.sum(s.weights * np.array([phi.value(p) for p in s.points])))
-        for s in traj.states
-    ]
+    pairings = [float(np.sum(s.weights * phi.value(s.points))) for s in traj.states]
     worst = 0.0
     for k in range(1, len(traj.states) - 1):
         dt2 = traj.times[k + 1] - traj.times[k - 1]
         lhs = (pairings[k + 1] - pairings[k - 1]) / dt2
         mu_k = traj.states[k]
-        grads = np.array([phi.gradient(p) for p in mu_k.points])
+        grads = phi.gradient(mu_k.points)
         vel = v(traj.times[k], mu_k, mu_k.points)
         rhs = float(np.sum(mu_k.weights * np.sum(grads * vel, axis=1)))
         worst = max(worst, abs(lhs - rhs))

@@ -24,6 +24,17 @@ from incontext.selftest import (  # noqa: F401 - re-exported for the tests
 )
 
 
+def each_row(point_fn):
+    """The rows form of a one-point function: ``point_fn(*args, x)`` applied
+    to each row x of the last argument, the results stacked in row order."""
+
+    def rows_fn(*args):
+        *head, X = args
+        return np.array([point_fn(*head, x) for x in X])
+
+    return rows_fn
+
+
 def random_probability(rng, n, dim, box=None, lo=-2.5, hi=2.5):
     pts = rng.uniform(lo, hi, size=(n, dim))
     w = rng.uniform(0.2, 1.0, size=n)

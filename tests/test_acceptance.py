@@ -14,6 +14,7 @@ import pytest
 import incontext as ic
 
 from helpers import (
+    each_row,
     gap_oracle_signed,
     permutation_match_cost,
     permutation_match_costs,
@@ -128,7 +129,7 @@ def test_criterion_3_reconstruction():
         f = ic.MeasureMap.from_stack(stack)
         mu = ic.make_dif(mu_raw, 1e-6, seed=idx)
         assert ic.is_dif(mu)
-        rebuilt = ic.push_forward(mu, lambda p: ic.extract_g(f, mu, p, 1e-6))
+        rebuilt = ic.push_forward(mu, each_row(lambda p: ic.extract_g(f, mu, p, 1e-6)))
         cost = ic.w1_matching(rebuilt, ic.forward_measure(stack, mu)).cost
         worst = max(worst, cost)
     ok = worst <= 1e-4

@@ -237,6 +237,25 @@ class TestComposeDiamond:
         g.push(mu)
         assert len(calls) == first
 
+    def test_push_calls_the_map_once(self):
+        rng = np.random.default_rng(15)
+        calls = {"g1": 0, "g2": 0}
+
+        def counted(name):
+            def fn(mu, X):
+                calls[name] += 1
+                return X + 1.0
+
+            return fn
+
+        g1, g2 = ic.InContextMap(counted("g1"), 1, 1), ic.InContextMap(counted("g2"), 1, 1)
+        mu = random_measure(rng, 3, 1)
+        g1.push(mu)
+        assert calls == {"g1": 1, "g2": 0}
+        # the diamond's push: g1 once for the context, once for the atoms; g2 once
+        ic.compose_diamond(g1, g2).push(random_measure(rng, 3, 1))
+        assert calls == {"g1": 3, "g2": 1}
+
     def test_push_cache_keeps_at_most_one_measure(self):
         rng = np.random.default_rng(14)
         g = ic.InContextMap(lambda mu, x: x + 1.0, 1, 1)

@@ -220,6 +220,14 @@ class TestExtractGCommand:
         vec = float(capsys.readouterr().out.splitlines()[0])
         assert vec == pytest.approx(ic.r_map(100.0, 0.1), abs=1e-8)
 
+    def test_probe_mass_lost_to_rounding_exits_one(self, tmp_path, capsys):
+        mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+        m = write_measure(tmp_path / "m.json", mu)
+        assert main(["extract-g", "--map", "identity", "--measure", m, "--x", "1,1", "--eps", "1e-17"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: ProbeMassLost" in captured.err
+
 
 class TestCounterexampleCommand:
     def test_row_count(self, tmp_path):

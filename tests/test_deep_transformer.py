@@ -4,7 +4,7 @@ import pytest
 import incontext as ic
 from incontext.errors import MapUndefinedAtAtom
 
-from helpers import OVERFLOW_POINTS, overflowing_stack, random_attention, random_measure, random_mlp, random_stack
+from helpers import OVERFLOW_POINTS, each_row, overflowing_stack, random_attention, random_measure, random_mlp, random_stack
 
 
 def identity_layer(d, rng):
@@ -56,7 +56,7 @@ class TestForwardMeasure:
         mu = random_measure(rng, n, 2, uniform=True)
         out = ic.forward_measure(stack, mu)
         images = np.array([ic.forward_map(stack, mu, p) for p in mu.points])
-        expected = ic.push_forward(mu, lambda p: ic.forward_map(stack, mu, p))
+        expected = ic.push_forward(mu, each_row(lambda p: ic.forward_map(stack, mu, p)))
         assert out == expected
         got_sorted = out.points[np.lexsort(out.points.T[::-1])]
         img_sorted = images[np.lexsort(images.T[::-1])]
@@ -82,7 +82,7 @@ class TestForwardMeasure:
         for _ in range(10):
             stack = random_stack(rng, 2, depth=2)
             mu = random_measure(rng, int(rng.integers(1, 17)), 2)
-            via_push = ic.push_forward(mu, lambda p: ic.forward_map(stack, mu, p))
+            via_push = ic.push_forward(mu, each_row(lambda p: ic.forward_map(stack, mu, p)))
             direct = ic.forward_measure(stack, mu)
             assert direct.n == via_push.n
             assert np.max(np.abs(direct.points - via_push.points)) <= 1e-13

@@ -3,9 +3,9 @@ import pytest
 
 import incontext as ic
 from incontext.derivative import MAX_PATCH_RADIUS, regular_derivative
-from incontext.errors import AnchorsTooClose, DisplacementTooLarge
+from incontext.errors import AnchorsTooClose, DisplacementTooLarge, ProbeMassLost
 
-from helpers import random_attention, random_measure, random_mlp, random_stack
+from helpers import each_row, random_attention, random_measure, random_mlp, random_stack
 
 
 class TestPatchedTest:
@@ -211,7 +211,7 @@ class TestExtractG:
             f = ic.MeasureMap.from_stack(stack)
             raw = random_measure(rng, 4, 2)
             mu = ic.make_dif(raw, 1e-6, seed=0)
-            rebuilt = ic.push_forward(mu, lambda p: ic.extract_g(f, mu, p, 1e-6))
+            rebuilt = ic.push_forward(mu, each_row(lambda p: ic.extract_g(f, mu, p, 1e-6)))
             assert ic.w1_matching(rebuilt, ic.forward_measure(stack, mu)).cost <= 1e-4
 
     def test_query_image_near_existing_image(self):
@@ -222,6 +222,12 @@ class TestExtractG:
         x = np.array([0.01, 0.0])
         got = ic.extract_g(f, mu, x, 1e-6)
         assert np.max(np.abs(got - x)) <= 1e-10
+
+    def test_probe_mass_lost_to_rounding_raises(self):
+        # 0.5 + 1e-17 == 0.5: the probe would read 0 instead of (1, 1)
+        mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+        with pytest.raises(ProbeMassLost):
+            ic.extract_g(ic.MeasureMap.identity(2), mu, np.array([1.0, 1.0]), 1e-17)
 
     def test_counterexample_value(self):
         from incontext.counterexample import counter_map, two_atom_measure
@@ -238,7 +244,7 @@ class TestSplitRegIrreg:
     def test_context_free_map_has_zero_irregular_part(self):
         rng = np.random.default_rng(9)
         mlp_p = random_mlp(rng, 2)
-        g = ic.InContextMap(lambda mu, x: ic.mlp(mlp_p, x), 2, 2)
+        g = ic.InContextMap(each_row(lambda mu, x: ic.mlp(mlp_p, x)), 2, 2)
         mu = random_measure(rng, 3, 2)
         psi = ic.coordinate_test(0, ic.default_box(2).enlarged(2.0))
         reg, irreg = ic.split_reg_irreg(g, mu, np.array([0.1, 0.2]), psi, 1e-6)

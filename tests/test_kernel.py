@@ -8,6 +8,7 @@ import numpy as np
 import incontext as ic
 
 from helpers import (
+    each_row,
     random_attention,
     random_measure,
     random_mlp,
@@ -96,7 +97,7 @@ class TestAgainstPerPointReference:
             nu = ic.canonicalize(mu)
             for layer in layers:
                 ctx = nu
-                nu = ic.push_forward(ctx, lambda z: reference_apply_layer(layer, ctx, z))
+                nu = ic.push_forward(ctx, each_row(lambda z: reference_apply_layer(layer, ctx, z)))
             got = ic.forward_measure(ic.LayerStack(layers, d), mu)
             assert got.n == nu.n
             assert np.max(np.abs(got.points - nu.points)) <= 1e-12

@@ -5,6 +5,7 @@ import incontext as ic
 from incontext.errors import (
     EmptyMeasure,
     LengthMismatch,
+    MapUndefinedAtAtom,
     NonpositiveWeight,
     NotRationalGrid,
     PointOutsideBox,
@@ -164,6 +165,23 @@ class TestPushForward:
             ic.push_forward(mu, lambda p: np.array([np.nan]))
         with pytest.raises(ic.DomainError):
             ic.push_forward(mu, lambda p: 1 / 0)
+
+    def test_map_called_once_on_all_atoms(self):
+        mu = ic.new_discrete([[0.5], [1.5], [2.0]], [0.2, 0.3, 0.5], box1())
+        shapes = []
+        ic.push_forward(mu, lambda X: (shapes.append(X.shape), X + 0.1)[1])
+        assert shapes == [(3, 1)]
+
+    def test_ragged_images_are_domain_error(self):
+        # images of unequal length, from a map that takes one point or rows
+        mu = ic.new_discrete([[-1.0], [1.0], [2.0]], [0.2, 0.3, 0.5], box1())
+        with pytest.raises(MapUndefinedAtAtom):
+            ic.push_forward(mu, lambda X: [x if x[0] > 0 else np.array([1.0, 2.0]) for x in np.atleast_2d(X)])
+
+    def test_wrong_row_count_is_domain_error(self):
+        mu = ic.new_discrete([[-1.0], [1.0], [2.0]], [0.2, 0.3, 0.5], box1())
+        with pytest.raises(MapUndefinedAtAtom):
+            ic.push_forward(mu, lambda X: X[:2])
 
     def test_box_expands_when_needed(self):
         mu = ic.dirac([2.5])

@@ -1,9 +1,13 @@
-"""Property tests of the canonical form and of the invariants built on it.
+"""Property tests of the canonical form and of the invariants built on it,
+and of the row-map contract: a map evaluated on rows gives, bitwise, the
+rows of its one-point calls.
 
 Atoms are drawn from a small pool of rows, so exact duplicates, signed zeros
 and near-duplicates occur often, and merged groups sum weights of varied
 magnitude.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -86,3 +90,69 @@ class TestAttentionInvariance:
         shuffled = ic.new_discrete(mu.points[perm], mu.weights[perm], mu.box)
         assert ic.attention(params, shuffled, x).tobytes() == base.tobytes()
         assert ic.attention(params, mu.scaled(2.0**exponent), x).tobytes() == base.tobytes()
+
+
+@st.composite
+def patched_tests_with_queries(draw):
+    """A patched coordinate test and query rows at its anchors, on and next
+    to the r/2 and r shells around them, between the shells, and anywhere in
+    and around the box (where the cutoff ramps down)."""
+    d = draw(st.integers(1, 3))
+    grid = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * d), min_size=1, max_size=4, unique=True))
+    anchors = 0.7 * np.array(grid, dtype=float)
+    base = ic.coordinate_test(draw(st.integers(0, d - 1)), ic.default_box(d))
+    psi = ic.build_patched_test(base, anchors, draw(st.floats(0.01, 0.5)))
+    r = psi.patch.radius
+    shell = st.sampled_from([0.0, r / 2.0, r]).flatmap(
+        lambda s: st.sampled_from([s, np.nextafter(s, 0.0), np.nextafter(s, np.inf)])
+    )
+    queries = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            queries.append(draw(st.tuples(*[st.floats(-5.0, 5.0)] * d)))
+            continue
+        unit = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * d)))
+        norm = np.sqrt(np.sum(unit * unit))
+        unit = unit / norm if norm > 0.1 else np.eye(d)[0]
+        dist = draw(st.one_of(shell, st.floats(0.0, 2.0 * r)))
+        queries.append(anchors[draw(st.integers(0, len(anchors) - 1))] + dist * unit)
+    return psi, np.array(queries, dtype=float)
+
+
+class TestRowsEqualSinglePoints:
+    @PROPERTY
+    @given(patched_tests_with_queries())
+    def test_patched_coordinate_test(self, case):
+        """value and gradient on rows equal the one-point calls, bitwise."""
+        psi, Y = case
+        values, grads = psi.value(Y), psi.gradient(Y)
+        assert values.shape == (len(Y),) and grads.shape == Y.shape
+        for i, y in enumerate(Y):
+            assert np.float64(psi.value(y)).tobytes() == values[i].tobytes()
+            assert psi.gradient(y).tobytes() == grads[i].tobytes()
+
+    @PROPERTY
+    @given(
+        st.floats(0.0, 1e5),
+        st.lists(
+            st.one_of(
+                st.sampled_from([-3.0, -1.0, -0.0, 0.0, 1.0, 3.0]),
+                st.sampled_from([1.0, -1.0]).map(lambda s: np.nextafter(s, 0.0)),
+                st.sampled_from([1.0, -1.0]).map(lambda s: np.nextafter(s, 2.0 * s)),
+                st.floats(-3.0, 3.0),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_r_map(self, a, xs):
+        """r_map on an array equals the float calls, which equal the closed
+        form evaluated with the math module, bitwise."""
+        got = ic.r_map(a, np.array(xs).reshape(-1, 1))
+        assert got.shape == (len(xs), 1)
+        for i, x in enumerate(xs):
+            c = math.cos(0.5 * math.pi * x)
+            want = float(x) if abs(x) >= 1.0 else x + 0.1 * c * c * math.cos(a * x)
+            one = ic.r_map(a, x)
+            assert type(one) is float
+            assert np.float64(one).tobytes() == np.float64(want).tobytes() == got[i, 0].tobytes()

@@ -6,7 +6,7 @@ import pytest
 import incontext as ic
 from incontext.errors import NonFiniteState, TooFewTimePoints
 
-from helpers import random_attention, random_measure, random_mlp
+from helpers import each_row, random_attention, random_measure, random_mlp
 
 
 def decay_field():
@@ -109,7 +109,7 @@ class TestWeakResidual:
         assert ic.weak_residual(traj, zero_field(), phi) == 0.0
 
     def test_constant_test_function(self):
-        const = ic.TestFunction(lambda y: 1.0, lambda y: np.zeros_like(y), 0.0)
+        const = ic.TestFunction(each_row(lambda y: 1.0), each_row(lambda y: np.zeros_like(y)), 0.0)
         mu0 = ic.dirac([1.0])
         traj = ic.rk4_flow(decay_field(), mu0, 16)
         assert ic.weak_residual(traj, decay_field(), const) <= 1e-15

@@ -11,8 +11,8 @@ maps compose with the diamond rule: the second map sees the first map's
 pushed-forward context.
 
 All of it is evaluated by one batched kernel, :func:`layer_step`, on query
-rows of shape (m, d) against a canonical context; the single-point functions
-are its m = 1 calls.
+rows of shape (m, d) against a context reduced in its given atom order; the
+single-point functions are its m = 1 calls on their canonical measure.
 """
 
 from __future__ import annotations
@@ -147,12 +147,12 @@ def _attend(
     X: np.ndarray,
     weights: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Attention displacement at every query row against the canonical ``ctx``.
+    """Attention displacement at every query row against the context ``ctx``.
 
     Per head: logits (m, n) = (Q x) . (K x_l) / sqrt(key_dim), a weighted
     softmax stabilized by each row's maximum, and the pooled values mapped
-    through W V.  The (m, n) softmax weights of each head are appended to
-    ``weights`` when it is given.
+    through W V, reducing over the atoms of ``ctx`` in the order given.  The
+    (m, n) softmax weights of each head are appended to ``weights`` if given.
     """
     if ctx.n == 0:
         raise EmptyMeasure("attention needs a nonempty context measure")
@@ -190,8 +190,8 @@ def velocity_rows(
 ) -> np.ndarray:
     """Layer velocity Att(ctx, x) + H(x + Att(ctx, x)) at every row of X (m, d).
 
-    ``ctx`` must be canonical.  Requires a unit skip coefficient; rows do not
-    depend on how many are evaluated together.
+    The atoms of ``ctx`` are reduced in the order given.  Requires a unit skip
+    coefficient; rows do not depend on how many are evaluated together.
     """
     if mlp_p.skip != 1.0:
         raise SkipNotUnit(f"velocity needs skip coefficient 1, got {mlp_p.skip}")
@@ -203,9 +203,9 @@ def velocity_rows(
 def layer_step(layer: Layer, ctx: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
     """The batched layer kernel: images of the query rows X (m, d) under one layer.
 
-    ``ctx`` must be canonical.  At scale 1 a row maps to F(x + Att(ctx, x));
-    at scale c to x + c * velocity.  Each row's result is bitwise independent
-    of the batch size m, so a row evaluated with others equals it alone.
+    The atoms of ``ctx`` are reduced in the order given.  At scale 1 a row maps
+    to F(x + Att(ctx, x)); at scale c to x + c * velocity.  Each row's result
+    is bitwise independent of the batch size m, as if evaluated alone.
     """
     X = np.asarray(X, dtype=float)
     if layer.scale == 1.0:

@@ -125,12 +125,13 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     mu = measure_from_doc(load_json(args.measure))
     v = VelocityField.from_stack(stack)
     traj = (euler_flow if args.integrator == "euler" else rk4_flow)(v, mu, args.steps)
-    dim = mu.dim
-    header = ["t", "atom_index"] + [f"x_{i + 1}" for i in range(dim)] + ["weight"]
-    rows = []
-    for t, state in zip(traj.times, traj.states):
-        for i in range(state.n):
-            rows.append([float(t), i, *state.points[i].tolist(), float(state.weights[i])])
+    header = ["t", "atom_index"] + [f"x_{i + 1}" for i in range(mu.dim)] + ["weight"]
+    weights = traj.weights.tolist()
+    rows = [
+        [t, i, *x, weights[i]]
+        for t, state in zip(traj.times.tolist(), traj.points.tolist())
+        for i, x in enumerate(state)
+    ]
     write_csv(args.out, header, rows)
     return 0
 

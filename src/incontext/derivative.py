@@ -24,7 +24,7 @@ import numpy as np
 from .attention import InContextMap
 from .deep_transformer import LayerStack, forward_measure
 from .errors import AnchorsTooClose, DisplacementTooLarge, NonpositiveWeight, ProbeMassLost
-from .measures import Box, DiscreteMeasure, add_atom, canonicalize, push_forward
+from .measures import Box, DiscreteMeasure, _distances, add_atom, canonicalize, push_forward
 
 # Space constants: mass cap and Lipschitz cap for admissible probe triples.
 MASS_CAP = 10.0
@@ -44,12 +44,6 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
 
 def _smoothstep_deriv(u: np.ndarray) -> np.ndarray:
     return np.where((u > 0.0) & (u < 1.0), 30.0 * u * u * (u - 1.0) * (u - 1.0), 0.0)
-
-
-def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Euclidean distances (len(A), len(B)) from each row of A to each row of B."""
-    diff = A[:, None, :] - B[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 @dataclass(frozen=True)
@@ -216,19 +210,22 @@ class MeasureMap:
 
 
 def _paired_quotient(
-    psi_p: TestFunction,
+    psi: TestFunction,
     f_mu: DiscreteMeasure,
     f_probe: DiscreteMeasure,
-    eps: float,
+    added: float,
     r: float,
 ) -> float:
-    """<psi_p, f_probe - f_mu> / eps with matched atoms cancelled in place.
+    """<psi_p, f_probe - f_mu> / added with matched atoms cancelled in place.
 
-    ``psi_p`` is patched at the atoms of ``f_mu``.  Probe atoms inside an
+    ``psi_p`` is ``psi`` patched at the atoms of ``f_mu`` with radius r, and
+    ``added`` the probe mass actually added to mu.  Probe atoms inside an
     anchor's constant ball carry exactly the anchor's patched value, so
     grouping the signed sums by anchor removes the large common terms before
     any rounding can be amplified by 1/eps.
     """
+    psi_p = build_patched_test(psi, f_mu.points, r)
+    r = psi_p.patch.radius
     dist = _distances(f_probe.points, f_mu.points)
     nearest = np.argmin(dist, axis=1)
     matched = dist[np.arange(f_probe.n), nearest] <= r / 2.0
@@ -238,7 +235,7 @@ def _paired_quotient(
     anchored = np.sum((matched_mass - f_mu.weights) * psi_p.patch.values)
     # summed left to right from 0.0 (np.sum would pair the terms)
     total = np.add.accumulate(np.concatenate(([0.0], unmatched, [anchored])))[-1]
-    return float(total) / eps
+    return float(total) / added
 
 
 def _patch_radius(f_mu: DiscreteMeasure) -> float:
@@ -272,23 +269,29 @@ def _verified_probe(
     mu: DiscreteMeasure,
     x: np.ndarray,
     eps: float,
-    r: float,
-    f_mu: DiscreteMeasure,
-) -> tuple[float, DiscreteMeasure, float]:
-    """Settle on (eps, probe image, patch radius) passing the safety checks.
+    patch_radius: float | None = None,
+) -> tuple[DiscreteMeasure, float, float, DiscreteMeasure, float]:
+    """Settle on (f(mu), eps, added mass, probe image, patch radius) passing the checks.
 
-    eps is halved until every existing image moves less than a quarter of the
-    working patch radius; ProbeMassLost is raised once eps vanishes in
-    rounding.  When the probe's own image lands inside the default patch ball
-    of an existing image, the radius is shrunk below half their separation so
-    the reading is never blended; an image that merges into the existing
-    support keeps the full radius (the constant is the right value there).
+    The radius starts at min(quarter of the minimal image spacing, 0.05,
+    ``patch_radius``).  The added mass is eps at a new atom and fl(w + eps) - w
+    at an atom of weight w; ProbeMassLost is raised when it is 0.  eps is
+    halved until every existing image moves less than a quarter of the
+    working patch radius.  When the probe's own image lands inside the default
+    patch ball of an existing image, the radius is shrunk below half their
+    separation so the reading is never blended; an image that merges into the
+    existing support keeps the full radius (the constant is right there).
     """
+    mu = canonicalize(mu)
+    f_mu = canonicalize(f(mu))
+    r = min(_patch_radius(f_mu), np.inf if patch_radius is None else patch_radius)
     if not 0.0 < eps < np.inf:
         raise NonpositiveWeight(f"eps must be positive and finite, got {eps!r}")
     for _ in range(MAX_HALVINGS + 1):
         probe = add_atom(mu, x, eps)
-        if probe.n == mu.n and np.array_equal(probe.weights, mu.weights):
+        # at an existing atom, probe and mu list the same points in the same order
+        added = eps if probe.n > mu.n else float(np.max(probe.weights - mu.weights))
+        if added == 0.0:
             raise ProbeMassLost(f"probe mass {eps:.3g} at an atom of mu is lost to rounding")
         f_probe = canonicalize(f(probe))
         r_eff = r
@@ -297,7 +300,7 @@ def _verified_probe(
         if clearance is not None and clearance < r:
             r_eff = max(clearance / 2.0, MIN_PATCH_RADIUS)
         if np.max(np.min(dist, axis=1)) < r_eff / 4.0:
-            return eps, f_probe, r_eff
+            return f_mu, eps, added, f_probe, r_eff
         eps /= 2.0
     raise DisplacementTooLarge(
         f"image support moves more than {r / 4.0:.3g} even at eps {eps * 2:.3g}"
@@ -314,20 +317,16 @@ def regular_derivative(
 ) -> float:
     """Patched difference quotient <psi_patched, f(mu + eps dx) - f(mu)> / eps.
 
-    ``psi`` is patched at the support of f(mu) with radius min(quarter of the
-    minimal image spacing, 0.05); eps is halved (up to 12 times) until the
-    matched support displacement passes the r/4 safety check, else
-    DisplacementTooLarge is raised.  ``patch_radius`` caps the automatic
-    radius (useful for radius-robustness checks).
+    The quotient divides by the mass actually added: at an atom of mu with
+    weight w that is fl(w + eps) - w, not eps.  ``psi`` is patched at the
+    support of f(mu) with radius min(quarter of the minimal image spacing,
+    0.05); eps is halved (up to 12 times) until the matched support
+    displacement passes the r/4 safety check, else DisplacementTooLarge is
+    raised.  ``patch_radius`` caps the automatic radius (useful for
+    radius-robustness checks).
     """
-    mu_c = canonicalize(mu)
-    f_mu = canonicalize(f(mu_c))
-    r = _patch_radius(f_mu)
-    if patch_radius is not None:
-        r = min(r, patch_radius)
-    eps_used, f_probe, r_eff = _verified_probe(f, mu_c, x, eps, r, f_mu)
-    psi_p = build_patched_test(psi, f_mu.points, r_eff)
-    return _paired_quotient(psi_p, f_mu, f_probe, eps_used, psi_p.patch.radius)
+    f_mu, _, added, f_probe, r_eff = _verified_probe(f, mu, x, eps, patch_radius)
+    return _paired_quotient(psi, f_mu, f_probe, added, r_eff)
 
 
 def extract_g_detailed(
@@ -342,16 +341,11 @@ def extract_g_detailed(
     a box hulling both image supports, so they are exactly the coordinate
     projections wherever the images live.
     """
-    mu_c = canonicalize(mu)
-    f_mu = canonicalize(f(mu_c))
-    r = _patch_radius(f_mu)
-    eps_used, f_probe, r_eff = _verified_probe(f, mu_c, x, eps, r, f_mu)
+    f_mu, eps_used, added, f_probe, r_eff = _verified_probe(f, mu, x, eps)
     out_box = f_mu.box.hull(f_probe.points).enlarged(0.5)
     values = np.empty(f.dim_out)
     for ell in range(f.dim_out):
-        psi = coordinate_test(ell, out_box)
-        psi_p = build_patched_test(psi, f_mu.points, r_eff)
-        values[ell] = _paired_quotient(psi_p, f_mu, f_probe, eps_used, psi_p.patch.radius)
+        values[ell] = _paired_quotient(coordinate_test(ell, out_box), f_mu, f_probe, added, r_eff)
     return values, eps_used
 
 

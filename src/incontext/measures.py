@@ -66,7 +66,7 @@ class Box:
 
     def contains(self, points: np.ndarray) -> bool:
         pts = np.atleast_2d(points)
-        return bool(np.all(pts >= self.lo) and np.all(pts <= self.hi))
+        return bool((pts >= self.lo).all() and (pts <= self.hi).all())
 
     def hull(self, points: np.ndarray) -> "Box":
         """Smallest box containing both self and the given points."""
@@ -205,6 +205,12 @@ def new_discrete(
 def dirac(point: Sequence[float] | np.ndarray, mass: float = 1.0, box: Box | None = None) -> DiscreteMeasure:
     """Single point mass ``mass * delta(point)``."""
     return new_discrete(np.atleast_2d(np.asarray(point, dtype=float)), [mass], box)
+
+
+def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euclidean distances (len(A), len(B)) from each row of A to each row of B."""
+    diff = A[:, None, :] - B[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 def _lex_order(points: np.ndarray) -> np.ndarray:

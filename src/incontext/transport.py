@@ -27,8 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionNotOne, ExhaustedRetries, MassMismatch, NonpositiveWeight, ProblemTooLarge
-from .measures import DiscreteMeasure, _raw_measure, canonicalize, is_dif
+from .errors import (
+    DimensionMismatch, DimensionNotOne, ExhaustedRetries, MassMismatch, NonpositiveWeight, ProblemTooLarge
+)
+from .measures import DiscreteMeasure, _distances, _raw_measure, canonicalize, is_dif
 
 MASS_TOL = 1e-10
 ATOM_CAP = 200
@@ -65,11 +67,6 @@ class TransportPlan:
         np.add.at(row, self.source, self.mass)
         np.add.at(col, self.target, self.mass)
         return row, col
-
-
-def _dist_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - y[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 def _require_equal_mass(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
@@ -129,7 +126,7 @@ def linprog(c: np.ndarray, **kwargs):
 
 
 def _assignment_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
-    dist = _dist_matrix(mu.points, nu.points)
+    dist = _distances(mu.points, nu.points)
     rows, cols = linear_sum_assignment(dist)
     mass = mu.weights[rows]
     cost = float(np.sum(mass * dist[rows, cols]))
@@ -179,7 +176,7 @@ def _monotone_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
 def _lp_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     n, m = mu.n, nu.n
     total = mu.total_mass
-    dist = _dist_matrix(mu.points, nu.points)
+    dist = _distances(mu.points, nu.points)
     a_eq = _marginal_constraints(n, m)
     # rescale the target marginal so both sides sum identically
     b_target = nu.weights * (total / nu.total_mass)
@@ -210,8 +207,11 @@ def w1_matching(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     Uniform same-size pairs are solved by exact assignment, so the cost equals
     the minimum over atom permutations of the mean displacement; other pairs
     in dimension one get the monotone plan, and everything else an exact LP
-    solve.  Raises ProblemTooLarge beyond 200 atoms on either side.
+    solve.  Raises DimensionMismatch when the measures live in different
+    dimensions and ProblemTooLarge beyond 200 atoms on either side.
     """
+    if mu.dim != nu.dim:
+        raise DimensionMismatch(f"cannot transport dimension {mu.dim} onto dimension {nu.dim}")
     _require_equal_mass(mu, nu)
     if mu.n > ATOM_CAP or nu.n > ATOM_CAP:
         raise ProblemTooLarge(f"atom counts {mu.n}, {nu.n} exceed cap {ATOM_CAP}")

@@ -1,12 +1,13 @@
 """Interacting-particle flows driven by a measure-dependent velocity field.
 
-The coupled system is ``dx_i/dt = v(t, mu_t, x_i)`` with ``mu_t`` the current
-empirical measure of the particles themselves, over the fixed horizon [0, 1].
-A velocity field is evaluated on all particles (and tracers) in one call.
-Explicit Euler realizes a depth-T residual stack whose layers carry velocity
-scale 1/T; classical RK4 provides the reference solution for convergence
-studies.  The characteristic map transports an arbitrary query point along the
-flow generated by the particles, with the query acting as a passive tracer.
+The coupled system is ``dx_i/dt = v(t, mu_t, x_i)`` over [0, 1], with ``mu_t``
+the empirical measure of the particles; one velocity call evaluates all
+particles and tracers.  The state is one (n, d) array in the atom order of
+the canonical initial measure; stage measures view it without a copy or a
+re-sort, so flows are bitwise equivariant under relabelling the initial atoms.
+One step loop runs explicit Euler (a depth-T residual stack with velocity
+scale 1/T), classical RK4 (the convergence reference) and the characteristic
+map, which carries a query point along the flow as a passive tracer.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ class VelocityField:
     """Velocity ``(t, mu, X) -> dX/dt`` evaluated on query rows X of shape (m, d).
 
     ``fn`` receives all m rows at once and returns an (m, d) array; row i is
-    the velocity at X[i] in the field of the measure ``mu``.
+    the velocity at X[i] in the field of the measure ``mu``, whose atoms the
+    layer fields reduce in the order given.
     """
 
     fn: VelocityFn
@@ -42,7 +44,7 @@ class VelocityField:
     @staticmethod
     def from_layer(att: AttentionParams, mlp_p: MlpParams) -> "VelocityField":
         """Time-independent field given by one attention+MLP layer displacement."""
-        return VelocityField(lambda t, mu, X: velocity_rows(att, mlp_p, canonicalize(mu), X))
+        return VelocityField(lambda t, mu, X: velocity_rows(att, mlp_p, mu, X))
 
     @staticmethod
     def from_stack(stack: LayerStack) -> "VelocityField":
@@ -53,50 +55,76 @@ class VelocityField:
 
         def fn(t: float, mu: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
             layer = layers[min(int(t * len(layers)), len(layers) - 1)]
-            return layer.scale * velocity_rows(layer.attention, layer.mlp, canonicalize(mu), X)
+            return layer.scale * velocity_rows(layer.attention, layer.mlp, mu, X)
 
         return VelocityField(fn)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid plus one measure per time: fixed weights, moving atoms."""
+    """Time grid plus atom positions as one read-only (steps + 1, n, d) array;
+    states are built on demand, in the initial ``box`` hulled as they leave it."""
 
     times: np.ndarray
-    states: tuple[DiscreteMeasure, ...]
+    points: np.ndarray
+    weights: np.ndarray
+    box: Box
+
+    @property
+    def states(self) -> tuple[DiscreteMeasure, ...]:
+        return tuple(_state_measure(p, self.weights, self.box) for p in self.points)
 
     @property
     def final(self) -> DiscreteMeasure:
-        return self.states[-1]
+        return _state_measure(self.points[-1], self.weights, self.box)
 
 
-def _state_measure(points: np.ndarray, weights: np.ndarray, box: Box) -> DiscreteMeasure:
-    if not np.isfinite(points).all():
+def _state_measure(rows: np.ndarray, weights: np.ndarray, box: Box) -> DiscreteMeasure:
+    """Measure on a read-only view of the particle rows: no copy, no re-sort."""
+    if not np.isfinite(rows).all():
         raise NonFiniteState("particle positions became non-finite")
-    state_box = box if box.contains(points) else box.hull(points)
-    pts = np.array(points)
+    pts = rows.view()
     pts.flags.writeable = False
-    return DiscreteMeasure(pts, weights, state_box, False)
+    return DiscreteMeasure(pts, weights, box if box.contains(pts) else box.hull(pts), False)
 
 
-def _integrate(advance, mu0: DiscreteMeasure, steps: int) -> Trajectory:
-    """``steps`` equal steps on [0, 1] from the canonical form of ``mu0``.
+def _integrate(
+    v: VelocityField, mu_c: DiscreteMeasure, z: np.ndarray, h: float, steps: int, rk4: bool
+) -> np.ndarray:
+    """z and its rows after each of ``steps`` Euler or RK4 steps of size h from
+    t = 0, as one read-only (steps + 1, len(z), d) array.
 
-    ``advance(state, w, box, t, h)`` returns the particle positions one step
-    of size h after ``state``, the measure at time t.  Weights and atom count
-    never change.
+    Rows z[:n] are the atoms of the canonical ``mu_c``; the velocity sees their
+    measure, in that atom order.  Rows from n on are passive tracers.
     """
-    mu_c = canonicalize(mu0)
-    w = mu_c.weights
-    box = mu_c.box
-    h = 1.0 / steps
-    times = [0.0]
-    states = [_state_measure(mu_c.points, w, box)]
+    n, w, box = mu_c.n, mu_c.weights, mu_c.box
+
+    def k(t: float, zs: np.ndarray) -> np.ndarray:
+        return v(t, _state_measure(zs[:n], w, box), zs)
+
+    path = np.empty((steps + 1,) + z.shape)
+    path[0] = z
     for step in range(steps):
-        x = advance(states[-1], w, box, step * h, h)
-        times.append((step + 1) * h)
-        states.append(_state_measure(x, w, box))
-    return Trajectory(np.array(times), tuple(states))
+        t, z = step * h, path[step]
+        k1 = k(t, z)
+        if not rk4:
+            path[step + 1] = z + h * k1
+            continue
+        k2 = k(t + h / 2, z + (h / 2) * k1)
+        k3 = k(t + h / 2, z + (h / 2) * k2)
+        k4 = k(t + h, z + h * k3)
+        path[step + 1] = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.isfinite(path[-1]).all():
+        raise NonFiniteState("flow state became non-finite")
+    path.flags.writeable = False
+    return path
+
+
+def _flow(v: VelocityField, mu0: DiscreteMeasure, steps: int, rk4: bool) -> Trajectory:
+    mu_c = canonicalize(mu0)
+    h = 1.0 / steps
+    path = _integrate(v, mu_c, mu_c.points, h, steps, rk4)
+    return Trajectory(np.arange(steps + 1) * h, path, mu_c.weights, mu_c.box)
 
 
 def euler_flow(v: VelocityField, mu0: DiscreteMeasure, T: int) -> Trajectory:
@@ -107,35 +135,14 @@ def euler_flow(v: VelocityField, mu0: DiscreteMeasure, T: int) -> Trajectory:
     """
     if T < 1:
         raise TooFewTimePoints("need at least one Euler step")
-    return _integrate(lambda mu, w, box, t, h: mu.points + h * v(t, mu, mu.points), mu0, T)
-
-
-def _rk4_advance(
-    v: VelocityField, z: np.ndarray, n: int, w: np.ndarray, box: Box, t: float, h: float
-) -> np.ndarray:
-    """One RK4 step of the particle system z[:n]; rows from n on are passive tracers.
-
-    Stage measures are rebuilt from the stage particle positions; the tracers
-    see those measures but never enter them.
-    """
-
-    def k(ts: float, zs: np.ndarray) -> np.ndarray:
-        return v(ts, _state_measure(zs[:n], w, box), zs)
-
-    k1 = k(t, z)
-    k2 = k(t + h / 2, z + (h / 2) * k1)
-    k3 = k(t + h / 2, z + (h / 2) * k2)
-    k4 = k(t + h, z + h * k3)
-    return z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return _flow(v, mu0, T, rk4=False)
 
 
 def rk4_flow(v: VelocityField, mu0: DiscreteMeasure, steps: int) -> Trajectory:
     """Classical 4-stage Runge-Kutta on the coupled particle system over [0, 1]."""
     if steps < 1:
         raise TooFewTimePoints("need at least one RK4 step")
-    return _integrate(
-        lambda mu, w, box, t, h: _rk4_advance(v, mu.points, mu.n, w, box, t, h), mu0, steps
-    )
+    return _flow(v, mu0, steps, rk4=True)
 
 
 def characteristic_map(
@@ -150,9 +157,9 @@ def characteristic_map(
     The particle system is integrated with RK4 while the query rides along as
     a passive tracer evaluated against the same stage measures, so a query
     placed on an atom reproduces that atom's trajectory exactly (the query is
-    one more row of each velocity evaluation).  ``steps``
-    is the step count for the full unit horizon; integration to time t uses
-    round(steps * t) steps of equal size.
+    one more row of each velocity evaluation).  ``steps`` is the step count
+    for the full unit horizon; integration to time t uses round(steps * t)
+    steps of equal size.
     """
     if not 0.0 <= t <= 1.0:
         raise TooFewTimePoints(f"time {t} outside [0, 1]")
@@ -160,17 +167,8 @@ def characteristic_map(
     if t == 0.0:
         return y
     mu_c = canonicalize(mu0)
-    w = mu_c.weights
-    box = mu_c.box
     n = max(1, int(round(steps * t)))
-    h = t / n
-    z = np.vstack([mu_c.points, y])
-    for step in range(n):
-        z = _rk4_advance(v, z, mu_c.n, w, box, step * h, h)
-    y = z[-1]
-    if not np.isfinite(y).all():
-        raise NonFiniteState("characteristic became non-finite")
-    return y
+    return _integrate(v, mu_c, np.vstack([mu_c.points, y]), t / n, n, rk4=True)[-1, -1].copy()
 
 
 def weak_residual(traj: Trajectory, v: VelocityField, phi) -> float:
@@ -180,17 +178,15 @@ def weak_residual(traj: Trajectory, v: VelocityField, phi) -> float:
     <grad(phi) . v(t, mu_t, .), mu_t>.  ``phi`` must expose ``value`` and
     ``gradient`` on points given as rows (n, d), as a TestFunction does.
     """
-    if len(traj.states) < 3:
+    times, points, w = traj.times, traj.points, traj.weights
+    if len(times) < 3:
         raise TooFewTimePoints("need at least three time points")
-    pairings = [float(np.sum(s.weights * phi.value(s.points))) for s in traj.states]
+    pairings = [float(np.sum(w * phi.value(p))) for p in points]
     worst = 0.0
-    for k in range(1, len(traj.states) - 1):
-        dt2 = traj.times[k + 1] - traj.times[k - 1]
-        lhs = (pairings[k + 1] - pairings[k - 1]) / dt2
-        mu_k = traj.states[k]
-        grads = phi.gradient(mu_k.points)
-        vel = v(traj.times[k], mu_k, mu_k.points)
-        rhs = float(np.sum(mu_k.weights * np.sum(grads * vel, axis=1)))
+    for k in range(1, len(times) - 1):
+        lhs = (pairings[k + 1] - pairings[k - 1]) / (times[k + 1] - times[k - 1])
+        vel = v(times[k], _state_measure(points[k], w, traj.box), points[k])
+        rhs = float(np.sum(w * np.sum(phi.gradient(points[k]) * vel, axis=1)))
         worst = max(worst, abs(lhs - rhs))
     return worst
 

@@ -70,6 +70,16 @@ class TestW1Command:
         assert main(["w1", "--a", a, "--b", b]) == 1
         assert "MassMismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim_b,flags", [(1, []), (3, []), (3, ["--extended"])])
+    def test_dimension_mismatch_exits_one(self, tmp_path, capsys, dim_b, flags):
+        rng = np.random.default_rng(13)
+        a = write_measure(tmp_path / "a.json", random_probability(rng, 2, 2))
+        b = write_measure(tmp_path / "b.json", random_probability(rng, 2, dim_b))
+        assert main(["w1", "--a", a, "--b", b, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: DimensionMismatch: "), captured.err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["w1", "--a", "only.json"]) == 2
 
@@ -219,6 +229,13 @@ class TestExtractGCommand:
         ) == 0
         vec = float(capsys.readouterr().out.splitlines()[0])
         assert vec == pytest.approx(ic.r_map(100.0, 0.1), abs=1e-8)
+
+    @pytest.mark.parametrize("eps", ["1e-6", "1e-16"])
+    def test_probe_at_an_atom_reads_the_atom(self, tmp_path, capsys, eps):
+        mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+        m = write_measure(tmp_path / "m.json", mu)
+        assert main(["extract-g", "--map", "identity", "--measure", m, "--x", "1,1", "--eps", eps]) == 0
+        assert capsys.readouterr().out.splitlines() == ["1 1", f"eps_used {ser.fmt(float(eps))}"]
 
     def test_probe_mass_lost_to_rounding_exits_one(self, tmp_path, capsys):
         mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])

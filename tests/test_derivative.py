@@ -223,6 +223,17 @@ class TestExtractG:
         got = ic.extract_g(f, mu, x, 1e-6)
         assert np.max(np.abs(got - x)) <= 1e-10
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-16])
+    def test_probe_at_an_atom_divides_by_the_added_mass(self, eps):
+        # 0.5 + eps adds fl(0.5 + eps) - 0.5, not eps: 1e-16 adds 1.11e-16
+        mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+        x = np.array([1.0, 1.0])
+        values, eps_used = ic.extract_g_detailed(ic.MeasureMap.identity(2), mu, x, eps)
+        assert values.tolist() == [1.0, 1.0]
+        assert eps_used == eps
+        psi = ic.coordinate_test(0, ic.default_box(2))
+        assert regular_derivative(ic.MeasureMap.identity(2), mu, x, psi, eps) == 1.0
+
     def test_probe_mass_lost_to_rounding_raises(self):
         # 0.5 + 1e-17 == 0.5: the probe would read 0 instead of (1, 1)
         mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])

@@ -1,6 +1,7 @@
 """Property tests of the canonical form and of the invariants built on it,
-and of the row-map contract: a map evaluated on rows gives, bitwise, the
-rows of its one-point calls.
+of flows, which keep the atom order of their canonical initial measure, and
+of the row-map contract: a map evaluated on rows gives, bitwise, the rows of
+its one-point calls.
 
 Atoms are drawn from a small pool of rows, so exact duplicates, signed zeros
 and near-duplicates occur often, and merged groups sum weights of varied
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import incontext as ic
 
-from helpers import random_attention
+from helpers import random_attention, random_mlp
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -90,6 +91,23 @@ class TestAttentionInvariance:
         shuffled = ic.new_discrete(mu.points[perm], mu.weights[perm], mu.box)
         assert ic.attention(params, shuffled, x).tobytes() == base.tobytes()
         assert ic.attention(params, mu.scaled(2.0**exponent), x).tobytes() == base.tobytes()
+
+
+class TestFlowRelabelling:
+    @PROPERTY
+    @given(measures(), st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+    def test_flows_are_bitwise_equivariant(self, mu, seed, random):
+        """Euler, RK4 and the characteristic map see the same t = 0 atom order
+        for every labelling of mu0, so they give the same bytes."""
+        rng = np.random.default_rng(seed)
+        v = ic.VelocityField.from_layer(random_attention(rng, mu.dim), random_mlp(rng, mu.dim))
+        x = rng.uniform(-2.5, 2.5, size=mu.dim)
+        perm = np.array(random.sample(range(mu.n), mu.n))
+        shuffled = ic.new_discrete(mu.points[perm], mu.weights[perm], mu.box)
+        for flow, steps in ((ic.euler_flow, 2), (ic.rk4_flow, 1)):
+            assert flow(v, shuffled, steps).points.tobytes() == flow(v, mu, steps).points.tobytes()
+        want = ic.characteristic_map(v, mu, x, 1.0, steps=1)
+        assert ic.characteristic_map(v, shuffled, x, 1.0, steps=1).tobytes() == want.tobytes()
 
 
 @st.composite

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incontext as ic
-from incontext.errors import DimensionNotOne, MassMismatch, ProblemTooLarge
+from incontext.errors import DimensionMismatch, DimensionNotOne, MassMismatch, ProblemTooLarge
 from incontext.transport import _lp_plan, _marginal_constraints, _monotone_plan
 
 from helpers import (
@@ -99,6 +99,16 @@ class TestW1Matching:
         a = ic.new_discrete(pts, np.ones(n))
         with pytest.raises(ProblemTooLarge):
             ic.w1_matching(a, a)
+
+    @pytest.mark.parametrize("dim_b", [1, 3])
+    def test_rejects_dimension_mismatch(self, dim_b):
+        # without the check, (n, 1, 2) - (1, m, 1) broadcasts to a wrong distance
+        rng = np.random.default_rng(12)
+        a, b = random_probability(rng, 2, 2), random_probability(rng, 2, dim_b)
+        with pytest.raises(DimensionMismatch):
+            ic.w1_matching(a, b)
+        with pytest.raises(DimensionMismatch):
+            ic.w1_extended(a, b)
 
     def test_marginals_on_lp_path(self):
         rng = np.random.default_rng(3)

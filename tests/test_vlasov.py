@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import incontext as ic
+from incontext import vlasov
 from incontext.errors import NonFiniteState, TooFewTimePoints
 
 from helpers import each_row, random_attention, random_measure, random_mlp
@@ -67,6 +68,64 @@ class TestRk4Flow:
         e_coarse = abs(ic.rk4_flow(decay_field(), ic.dirac([1.0]), 32).final.points[0, 0] - exact)
         e_fine = abs(ic.rk4_flow(decay_field(), ic.dirac([1.0]), 64).final.points[0, 0] - exact)
         assert 12.0 <= e_coarse / e_fine <= 20.0
+
+
+class TestFixedOrder:
+    def test_one_canonicalize_per_flow(self, monkeypatch):
+        calls = []
+
+        def counting(mu):
+            calls.append(mu.n)
+            return ic.canonicalize(mu)
+
+        monkeypatch.setattr(vlasov, "canonicalize", counting)
+        rng = np.random.default_rng(7)
+        v = ic.VelocityField.from_layer(random_attention(rng, 2), random_mlp(rng, 2))
+        mu0 = random_measure(rng, 4, 2)
+        for run in (
+            lambda: ic.euler_flow(v, mu0, 5),
+            lambda: ic.rk4_flow(v, mu0, 3),
+            lambda: ic.characteristic_map(v, mu0, np.zeros(2), 1.0, steps=4),
+        ):
+            calls.clear()
+            run()
+            assert calls == [4]
+
+    def test_stage_measures_keep_the_carrier_invariants(self):
+        seen = []
+
+        def spreading(t, mu, x):
+            seen.append(mu)
+            return 3.0 * x
+
+        mu0 = ic.new_discrete([[0.5, -1.0], [1.0, 0.25], [-0.75, 0.5]], [0.2, 0.3, 0.5])
+        ic.rk4_flow(ic.VelocityField(spreading), mu0, 4)
+        assert len(seen) == 16
+        for mu in seen:
+            assert not mu.points.flags.writeable
+            assert mu.box.contains(mu.points)
+            assert np.array_equal(mu.weights, ic.canonicalize(mu0).weights)
+        assert any(mu.box == mu0.box for mu in seen)
+        assert any(mu.box != mu0.box for mu in seen)
+
+
+class TestTrajectoryArrays:
+    def test_points_read_only_and_state_box_rule(self):
+        mu0 = ic.new_discrete([[0.5, -1.0], [1.0, 0.25], [-0.75, 0.5]], [0.2, 0.3, 0.5])
+        traj = ic.euler_flow(ic.VelocityField(lambda t, mu, x: 3.0 * x), mu0, 4)
+        assert traj.points.shape == (5, 3, 2)
+        assert not traj.points.flags.writeable
+        with pytest.raises(ValueError):
+            traj.points[0, 0, 0] = 0.0
+        mu_c = ic.canonicalize(mu0)
+        assert np.array_equal(traj.points[0], mu_c.points)
+        inside = [mu_c.box.contains(p) for p in traj.points]
+        assert any(inside) and not all(inside)
+        for k, state in enumerate(traj.states):
+            assert np.array_equal(state.points, traj.points[k])
+            assert np.array_equal(state.weights, mu_c.weights)
+            assert state.box == (mu_c.box if inside[k] else mu_c.box.hull(traj.points[k]))
+        assert traj.final == traj.states[-1]
 
 
 class TestCharacteristicMap:

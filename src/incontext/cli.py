@@ -34,7 +34,7 @@ from .serialize import (
     tokens_to_doc,
     write_csv,
 )
-from .transport import w1_1d, w1_extended, w1_matching
+from .transport import w1, w1_extended, w1_matching
 from .vlasov import VelocityField, depth_limit_error, euler_flow, rk4_flow
 
 
@@ -96,8 +96,8 @@ def _cmd_w1(args: argparse.Namespace) -> int:
     if args.extended:
         print(fmt(w1_extended(a, b)))
         return 0
-    if a.dim == 1 and args.plan is None:
-        print(fmt(w1_1d(a, b)))
+    if args.plan is None:
+        print(fmt(w1(a, b)))
         return 0
     plan = w1_matching(a, b)
     if args.plan:

@@ -120,15 +120,15 @@ def _family_eps(family: str, m: int) -> float:
     raise OutOfDomain(f"unknown family {family!r}")
 
 
-def discontinuity_scan(m_max: int, eps_fd: float | None = None) -> list[ScanRow]:
+def discontinuity_scan(m_max: int) -> list[ScanRow]:
     """Tabulate the two eps-families for m = 2..m_max.
 
     For each eps: the W1 distance from the two-atom measure to delta_2, the
     closed-form pointwise value at sqrt(eps), and the value recovered from the
     black box by the difference-quotient extractor.  The limsup family picks
     eps with cos(1/sqrt(eps)) = +1, the liminf family -1; the finite-difference
-    mass defaults to min(1e-6, eps^{3/2}/20) so the probe never detunes the
-    oscillation past the patch check.
+    mass is min(1e-6, eps^{3/2}/20) so the probe never detunes the oscillation
+    past the patch check.
     """
     if m_max < 2:
         raise OutOfDomain("scan needs m_max >= 2")
@@ -140,8 +140,7 @@ def discontinuity_scan(m_max: int, eps_fd: float | None = None) -> list[ScanRow]
             eps = _family_eps(family, m)
             mu_eps = two_atom_measure(eps)
             x = math.sqrt(eps)
-            fd = eps_fd if eps_fd is not None else min(1e-6, eps**1.5 / 20.0)
-            extracted, _ = extract_g_detailed(f, mu_eps, np.array([x]), fd)
+            extracted, _ = extract_g_detailed(f, mu_eps, np.array([x]), min(1e-6, eps**1.5 / 20.0))
             rows.append(
                 ScanRow(
                     family=family,

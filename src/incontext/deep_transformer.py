@@ -90,6 +90,6 @@ def forward_tokens(stack: LayerStack, seq: TokenSequence) -> TokenSequence:
     input permutes the output identically, bit for bit.
     """
     out = _map_rows(stack, context_chain(stack, iota(seq)), seq.tokens)
-    box = seq.box if seq.box.contains(out) else seq.box.hull(out)
+    box = seq.box.hull(out)
     out.flags.writeable = False
     return TokenSequence(out, box)

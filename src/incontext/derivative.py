@@ -5,8 +5,11 @@ evaluated with a test function ``psi`` patched to be locally constant around
 every atom of ``f(mu)``.  The patches annihilate the contribution of the
 existing atoms (their images move strictly inside the constant balls for small
 enough eps), so the quotient isolates the value the map assigns to the probe
-point.  Running the quotient against patched coordinate projections recovers
-the full vector ``G(mu, x)`` of the in-context map with ``f = G(mu)_# mu``.
+point.  Running the quotient against patched coordinate projections (ramped
+to zero over a width of 1 outside their box) recovers the full vector
+``G(mu, x)`` of the in-context map with ``f = G(mu)_# mu``.  Each extraction
+settles the probe and pairs its image with ``f(mu)`` once; every coordinate's
+quotient is then a weighted sum of its patched test function.
 
 Test functions are C^1 with compact support: a base evaluator with gradient, a
 Lipschitz bound, and an optional patch (anchor set, radius, C^1 ramp blending
@@ -16,7 +19,7 @@ they evaluate points given as rows (m, d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -25,10 +28,6 @@ from .attention import InContextMap
 from .deep_transformer import LayerStack, forward_measure
 from .errors import AnchorsTooClose, DisplacementTooLarge, NonpositiveWeight, ProbeMassLost
 from .measures import Box, DiscreteMeasure, _distances, add_atom, canonicalize, push_forward
-
-# Space constants: mass cap and Lipschitz cap for admissible probe triples.
-MASS_CAP = 10.0
-LIP_CAP = 10.0
 
 DEFAULT_EPS = 1e-6
 MAX_PATCH_RADIUS = 0.05
@@ -104,33 +103,25 @@ class TestFunction:
             g = np.where((dist >= r)[:, None], g, np.where((dist <= r / 2.0)[:, None], 0.0, blend))
         return g[0] if y.ndim == 1 else g
 
-    def with_patch(self, anchors: np.ndarray, radius: float) -> "TestFunction":
-        patch = Patch(anchors, radius, self.base_value(anchors))
-        return TestFunction(self.base_value, self.base_gradient, self.lip, patch)
 
-
-def coordinate_test(ell: int, box: Box, ramp_width: float = 1.0) -> TestFunction:
+def coordinate_test(ell: int, box: Box) -> TestFunction:
     """Smoothly truncated coordinate projection: equals y_ell on ``box``.
 
     A per-coordinate C^2 ramp takes the cutoff from one on the box to zero at
-    distance ``ramp_width`` outside, giving a compactly supported C^1 function
-    whose Lipschitz bound is recorded conservatively.
+    distance 1 outside, giving a compactly supported C^1 function whose
+    Lipschitz bound is recorded conservatively.
     """
     lo, hi = box.lo, box.hi
 
     def cutoff(Y: np.ndarray) -> np.ndarray:
-        below = (lo - Y) / ramp_width
-        above = (Y - hi) / ramp_width
-        factors = (1.0 - _smoothstep(below)) * (1.0 - _smoothstep(above))
-        return np.prod(factors, axis=1)
+        return np.prod((1.0 - _smoothstep(lo - Y)) * (1.0 - _smoothstep(Y - hi)), axis=1)
 
     def cutoff_grad(Y: np.ndarray) -> np.ndarray:
-        below = (lo - Y) / ramp_width
-        above = (Y - hi) / ramp_width
+        below, above = lo - Y, Y - hi
         f = (1.0 - _smoothstep(below)) * (1.0 - _smoothstep(above))
         df = (
-            _smoothstep_deriv(below) / ramp_width * (1.0 - _smoothstep(above))
-            - (1.0 - _smoothstep(below)) * _smoothstep_deriv(above) / ramp_width
+            _smoothstep_deriv(below) * (1.0 - _smoothstep(above))
+            - (1.0 - _smoothstep(below)) * _smoothstep_deriv(above)
         )
         grad = np.empty_like(Y)
         for i in range(Y.shape[1]):
@@ -145,9 +136,8 @@ def coordinate_test(ell: int, box: Box, ramp_width: float = 1.0) -> TestFunction
         g[:, ell] += cutoff(Y)
         return g
 
-    reach = float(np.max(np.abs(np.stack([lo, hi])))) + ramp_width
-    lip = 1.0 + reach * (1.875 / ramp_width)
-    return TestFunction(val, grad, lip)
+    reach = float(np.max(np.abs(np.stack([lo, hi])))) + 1.0
+    return TestFunction(val, grad, 1.0 + reach * 1.875)
 
 
 def linear_combination(a: float, f1: TestFunction, b: float, f2: TestFunction) -> TestFunction:
@@ -157,6 +147,24 @@ def linear_combination(a: float, f1: TestFunction, b: float, f2: TestFunction) -
         lambda y: a * f1.base_gradient(y) + b * f2.base_gradient(y),
         abs(a) * f1.lip + abs(b) * f2.lip,
     )
+
+
+def _min_spacing(points: np.ndarray) -> float:
+    """Smallest distance between two rows of ``points`` (inf for a single row)."""
+    if points.shape[0] < 2:
+        return np.inf
+    return float(np.min(_distances(points, points)[np.triu_indices(points.shape[0], k=1)]))
+
+
+def _usable_radius(r: float, spacing: float) -> float:
+    """``r``, or 0.49 * spacing when that is below 2r; AnchorsTooClose if not positive or below 1e-8."""
+    if r <= 0.0:
+        raise AnchorsTooClose("patch radius must be positive")
+    if r >= spacing / 2.0:
+        r = 0.49 * spacing
+    if r < MIN_PATCH_RADIUS:
+        raise AnchorsTooClose(f"usable patch radius {r:.3g} below {MIN_PATCH_RADIUS}")
+    return r
 
 
 def build_patched_test(base: TestFunction, anchors: np.ndarray, r: float) -> TestFunction:
@@ -169,16 +177,8 @@ def build_patched_test(base: TestFunction, anchors: np.ndarray, r: float) -> Tes
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     if anchors.shape[0] == 0:
         return base
-    if r <= 0.0:
-        raise AnchorsTooClose("patch radius must be positive")
-    if anchors.shape[0] > 1:
-        dist = _distances(anchors, anchors)
-        dmin = float(np.min(dist[np.triu_indices(anchors.shape[0], k=1)]))
-        if r >= dmin / 2.0:
-            r = 0.49 * dmin
-    if r < MIN_PATCH_RADIUS:
-        raise AnchorsTooClose(f"usable patch radius {r:.3g} below {MIN_PATCH_RADIUS}")
-    return base.with_patch(anchors, r)
+    r = _usable_radius(r, _min_spacing(anchors))
+    return replace(base, patch=Patch(anchors, r, base.base_value(anchors)))
 
 
 @dataclass(eq=False)
@@ -209,52 +209,48 @@ class MeasureMap:
         return MeasureMap(lambda mu: forward_measure(stack, mu), stack.dim)
 
 
-def _paired_quotient(
-    psi: TestFunction,
-    f_mu: DiscreteMeasure,
-    f_probe: DiscreteMeasure,
-    added: float,
-    r: float,
-) -> float:
-    """<psi_p, f_probe - f_mu> / added with matched atoms cancelled in place.
+@dataclass(frozen=True)
+class _PairedProbe:
+    """A probe image paired with the atoms of f(mu), the patch ``anchors``: each
+    image atom within ``radius`` / 2 of its nearest anchor is matched to it.
+    ``excess`` is, per anchor, the mass matched to it minus its own weight;
+    ``free_points``/``free_weights`` are the unmatched image atoms; ``added`` is
+    the mass added to mu at ``eps``; ``box`` holds both image supports."""
 
-    ``psi_p`` is ``psi`` patched at the atoms of ``f_mu`` with radius r, and
-    ``added`` the probe mass actually added to mu.  Probe atoms inside an
-    anchor's constant ball carry exactly the anchor's patched value, so
-    grouping the signed sums by anchor removes the large common terms before
-    any rounding can be amplified by 1/eps.
+    eps: float
+    added: float
+    anchors: np.ndarray
+    radius: float
+    excess: np.ndarray
+    free_points: np.ndarray
+    free_weights: np.ndarray
+    box: Box
+
+
+def _paired_quotient(psi: TestFunction, probe: _PairedProbe) -> float:
+    """<psi_p, f_probe - f_mu> / added, with ``psi_p`` the patched ``psi``.
+
+    Matched probe atoms carry exactly their anchor's patched value, so each
+    anchor's value weighted by its excess mass cancels the large common terms
+    before any rounding can be amplified by 1/eps.
     """
-    psi_p = build_patched_test(psi, f_mu.points, r)
-    r = psi_p.patch.radius
-    dist = _distances(f_probe.points, f_mu.points)
-    nearest = np.argmin(dist, axis=1)
-    matched = dist[np.arange(f_probe.n), nearest] <= r / 2.0
-    matched_mass = np.zeros(f_mu.n)
-    np.add.at(matched_mass, nearest[matched], f_probe.weights[matched])
-    unmatched = f_probe.weights[~matched] * psi_p.value(f_probe.points[~matched])
-    anchored = np.sum((matched_mass - f_mu.weights) * psi_p.patch.values)
+    patch = Patch(probe.anchors, probe.radius, psi.base_value(probe.anchors))
+    unmatched = probe.free_weights * replace(psi, patch=patch).value(probe.free_points)
+    anchored = np.sum(probe.excess * patch.values)
     # summed left to right from 0.0 (np.sum would pair the terms)
     total = np.add.accumulate(np.concatenate(([0.0], unmatched, [anchored])))[-1]
-    return float(total) / added
-
-
-def _patch_radius(f_mu: DiscreteMeasure) -> float:
-    if f_mu.n < 2:
-        return MAX_PATCH_RADIUS
-    dist = _distances(f_mu.points, f_mu.points)
-    dmin = float(np.min(dist[np.triu_indices(f_mu.n, k=1)]))
-    return min(0.25 * dmin, MAX_PATCH_RADIUS)
+    return float(total) / probe.added
 
 
 def _new_image_clearance(dist: np.ndarray) -> float | None:
     """Distance from the probe's own image atom to the nearest existing image.
 
     ``dist`` holds the distances (f_mu.n, f_probe.n) from each atom of f(mu)
-    to each atom of the probe image.  Every atom of f(mu) picks its
-    nearest atom of the probe image; the probe's own image is the one atom
-    that none of them picks, whatever its weight.  None unless exactly one
-    atom goes unpicked: the image merged into the existing support, or it
-    cannot be told apart.
+    to each atom of the probe image.  Every atom of f(mu) picks its nearest
+    atom of the probe image; the probe's own image is the one atom that none
+    of them picks, whatever its weight.  None unless exactly one atom goes
+    unpicked: the image merged into the existing support, or it cannot be
+    told apart.
     """
     unpicked = np.ones(dist.shape[1], dtype=bool)
     unpicked[np.argmin(dist, axis=1)] = False
@@ -265,13 +261,9 @@ def _new_image_clearance(dist: np.ndarray) -> float | None:
 
 
 def _verified_probe(
-    f: MeasureMap,
-    mu: DiscreteMeasure,
-    x: np.ndarray,
-    eps: float,
-    patch_radius: float | None = None,
-) -> tuple[DiscreteMeasure, float, float, DiscreteMeasure, float]:
-    """Settle on (f(mu), eps, added mass, probe image, patch radius) passing the checks.
+    f: MeasureMap, mu: DiscreteMeasure, x: np.ndarray, eps: float, patch_radius: float | None = None
+) -> _PairedProbe:
+    """Settle the probe and pair its image with f(mu), once per extraction.
 
     The radius starts at min(quarter of the minimal image spacing, 0.05,
     ``patch_radius``).  The added mass is eps at a new atom and fl(w + eps) - w
@@ -280,11 +272,13 @@ def _verified_probe(
     working patch radius.  When the probe's own image lands inside the default
     patch ball of an existing image, the radius is shrunk below half their
     separation so the reading is never blended; an image that merges into the
-    existing support keeps the full radius (the constant is right there).
+    existing support keeps the full radius (the constant is right there).  The
+    accepted radius passes ``build_patched_test``'s spacing rule.
     """
     mu = canonicalize(mu)
     f_mu = canonicalize(f(mu))
-    r = min(_patch_radius(f_mu), np.inf if patch_radius is None else patch_radius)
+    spacing = _min_spacing(f_mu.points)
+    r = min(0.25 * spacing, MAX_PATCH_RADIUS, np.inf if patch_radius is None else patch_radius)
     if not 0.0 < eps < np.inf:
         raise NonpositiveWeight(f"eps must be positive and finite, got {eps!r}")
     for _ in range(MAX_HALVINGS + 1):
@@ -300,11 +294,19 @@ def _verified_probe(
         if clearance is not None and clearance < r:
             r_eff = max(clearance / 2.0, MIN_PATCH_RADIUS)
         if np.max(np.min(dist, axis=1)) < r_eff / 4.0:
-            return f_mu, eps, added, f_probe, r_eff
+            break
         eps /= 2.0
-    raise DisplacementTooLarge(
-        f"image support moves more than {r / 4.0:.3g} even at eps {eps * 2:.3g}"
-    )
+    else:
+        raise DisplacementTooLarge(f"image support moves more than {r / 4.0:.3g} even at eps {eps * 2:.3g}")
+    radius = _usable_radius(r_eff, spacing)
+    nearest = np.argmin(dist, axis=0)
+    matched = dist[nearest, np.arange(f_probe.n)] <= radius / 2.0
+    matched_mass = np.zeros(f_mu.n)
+    np.add.at(matched_mass, nearest[matched], f_probe.weights[matched])
+    free_points, free_weights = f_probe.points[~matched], f_probe.weights[~matched]
+    excess = matched_mass - f_mu.weights
+    box = f_mu.box.hull(f_probe.points)
+    return _PairedProbe(eps, added, f_mu.points, radius, excess, free_points, free_weights, box)
 
 
 def regular_derivative(
@@ -325,8 +327,7 @@ def regular_derivative(
     raised.  ``patch_radius`` caps the automatic radius (useful for
     radius-robustness checks).
     """
-    f_mu, _, added, f_probe, r_eff = _verified_probe(f, mu, x, eps, patch_radius)
-    return _paired_quotient(psi, f_mu, f_probe, added, r_eff)
+    return _paired_quotient(psi, _verified_probe(f, mu, x, eps, patch_radius))
 
 
 def extract_g_detailed(
@@ -341,12 +342,10 @@ def extract_g_detailed(
     a box hulling both image supports, so they are exactly the coordinate
     projections wherever the images live.
     """
-    f_mu, eps_used, added, f_probe, r_eff = _verified_probe(f, mu, x, eps)
-    out_box = f_mu.box.hull(f_probe.points).enlarged(0.5)
-    values = np.empty(f.dim_out)
-    for ell in range(f.dim_out):
-        values[ell] = _paired_quotient(coordinate_test(ell, out_box), f_mu, f_probe, added, r_eff)
-    return values, eps_used
+    probe = _verified_probe(f, mu, x, eps)
+    out_box = probe.box.enlarged(0.5)
+    values = [_paired_quotient(coordinate_test(ell, out_box), probe) for ell in range(f.dim_out)]
+    return np.array(values, dtype=float), probe.eps
 
 
 def extract_g(

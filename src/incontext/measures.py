@@ -69,7 +69,10 @@ class Box:
         return bool((pts >= self.lo).all() and (pts <= self.hi).all())
 
     def hull(self, points: np.ndarray) -> "Box":
-        """Smallest box containing both self and the given points."""
+        """Smallest box containing both self and the given points (self when
+        it already contains them)."""
+        if self.contains(points):
+            return self
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return Box(np.minimum(self.lo, pts.min(axis=0)), np.maximum(self.hi, pts.max(axis=0)))
 
@@ -275,7 +278,7 @@ def relocate(mu: DiscreteMeasure, images: np.ndarray) -> DiscreteMeasure:
     if bad.size:
         raise MapUndefinedAtAtom(f"map returned a non-finite value at atom {bad[0]}")
     if images.shape[1] == mu.dim:
-        box = mu.box if mu.box.contains(images) else mu.box.hull(images)
+        box = mu.box.hull(images)
     else:
         box = Box(images.min(axis=0), images.max(axis=0))
     return canonicalize(_raw_measure(images, mu.weights, box, False))
@@ -289,7 +292,7 @@ def add_atom(mu: DiscreteMeasure, x: np.ndarray, mass: float) -> DiscreteMeasure
     x = np.asarray(x, dtype=float).reshape(1, -1)
     if x.shape[1] != mu.dim:
         raise LengthMismatch("atom dimension does not match the measure")
-    box = mu.box if mu.box.contains(x) else mu.box.hull(x)
+    box = mu.box.hull(x)
     pts = np.vstack([mu.points, x])
     w = np.concatenate([mu.weights, [mass]])
     return canonicalize(_raw_measure(pts, w, box, False))
@@ -327,64 +330,44 @@ def _min_abs_pair_sum(a: np.ndarray, b_sorted: np.ndarray) -> float:
     return best
 
 
-def _gap_both(mu: DiscreteMeasure, cap: int) -> tuple[float, float]:
-    """(gap with the second index set allowed empty, gap with both nonempty).
+def gap_strict(mu: DiscreteMeasure) -> float:
+    """Minimal |sum_J a_j - sum_K a_k| over disjoint nonempty index sets.
 
-    Meet-in-the-middle over signed subset sums; the second value is +inf when
-    no pair of disjoint nonempty index sets exists (n = 1).
+    Meet-in-the-middle over signed subset sums; +inf when no such pair exists
+    (n = 1).  Raises SupportTooLarge beyond GAP_SUPPORT_CAP atoms.
     """
     w = np.asarray(mu.weights, dtype=float)
     n = w.shape[0]
-    if n > cap:
-        raise SupportTooLarge(f"support size {n} exceeds enumeration cap {cap}")
+    if n > GAP_SUPPORT_CAP:
+        raise SupportTooLarge(f"support size {n} exceeds enumeration cap {GAP_SUPPORT_CAP}")
     half = n // 2
     sa, pa, na = _half_signed_sums(w[:half])
     sb, pb, nb = _half_signed_sums(w[half:])
-
-    zero_b = np.zeros(sb.size, dtype=bool)
-    zero_b[0] = True
-    b_all = np.sort(sb)
-    b_nonzero_vec = np.sort(sb[~zero_b])
-    b_has_pos = np.sort(sb[pb])
-    b_has_neg = np.sort(sb[nb])
-    b_both = np.sort(sb[pb & nb])
-
     a_zero_vec = np.zeros(sa.size, dtype=bool)
     a_zero_vec[0] = True
-
-    # Any nonzero sign vector: all pairs except (zero vector, zero vector).
-    gap_any = min(
-        _min_abs_pair_sum(sa[~a_zero_vec], b_all),
-        _min_abs_pair_sum(sa[a_zero_vec], b_nonzero_vec),
+    # both signs present in the union
+    return min(
+        _min_abs_pair_sum(sa[pa & na], np.sort(sb)),
+        _min_abs_pair_sum(sa[pa & ~na], np.sort(sb[nb])),
+        _min_abs_pair_sum(sa[~pa & na], np.sort(sb[pb])),
+        _min_abs_pair_sum(sa[a_zero_vec], np.sort(sb[pb & nb])),
     )
 
-    # Both signs present in the union.
-    gap_strict = min(
-        _min_abs_pair_sum(sa[pa & na], b_all),
-        _min_abs_pair_sum(sa[pa & ~na], b_has_neg),
-        _min_abs_pair_sum(sa[~pa & na], b_has_pos),
-        _min_abs_pair_sum(sa[a_zero_vec], b_both),
-    )
-    return gap_any, gap_strict
 
-
-def gap(mu: DiscreteMeasure, cap: int = GAP_SUPPORT_CAP) -> float:
+def gap(mu: DiscreteMeasure) -> float:
     """Minimal |sum_J a_j - sum_K a_k| over disjoint index sets, J nonempty.
 
-    K may be empty, so single-atom measures report their own weight.  Raises
-    SupportTooLarge beyond ``cap`` atoms.
+    K may be empty, so single-atom measures report their own weight.  Equals
+    min(min weight, gap_strict) bitwise: with K empty every sum is at least
+    its smallest term, and one term gives that weight exactly.  Raises
+    SupportTooLarge beyond GAP_SUPPORT_CAP atoms.
     """
-    return _gap_both(mu, cap)[0]
+    return min(float(np.min(mu.weights)), gap_strict(mu))
 
 
-def gap_strict(mu: DiscreteMeasure, cap: int = GAP_SUPPORT_CAP) -> float:
-    """Same minimum restricted to both index sets nonempty (+inf when n = 1)."""
-    return _gap_both(mu, cap)[1]
-
-
-def is_dif(mu: DiscreteMeasure, cap: int = GAP_SUPPORT_CAP) -> bool:
+def is_dif(mu: DiscreteMeasure) -> bool:
     """Whether all sums over disjoint nonempty index subsets are distinct."""
-    return _gap_both(mu, cap)[1] > 0.0
+    return gap_strict(mu) > 0.0
 
 
 # -- token sequences ---------------------------------------------------------------

@@ -12,10 +12,8 @@ suite's: ``tests/helpers.py`` imports them from here.
 from __future__ import annotations
 
 import importlib
-import io
 import itertools
 import math
-import sys
 
 import numpy as np
 
@@ -272,19 +270,18 @@ CHECKS = [
 ]
 
 
-def run_self_test(seed: int = 0, out: io.TextIOBase | None = None) -> bool:
+def run_self_test(seed: int = 0) -> bool:
     """Run every check; print one PASS/FAIL line each; return overall success."""
-    stream = out if out is not None else sys.stdout
     ok = True
     for name, check in CHECKS:
         try:
             check(seed)
         except AssertionError as exc:
             ok = False
-            stream.write(f"FAIL {name}: {exc}\n")
+            print(f"FAIL {name}: {exc}")
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             ok = False
-            stream.write(f"FAIL {name}: {type(exc).__name__}: {exc}\n")
+            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
         else:
-            stream.write(f"PASS {name}\n")
+            print(f"PASS {name}")
     return ok

@@ -15,6 +15,8 @@ Four routes:
 * ``w1_matching`` on everything else — an exact linear-programming solve on
   the bipartite atom graph, at a fixed total mass.
 
+``w1`` picks the closed form in dimension one and the optimal plan's cost
+otherwise, after checking that both measures share a dimension.
 ``w1_extended`` extends W1 to positive measures of unequal mass: the distance
 between the normalized measures plus the mass difference.  ``make_dif``
 perturbs weights, within an extended-W1 budget, until all disjoint subset sums
@@ -67,6 +69,11 @@ class TransportPlan:
         np.add.at(row, self.source, self.mass)
         np.add.at(col, self.target, self.mass)
         return row, col
+
+
+def _require_same_dim(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    if mu.dim != nu.dim:
+        raise DimensionMismatch(f"cannot transport dimension {mu.dim} onto dimension {nu.dim}")
 
 
 def _require_equal_mass(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
@@ -210,8 +217,7 @@ def w1_matching(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     solve.  Raises DimensionMismatch when the measures live in different
     dimensions and ProblemTooLarge beyond 200 atoms on either side.
     """
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"cannot transport dimension {mu.dim} onto dimension {nu.dim}")
+    _require_same_dim(mu, nu)
     _require_equal_mass(mu, nu)
     if mu.n > ATOM_CAP or nu.n > ATOM_CAP:
         raise ProblemTooLarge(f"atom counts {mu.n}, {nu.n} exceed cap {ATOM_CAP}")
@@ -222,15 +228,16 @@ def w1_matching(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     return _lp_plan(mu, nu)
 
 
+def w1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """W1 between equal-mass measures: the closed form in dimension one, else
+    the optimal plan's cost.  DimensionMismatch comes first, in either order."""
+    _require_same_dim(mu, nu)
+    return w1_1d(mu, nu) if mu.dim == 1 else w1_matching(mu, nu).cost
+
+
 def w1_extended(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """W1 between the mass-normalized measures plus |mass difference|."""
-    mu_n = mu.normalized()
-    nu_n = nu.normalized()
-    if mu.dim == 1:
-        base = w1_1d(mu_n, nu_n)
-    else:
-        base = w1_matching(mu_n, nu_n).cost
-    return base + abs(mu.total_mass - nu.total_mass)
+    return w1(mu.normalized(), nu.normalized()) + abs(mu.total_mass - nu.total_mass)
 
 
 def make_dif(mu: DiscreteMeasure, eps: float, seed: int) -> DiscreteMeasure:

@@ -85,7 +85,7 @@ def _state_measure(rows: np.ndarray, weights: np.ndarray, box: Box) -> DiscreteM
         raise NonFiniteState("particle positions became non-finite")
     pts = rows.view()
     pts.flags.writeable = False
-    return DiscreteMeasure(pts, weights, box if box.contains(pts) else box.hull(pts), False)
+    return DiscreteMeasure(pts, weights, box.hull(pts), False)
 
 
 def _integrate(

@@ -80,6 +80,19 @@ class TestW1Command:
         assert captured.out == ""
         assert captured.err.startswith("error: DimensionMismatch: "), captured.err
 
+    @pytest.mark.parametrize("flags", [[], ["--extended"]])
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 1)])
+    def test_dimension_mismatch_in_either_order(self, tmp_path, capsys, dims, flags):
+        rng = np.random.default_rng(14)
+        a = write_measure(tmp_path / "a.json", random_probability(rng, 2, dims[0]))
+        b = write_measure(tmp_path / "b.json", random_probability(rng, 2, dims[1]))
+        assert main(["w1", "--a", a, "--b", b, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: DimensionMismatch: cannot transport dimension {dims[0]} onto dimension {dims[1]}\n"
+        )
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["w1", "--a", "only.json"]) == 2
 
@@ -244,6 +257,27 @@ class TestExtractGCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: ProbeMassLost" in captured.err
+
+
+    def test_anchors_too_close_exits_one(self, tmp_path, capsys):
+        # image atoms 1e-9 apart leave a patch radius of 2.5e-10
+        mu = ic.new_discrete([[0.0, 0.0], [1e-9, 0.0]], [0.5, 0.5])
+        m = write_measure(tmp_path / "m.json", mu)
+        assert main(["extract-g", "--map", "identity", "--measure", m, "--x", "1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: AnchorsTooClose: usable patch radius 2.5e-10 below 1e-08\n"
+
+    def test_displacement_too_large_names_the_last_eps(self, tmp_path, capsys):
+        # eps 100 retunes the counterexample's frequency; 12 halvings end at 100 / 4096
+        m = write_measure(tmp_path / "m.json", ic.two_atom_measure(0.01))
+        argv = ["extract-g", "--map", "counterexample", "--measure", m, "--x", "0.5", "--eps", "100"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: DisplacementTooLarge: image support moves more than 0.0125 even at eps 0.0244\n"
+        )
 
 
 class TestCounterexampleCommand:

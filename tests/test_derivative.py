@@ -214,6 +214,21 @@ class TestExtractG:
             rebuilt = ic.push_forward(mu, each_row(lambda p: ic.extract_g(f, mu, p, 1e-6)))
             assert ic.w1_matching(rebuilt, ic.forward_measure(stack, mu)).cost <= 1e-4
 
+    def test_probe_is_settled_and_paired_once(self, monkeypatch):
+        # one spacing matrix for the image support, one matrix per eps tried,
+        # and per coordinate only the patched read of the unmatched atoms
+        from incontext import derivative
+
+        calls = []
+        distances = derivative._distances
+        monkeypatch.setattr(derivative, "_distances", lambda A, B: calls.append(1) or distances(A, B))
+        rng = np.random.default_rng(5)
+        f = ic.MeasureMap.from_stack(random_stack(rng, 2, depth=3))
+        mu = random_measure(rng, 12, 2)
+        _, eps_used = ic.extract_g_detailed(f, mu, rng.uniform(-1, 1, size=2), 1e-6)
+        assert eps_used == 1e-6
+        assert len(calls) == 1 + 1 + 2
+
     def test_query_image_near_existing_image(self):
         # the probe's image lands 0.01 from an existing image atom, inside the
         # default patch ball; the radius must shrink so the reading stays exact

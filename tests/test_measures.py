@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import incontext as ic
 from incontext.errors import (
@@ -13,6 +15,10 @@ from incontext.errors import (
 )
 
 from helpers import gap_oracle_literal, gap_oracle_signed, random_measure, reference_canonicalize
+
+
+# tie-heavy weights: shared values whose sums collide, plus arbitrary ones
+WEIGHT = st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0]), st.floats(1e-3, 2.0))
 
 
 def box1():
@@ -241,6 +247,18 @@ class TestGap:
             strict = gap_oracle_signed(w, require_nonempty_k=True)
             assert abs(ic.gap_strict(mu) - strict) <= 1e-12
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(WEIGHT, min_size=1, max_size=7))
+    def test_gap_is_min_weight_or_strict_gap(self, weights):
+        # with K empty every sum is at least its smallest term and one term
+        # gives a weight exactly, so the literal enumeration agrees bitwise
+        w = np.array(weights)
+        mu = ic.new_discrete(0.1 * np.arange(w.size)[:, None], w, box1())
+        want = gap_oracle_literal(weights)
+        assert want == min(min(weights), gap_oracle_literal(weights, require_nonempty_k=True))
+        assert ic.gap(mu) == min(float(np.min(w)), ic.gap_strict(mu))
+        assert abs(ic.gap(mu) - want) <= 1e-12
+
     def test_degenerate_cases_found(self):
         # 0.3 + 0.4 == 0.7 exactly in the reals but not in binary; use halves
         mu = ic.new_discrete([[0.0], [1.0], [2.0]], [0.25, 0.25, 0.5], box1())
@@ -345,3 +363,9 @@ class TestBox:
     def test_hull(self):
         b = ic.default_box(1).hull(np.array([[5.0]]))
         assert b.contains(np.array([[5.0], [-3.0]]))
+
+    def test_hull_of_contained_points_is_the_box_itself(self):
+        b = ic.default_box(2)
+        assert b.hull(np.array([[0.0, 1.0], [-3.0, 3.0]])) is b
+        assert b.hull(np.array([0.5, -0.5])) is b
+        assert b.hull(np.array([[0.0, 3.5]])) is not b

@@ -195,10 +195,14 @@ _DISPATCH = {
 }
 
 
+# Built once: parsing leaves the parser unchanged, and building it costs more
+# than the cheapest subcommands.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

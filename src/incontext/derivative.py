@@ -275,6 +275,8 @@ def _verified_probe(
     existing support keeps the full radius (the constant is right there).  The
     accepted radius passes ``build_patched_test``'s spacing rule.
     """
+    if patch_radius is not None and not patch_radius > 0.0:
+        raise AnchorsTooClose("patch radius must be positive")
     mu = canonicalize(mu)
     f_mu = canonicalize(f(mu))
     spacing = _min_spacing(f_mu.points)
@@ -325,7 +327,8 @@ def regular_derivative(
     0.05); eps is halved (up to 12 times) until the matched support
     displacement passes the r/4 safety check, else DisplacementTooLarge is
     raised.  ``patch_radius`` caps the automatic radius (useful for
-    radius-robustness checks).
+    radius-robustness checks); a cap that is not positive raises
+    AnchorsTooClose before f is evaluated.
     """
     return _paired_quotient(psi, _verified_probe(f, mu, x, eps, patch_radius))
 

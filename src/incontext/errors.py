@@ -61,6 +61,10 @@ class ProblemTooLarge(DomainError):
     pass
 
 
+class DualityGap(DomainError):
+    pass
+
+
 # -- attention / stacks ---------------------------------------------------------
 class SkipNotUnit(DomainError):
     pass

@@ -186,3 +186,33 @@ def reference_marginal_constraints(n, m):
         cols.extend(range(j, n * m, m))
     data = np.ones(2 * n * m)
     return sparse.csr_matrix((data, (rows, cols)), shape=(n + m, n * m))
+
+
+def full_lp_plan(mu, nu):
+    """Optimal flows and cost of the transport LP over all n*m columns.
+
+    scipy's HiGHS with the library's options and total mass, on the
+    list-built equality matrix: no column selection and no certificate.
+    Returns the (n, m) flow at the measures' own mass and its cost.
+    """
+    from scipy.optimize import linprog
+
+    from incontext.transport import LP_MASS
+
+    n, m = mu.n, nu.n
+    total = mu.total_mass
+    diff = mu.points[:, None, :] - nu.points[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    b_eq = np.concatenate([mu.weights, nu.weights * (total / nu.total_mass)]) * (LP_MASS / total)
+    options = {"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(
+        dist.reshape(-1),
+        A_eq=reference_marginal_constraints(n, m),
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+        options=options,
+    )
+    assert res.status == 0, res.message
+    flow = res.x.reshape(n, m) * (total / LP_MASS)
+    return flow, float(np.sum(flow * dist))

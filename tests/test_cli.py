@@ -330,6 +330,42 @@ class TestVersion:
         assert ic.__version__ in capsys.readouterr().out
 
 
+class TestRepeatedCalls:
+    def test_calls_in_one_process_match_fresh_interpreters(self, tmp_path, capsys, monkeypatch):
+        # the usage lines wrap at the terminal width, so both sides get the same
+        monkeypatch.setenv("COLUMNS", "80")
+        rng = np.random.default_rng(22)
+        a = write_measure(tmp_path / "a.json", random_probability(rng, 3, 2))
+        b = write_measure(tmp_path / "b.json", random_probability(rng, 4, 2))
+        calls = [
+            ["w1", "--a", a, "--b", b],
+            ["w1", "--a", a],
+            ["extract-g", "--map", "identity", "--measure", a, "--x", "0.5,0.5"],
+            ["--version"],
+            ["flow", "--stack", "s.json", "--measure", a, "--T", "2", "--integrator", "midpoint", "--out", "y.csv"],
+            ["--seed", "3", "w1", "--a", a, "--b", b, "--extended"],
+        ]
+        alone = [
+            subprocess.Popen(
+                [sys.executable, "-m", "incontext.cli", *argv],
+                env=src_env(COLUMNS="80"),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for argv in calls
+        ]
+        in_one = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            in_one.append((captured.out, captured.err, code))
+        assert [code for _, _, code in in_one] == [0, 2, 0, 0, 2, 0]
+        for argv, got, proc in zip(calls, in_one, alone):
+            out, err = proc.communicate()
+            assert got == (out, err, proc.returncode), argv
+
+
 class TestBadInputs:
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -136,6 +136,21 @@ class TestRegularDerivative:
         with pytest.raises(DisplacementTooLarge):
             regular_derivative(f, mu, np.array([0.5]), psi, 1e-6)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_nonpositive_patch_radius_fails_before_any_map_evaluation(self, radius):
+        calls = []
+
+        def counted(mu):
+            calls.append(mu)
+            return ic.canonicalize(mu)
+
+        f = ic.MeasureMap(counted, 1)
+        mu = ic.new_discrete([[0.0], [1.0]], [0.5, 0.5])
+        psi = ic.coordinate_test(0, ic.default_box(1))
+        with pytest.raises(AnchorsTooClose, match="^patch radius must be positive$"):
+            regular_derivative(f, mu, np.array([0.5]), psi, 1e-6, patch_radius=radius)
+        assert calls == []
+
     def test_eps_halving_reported(self):
         # displacement shrinks with eps: the probe must settle on a smaller eps
         def touchy(mu):

@@ -1,4 +1,5 @@
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incontext as ic
-from incontext.errors import DimensionMismatch, DimensionNotOne, MassMismatch, ProblemTooLarge
-from incontext.transport import _lp_plan, _marginal_constraints, _monotone_plan
+from incontext import transport
+from incontext.errors import DimensionMismatch, DimensionNotOne, DualityGap, MassMismatch, ProblemTooLarge
+from incontext.transport import (
+    MASS_TOL, NEIGHBOURS, TransportPlan, _certify, _lp_plan, _marginal_constraints, _monotone_plan
+)
 
 from helpers import (
+    full_lp_plan,
     permutation_match_cost,
     permutation_match_costs,
     random_measure,
@@ -242,12 +247,112 @@ class TestLpAccuracy:
 class TestLpAssembly:
     @pytest.mark.parametrize("n,m", [(1, 1), (3, 5), (50, 40), (100, 80), (120, 120)])
     def test_matches_list_built_matrix(self, n, m):
-        got = _marginal_constraints(n, m)
+        src, tgt = np.nonzero(np.ones((n, m), dtype=bool))
+        got = _marginal_constraints(n, m, src, tgt)
         want = reference_marginal_constraints(n, m)
         assert got.shape == want.shape
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@contextmanager
+def recorded(name):
+    """Wrap ``transport.<name>`` for the block; yields the list of its results."""
+    results = []
+    original = getattr(transport, name)
+
+    def wrapper(*args, **kwargs):
+        out = original(*args, **kwargs)
+        results.append(out)
+        return out
+
+    setattr(transport, name, wrapper)
+    try:
+        yield results
+    finally:
+        setattr(transport, name, original)
+
+
+def lp_pair(rng, n, m, d, kind):
+    """Two probability measures of n and m atoms for the sparse LP route.
+
+    ``uniform``: points and weights uniform; ``two-cluster``: most source mass
+    in one far cluster and most target mass in the other; ``grid``: integer
+    points, so many distances tie; ``jittered``: one support, with weights a
+    tiny jitter apart (m is taken equal to n).
+    """
+    if kind == "two-cluster":
+        def cluster(k, share):
+            centre = np.where(np.arange(k) < share * k, 2.0, -2.0)[:, None]
+            return centre + rng.uniform(-0.3, 0.3, (k, d))
+
+        pa, pb = cluster(n, 0.2), cluster(m, 0.5)
+    elif kind == "grid":
+        pa, pb = rng.integers(-2, 3, (n, d)).astype(float), rng.integers(-2, 3, (m, d)).astype(float)
+    else:
+        pa, pb = rng.uniform(-2.5, 2.5, (n, d)), rng.uniform(-2.5, 2.5, (m, d))
+    wa = rng.uniform(0.2, 1.0, n)
+    if kind == "jittered":
+        pb, wb = pa, wa + rng.uniform(-1.0, 1.0, n) * 1e-7
+    else:
+        wb = rng.uniform(0.2, 1.0, m)
+    return ic.new_discrete(pa, wa / wa.sum()), ic.new_discrete(pb, wb / wb.sum())
+
+
+class TestSparseColumns:
+    """More than NEIGHBOURS atoms per side: the LP starts from a sparse column
+    set and must reach the optimum of the full LP, certified."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(NEIGHBOURS + 1, 90),
+        st.integers(NEIGHBOURS + 1, 90),
+        st.integers(2, 3),
+        st.sampled_from(["uniform", "two-cluster", "grid", "jittered"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_column_lp(self, n, m, d, kind, seed):
+        a, b = lp_pair(np.random.default_rng(seed), n, m, d, kind)
+        mass = a.total_mass
+        with recorded("_certify") as gaps:
+            plan = _lp_plan(a, b)
+        _, want = full_lp_plan(a, b)
+        assert abs(plan.cost - want) <= 1e-12 * mass
+        row, col = plan.marginals(a.n, b.n)
+        assert np.max(np.abs(row - a.weights)) <= 1e-10 * mass
+        assert np.max(np.abs(col - b.weights)) <= 1e-10 * mass
+        assert len(gaps) == 1 and gaps[0] <= MASS_TOL * mass
+
+    def test_two_clusters_need_more_columns(self):
+        # 30% of the mass must cross between clusters 4 apart, and no
+        # near-neighbour column crosses
+        a, b = lp_pair(np.random.default_rng(19), 80, 70, 2, "two-cluster")
+        with recorded("linprog") as solves:
+            plan = _lp_plan(a, b)
+        assert len(solves) >= 2
+        assert len(solves[0].x) < a.n * b.n
+        _, want = full_lp_plan(a, b)
+        assert abs(plan.cost - want) <= 1e-12 * a.total_mass
+
+    def test_small_sides_solve_every_column_once(self):
+        rng = np.random.default_rng(20)
+        a, b = random_probability(rng, NEIGHBOURS, 2), random_probability(rng, 90, 2)
+        with recorded("linprog") as solves:
+            _lp_plan(a, b)
+        assert len(solves) == 1 and len(solves[0].x) == NEIGHBOURS * 90
+
+    def test_certificate_on_two_by_two(self):
+        # sources (0,0), (1,0) and targets (0,1), (1,1), half a unit each:
+        # with u = 0 the repaired v is (1, 1) and the bound 1, the straight cost
+        dist = np.array([[1.0, np.sqrt(2.0)], [np.sqrt(2.0), 1.0]])
+        half = np.array([0.5, 0.5])
+        u = np.zeros(2)
+        straight = TransportPlan(np.array([0, 1]), np.array([0, 1]), half, 1.0)
+        assert _certify(straight, dist, half, half, u) == 0.0
+        crossing = TransportPlan(np.array([0, 1]), np.array([1, 0]), half, float(np.sqrt(2.0)))
+        with pytest.raises(DualityGap, match="exceeds its dual bound by 0.414"):
+            _certify(crossing, dist, half, half, u)
 
 
 class TestSolverTracing:

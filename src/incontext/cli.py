@@ -50,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_w1 = sub.add_parser("w1", help="1-Wasserstein distance between two measures")
     p_w1.add_argument("--a", required=True, help="first measure JSON")
     p_w1.add_argument("--b", required=True, help="second measure JSON")
-    p_w1.add_argument("--extended", action="store_true", help="allow unequal masses")
-    p_w1.add_argument("--plan", help="write the optimal flow as JSON")
+    route = p_w1.add_mutually_exclusive_group()
+    route.add_argument("--extended", action="store_true", help="allow unequal masses")
+    route.add_argument("--plan", help="write the optimal flow as JSON")
 
     p_fwd = sub.add_parser("forward", help="push a measure through a layer stack")
     p_fwd.add_argument("--stack", required=True)

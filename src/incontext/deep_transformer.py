@@ -20,7 +20,7 @@ import numpy as np
 
 from .attention import Layer, layer_step
 from .errors import DimensionMismatch
-from .measures import DiscreteMeasure, TokenSequence, canonicalize, iota, relocate
+from .measures import DiscreteMeasure, TokenSequence, _freeze, canonicalize, iota, relocate
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,4 @@ def forward_tokens(stack: LayerStack, seq: TokenSequence) -> TokenSequence:
     input permutes the output identically, bit for bit.
     """
     out = _map_rows(stack, context_chain(stack, iota(seq)), seq.tokens)
-    box = seq.box.hull(out)
-    out.flags.writeable = False
-    return TokenSequence(out, box)
+    return TokenSequence(_freeze(out), seq.box.hull(out))

@@ -45,6 +45,13 @@ def _smoothstep_deriv(u: np.ndarray) -> np.ndarray:
     return np.where((u > 0.0) & (u < 1.0), 30.0 * u * u * (u - 1.0) * (u - 1.0), 0.0)
 
 
+def _blend(v: np.ndarray, a: np.ndarray, dist: np.ndarray, r: float) -> np.ndarray:
+    """Values ``v`` at distance ``dist`` from anchors of value ``a``: ``a`` within
+    r/2, ``v`` from r on, and a C^1 radial ramp from ``a`` to ``v`` between."""
+    half = r / 2.0
+    return np.where(dist >= r, v, np.where(dist <= half, a, a + _smoothstep((dist - half) / half) * (v - a)))
+
+
 @dataclass(frozen=True)
 class Patch:
     """Anchor points, their values and the radius: the function is constant
@@ -84,9 +91,8 @@ class TestFunction:
         Y = np.atleast_2d(y)
         v = self.base_value(Y)
         if self.patch is not None:
-            _, dist, a, u = self._nearest_anchor(Y)
-            r = self.patch.radius
-            v = np.where(dist >= r, v, np.where(dist <= r / 2.0, a, a + _smoothstep(u) * (v - a)))
+            _, dist, a, _ = self._nearest_anchor(Y)
+            v = _blend(v, a, dist, self.patch.radius)
         return float(v[0]) if y.ndim == 1 else v
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
@@ -214,8 +220,9 @@ class _PairedProbe:
     """A probe image paired with the atoms of f(mu), the patch ``anchors``: each
     image atom within ``radius`` / 2 of its nearest anchor is matched to it.
     ``excess`` is, per anchor, the mass matched to it minus its own weight;
-    ``free_points``/``free_weights`` are the unmatched image atoms; ``added`` is
-    the mass added to mu at ``eps``; ``box`` holds both image supports."""
+    ``free_*`` are the unmatched image atoms, their weights, nearest anchors and
+    distances to them; ``added`` is the mass added to mu at ``eps``; ``box``
+    holds both image supports."""
 
     eps: float
     added: float
@@ -224,6 +231,8 @@ class _PairedProbe:
     excess: np.ndarray
     free_points: np.ndarray
     free_weights: np.ndarray
+    free_anchor: np.ndarray
+    free_dist: np.ndarray
     box: Box
 
 
@@ -234,9 +243,10 @@ def _paired_quotient(psi: TestFunction, probe: _PairedProbe) -> float:
     anchor's value weighted by its excess mass cancels the large common terms
     before any rounding can be amplified by 1/eps.
     """
-    patch = Patch(probe.anchors, probe.radius, psi.base_value(probe.anchors))
-    unmatched = probe.free_weights * replace(psi, patch=patch).value(probe.free_points)
-    anchored = np.sum(probe.excess * patch.values)
+    a = psi.base_value(probe.anchors)
+    v = _blend(psi.base_value(probe.free_points), a[probe.free_anchor], probe.free_dist, probe.radius)
+    unmatched = probe.free_weights * v
+    anchored = np.sum(probe.excess * a)
     # summed left to right from 0.0 (np.sum would pair the terms)
     total = np.add.accumulate(np.concatenate(([0.0], unmatched, [anchored])))[-1]
     return float(total) / probe.added
@@ -302,13 +312,15 @@ def _verified_probe(
         raise DisplacementTooLarge(f"image support moves more than {r / 4.0:.3g} even at eps {eps * 2:.3g}")
     radius = _usable_radius(r_eff, spacing)
     nearest = np.argmin(dist, axis=0)
-    matched = dist[nearest, np.arange(f_probe.n)] <= radius / 2.0
+    near_dist = dist[nearest, np.arange(f_probe.n)]
+    matched = near_dist <= radius / 2.0
     matched_mass = np.zeros(f_mu.n)
     np.add.at(matched_mass, nearest[matched], f_probe.weights[matched])
-    free_points, free_weights = f_probe.points[~matched], f_probe.weights[~matched]
+    free = ~matched
+    free_atoms = (f_probe.points[free], f_probe.weights[free], nearest[free], near_dist[free])
     excess = matched_mass - f_mu.weights
     box = f_mu.box.hull(f_probe.points)
-    return _PairedProbe(eps, added, f_mu.points, radius, excess, free_points, free_weights, box)
+    return _PairedProbe(eps, added, f_mu.points, radius, excess, *free_atoms, box)
 
 
 def regular_derivative(

@@ -12,6 +12,9 @@ Alongside the carrier live the push-forward of a measure under a rows map
 (all atoms as rows (n, d) to their images (n, d'), in one call), the minimal
 subset-sum gap of the weight vector, and the identification between token
 sequences and uniform empirical measures.
+
+Carriers own their arrays: ``Box``, ``new_discrete`` and ``new_tokens`` copy
+the caller's input once, and ``_freeze`` stores every array as a read-only view.
 """
 
 from __future__ import annotations
@@ -47,18 +50,16 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
+        lo = np.array(self.lo, dtype=float)
+        hi = np.array(self.hi, dtype=float)
         if lo.ndim != 1 or hi.ndim != 1 or lo.shape != hi.shape:
             raise LengthMismatch("box corners must be 1-d vectors of equal length")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise PointOutsideBox("box corners must be finite")
         if np.any(lo > hi):
             raise PointOutsideBox("box lower corner exceeds upper corner")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo", _freeze(lo))
+        object.__setattr__(self, "hi", _freeze(hi))
 
     @property
     def dim(self) -> int:
@@ -164,7 +165,8 @@ class TokenSequence:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+    """Read-only view of ``arr``; the caller's own array keeps its flags."""
+    out = arr.view()
     out.flags.writeable = False
     return out
 
@@ -185,8 +187,8 @@ def new_discrete(
     when the inputs violate the carrier invariants.  ``box`` defaults to
     [-3, 3]^d.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    pts = np.atleast_2d(np.array(points, dtype=float))
+    w = np.array(weights, dtype=float).reshape(-1)
     # an empty point list becomes shape (1, 0) under atleast_2d
     if pts.size == 0:
         raise EmptyMeasure("a measure needs at least one atom")
@@ -374,8 +376,9 @@ def is_dif(mu: DiscreteMeasure) -> bool:
 
 
 def new_tokens(tokens: Sequence[Sequence[float]] | np.ndarray, box: Box | None = None) -> TokenSequence:
-    toks = np.atleast_2d(np.asarray(tokens, dtype=float))
-    if toks.shape[0] == 0:
+    toks = np.atleast_2d(np.array(tokens, dtype=float))
+    # an empty token list becomes shape (1, 0) under atleast_2d
+    if toks.size == 0:
         raise EmptySequence("a token sequence needs at least one token")
     if not np.isfinite(toks).all():
         raise PointOutsideBox("tokens must be finite")

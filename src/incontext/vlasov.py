@@ -20,7 +20,7 @@ import numpy as np
 from .attention import AttentionParams, Layer, MlpParams, velocity_rows
 from .deep_transformer import LayerStack, forward_measure
 from .errors import NonFiniteState, TooFewTimePoints
-from .measures import Box, DiscreteMeasure, canonicalize
+from .measures import Box, DiscreteMeasure, _freeze, _raw_measure, canonicalize
 from .transport import w1_matching
 
 VelocityFn = Callable[[float, DiscreteMeasure, np.ndarray], np.ndarray]
@@ -83,9 +83,7 @@ def _state_measure(rows: np.ndarray, weights: np.ndarray, box: Box) -> DiscreteM
     """Measure on a read-only view of the particle rows: no copy, no re-sort."""
     if not np.isfinite(rows).all():
         raise NonFiniteState("particle positions became non-finite")
-    pts = rows.view()
-    pts.flags.writeable = False
-    return DiscreteMeasure(pts, weights, box.hull(pts), False)
+    return _raw_measure(rows, weights, box.hull(rows), False)
 
 
 def _integrate(
@@ -116,15 +114,14 @@ def _integrate(
         path[step + 1] = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     if not np.isfinite(path[-1]).all():
         raise NonFiniteState("flow state became non-finite")
-    path.flags.writeable = False
-    return path
+    return _freeze(path)
 
 
 def _flow(v: VelocityField, mu0: DiscreteMeasure, steps: int, rk4: bool) -> Trajectory:
     mu_c = canonicalize(mu0)
     h = 1.0 / steps
     path = _integrate(v, mu_c, mu_c.points, h, steps, rk4)
-    return Trajectory(np.arange(steps + 1) * h, path, mu_c.weights, mu_c.box)
+    return Trajectory(_freeze(np.arange(steps + 1) * h), path, mu_c.weights, mu_c.box)
 
 
 def euler_flow(v: VelocityField, mu0: DiscreteMeasure, T: int) -> Trajectory:

@@ -96,6 +96,17 @@ class TestW1Command:
     def test_usage_error_exit_code(self, capsys):
         assert main(["w1", "--a", "only.json"]) == 2
 
+    def test_extended_with_plan_is_a_usage_error(self, tmp_path, capsys):
+        # the extended distance has no plan to write
+        a = write_measure(tmp_path / "a.json", ic.dirac([0.0], mass=2.0))
+        b = write_measure(tmp_path / "b.json", ic.dirac([1.0]))
+        plan_path = tmp_path / "plan.json"
+        assert main(["w1", "--a", a, "--b", b, "--extended", "--plan", str(plan_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --plan: not allowed with argument --extended" in captured.err
+        assert not plan_path.exists()
+
 
 class TestForwardCommands:
     def test_forward_measure_roundtrip(self, tmp_path):
@@ -121,6 +132,36 @@ class TestForwardCommands:
         got = ser.tokens_from_doc(json.loads(out.read_text()))
         assert np.array_equal(got.tokens, ic.forward_tokens(stack, seq).tokens)
 
+
+    def test_forward_tokens_in_a_declared_box(self, tmp_path):
+        rng = np.random.default_rng(33)
+        stack = random_stack(rng, 2)
+        s = write_stack(tmp_path / "s.json", stack)
+        box = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+        t = tmp_path / "t.json"
+        ser.save_json(str(t), {"dim": 2, "tokens": [[0.5, -0.5], [0.0, 1.0]], "box": box})
+        out = tmp_path / "u.json"
+        assert main(["forward-tokens", "--stack", s, "--tokens", str(t), "--out", str(out)]) == 0
+        seq = ic.new_tokens([[0.5, -0.5], [0.0, 1.0]], ic.Box(np.array(box["lo"]), np.array(box["hi"])))
+        assert out.read_text() == ser.dumps(ser.tokens_to_doc(ic.forward_tokens(stack, seq)))
+
+    def test_token_outside_the_declared_box_exits_one(self, tmp_path, capsys):
+        s = write_stack(tmp_path / "s.json", random_stack(np.random.default_rng(33), 2))
+        t = tmp_path / "t.json"
+        ser.save_json(str(t), {"tokens": [[0.5, -0.5], [0.0, 1.5]], "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}})
+        out = tmp_path / "u.json"
+        assert main(["forward-tokens", "--stack", s, "--tokens", str(t), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: PointOutsideBox: some token lies outside the declared box\n"
+        assert not out.exists()
+
+    def test_empty_token_list_exits_one(self, tmp_path, capsys):
+        s = write_stack(tmp_path / "s.json", random_stack(np.random.default_rng(34), 2))
+        t = tmp_path / "t.json"
+        ser.save_json(str(t), {"tokens": []})
+        assert main(["forward-tokens", "--stack", s, "--tokens", str(t), "--out", str(tmp_path / "u.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: EmptySequence: a token sequence needs at least one token\n"
 
     def test_overflowing_stack_exits_one(self, tmp_path, capsys):
         s = write_stack(tmp_path / "s.json", overflowing_stack())
@@ -196,6 +237,19 @@ class TestFlowCommand:
         lines = out1.read_text().splitlines()
         assert lines[0] == "t,atom_index,x_1,x_2,weight"
         assert len(lines) == 1 + 9 * 3  # header + (T+1) times x 3 atoms
+
+    def test_empty_stack_leaves_the_atoms_in_place(self, tmp_path):
+        s = tmp_path / "s.json"
+        ser.save_json(str(s), {"dim": 2, "layers": []})
+        mu = ic.new_discrete([[0.5, -1.0], [-0.25, 2.0]], [0.25, 0.75])
+        m = write_measure(tmp_path / "m.json", mu)
+        out = tmp_path / "t.csv"
+        assert main(["flow", "--stack", str(s), "--measure", m, "--T", "2", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        atoms = ["-0.25,2,0.75", "0.5,-1,0.25"]
+        assert lines == ["t,atom_index,x_1,x_2,weight"] + [
+            f"{t},{i},{atom}" for t in ["0", "0.5", "1"] for i, atom in enumerate(atoms)
+        ]
 
 
 class TestDepthLimitCommand:
@@ -425,6 +479,30 @@ class TestBadInputs:
         m = write_measure(tmp_path / "m.json", random_measure(rng, 2, 2))
         assert main(["forward", "--stack", str(s), "--measure", m, "--out", str(tmp_path / "y.json")]) == 1
         assert f"error: BadInputFile: ValueError: {what} must be a JSON array" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            ([1.0, -1.0], [0.0, 1.0], "PointOutsideBox: box lower corner exceeds upper corner"),
+            ([-1.0, -1.0], [1.0], "LengthMismatch: box corners must be 1-d vectors of equal length"),
+            ([-1.0, -1.0], [1.0, 1e999], "PointOutsideBox: box corners must be finite"),
+        ],
+    )
+    def test_bad_box_corners_exit_one(self, tmp_path, capsys, lo, hi, message):
+        bad = tmp_path / "box.json"
+        bad.write_text(json.dumps({"points": [[0.0, 0.0]], "weights": [1.0], "box": {"lo": lo, "hi": hi}}))
+        assert main(["w1", "--a", str(bad), "--b", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_head_count_mismatch_exits_one(self, tmp_path, capsys):
+        rng = np.random.default_rng(15)
+        doc = ser.stack_to_doc(random_stack(rng, 2))
+        doc["layers"][0]["attention"]["heads"] = 2
+        s = tmp_path / "s.json"
+        ser.save_json(str(s), doc)
+        m = write_measure(tmp_path / "m.json", random_measure(rng, 2, 2))
+        assert main(["forward", "--stack", str(s), "--measure", m, "--out", str(tmp_path / "y.json")]) == 1
+        assert capsys.readouterr().err == "error: LengthMismatch: head count does not match per_head entries\n"
 
     def test_empty_measure_file_exits_one(self, tmp_path, capsys):
         doc = ser.measure_to_doc(ic.dirac([0.0]))

@@ -42,6 +42,12 @@ class TestPatchedTest:
         with pytest.raises(AnchorsTooClose):
             ic.build_patched_test(base, np.array([[0.0], [1e-9]]), 0.1)
 
+    @pytest.mark.parametrize("r", [0.0, -0.1])
+    def test_nonpositive_radius_raises(self, r):
+        base = ic.coordinate_test(0, ic.default_box(1))
+        with pytest.raises(AnchorsTooClose, match="patch radius must be positive"):
+            ic.build_patched_test(base, np.array([[0.0], [1.0]]), r)
+
     def test_gradient_vanishes_inside_ball(self):
         base = ic.coordinate_test(0, ic.default_box(2))
         patched = ic.build_patched_test(base, np.array([[0.5, 0.5]]), 0.1)
@@ -230,8 +236,8 @@ class TestExtractG:
             assert ic.w1_matching(rebuilt, ic.forward_measure(stack, mu)).cost <= 1e-4
 
     def test_probe_is_settled_and_paired_once(self, monkeypatch):
-        # one spacing matrix for the image support, one matrix per eps tried,
-        # and per coordinate only the patched read of the unmatched atoms
+        # one spacing matrix for the image support and one matrix per eps
+        # tried; the coordinates read the pairing and build none
         from incontext import derivative
 
         calls = []
@@ -242,7 +248,7 @@ class TestExtractG:
         mu = random_measure(rng, 12, 2)
         _, eps_used = ic.extract_g_detailed(f, mu, rng.uniform(-1, 1, size=2), 1e-6)
         assert eps_used == 1e-6
-        assert len(calls) == 1 + 1 + 2
+        assert len(calls) == 1 + 1
 
     def test_query_image_near_existing_image(self):
         # the probe's image lands 0.01 from an existing image atom, inside the

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import incontext as ic
 from incontext.errors import (
     EmptyMeasure,
+    EmptySequence,
     LengthMismatch,
     MapUndefinedAtAtom,
     NonpositiveWeight,
@@ -13,8 +14,9 @@ from incontext.errors import (
     PointOutsideBox,
     SupportTooLarge,
 )
+from incontext.measures import relocate
 
-from helpers import gap_oracle_literal, gap_oracle_signed, random_measure, reference_canonicalize
+from helpers import gap_oracle_literal, gap_oracle_signed, random_measure, random_stack, reference_canonicalize
 
 
 # tie-heavy weights: shared values whose sums collide, plus arbitrary ones
@@ -189,6 +191,15 @@ class TestPushForward:
         with pytest.raises(MapUndefinedAtAtom):
             ic.push_forward(mu, lambda X: X[:2])
 
+    def test_into_another_dimension(self):
+        # the output box is the images' own bounding box, not a hull with the input box
+        mu = ic.new_discrete([[0.5, -1.0], [-0.25, 2.0], [1.0, 0.0]], [0.25, 0.5, 0.25])
+        nu = ic.push_forward(mu, lambda X: X[:, :1] + X[:, 1:])
+        assert nu.dim == 1
+        assert nu.points.tolist() == [[-0.5], [1.0], [1.75]]
+        assert nu.weights.tolist() == [0.25, 0.25, 0.5]
+        assert nu.box == ic.Box(np.array([-0.5]), np.array([1.75]))
+
     def test_box_expands_when_needed(self):
         mu = ic.dirac([2.5])
         nu = ic.push_forward(mu, lambda p: p + 2.0)
@@ -337,6 +348,11 @@ class TestIota:
         seq = ic.iota_inv(pair, 2)
         assert np.array_equal(seq.tokens, [[0.0], [1.0]])
 
+    @pytest.mark.parametrize("tokens", [[], [[]], np.zeros((0, 2))])
+    def test_empty_token_list_rejected(self, tokens):
+        with pytest.raises(EmptySequence):
+            ic.new_tokens(tokens)
+
     def test_inverse_rejects_offgrid(self):
         mu = ic.new_discrete([[0.0], [1.0]], [0.25, 0.75], box1())
         with pytest.raises(NotRationalGrid):
@@ -369,3 +385,93 @@ class TestBox:
         assert b.hull(np.array([[0.0, 1.0], [-3.0, 3.0]])) is b
         assert b.hull(np.array([0.5, -0.5])) is b
         assert b.hull(np.array([[0.0, 3.5]])) is not b
+
+
+def _carrier_arrays(carrier):
+    """Every array a carrier holds, its box corners included."""
+    if isinstance(carrier, ic.Box):
+        return [carrier.lo, carrier.hi]
+    if isinstance(carrier, ic.TokenSequence):
+        return [carrier.tokens, *_carrier_arrays(carrier.box)]
+    if isinstance(carrier, ic.Trajectory):
+        return [carrier.times, carrier.points, carrier.weights, *_carrier_arrays(carrier.box)]
+    return [carrier.points, carrier.weights, *_carrier_arrays(carrier.box)]
+
+
+class TestOwnership:
+    """The validated edges copy the caller's arrays once and never change their
+    flags; every array of a returned carrier is read-only."""
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_box_copies_the_corners(self, writeable):
+        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 2.0])
+        lo.flags.writeable = hi.flags.writeable = writeable
+        box = ic.Box(lo, hi)
+        assert lo.flags.writeable is writeable and hi.flags.writeable is writeable
+        if writeable:
+            lo[0], hi[1] = -5.0, 5.0
+        assert box.lo.tolist() == [-1.0, -1.0] and box.hi.tolist() == [1.0, 2.0]
+        assert not box.lo.flags.writeable and not box.hi.flags.writeable
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_new_discrete_copies_points_and_weights(self, writeable):
+        pts, w = np.array([[0.5, 0.0], [0.0, 0.5]]), np.array([0.25, 0.75])
+        pts.flags.writeable = w.flags.writeable = writeable
+        mu = ic.new_discrete(pts, w)
+        assert pts.flags.writeable is writeable and w.flags.writeable is writeable
+        if writeable:
+            pts[0, 0], w[1] = 9.0, 9.0
+        assert mu.points.tolist() == [[0.5, 0.0], [0.0, 0.5]] and mu.weights.tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_new_tokens_copies_the_tokens(self, writeable):
+        toks = np.array([[0.5], [-1.0], [0.5]])
+        toks.flags.writeable = writeable
+        seq = ic.new_tokens(toks)
+        assert toks.flags.writeable is writeable
+        if writeable:
+            toks[1, 0] = 9.0
+        assert seq.tokens.tolist() == [[0.5], [-1.0], [0.5]]
+
+    def test_push_forward_keeps_the_maps_array(self):
+        mu = ic.new_discrete([[0.0], [1.0]], [0.5, 0.5])
+        images = np.array([[2.0], [-2.0]])
+        nu = ic.push_forward(mu, lambda X: images)
+        assert images.flags.writeable
+        images[:] = 0.0
+        assert nu.points.tolist() == [[-2.0], [2.0]]
+        # a map that hands back the (read-only) atoms themselves leaves them read-only
+        assert ic.push_forward(mu, lambda X: X) == mu
+        assert not mu.points.flags.writeable
+
+    def test_every_returned_array_is_read_only(self):
+        rng = np.random.default_rng(40)
+        mu = random_measure(rng, 4, 2)
+        seq = ic.new_tokens([[0.5, 0.0], [0.5, 0.0], [-1.0, 1.0]])
+        stack = random_stack(rng, 2, depth=2)
+        traj = ic.euler_flow(ic.VelocityField.from_stack(stack), mu, 3)
+        carriers = [
+            ic.default_box(2),
+            ic.default_box(2).hull(np.array([[4.0, 0.0]])),
+            ic.default_box(2).enlarged(0.5),
+            mu,
+            ic.dirac([0.25, 0.5]),
+            ic.canonicalize(mu),
+            mu.normalized(),
+            mu.scaled(2.0),
+            ic.push_forward(mu, lambda X: 2.0 * X),
+            relocate(mu, mu.points[:, ::-1]),
+            ic.add_atom(mu, np.array([0.1, 0.2]), 0.5),
+            ic.make_dif(ic.new_discrete([[0.0], [1.0]], [0.5, 0.5]), 1e-3, 0),
+            seq,
+            ic.iota(seq),
+            ic.iota_inv(ic.iota(seq), 3),
+            ic.forward_measure(stack, mu),
+            ic.forward_tokens(stack, seq),
+            traj,
+            traj.final,
+            *traj.states,
+        ]
+        for carrier in carriers:
+            for arr in _carrier_arrays(carrier):
+                assert not arr.flags.writeable, carrier

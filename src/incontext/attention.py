@@ -11,8 +11,8 @@ maps compose with the diamond rule: the second map sees the first map's
 pushed-forward context.
 
 All of it is evaluated by one batched kernel, :func:`layer_step`, on query
-rows of shape (m, d) against a context reduced in its given atom order; the
-single-point functions are its m = 1 calls on their canonical measure.
+rows (m, d) against context points (n, d) and weights (n,) in the order given;
+the single-point functions are its m = 1 calls on a canonical measure's arrays.
 """
 
 from __future__ import annotations
@@ -133,37 +133,37 @@ def _rowmul(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     """
     if X.shape[1] != A.shape[1]:
         raise DimensionMismatch(f"points of dimension {X.shape[1]} meet a matrix of width {A.shape[1]}")
-    cols = np.ascontiguousarray(A.T)
-    out = X[:, :1] * cols[0]
+    out = X[:, :1] * A[:, 0]
     term = np.empty_like(out)
     for j in range(1, X.shape[1]):
-        out += np.multiply(X[:, j : j + 1], cols[j], out=term)
+        out += np.multiply(X[:, j : j + 1], A[:, j], out=term)
     return out
 
 
 def _attend(
     params: AttentionParams,
-    ctx: DiscreteMeasure,
+    pts: np.ndarray,
+    w: np.ndarray,
     X: np.ndarray,
     weights: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Attention displacement at every query row against the context ``ctx``.
+    """Attention displacement at every query row against context atoms ``pts``, weights ``w``.
 
     Per head: logits (m, n) = (Q x) . (K x_l) / sqrt(key_dim), a weighted
     softmax stabilized by each row's maximum, and the pooled values mapped
-    through W V, reducing over the atoms of ``ctx`` in the order given.  The
-    (m, n) softmax weights of each head are appended to ``weights`` if given.
+    through W V, reducing over the atoms in the order given.  The (m, n)
+    softmax weights of each head are appended to ``weights`` if given.
     """
-    if ctx.n == 0:
+    if pts.shape[0] == 0:
         raise EmptyMeasure("attention needs a nonempty context measure")
-    pts_t = np.ascontiguousarray(ctx.points.T)
+    pts_t = np.ascontiguousarray(pts.T)
     scale = 1.0 / math.sqrt(params.key_dim)
     out = np.zeros_like(X)
     for head in params.heads:
-        p = _rowmul(_rowmul(X, head.q) * scale, _rowmul(ctx.points, head.k))
+        p = _rowmul(_rowmul(X, head.q) * scale, _rowmul(pts, head.k))
         p -= np.max(p, axis=1, keepdims=True)
         np.exp(p, out=p)
-        p *= ctx.weights
+        p *= w
         p /= np.sum(p, axis=1, keepdims=True)
         if weights is not None:
             weights.append(p)
@@ -185,36 +185,40 @@ def _mlp_rows(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return params.skip * X + h
 
 
-def velocity_rows(
-    att: AttentionParams, mlp_p: MlpParams, ctx: DiscreteMeasure, X: np.ndarray
-) -> np.ndarray:
+def velocity_rows(att: AttentionParams, mlp_p: MlpParams, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Layer velocity Att(ctx, x) + H(x + Att(ctx, x)) at every row of X (m, d).
 
-    The atoms of ``ctx`` are reduced in the order given.  Requires a unit skip
-    coefficient; rows do not depend on how many are evaluated together.
+    Context atoms ``pts`` (weights ``w``) are reduced in the order given.  Requires
+    a unit skip coefficient; rows do not depend on how many are evaluated together.
     """
     if mlp_p.skip != 1.0:
         raise SkipNotUnit(f"velocity needs skip coefficient 1, got {mlp_p.skip}")
-    a = _attend(att, ctx, X)
+    a = _attend(att, pts, w, X)
     g = X + a
     return a + (_mlp_rows(mlp_p, g) - g)
 
 
-def layer_step(layer: Layer, ctx: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
+def layer_step(layer: Layer, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The batched layer kernel: images of the query rows X (m, d) under one layer.
 
-    The atoms of ``ctx`` are reduced in the order given.  At scale 1 a row maps
-    to F(x + Att(ctx, x)); at scale c to x + c * velocity.  Each row's result
-    is bitwise independent of the batch size m, as if evaluated alone.
+    Context atoms ``pts`` (weights ``w``) are reduced in the order given.  At
+    scale 1 a row maps to F(x + Att(ctx, x)); at scale c to x + c * velocity.
+    Each row's result is bitwise independent of the batch size m, as if alone.
     """
     X = np.asarray(X, dtype=float)
     if layer.scale == 1.0:
-        return _mlp_rows(layer.mlp, X + _attend(layer.attention, ctx, X))
-    return X + layer.scale * velocity_rows(layer.attention, layer.mlp, ctx, X)
+        return _mlp_rows(layer.mlp, X + _attend(layer.attention, pts, w, X))
+    return X + layer.scale * velocity_rows(layer.attention, layer.mlp, pts, w, X)
 
 
 def _row(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=float).reshape(1, -1)
+
+
+def _context(mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's context arrays: the points and weights of canonical ``mu``."""
+    c = canonicalize(mu)
+    return c.points, c.weights
 
 
 def attention_weights(params: AttentionParams, mu: DiscreteMeasure, x: np.ndarray) -> list[np.ndarray]:
@@ -224,7 +228,7 @@ def attention_weights(params: AttentionParams, mu: DiscreteMeasure, x: np.ndarra
     maximum before exponentiation; each returned vector sums to one.
     """
     weights: list[np.ndarray] = []
-    _attend(params, canonicalize(mu), _row(x), weights)
+    _attend(params, *_context(mu), _row(x), weights)
     return [p[0] for p in weights]
 
 
@@ -234,13 +238,13 @@ def attention(params: AttentionParams, mu: DiscreteMeasure, x: np.ndarray) -> np
     Context atoms are reduced in canonical order, so the result is identical
     (bitwise) for any atom relabeling of ``mu``.
     """
-    return _attend(params, canonicalize(mu), _row(x))[0]
+    return _attend(params, *_context(mu), _row(x))[0]
 
 
 def gamma(params: AttentionParams, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
     """Residual attention layer x + Att(mu, x)."""
     x = _row(x)
-    return (x + _attend(params, canonicalize(mu), x))[0]
+    return (x + _attend(params, *_context(mu), x))[0]
 
 
 def mlp(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -254,7 +258,7 @@ def velocity(att: AttentionParams, mlp_p: MlpParams, mu: DiscreteMeasure, x: np.
     Requires a unit skip coefficient so that the layer is a perturbation of
     the identity; then x + velocity(mu, x) = F(x + Att(mu, x)) exactly.
     """
-    return velocity_rows(att, mlp_p, canonicalize(mu), _row(x))[0]
+    return velocity_rows(att, mlp_p, *_context(mu), _row(x))[0]
 
 
 @dataclass(eq=False)
@@ -291,13 +295,12 @@ class InContextMap:
 
     @staticmethod
     def from_gamma(params: AttentionParams) -> "InContextMap":
-        d = params.dim
-        return InContextMap(lambda mu, X: X + _attend(params, canonicalize(mu), X), d, d)
+        return InContextMap(lambda mu, X: X + _attend(params, *_context(mu), X), params.dim, params.dim)
 
     @staticmethod
     def from_layer(att: AttentionParams, mlp_p: MlpParams) -> "InContextMap":
         layer = Layer(att, mlp_p)
-        return InContextMap(lambda mu, X: layer_step(layer, canonicalize(mu), X), att.dim, att.dim)
+        return InContextMap(lambda mu, X: layer_step(layer, *_context(mu), X), att.dim, att.dim)
 
 
 def compose_diamond(g1: InContextMap, g2: InContextMap) -> InContextMap:

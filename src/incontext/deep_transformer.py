@@ -4,7 +4,8 @@ A stack of T layers acts on a point by threading it through each layer while
 the context measure is pushed forward alongside (the diamond rule).  The same
 stack acts on measures by relocating every atom, and on token sequences by
 acting pointwise while keeping the input order.  Each layer moves all atoms
-(or tokens) in one call of the batched kernel ``layer_step``.
+(or tokens) in one call of the batched kernel ``layer_step``, which reads its
+context measure only through the measure's points and weights arrays.
 
 Each layer carries an optional velocity scale: at scale 1 the layer applies
 ``F(x + Att(mu, x))`` directly, at scale c it applies ``x + c * velocity``,
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import Layer, layer_step
+from .attention import Layer, _context, _row, layer_step
 from .errors import DimensionMismatch
 from .measures import DiscreteMeasure, TokenSequence, _freeze, canonicalize, iota, relocate
 
@@ -46,7 +47,7 @@ class LayerStack:
 
 def apply_layer(layer: Layer, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
     """One layer at context ``mu``: F(Gamma(mu, x)), or the scaled velocity step."""
-    return layer_step(layer, canonicalize(mu), np.asarray(x, dtype=float).reshape(1, -1))[0]
+    return layer_step(layer, *_context(mu), _row(x))[0]
 
 
 def context_chain(stack: LayerStack, mu: DiscreteMeasure) -> list[DiscreteMeasure]:
@@ -59,21 +60,20 @@ def context_chain(stack: LayerStack, mu: DiscreteMeasure) -> list[DiscreteMeasur
     nu = canonicalize(mu)
     chain = [nu]
     for layer in stack.layers:
-        nu = relocate(nu, layer_step(layer, nu, nu.points))
+        nu = relocate(nu, layer_step(layer, nu.points, nu.weights, nu.points))
         chain.append(nu)
     return chain
 
 
 def _map_rows(stack: LayerStack, chain: list[DiscreteMeasure], X: np.ndarray) -> np.ndarray:
     for layer, ctx in zip(stack.layers, chain):
-        X = layer_step(layer, ctx, X)
+        X = layer_step(layer, ctx.points, ctx.weights, X)
     return X
 
 
 def forward_map(stack: LayerStack, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
     """The stack's in-context map at (mu, x)."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return _map_rows(stack, context_chain(stack, mu), x)[0]
+    return _map_rows(stack, context_chain(stack, mu), _row(x))[0]
 
 
 def forward_measure(stack: LayerStack, mu: DiscreteMeasure) -> DiscreteMeasure:

@@ -384,6 +384,8 @@ def new_tokens(tokens: Sequence[Sequence[float]] | np.ndarray, box: Box | None =
         raise PointOutsideBox("tokens must be finite")
     if box is None:
         box = default_box(toks.shape[1])
+    if toks.ndim != 2 or box.dim != toks.shape[1]:
+        raise LengthMismatch(f"box dimension {box.dim} vs tokens of shape {toks.shape}")
     if not box.contains(toks):
         raise PointOutsideBox("some token lies outside the declared box")
     return TokenSequence(_freeze(toks), box)

@@ -16,7 +16,7 @@ import numpy as np
 from .attention import AttentionParams, HeadParams, MlpParams
 from .deep_transformer import Layer, LayerStack
 from .errors import LengthMismatch
-from .measures import Box, DiscreteMeasure, TokenSequence, new_discrete, new_tokens
+from .measures import Box, DiscreteMeasure, TokenSequence, default_box, new_discrete, new_tokens
 from .transport import TransportPlan
 
 
@@ -98,13 +98,7 @@ def tokens_to_doc(seq: TokenSequence) -> dict:
 
 def tokens_from_doc(doc: dict) -> TokenSequence:
     toks = np.atleast_2d(np.asarray(doc["tokens"], dtype=float))
-    box = None
-    if "box" in doc:
-        box = _box_from_doc(doc["box"])
-    elif toks.size:
-        lo = np.minimum(toks.min(axis=0), -3.0)
-        hi = np.maximum(toks.max(axis=0), 3.0)
-        box = Box(lo, hi)
+    box = _box_from_doc(doc["box"]) if "box" in doc else default_box(toks.shape[1]).hull(toks)
     return _dim_checked(doc, new_tokens(toks, box))
 
 

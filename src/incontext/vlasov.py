@@ -44,7 +44,7 @@ class VelocityField:
     @staticmethod
     def from_layer(att: AttentionParams, mlp_p: MlpParams) -> "VelocityField":
         """Time-independent field given by one attention+MLP layer displacement."""
-        return VelocityField(lambda t, mu, X: velocity_rows(att, mlp_p, mu, X))
+        return VelocityField(lambda t, mu, X: velocity_rows(att, mlp_p, mu.points, mu.weights, X))
 
     @staticmethod
     def from_stack(stack: LayerStack) -> "VelocityField":
@@ -55,7 +55,7 @@ class VelocityField:
 
         def fn(t: float, mu: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
             layer = layers[min(int(t * len(layers)), len(layers) - 1)]
-            return layer.scale * velocity_rows(layer.attention, layer.mlp, mu, X)
+            return layer.scale * velocity_rows(layer.attention, layer.mlp, mu.points, mu.weights, X)
 
         return VelocityField(fn)
 

@@ -163,6 +163,17 @@ class TestForwardCommands:
         assert captured.out == ""
         assert captured.err == "error: EmptySequence: a token sequence needs at least one token\n"
 
+    def test_box_of_another_dimension_exits_one(self, tmp_path, capsys):
+        s = write_stack(tmp_path / "s.json", random_stack(np.random.default_rng(35), 2))
+        t = tmp_path / "t.json"
+        ser.save_json(str(t), {"tokens": [[0.5, 0.5], [0.25, -0.5]], "box": {"lo": [-1.0], "hi": [1.0]}})
+        out = tmp_path / "u.json"
+        assert main(["forward-tokens", "--stack", s, "--tokens", str(t), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: LengthMismatch: box dimension 1 vs tokens of shape (2, 2)\n"
+        assert not out.exists()
+
     def test_overflowing_stack_exits_one(self, tmp_path, capsys):
         s = write_stack(tmp_path / "s.json", overflowing_stack())
         m = write_measure(tmp_path / "m.json", ic.new_discrete(OVERFLOW_POINTS, [0.2, 0.3, 0.5]))
@@ -399,7 +410,7 @@ class TestRepeatedCalls:
             ["flow", "--stack", "s.json", "--measure", a, "--T", "2", "--integrator", "midpoint", "--out", "y.csv"],
             ["--seed", "3", "w1", "--a", a, "--b", b, "--extended"],
         ]
-        alone = [
+        procs = [
             subprocess.Popen(
                 [sys.executable, "-m", "incontext.cli", *argv],
                 env=src_env(COLUMNS="80"),
@@ -414,10 +425,11 @@ class TestRepeatedCalls:
             code = main(argv)
             captured = capsys.readouterr()
             in_one.append((captured.out, captured.err, code))
+        # read every process before the first assertion, so a failed one leaves no pipe open
+        alone = [(*proc.communicate(), proc.returncode) for proc in procs]
         assert [code for _, _, code in in_one] == [0, 2, 0, 0, 2, 0]
-        for argv, got, proc in zip(calls, in_one, alone):
-            out, err = proc.communicate()
-            assert got == (out, err, proc.returncode), argv
+        for argv, got, want in zip(calls, in_one, alone):
+            assert got == want, argv
 
 
 class TestBadInputs:

@@ -2,10 +2,14 @@
 per-point reference evaluation."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import incontext as ic
+from incontext.attention import _attend, _context, _rowmul
+from incontext.errors import EmptyMeasure
 
 from helpers import (
     each_row,
@@ -40,37 +44,90 @@ def cases(seed):
 class TestBatchIndependence:
     def test_rows_equal_single_row_evaluations_bitwise(self):
         for layer, ctx, X in cases(0):
-            batched = ic.layer_step(layer, ctx, X)
+            batched = ic.layer_step(layer, ctx.points, ctx.weights, X)
             assert batched.shape == X.shape
             for i in range(X.shape[0]):
-                alone = ic.layer_step(layer, ctx, X[i : i + 1])
+                alone = ic.layer_step(layer, ctx.points, ctx.weights, X[i : i + 1])
                 assert np.array_equal(batched[i], alone[0]), (ctx.n, ctx.dim, i)
 
     def test_row_order_does_not_matter(self):
         rng = np.random.default_rng(1)
         for layer, ctx, X in cases(1):
             perm = rng.permutation(X.shape[0])
-            assert np.array_equal(ic.layer_step(layer, ctx, X[perm]), ic.layer_step(layer, ctx, X)[perm])
+            assert np.array_equal(
+                ic.layer_step(layer, ctx.points, ctx.weights, X[perm]),
+                ic.layer_step(layer, ctx.points, ctx.weights, X)[perm],
+            )
 
     def test_velocity_rows_equal_single_rows(self):
         for layer, ctx, X in cases(2):
-            batched = ic.velocity_rows(layer.attention, layer.mlp, ctx, X)
+            batched = ic.velocity_rows(layer.attention, layer.mlp, ctx.points, ctx.weights, X)
             for i in range(X.shape[0]):
-                alone = ic.velocity_rows(layer.attention, layer.mlp, ctx, X[i : i + 1])
+                alone = ic.velocity_rows(layer.attention, layer.mlp, ctx.points, ctx.weights, X[i : i + 1])
                 assert np.array_equal(batched[i], alone[0])
 
     def test_point_functions_match_rows(self):
         for layer, ctx, X in cases(3):
-            rows = ic.layer_step(layer, ctx, X)
+            att, mlp_p = layer.attention, layer.mlp
+            rows = ic.layer_step(layer, ctx.points, ctx.weights, X)
+            # a non-canonical context: the point functions canonicalize it first
+            mu = ic.new_discrete(ctx.points[::-1], ctx.weights[::-1], ctx.box)
+            pts, w = _context(mu)
+            head_weights = []
+            att_rows = _attend(att, pts, w, X, head_weights)
+            vel_rows = ic.velocity_rows(att, mlp_p, pts, w, X)
             for i in (0, X.shape[0] - 1):
                 assert np.array_equal(ic.deep_transformer.apply_layer(layer, ctx, X[i]), rows[i])
+                assert np.array_equal(ic.deep_transformer.apply_layer(layer, mu, X[i]), rows[i])
+                assert np.array_equal(ic.attention(att, mu, X[i]), att_rows[i])
+                assert np.array_equal(ic.gamma(att, mu, X[i]), X[i] + att_rows[i])
+                assert np.array_equal(ic.velocity(att, mlp_p, mu, X[i]), vel_rows[i])
+                got = ic.attention_weights(att, mu, X[i])
+                assert len(got) == len(head_weights)
+                for p, q in zip(got, head_weights):
+                    assert np.array_equal(p, q[i])
+
+
+def contiguous_transpose_rowmul(X, A):
+    """The former ``_rowmul``: column j of A read as row j of a contiguous copy of A.T."""
+    cols = np.ascontiguousarray(A.T)
+    out = X[:, :1] * cols[0]
+    term = np.empty_like(out)
+    for j in range(1, X.shape[1]):
+        out += np.multiply(X[:, j : j + 1], cols[j], out=term)
+    return out
+
+
+class TestArrayKernel:
+    def test_rowmul_reads_columns_of_any_layout_bitwise(self):
+        rng = np.random.default_rng(7)
+        for m, k, d in itertools.product((1, 3, 17), (1, 2, 5), (1, 2, 4)):
+            X, A = rng.normal(size=(m, d)), rng.normal(size=(k, d))
+            big_X, big_A = rng.normal(size=(2 * m, 2 * d + 1)), rng.normal(size=(2 * k + 1, 3 * d))
+            xs = (X, np.asfortranarray(X), big_X[::2, 1::2])
+            as_ = (A, np.asfortranarray(A), big_A[1::2, ::3])
+            assert xs[2].shape == (m, d) and as_[2].shape == (k, d)
+            if d > 1:
+                assert not xs[2].flags.c_contiguous and not as_[2].flags.c_contiguous
+            for x, a in itertools.product(xs, as_):
+                assert np.array_equal(_rowmul(x, a), contiguous_transpose_rowmul(x, a)), (m, k, d)
+
+    def test_empty_context_arrays_raise(self):
+        rng = np.random.default_rng(8)
+        layer = random_layer(rng, 2, 2, 3)
+        pts, w, X = np.empty((0, 2)), np.empty(0), rng.uniform(-1.0, 1.0, size=(3, 2))
+        for scale in (1.0, 0.25):
+            with pytest.raises(EmptyMeasure):
+                ic.layer_step(replace(layer, scale=scale), pts, w, X)
+        with pytest.raises(EmptyMeasure):
+            ic.velocity_rows(layer.attention, layer.mlp, pts, w, X)
 
 
 class TestAgainstPerPointReference:
     def test_layer_step(self):
         for layer, ctx, X in cases(4):
             want = np.array([reference_apply_layer(layer, ctx, x) for x in X])
-            assert np.max(np.abs(ic.layer_step(layer, ctx, X) - want)) <= 1e-12
+            assert np.max(np.abs(ic.layer_step(layer, ctx.points, ctx.weights, X) - want)) <= 1e-12
 
     def test_point_functions(self):
         rng = np.random.default_rng(5)

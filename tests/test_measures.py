@@ -353,6 +353,15 @@ class TestIota:
         with pytest.raises(EmptySequence):
             ic.new_tokens(tokens)
 
+    def test_box_of_another_dimension_rejected(self):
+        with pytest.raises(LengthMismatch, match=r"box dimension 1 vs tokens of shape \(2, 2\)"):
+            ic.new_tokens([[0.5, 0.5], [0.25, -0.5]], ic.Box(np.array([-1.0]), np.array([1.0])))
+
+    @pytest.mark.parametrize("box", [None, ic.default_box(1)])
+    def test_tokens_that_are_not_rows_rejected(self, box):
+        with pytest.raises(LengthMismatch, match=r"vs tokens of shape \(2, 1, 2\)"):
+            ic.new_tokens([[[0.5, 0.2]], [[0.1, 0.3]]], box)
+
     def test_inverse_rejects_offgrid(self):
         mu = ic.new_discrete([[0.0], [1.0]], [0.25, 0.75], box1())
         with pytest.raises(NotRationalGrid):

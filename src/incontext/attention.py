@@ -53,6 +53,8 @@ class AttentionParams:
     def __post_init__(self) -> None:
         if not self.heads:
             raise LengthMismatch("attention needs at least one head")
+        if any(m.ndim != 2 for h in self.heads for m in (h.q, h.k, h.v, h.w)):
+            raise DimensionMismatch("attention matrices must be 2-d")
         d = self.heads[0].q.shape[1]
         for h in self.heads:
             if h.q.shape != (self.key_dim, d) or h.k.shape != (self.key_dim, d):
@@ -87,6 +89,8 @@ class MlpParams:
         if self.activation not in ACTIVATIONS:
             raise LengthMismatch(f"unknown activation {self.activation!r}")
         if self.layers:
+            if any(a.ndim != 2 or b.ndim != 1 for a, b in self.layers):
+                raise DimensionMismatch("each MLP layer needs a 2-d matrix A and a 1-d bias b")
             d = self.layers[0][0].shape[1]
             prev = d
             for a, b in self.layers:

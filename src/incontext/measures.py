@@ -192,6 +192,8 @@ def new_discrete(
     # an empty point list becomes shape (1, 0) under atleast_2d
     if pts.size == 0:
         raise EmptyMeasure("a measure needs at least one atom")
+    if pts.ndim != 2:
+        raise LengthMismatch(f"points must form an (n, d) array, got shape {pts.shape}")
     if pts.shape[0] != w.shape[0]:
         raise LengthMismatch(f"{pts.shape[0]} points vs {w.shape[0]} weights")
     if not np.isfinite(w).all() or np.any(w <= 0.0):

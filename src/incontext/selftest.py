@@ -205,7 +205,7 @@ def check_token_equivariance(seed: int) -> None:
 
 
 def check_integrator_order(seed: int) -> None:
-    decay = vla_mod.VelocityField(lambda t, mu, x: -x)
+    decay = vla_mod.VelocityField(lambda t, pts, w, x: -x)
     mu0 = meas_mod.dirac([1.0])
     exact = math.exp(-1.0)
     e64 = abs(vla_mod.rk4_flow(decay, mu0, 64).final.points[0, 0] - exact)

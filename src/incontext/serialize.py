@@ -76,9 +76,35 @@ def _list(value: Any, what: str) -> list:
     return value
 
 
+def _numbers(value: Any, what: str) -> np.ndarray:
+    """``value`` as a float array, after checking that it is a JSON number or
+    a rectangular array of numbers; one numpy conversion, no per-element loop."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"{what} must be a rectangular array of numbers") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be numeric, got {type(value).__name__}")
+    return arr.astype(float, copy=False)
+
+
+def _number(value: Any, what: str) -> float:
+    arr = _numbers(value, what)
+    if arr.ndim:
+        raise ValueError(f"{what} must be a number, got an array")
+    return float(arr)
+
+
+def _integer(value: Any, what: str) -> int:
+    x = _number(value, what)
+    if not x.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(x)
+
+
 def _box_from_doc(box: Any) -> Box:
     box = _object(box, "box")
-    return Box(np.asarray(box["lo"], dtype=float), np.asarray(box["hi"], dtype=float))
+    return Box(_numbers(box["lo"], "box lo"), _numbers(box["hi"], "box hi"))
 
 
 def _dim_checked(doc: dict, value):
@@ -89,7 +115,8 @@ def _dim_checked(doc: dict, value):
 
 
 def measure_from_doc(doc: dict) -> DiscreteMeasure:
-    return _dim_checked(doc, new_discrete(doc["points"], doc["weights"], _box_from_doc(doc["box"])))
+    points, weights = _numbers(doc["points"], "points"), _numbers(doc["weights"], "weights")
+    return _dim_checked(doc, new_discrete(points, weights, _box_from_doc(doc["box"])))
 
 
 def tokens_to_doc(seq: TokenSequence) -> dict:
@@ -97,7 +124,7 @@ def tokens_to_doc(seq: TokenSequence) -> dict:
 
 
 def tokens_from_doc(doc: dict) -> TokenSequence:
-    toks = np.atleast_2d(np.asarray(doc["tokens"], dtype=float))
+    toks = np.atleast_2d(_numbers(doc["tokens"], "tokens"))
     box = _box_from_doc(doc["box"]) if "box" in doc else default_box(toks.shape[1]).hull(toks)
     return _dim_checked(doc, new_tokens(toks, box))
 
@@ -118,17 +145,12 @@ def attention_to_doc(params: AttentionParams) -> dict:
 def attention_from_doc(doc: dict) -> AttentionParams:
     doc = _object(doc, "attention")
     heads = tuple(
-        HeadParams(
-            q=np.asarray(h["Q"], dtype=float),
-            k=np.asarray(h["K"], dtype=float),
-            v=np.asarray(h["V"], dtype=float),
-            w=np.asarray(h["W"], dtype=float),
-        )
+        HeadParams(_numbers(h["Q"], "Q"), _numbers(h["K"], "K"), _numbers(h["V"], "V"), _numbers(h["W"], "W"))
         for h in (_object(h, "per_head entry") for h in _list(doc["per_head"], "per_head"))
     )
-    if len(heads) != int(doc["heads"]):
+    if len(heads) != _integer(doc["heads"], "heads"):
         raise LengthMismatch("head count does not match per_head entries")
-    return AttentionParams(heads, int(doc["key_dim"]))
+    return AttentionParams(heads, _integer(doc["key_dim"], "key_dim"))
 
 
 def mlp_to_doc(params: MlpParams) -> dict:
@@ -142,10 +164,10 @@ def mlp_to_doc(params: MlpParams) -> dict:
 def mlp_from_doc(doc: dict) -> MlpParams:
     doc = _object(doc, "mlp")
     layers = tuple(
-        (np.asarray(layer["A"], dtype=float), np.asarray(layer["b"], dtype=float))
+        (_numbers(layer["A"], "A"), _numbers(layer["b"], "b"))
         for layer in (_object(layer, "mlp layer") for layer in _list(doc["layers"], "mlp layers"))
     )
-    return MlpParams(float(doc["skip"]), layers, str(doc.get("activation", "tanh")))
+    return MlpParams(_number(doc["skip"], "skip"), layers, str(doc.get("activation", "tanh")))
 
 
 def stack_to_doc(stack: LayerStack) -> dict:
@@ -163,11 +185,11 @@ def stack_from_doc(doc: dict) -> LayerStack:
         Layer(
             attention_from_doc(entry["attention"]),
             mlp_from_doc(entry["mlp"]),
-            float(entry.get("scale", 1.0)),
+            _number(entry.get("scale", 1.0), "scale"),
         )
         for entry in (_object(entry, "stack layer") for entry in _list(doc["layers"], "stack layers"))
     )
-    return LayerStack(layers, int(doc["dim"]))
+    return LayerStack(layers, _integer(doc["dim"], "dim"))
 
 
 def plan_to_doc(plan: TransportPlan) -> dict:

@@ -1,13 +1,16 @@
 """Interacting-particle flows driven by a measure-dependent velocity field.
 
 The coupled system is ``dx_i/dt = v(t, mu_t, x_i)`` over [0, 1], with ``mu_t``
-the empirical measure of the particles; one velocity call evaluates all
-particles and tracers.  The state is one (n, d) array in the atom order of
-the canonical initial measure; stage measures view it without a copy or a
-re-sort, so flows are bitwise equivariant under relabelling the initial atoms.
-One step loop runs explicit Euler (a depth-T residual stack with velocity
-scale 1/T), classical RK4 (the convergence reference) and the characteristic
-map, which carries a query point along the flow as a passive tracer.
+the empirical measure of the particles.  The field sees ``mu_t`` only through
+its particles' points and weights: one call ``fn(t, points, weights, X)``
+evaluates all particles and tracers.  The state is one (n, d) array in the
+atom order of the canonical initial measure; each stage hands the field
+read-only views of its particle rows, the weights and X, with no copy, re-sort
+or per-stage measure, so flows are bitwise equivariant under relabelling the
+initial atoms.  One step loop runs explicit Euler (a depth-T residual stack
+with velocity scale 1/T), classical RK4 (the convergence reference) and the
+characteristic map, which carries a query point along the flow as a passive
+tracer.
 """
 
 from __future__ import annotations
@@ -23,39 +26,41 @@ from .errors import NonFiniteState, TooFewTimePoints
 from .measures import Box, DiscreteMeasure, _freeze, _raw_measure, canonicalize
 from .transport import w1_matching
 
-VelocityFn = Callable[[float, DiscreteMeasure, np.ndarray], np.ndarray]
+VelocityFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Velocity ``(t, mu, X) -> dX/dt`` evaluated on query rows X of shape (m, d).
+    """Velocity ``(t, points, weights, X) -> dX/dt`` on query rows X of shape (m, d).
 
     ``fn`` receives all m rows at once and returns an (m, d) array; row i is
-    the velocity at X[i] in the field of the measure ``mu``, whose atoms the
-    layer fields reduce in the order given.
+    the velocity at X[i] in the field of the measure sum_j weights[j] *
+    delta(points[j]), with points (n, d) and weights (n,), whose atoms the
+    layer fields reduce in the order given.  In a flow all three arguments
+    are read-only views of the stage state, and X includes the tracer rows.
     """
 
     fn: VelocityFn
 
-    def __call__(self, t: float, mu: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
+    def __call__(self, t: float, points: np.ndarray, weights: np.ndarray, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return np.asarray(self.fn(t, mu, X), dtype=float).reshape(X.shape)
+        return np.asarray(self.fn(t, points, weights, X), dtype=float).reshape(X.shape)
 
     @staticmethod
     def from_layer(att: AttentionParams, mlp_p: MlpParams) -> "VelocityField":
         """Time-independent field given by one attention+MLP layer displacement."""
-        return VelocityField(lambda t, mu, X: velocity_rows(att, mlp_p, mu.points, mu.weights, X))
+        return VelocityField(lambda t, pts, w, X: velocity_rows(att, mlp_p, pts, w, X))
 
     @staticmethod
     def from_stack(stack: LayerStack) -> "VelocityField":
         """Piecewise-constant-in-time field: layer floor(t * depth) drives [0, 1]."""
         layers = stack.layers
         if not layers:
-            return VelocityField(lambda t, mu, X: np.zeros_like(X))
+            return VelocityField(lambda t, pts, w, X: np.zeros_like(X))
 
-        def fn(t: float, mu: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
+        def fn(t: float, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
             layer = layers[min(int(t * len(layers)), len(layers) - 1)]
-            return layer.scale * velocity_rows(layer.attention, layer.mlp, mu.points, mu.weights, X)
+            return layer.scale * velocity_rows(layer.attention, layer.mlp, pts, w, X)
 
         return VelocityField(fn)
 
@@ -79,26 +84,31 @@ class Trajectory:
         return _state_measure(self.points[-1], self.weights, self.box)
 
 
-def _state_measure(rows: np.ndarray, weights: np.ndarray, box: Box) -> DiscreteMeasure:
-    """Measure on a read-only view of the particle rows: no copy, no re-sort."""
+def _check_finite(rows: np.ndarray) -> None:
     if not np.isfinite(rows).all():
         raise NonFiniteState("particle positions became non-finite")
+
+
+def _state_measure(rows: np.ndarray, weights: np.ndarray, box: Box) -> DiscreteMeasure:
+    """Measure on a read-only view of the particle rows: no copy, no re-sort."""
+    _check_finite(rows)
     return _raw_measure(rows, weights, box.hull(rows), False)
 
 
-def _integrate(
-    v: VelocityField, mu_c: DiscreteMeasure, z: np.ndarray, h: float, steps: int, rk4: bool
-) -> np.ndarray:
+def _integrate(v: VelocityField, w: np.ndarray, z: np.ndarray, h: float, steps: int, rk4: bool) -> np.ndarray:
     """z and its rows after each of ``steps`` Euler or RK4 steps of size h from
     t = 0, as one read-only (steps + 1, len(z), d) array.
 
-    Rows z[:n] are the atoms of the canonical ``mu_c``; the velocity sees their
-    measure, in that atom order.  Rows from n on are passive tracers.
+    Rows z[:n] are the particles, with the read-only weights w (n,) in the
+    canonical atom order; rows from n on are passive tracers.  Each stage
+    hands the field read-only views of its particle rows, w and all of z.
     """
-    n, w, box = mu_c.n, mu_c.weights, mu_c.box
+    n = len(w)
 
     def k(t: float, zs: np.ndarray) -> np.ndarray:
-        return v(t, _state_measure(zs[:n], w, box), zs)
+        zs = _freeze(zs)
+        _check_finite(zs[:n])
+        return v(t, zs[:n], w, zs)
 
     path = np.empty((steps + 1,) + z.shape)
     path[0] = z
@@ -120,14 +130,14 @@ def _integrate(
 def _flow(v: VelocityField, mu0: DiscreteMeasure, steps: int, rk4: bool) -> Trajectory:
     mu_c = canonicalize(mu0)
     h = 1.0 / steps
-    path = _integrate(v, mu_c, mu_c.points, h, steps, rk4)
+    path = _integrate(v, mu_c.weights, mu_c.points, h, steps, rk4)
     return Trajectory(_freeze(np.arange(steps + 1) * h), path, mu_c.weights, mu_c.box)
 
 
 def euler_flow(v: VelocityField, mu0: DiscreteMeasure, T: int) -> Trajectory:
     """T explicit Euler steps of size 1/T on [0, 1].
 
-    All atoms within a step advance from the same frozen measure.  Weights and
+    All atoms within a step advance from the same frozen state.  Weights and
     atom count never change; the initial measure is canonicalized once.
     """
     if T < 1:
@@ -152,7 +162,7 @@ def characteristic_map(
     """Transport the query point x along the flow of ``mu0`` up to time t.
 
     The particle system is integrated with RK4 while the query rides along as
-    a passive tracer evaluated against the same stage measures, so a query
+    a passive tracer evaluated against the same stage particles, so a query
     placed on an atom reproduces that atom's trajectory exactly (the query is
     one more row of each velocity evaluation).  ``steps`` is the step count
     for the full unit horizon; integration to time t uses round(steps * t)
@@ -165,7 +175,7 @@ def characteristic_map(
         return y
     mu_c = canonicalize(mu0)
     n = max(1, int(round(steps * t)))
-    return _integrate(v, mu_c, np.vstack([mu_c.points, y]), t / n, n, rk4=True)[-1, -1].copy()
+    return _integrate(v, mu_c.weights, np.vstack([mu_c.points, y]), t / n, n, rk4=True)[-1, -1].copy()
 
 
 def weak_residual(traj: Trajectory, v: VelocityField, phi) -> float:
@@ -182,7 +192,7 @@ def weak_residual(traj: Trajectory, v: VelocityField, phi) -> float:
     worst = 0.0
     for k in range(1, len(times) - 1):
         lhs = (pairings[k + 1] - pairings[k - 1]) / (times[k + 1] - times[k - 1])
-        vel = v(times[k], _state_measure(points[k], w, traj.box), points[k])
+        vel = v(times[k], points[k], w, points[k])
         rhs = float(np.sum(w * np.sum(phi.gradient(points[k]) * vel, axis=1)))
         worst = max(worst, abs(lhs - rhs))
     return worst

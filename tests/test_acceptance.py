@@ -276,7 +276,7 @@ def test_criterion_5_depth_limit():
 
 def test_criterion_6_integrators():
     """RK4 accuracy/order on linear decay plus the weak-form transport residual."""
-    decay = ic.VelocityField(lambda t, mu, x: -x)
+    decay = ic.VelocityField(lambda t, pts, w, x: -x)
     exact = math.exp(-1.0)
     e64 = abs(ic.rk4_flow(decay, ic.dirac([1.0]), 64).final.points[0, 0] - exact)
     e32 = abs(ic.rk4_flow(decay, ic.dirac([1.0]), 32).final.points[0, 0] - exact)

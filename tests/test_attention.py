@@ -85,6 +85,13 @@ class TestAttention:
         assert np.isfinite(out).all()
         assert out[0] == pytest.approx(2.0, abs=1e-10)  # sharp softmax picks the aligned atom
 
+    @pytest.mark.parametrize("field", ["q", "k", "v", "w"])
+    @pytest.mark.parametrize("value", [np.array(1.0), np.array([0.1])])
+    def test_rejects_matrices_of_wrong_rank(self, field, value):
+        mats = {"q": np.zeros((1, 1)), "k": np.zeros((1, 1)), "v": np.eye(1), "w": np.eye(1), field: value}
+        with pytest.raises(DimensionMismatch, match="attention matrices must be 2-d"):
+            ic.AttentionParams((ic.HeadParams(**mats),), 1)
+
 
 class TestGamma:
     def test_identity_when_output_zero(self):
@@ -140,6 +147,19 @@ class TestMlp:
     def test_rejects_unchained_shapes(self):
         with pytest.raises(DimensionMismatch):
             ic.MlpParams(1.0, ((np.zeros((3, 2)), np.zeros(3)), (np.zeros((2, 4)), np.zeros(2))))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.array(1.0), np.zeros(1)),
+            (np.zeros(2), np.zeros(2)),
+            (np.eye(2), np.array(0.0)),
+            (np.eye(2), np.zeros((2, 1))),
+        ],
+    )
+    def test_rejects_wrong_rank(self, a, b):
+        with pytest.raises(DimensionMismatch, match="2-d matrix A and a 1-d bias b"):
+            ic.MlpParams(1.0, ((a, b),))
 
 
 class TestVelocity:

@@ -432,6 +432,21 @@ class TestRepeatedCalls:
             assert got == want, argv
 
 
+BAD = "BadInputFile: ValueError: "
+
+
+def _attention(doc):
+    return doc["layers"][0]["attention"]
+
+
+def _head(doc):
+    return _attention(doc)["per_head"][0]
+
+
+def _mlp(doc):
+    return doc["layers"][0]["mlp"]
+
+
 class TestBadInputs:
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -498,6 +513,7 @@ class TestBadInputs:
             ([1.0, -1.0], [0.0, 1.0], "PointOutsideBox: box lower corner exceeds upper corner"),
             ([-1.0, -1.0], [1.0], "LengthMismatch: box corners must be 1-d vectors of equal length"),
             ([-1.0, -1.0], [1.0, 1e999], "PointOutsideBox: box corners must be finite"),
+            ({}, [1.0, 1.0], f"{BAD}box lo must be numeric, got dict"),
         ],
     )
     def test_bad_box_corners_exit_one(self, tmp_path, capsys, lo, hi, message):
@@ -505,6 +521,60 @@ class TestBadInputs:
         bad.write_text(json.dumps({"points": [[0.0, 0.0]], "weights": [1.0], "box": {"lo": lo, "hi": hi}}))
         assert main(["w1", "--a", str(bad), "--b", str(bad)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: _mlp(doc).update(skip=[1]), f"{BAD}skip must be a number, got an array"),
+            (lambda doc: _attention(doc).update(heads=[1]), f"{BAD}heads must be a number, got an array"),
+            (lambda doc: doc["layers"][0].update(scale=[1]), f"{BAD}scale must be a number, got an array"),
+            (lambda doc: doc.update(dim=None), f"{BAD}dim must be numeric, got NoneType"),
+            (lambda doc: doc.update(dim=1.5), f"{BAD}dim must be an integer, got 1.5"),
+            (lambda doc: _head(doc).update(Q={}), f"{BAD}Q must be numeric, got dict"),
+            (lambda doc: _head(doc).update(Q=[[1], [1, 2]]), f"{BAD}Q must be a rectangular array of numbers"),
+            (lambda doc: _head(doc).update(Q=1), "DimensionMismatch: attention matrices must be 2-d"),
+            (lambda doc: _head(doc).update(Q=[0.1]), "DimensionMismatch: attention matrices must be 2-d"),
+            (
+                lambda doc: _mlp(doc)["layers"][0].update(A=1),
+                "DimensionMismatch: each MLP layer needs a 2-d matrix A and a 1-d bias b",
+            ),
+        ],
+    )
+    def test_mistyped_stack_field_exits_one(self, tmp_path, capsys, edit, message):
+        rng = np.random.default_rng(16)
+        doc = ser.stack_to_doc(random_stack(rng, 2))
+        edit(doc)
+        s = tmp_path / "s.json"
+        ser.save_json(str(s), doc)
+        m = write_measure(tmp_path / "m.json", random_measure(rng, 2, 2))
+        assert main(["forward", "--stack", str(s), "--measure", m, "--out", str(tmp_path / "y.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"points": [[0.5]], "weights": {"a": 1}, "box": {"lo": [-1.0], "hi": [1.0]}},
+                f"{BAD}weights must be numeric, got dict",
+            ),
+            (
+                {"points": [[[0.5, 0.2]], [[0.1, 0.3]]], "weights": [0.5, 0.5], "box": {"lo": [-1.0], "hi": [1.0]}},
+                "LengthMismatch: points must form an (n, d) array, got shape (2, 1, 2)",
+            ),
+        ],
+    )
+    def test_mistyped_measure_exits_one(self, tmp_path, capsys, doc, message):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(doc))
+        assert main(["w1", "--a", str(a), "--b", str(a)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_mistyped_tokens_exit_one(self, tmp_path, capsys):
+        s = write_stack(tmp_path / "s.json", random_stack(np.random.default_rng(17), 2))
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps({"tokens": {}}))
+        assert main(["forward-tokens", "--stack", s, "--tokens", str(t), "--out", str(tmp_path / "u.json")]) == 1
+        assert capsys.readouterr().err == f"error: {BAD}tokens must be numeric, got dict\n"
 
     def test_head_count_mismatch_exits_one(self, tmp_path, capsys):
         rng = np.random.default_rng(15)

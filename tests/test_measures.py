@@ -51,6 +51,10 @@ class TestNewDiscrete:
         with pytest.raises(LengthMismatch):
             ic.new_discrete([[1.0], [2.0]], [1.0], box1())
 
+    def test_rejects_points_that_are_not_rows(self):
+        with pytest.raises(LengthMismatch, match=r"\(n, d\) array, got shape \(2, 1, 2\)"):
+            ic.new_discrete([[[0.5, 0.2]], [[0.1, 0.3]]], [0.5, 0.5])
+
     def test_rejects_point_outside_box(self):
         with pytest.raises(PointOutsideBox):
             ic.new_discrete([[4.0]], [1.0], box1())

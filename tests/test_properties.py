@@ -1,22 +1,31 @@
 """Property tests of the canonical form and of the invariants built on it,
-of flows, which keep the atom order of their canonical initial measure, and
-of the row-map contract: a map evaluated on rows gives, bitwise, the rows of
-its one-point calls.
+of flows, which keep the atom order of their canonical initial measure, of
+the row-map contract: a map evaluated on rows gives, bitwise, the rows of
+its one-point calls, and of the command line's input boundary: a document
+with one field of the wrong JSON type ends as a named error, never a
+traceback.
 
 Atoms are drawn from a small pool of rows, so exact duplicates, signed zeros
 and near-duplicates occur often, and merged groups sum weights of varied
 magnitude.
 """
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incontext as ic
+from incontext import serialize as ser
+from incontext.cli import main
 
-from helpers import random_attention, random_mlp
+from helpers import random_attention, random_measure, random_mlp
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -174,3 +183,61 @@ class TestRowsEqualSinglePoints:
             one = ic.r_map(a, x)
             assert type(one) is float
             assert np.float64(one).tobytes() == np.float64(want).tobytes() == got[i, 0].tobytes()
+
+
+def _valid_documents():
+    """A stack with a scaled layer, a measure and a token sequence with a box,
+    as the plain JSON values a loader sees."""
+    rng = np.random.default_rng(21)
+    layer = ic.Layer(random_attention(rng, 2), random_mlp(rng, 2), 0.5)
+    docs = {
+        "stack": ser.stack_to_doc(ic.LayerStack((layer,), 2)),
+        "measure": ser.measure_to_doc(random_measure(rng, 2, 2)),
+        "tokens": {
+            **ser.tokens_to_doc(ic.new_tokens([[0.5, 0.0], [-1.0, 1.0]])),
+            "box": {"lo": [-3, -3], "hi": [3, 1]},
+        },
+    }
+    return {kind: json.loads(ser.dumps(doc)) for kind, doc in docs.items()}
+
+
+def _fields(doc, path=()):
+    """The path of every object member and array entry below ``doc``."""
+    entries = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in entries:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+VALID = _valid_documents()
+FIELDS = [(kind, path) for kind, doc in VALID.items() for path in _fields(doc)]
+# JSON values of every type but number
+non_numbers = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestCliBoundary:
+    @PROPERTY
+    @given(st.sampled_from(FIELDS), non_numbers)
+    def test_one_mistyped_field_is_a_named_error(self, field, value):
+        kind, path = field
+        docs = json.loads(json.dumps(VALID))
+        parent = docs[kind]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            files = {name: str(Path(tmp) / f"{name}.json") for name in docs}
+            for name, doc in docs.items():
+                Path(files[name]).write_text(json.dumps(doc), encoding="utf-8")
+            out = str(Path(tmp) / "out.json")
+            if kind == "tokens":
+                argv = ["forward-tokens", "--stack", files["stack"], "--tokens", files["tokens"], "--out", out]
+            else:
+                argv = ["forward", "--stack", files["stack"], "--measure", files["measure"], "--out", out]
+            code = main(argv)
+        assert code == 0 or (code == 1 and err.getvalue().startswith("error: ")), (code, err.getvalue())

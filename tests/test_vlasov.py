@@ -11,11 +11,11 @@ from helpers import each_row, random_attention, random_measure, random_mlp
 
 
 def decay_field():
-    return ic.VelocityField(lambda t, mu, x: -x)
+    return ic.VelocityField(lambda t, pts, w, x: -x)
 
 
 def zero_field():
-    return ic.VelocityField(lambda t, mu, x: np.zeros_like(x))
+    return ic.VelocityField(lambda t, pts, w, x: np.zeros_like(x))
 
 
 class TestEulerFlow:
@@ -48,7 +48,7 @@ class TestEulerFlow:
             assert np.array_equal(s.weights, traj.states[0].weights)
 
     def test_nonfinite_detected(self):
-        blowup = ic.VelocityField(lambda t, mu, x: x * 1e200)
+        blowup = ic.VelocityField(lambda t, pts, w, x: x * 1e200)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
             ic.euler_flow(blowup, ic.dirac([1.0]), 4)
 
@@ -91,28 +91,39 @@ class TestFixedOrder:
             run()
             assert calls == [4]
 
-    def test_stage_measures_keep_the_carrier_invariants(self):
+    def test_stage_arrays_are_read_only_views(self):
         seen = []
 
-        def spreading(t, mu, x):
-            seen.append(mu)
+        def spreading(t, pts, w, x):
+            seen.append((pts, w, x))
+            for arr in (pts, w, x):
+                with pytest.raises(ValueError):
+                    arr[0] = 9.0
             return 3.0 * x
 
         mu0 = ic.new_discrete([[0.5, -1.0], [1.0, 0.25], [-0.75, 0.5]], [0.2, 0.3, 0.5])
-        ic.rk4_flow(ic.VelocityField(spreading), mu0, 4)
+        mu_c = ic.canonicalize(mu0)
+        spy, plain = ic.VelocityField(spreading), ic.VelocityField(lambda t, pts, w, x: 3.0 * x)
+        assert np.array_equal(ic.rk4_flow(spy, mu0, 4).points, ic.rk4_flow(plain, mu0, 4).points)
         assert len(seen) == 16
-        for mu in seen:
-            assert not mu.points.flags.writeable
-            assert mu.box.contains(mu.points)
-            assert np.array_equal(mu.weights, ic.canonicalize(mu0).weights)
-        assert any(mu.box == mu0.box for mu in seen)
-        assert any(mu.box != mu0.box for mu in seen)
+        y = np.array([0.25, 0.5])
+        got = ic.characteristic_map(spy, mu0, y, 1.0, steps=4)
+        assert np.array_equal(got, ic.characteristic_map(plain, mu0, y, 1.0, steps=4))
+        assert len(seen) == 32
+        for k, (pts, w, x) in enumerate(seen):
+            assert not (pts.flags.writeable or w.flags.writeable or x.flags.writeable)
+            assert np.array_equal(w, mu_c.weights)
+            # the characteristic map's stages carry the tracer as a fourth row
+            assert x.shape == ((3, 2) if k < 16 else (4, 2))
+            assert np.array_equal(pts, x[:3])
+        assert np.array_equal(seen[0][0], mu_c.points)
+        assert np.array_equal(seen[16][2][3], y)
 
 
 class TestTrajectoryArrays:
     def test_points_read_only_and_state_box_rule(self):
         mu0 = ic.new_discrete([[0.5, -1.0], [1.0, 0.25], [-0.75, 0.5]], [0.2, 0.3, 0.5])
-        traj = ic.euler_flow(ic.VelocityField(lambda t, mu, x: 3.0 * x), mu0, 4)
+        traj = ic.euler_flow(ic.VelocityField(lambda t, pts, w, x: 3.0 * x), mu0, 4)
         assert traj.points.shape == (5, 3, 2)
         assert not traj.points.flags.writeable
         with pytest.raises(ValueError):
@@ -240,8 +251,8 @@ class TestDepthLimit:
 class TestTranslationEquivariance:
     def test_mean_centered_field(self):
         # velocity depending only on displacement from the weighted mean
-        def centered(t, mu, x):
-            mean = np.sum(mu.weights[:, None] * mu.points, axis=0) / mu.total_mass
+        def centered(t, pts, w, x):
+            mean = np.sum(w[:, None] * pts, axis=0) / np.sum(w)
             return np.tanh(x - mean)
 
         v = ic.VelocityField(centered)

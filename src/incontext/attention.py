@@ -13,6 +13,15 @@ pushed-forward context.
 All of it is evaluated by one batched kernel, :func:`layer_step`, on query
 rows (m, d) against context points (n, d) and weights (n,) in the order given;
 the single-point functions are its m = 1 calls on a canonical measure's arrays.
+
+The kernel's (m, n) scratch -- each head's logits and softmax weights, and the
+product terms of the contractions over the atoms -- lives in ``work``, a flat
+float64 array of at least 2 * m * n entries that the caller owns and passes
+by keyword.  The kernel writes every entry it uses before reading it, so the
+results are bitwise the same for any ``work`` contents and for ``work=None``,
+where it allocates one scratch array per call.  A stack pass allocates one
+buffer, sized for its first context, and hands it to every layer; nothing
+keeps it after the pass.
 """
 
 from __future__ import annotations
@@ -130,18 +139,26 @@ class Layer:
 # and kernels change with the operand shapes), so none is used here.
 
 
-def _rowmul(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _rowmul(X: np.ndarray, A: np.ndarray, out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
     """Rows of ``X @ A.T``, accumulated over the shared axis term by term.
 
-    Raises DimensionMismatch when the rows of X and of A differ in width.
+    ``out`` and ``term``, when given, are (m, k) arrays that receive the result
+    and each product term; both are written before they are read.  Raises
+    DimensionMismatch when the rows of X and of A differ in width.
     """
     if X.shape[1] != A.shape[1]:
         raise DimensionMismatch(f"points of dimension {X.shape[1]} meet a matrix of width {A.shape[1]}")
-    out = X[:, :1] * A[:, 0]
-    term = np.empty_like(out)
+    out = X[:, :1] * A[:, 0] if out is None else np.multiply(X[:, :1], A[:, 0], out=out)
+    if term is None:
+        term = np.empty_like(out)
     for j in range(1, X.shape[1]):
         out += np.multiply(X[:, j : j + 1], A[:, j], out=term)
     return out
+
+
+def _workspace(m: int, n: int) -> np.ndarray:
+    """An unfilled kernel workspace for m query rows against at most n context atoms."""
+    return np.empty(2 * m * n)
 
 
 def _attend(
@@ -150,29 +167,35 @@ def _attend(
     w: np.ndarray,
     X: np.ndarray,
     weights: list[np.ndarray] | None = None,
+    *,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Attention displacement at every query row against context atoms ``pts``, weights ``w``.
 
     Per head: logits (m, n) = (Q x) . (K x_l) / sqrt(key_dim), a weighted
     softmax stabilized by each row's maximum, and the pooled values mapped
     through W V, reducing over the atoms in the order given.  The (m, n)
-    softmax weights of each head are appended to ``weights`` if given.
+    softmax weights of each head are appended to ``weights`` if given, as
+    copies.  The logits and the pooling products live in two (m, n) views of
+    ``work`` (see the module docstring), reused by every head.
     """
     if pts.shape[0] == 0:
         raise EmptyMeasure("attention needs a nonempty context measure")
+    m, n = X.shape[0], pts.shape[0]
+    work = np.empty((2, m, n)) if work is None else work[: 2 * m * n].reshape(2, m, n)
+    p, term = work[0], work[1]
     pts_t = np.ascontiguousarray(pts.T)
     scale = 1.0 / math.sqrt(params.key_dim)
     out = np.zeros_like(X)
     for head in params.heads:
-        p = _rowmul(_rowmul(X, head.q) * scale, _rowmul(pts, head.k))
+        _rowmul(_rowmul(X, head.q) * scale, _rowmul(pts, head.k), out=p, term=term)
         p -= np.max(p, axis=1, keepdims=True)
         np.exp(p, out=p)
         p *= w
         p /= np.sum(p, axis=1, keepdims=True)
         if weights is not None:
-            weights.append(p)
+            weights.append(p.copy())
         pooled = np.empty_like(X)
-        term = np.empty_like(p)
         for j in range(pts_t.shape[0]):
             pooled[:, j] = np.sum(np.multiply(p, pts_t[j], out=term), axis=1)
         out = out + _rowmul(_rowmul(pooled, head.v), head.w)
@@ -189,7 +212,15 @@ def _mlp_rows(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return params.skip * X + h
 
 
-def velocity_rows(att: AttentionParams, mlp_p: MlpParams, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+def velocity_rows(
+    att: AttentionParams,
+    mlp_p: MlpParams,
+    pts: np.ndarray,
+    w: np.ndarray,
+    X: np.ndarray,
+    *,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Layer velocity Att(ctx, x) + H(x + Att(ctx, x)) at every row of X (m, d).
 
     Context atoms ``pts`` (weights ``w``) are reduced in the order given.  Requires
@@ -197,12 +228,14 @@ def velocity_rows(att: AttentionParams, mlp_p: MlpParams, pts: np.ndarray, w: np
     """
     if mlp_p.skip != 1.0:
         raise SkipNotUnit(f"velocity needs skip coefficient 1, got {mlp_p.skip}")
-    a = _attend(att, pts, w, X)
+    a = _attend(att, pts, w, X, work=work)
     g = X + a
     return a + (_mlp_rows(mlp_p, g) - g)
 
 
-def layer_step(layer: Layer, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+def layer_step(
+    layer: Layer, pts: np.ndarray, w: np.ndarray, X: np.ndarray, *, work: np.ndarray | None = None
+) -> np.ndarray:
     """The batched layer kernel: images of the query rows X (m, d) under one layer.
 
     Context atoms ``pts`` (weights ``w``) are reduced in the order given.  At
@@ -211,8 +244,8 @@ def layer_step(layer: Layer, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> n
     """
     X = np.asarray(X, dtype=float)
     if layer.scale == 1.0:
-        return _mlp_rows(layer.mlp, X + _attend(layer.attention, pts, w, X))
-    return X + layer.scale * velocity_rows(layer.attention, layer.mlp, pts, w, X)
+        return _mlp_rows(layer.mlp, X + _attend(layer.attention, pts, w, X, work=work))
+    return X + layer.scale * velocity_rows(layer.attention, layer.mlp, pts, w, X, work=work)
 
 
 def _row(x: np.ndarray) -> np.ndarray:

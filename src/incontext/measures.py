@@ -290,12 +290,15 @@ def relocate(mu: DiscreteMeasure, images: np.ndarray) -> DiscreteMeasure:
 
 def add_atom(mu: DiscreteMeasure, x: np.ndarray, mass: float) -> DiscreteMeasure:
     """Canonical form of ``mu + mass * delta(x)`` (merges with an existing atom
-    only when x equals it exactly)."""
+    only when x equals it exactly).  Raises PointOutsideBox, naming x, when x
+    is not finite."""
     if not 0.0 < mass < np.inf:
         raise NonpositiveWeight(f"added mass must be positive and finite, got {mass!r}")
     x = np.asarray(x, dtype=float).reshape(1, -1)
     if x.shape[1] != mu.dim:
         raise LengthMismatch("atom dimension does not match the measure")
+    if not np.isfinite(x).all():
+        raise PointOutsideBox(f"added atom {x[0].tolist()} must be finite")
     box = mu.box.hull(x)
     pts = np.vstack([mu.points, x])
     w = np.concatenate([mu.weights, [mass]])

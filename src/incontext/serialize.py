@@ -3,7 +3,8 @@
 All floats are written in decimal with 17 significant digits, which
 round-trips IEEE-754 doubles exactly and keeps output files byte-stable across
 runs.  The emitter is a small recursive serializer because the standard json
-encoder does not expose float formatting.
+encoder does not expose float formatting; it writes the rows of 1-d and 2-d
+float64 arrays in one pass each.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _float_list(values: list) -> str:
+    return "[" + ",".join([format(v, ".17g") for v in values]) + "]"
+
+
 def _emit(value: Any) -> str:
     if isinstance(value, dict):
         inner = ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in value.items())
@@ -32,6 +37,10 @@ def _emit(value: Any) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_emit(v) for v in value) + "]"
     if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.ndim == 1:
+            return _float_list(value.tolist())
+        if value.dtype == np.float64 and value.ndim == 2:
+            return "[" + ",".join([_float_list(row) for row in value.tolist()]) + "]"
         return _emit(value.tolist())
     if isinstance(value, bool):
         return "true" if value else "false"

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's algorithms: transport costs
 come from literal permutation search, subset-sum gaps from explicit
-enumeration of index-set pairs.  Expected values frozen into tests were
+enumeration of index-set pairs, JSON text from a per-value recursive emitter.
+Expected values frozen into tests were
 computed with these.  The seeded measure, attention and MLP generators and the
 literal gap oracle are the ones ``self-test`` runs on, imported from
 ``incontext.selftest``.
@@ -11,6 +12,7 @@ literal gap oracle are the ones ``self-test`` runs on, imported from
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -99,6 +101,28 @@ def gap_oracle_signed(weights, require_nonempty_k=False):
     if not np.any(mask):
         return math.inf
     return float(np.min(np.abs(sums[mask])))
+
+
+def reference_emit(value):
+    """The JSON emitter as one recursive call per value, floats formatted one
+    at a time with 17 significant digits."""
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{reference_emit(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(reference_emit(v) for v in value) + "]"
+    if isinstance(value, np.ndarray):
+        return reference_emit(value.tolist())
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise TypeError(type(value).__name__)
 
 
 # -- per-point reference evaluation ----------------------------------------------

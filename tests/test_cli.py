@@ -664,6 +664,14 @@ class TestNonFiniteSizes:
         assert captured.out == ""
         assert captured.err.startswith("error: NonpositiveWeight: eps must be positive and finite")
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_probe_point_exits_one(self, tmp_path, capsys, x):
+        m = write_measure(tmp_path / "m.json", ic.new_discrete([[0.1], [1.2]], [0.5, 0.5]))
+        assert main(["extract-g", "--map", "identity", "--measure", m, f"--x={x}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: PointOutsideBox: added atom [{float(x)}] must be finite\n"
+
 
 class TestDocumentDim:
     def test_measure_dim_must_match_points(self, tmp_path, capsys):

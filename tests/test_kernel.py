@@ -2,6 +2,7 @@
 per-point reference evaluation."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import incontext as ic
 from incontext.attention import _attend, _context, _rowmul
 from incontext.errors import EmptyMeasure
+from incontext.measures import relocate
 
 from helpers import (
     each_row,
@@ -121,6 +123,107 @@ class TestArrayKernel:
                 ic.layer_step(replace(layer, scale=scale), pts, w, X)
         with pytest.raises(EmptyMeasure):
             ic.velocity_rows(layer.attention, layer.mlp, pts, w, X)
+
+
+def collapsing_stack(rng, d):
+    """A stack whose first layer sends every atom to the origin (an MLP with
+    skip 0 and a zero matrix), followed by two random layers."""
+    collapse = ic.MlpParams(skip=0.0, layers=((np.zeros((d, d)), np.zeros(d)),))
+    first = ic.Layer(random_attention(rng, d, heads=2, key_dim=3), collapse)
+    return ic.LayerStack((first, random_layer(rng, d, 2, 2), random_layer(rng, d, 1, 3, 0.25)), d)
+
+
+def chain_without_workspace(stack, mu):
+    """The context chain of ``stack`` on ``mu`` from one ``layer_step`` call per layer, ``work=None``."""
+    chain = [ic.canonicalize(mu)]
+    for layer in stack.layers:
+        nu = chain[-1]
+        chain.append(relocate(nu, ic.layer_step(layer, nu.points, nu.weights, nu.points)))
+    return chain
+
+
+def traced_peak(fn):
+    """Bytes by which ``fn()`` raises the tracemalloc peak above what was traced before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkspace:
+    def test_rows_do_not_depend_on_the_workspace(self):
+        reused = np.empty(2 * 263 * 256)  # the largest (m, n) of cases()
+        for layer, ctx, X in cases(9):
+            args = (ctx.points, ctx.weights, X)
+            step = ic.layer_step(layer, *args)
+            vel = ic.velocity_rows(layer.attention, layer.mlp, *args)
+            fresh = np.empty(2 * X.shape[0] * ctx.n)
+            assert np.array_equal(ic.layer_step(layer, *args, work=fresh), step)
+            assert np.array_equal(ic.velocity_rows(layer.attention, layer.mlp, *args, work=fresh), vel)
+            reused.fill(np.nan)
+            assert np.array_equal(ic.layer_step(layer, *args, work=reused), step)
+            reused.fill(np.nan)
+            assert np.array_equal(ic.velocity_rows(layer.attention, layer.mlp, *args, work=reused), vel)
+
+    def test_context_collapsing_mid_pass_matches_layer_by_layer_calls(self):
+        rng = np.random.default_rng(10)
+        for d in (1, 3):
+            stack = collapsing_stack(rng, d)
+            mu = random_measure(rng, 40, d)
+            chain = chain_without_workspace(stack, mu)
+            assert [c.n for c in chain] == [40, 1, 1, 1]
+            got = ic.forward_measure(stack, mu)
+            assert np.array_equal(got.points, chain[-1].points) and np.array_equal(got.weights, chain[-1].weights)
+
+            seq = ic.new_tokens(rng.uniform(-2.0, 2.0, size=(25, d))[rng.integers(0, 25, size=50)])
+            X = seq.tokens
+            for layer, ctx in zip(stack.layers, chain_without_workspace(stack, ic.iota(seq))):
+                X = ic.layer_step(layer, ctx.points, ctx.weights, X)
+            assert np.array_equal(ic.forward_tokens(stack, seq).tokens, X)
+
+    def test_attention_weights_are_per_head_copies(self):
+        rng = np.random.default_rng(11)
+        att = random_attention(rng, 3, heads=2, key_dim=2)
+        mu = random_measure(rng, 30, 3)
+        x = np.array([0.3, -0.2, 0.9])
+        got = ic.attention_weights(att, mu, x)
+        assert len(got) == 2 and not np.shares_memory(got[0], got[1])
+        assert not np.array_equal(got[0], got[1])
+        for head, p in zip(att.heads, got):
+            alone = ic.AttentionParams((head,), att.key_dim)
+            assert np.array_equal(ic.attention_weights(alone, mu, x)[0], p)
+        pts, w = _context(mu)
+        work = np.empty(2 * pts.shape[0])
+        head_weights = []
+        _attend(att, pts, w, x.reshape(1, -1), head_weights, work=work)
+        for p, q in zip(got, head_weights):
+            assert not np.shares_memory(q, work)
+            assert np.array_equal(p, q[0])
+
+    def test_layer_step_with_a_workspace_allocates_less_than_one_logit_array(self):
+        rng = np.random.default_rng(12)
+        m = n = 256
+        layer = random_layer(rng, 4, 2, 3)
+        ctx = ic.canonicalize(random_measure(rng, n, 4))
+        assert ctx.n == n
+        work = np.empty(2 * m * n)
+
+        def step():
+            ic.layer_step(layer, ctx.points, ctx.weights, ctx.points, work=work)
+
+        step()
+        peak = traced_peak(step)
+        assert peak < m * n * 8, peak
+
+    def test_an_empty_stack_allocates_no_workspace(self):
+        rng = np.random.default_rng(13)
+        mu = random_measure(rng, 2000, 2)
+        stack = ic.LayerStack((), 2)
+        peak = traced_peak(lambda: (ic.forward_measure(stack, mu), ic.forward_tokens(stack, ic.new_tokens(mu.points))))
+        assert peak < 2000 * 2000 * 8, peak
 
 
 class TestAgainstPerPointReference:

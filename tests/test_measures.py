@@ -216,6 +216,11 @@ class TestAddAtom:
         with pytest.raises(NonpositiveWeight):
             ic.add_atom(ic.dirac([0.0]), [1.0], mass)
 
+    @pytest.mark.parametrize("x", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
+    def test_rejects_non_finite_point_naming_it(self, x):
+        with pytest.raises(PointOutsideBox, match=r"added atom \[.*\] must be finite"):
+            ic.add_atom(ic.dirac([0.0, 0.0]), x, 0.5)
+
 
 class TestGap:
     def test_single_weight(self):

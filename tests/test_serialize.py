@@ -6,7 +6,7 @@ import numpy as np
 import incontext as ic
 from incontext import serialize as ser
 
-from helpers import random_attention, random_measure, random_mlp
+from helpers import random_attention, random_measure, random_mlp, reference_emit
 
 
 class TestFloatFormat:
@@ -17,6 +17,34 @@ class TestFloatFormat:
     def test_integers_stay_short(self):
         assert ser.fmt(1.0) == "1"
         assert ser.fmt(-4.0) == "-4"
+
+
+class TestFloatArrays:
+    SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, 1e16, -1e16, 0.1, 1.0]
+
+    def test_special_values_match_the_recursive_emitter(self):
+        vec = np.array(self.SPECIAL)
+        for value in (vec, vec.reshape(1, -1), vec.reshape(-1, 1), vec[::-2], vec.reshape(-1, 1).T):
+            assert ser.dumps(value) == reference_emit(value) + "\n"
+        assert ser.dumps(np.array(-0.0)) == "-0\n"
+
+    def test_empty_arrays_match_the_recursive_emitter(self):
+        for shape in [(0,), (0, 4), (3, 0), (0, 0)]:
+            value = np.empty(shape)
+            assert ser.dumps({"a": value}) == reference_emit({"a": value}) + "\n"
+
+    def test_random_measure_documents_match_the_recursive_emitter(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            mu = random_measure(rng, 256, 4)
+            doc = ser.measure_to_doc(mu)
+            assert ser.dumps(doc) == reference_emit(doc) + "\n"
+            pts = rng.normal(scale=10.0 ** rng.integers(-300, 300), size=(256, 4))
+            assert ser.dumps(pts) == reference_emit(pts) + "\n"
+
+    def test_other_dtypes_and_ranks_keep_their_form(self):
+        for value in (np.arange(6).reshape(2, 3), np.ones((2, 2, 2)), np.array([True, False]), np.float32([0.1])):
+            assert ser.dumps(value) == reference_emit(value) + "\n"
 
 
 class TestJsonDocs:

@@ -14,14 +14,12 @@ All of it is evaluated by one batched kernel, :func:`layer_step`, on query
 rows (m, d) against context points (n, d) and weights (n,) in the order given;
 the single-point functions are its m = 1 calls on a canonical measure's arrays.
 
-The kernel's (m, n) scratch -- each head's logits and softmax weights, and the
-product terms of the contractions over the atoms -- lives in ``work``, a flat
-float64 array of at least 2 * m * n entries that the caller owns and passes
-by keyword.  The kernel writes every entry it uses before reading it, so the
-results are bitwise the same for any ``work`` contents and for ``work=None``,
-where it allocates one scratch array per call.  A stack pass allocates one
-buffer, sized for its first context, and hands it to every layer; nothing
-keeps it after the pass.
+The kernel owns its scratch: each call allocates one array that holds a
+block of query rows' logits and softmax weights, and the product terms of
+the contractions over the atoms, for every head in turn.  It attends in
+blocks of ``max(1, SCRATCH_ENTRIES // n)`` query rows, so the scratch has at
+most 2 * max(SCRATCH_ENTRIES, n) entries however many queries meet; as rows
+do not depend on the batch, blocking changes no bit.
 """
 
 from __future__ import annotations
@@ -40,6 +38,9 @@ ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))),
     "relu-smooth": lambda z: np.logaddexp(0.0, z),
 }
+
+# The most (row, atom) entries of one block of the kernel's scratch.
+SCRATCH_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -156,19 +157,12 @@ def _rowmul(X: np.ndarray, A: np.ndarray, out: np.ndarray | None = None, term: n
     return out
 
 
-def _workspace(m: int, n: int) -> np.ndarray:
-    """An unfilled kernel workspace for m query rows against at most n context atoms."""
-    return np.empty(2 * m * n)
-
-
 def _attend(
     params: AttentionParams,
     pts: np.ndarray,
     w: np.ndarray,
     X: np.ndarray,
     weights: list[np.ndarray] | None = None,
-    *,
-    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Attention displacement at every query row against context atoms ``pts``, weights ``w``.
 
@@ -176,29 +170,35 @@ def _attend(
     softmax stabilized by each row's maximum, and the pooled values mapped
     through W V, reducing over the atoms in the order given.  The (m, n)
     softmax weights of each head are appended to ``weights`` if given, as
-    copies.  The logits and the pooling products live in two (m, n) views of
-    ``work`` (see the module docstring), reused by every head.
+    copies.  Query rows go in blocks of ``max(1, SCRATCH_ENTRIES // n)`` that
+    reuse one scratch for every head (see the module docstring).
     """
     if pts.shape[0] == 0:
         raise EmptyMeasure("attention needs a nonempty context measure")
     m, n = X.shape[0], pts.shape[0]
-    work = np.empty((2, m, n)) if work is None else work[: 2 * m * n].reshape(2, m, n)
-    p, term = work[0], work[1]
+    rows = max(1, SCRATCH_ENTRIES // n)
+    scratch = np.empty((2, min(m, rows), n))
     pts_t = np.ascontiguousarray(pts.T)
     scale = 1.0 / math.sqrt(params.key_dim)
+    probs = [np.empty((m, n)) for _ in params.heads] if weights is not None else None
     out = np.zeros_like(X)
-    for head in params.heads:
-        _rowmul(_rowmul(X, head.q) * scale, _rowmul(pts, head.k), out=p, term=term)
-        p -= np.max(p, axis=1, keepdims=True)
-        np.exp(p, out=p)
-        p *= w
-        p /= np.sum(p, axis=1, keepdims=True)
-        if weights is not None:
-            weights.append(p.copy())
-        pooled = np.empty_like(X)
-        for j in range(pts_t.shape[0]):
-            pooled[:, j] = np.sum(np.multiply(p, pts_t[j], out=term), axis=1)
-        out = out + _rowmul(_rowmul(pooled, head.v), head.w)
+    for lo in range(0, m, rows):
+        Xb = X[lo : lo + rows]
+        p, term = scratch[0, : len(Xb)], scratch[1, : len(Xb)]
+        for h, head in enumerate(params.heads):
+            _rowmul(_rowmul(Xb, head.q) * scale, _rowmul(pts, head.k), out=p, term=term)
+            p -= np.max(p, axis=1, keepdims=True)
+            np.exp(p, out=p)
+            p *= w
+            p /= np.sum(p, axis=1, keepdims=True)
+            if probs is not None:
+                probs[h][lo : lo + rows] = p
+            pooled = np.empty_like(Xb)
+            for j in range(pts_t.shape[0]):
+                pooled[:, j] = np.sum(np.multiply(p, pts_t[j], out=term), axis=1)
+            out[lo : lo + rows] += _rowmul(_rowmul(pooled, head.v), head.w)
+    if weights is not None:
+        weights.extend(probs)
     return out
 
 
@@ -212,15 +212,7 @@ def _mlp_rows(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return params.skip * X + h
 
 
-def velocity_rows(
-    att: AttentionParams,
-    mlp_p: MlpParams,
-    pts: np.ndarray,
-    w: np.ndarray,
-    X: np.ndarray,
-    *,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
+def velocity_rows(att: AttentionParams, mlp_p: MlpParams, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Layer velocity Att(ctx, x) + H(x + Att(ctx, x)) at every row of X (m, d).
 
     Context atoms ``pts`` (weights ``w``) are reduced in the order given.  Requires
@@ -228,14 +220,12 @@ def velocity_rows(
     """
     if mlp_p.skip != 1.0:
         raise SkipNotUnit(f"velocity needs skip coefficient 1, got {mlp_p.skip}")
-    a = _attend(att, pts, w, X, work=work)
+    a = _attend(att, pts, w, X)
     g = X + a
     return a + (_mlp_rows(mlp_p, g) - g)
 
 
-def layer_step(
-    layer: Layer, pts: np.ndarray, w: np.ndarray, X: np.ndarray, *, work: np.ndarray | None = None
-) -> np.ndarray:
+def layer_step(layer: Layer, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The batched layer kernel: images of the query rows X (m, d) under one layer.
 
     Context atoms ``pts`` (weights ``w``) are reduced in the order given.  At
@@ -244,8 +234,8 @@ def layer_step(
     """
     X = np.asarray(X, dtype=float)
     if layer.scale == 1.0:
-        return _mlp_rows(layer.mlp, X + _attend(layer.attention, pts, w, X, work=work))
-    return X + layer.scale * velocity_rows(layer.attention, layer.mlp, pts, w, X, work=work)
+        return _mlp_rows(layer.mlp, X + _attend(layer.attention, pts, w, X))
+    return X + layer.scale * velocity_rows(layer.attention, layer.mlp, pts, w, X)
 
 
 def _row(x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Subcommands: ``w1``, ``forward``, ``forward-tokens``, ``flow``,
-``depth-limit``, ``extract-g``, ``counterexample`` and ``self-test``.  Domain
-errors exit with status 1 and a named error on stderr; usage errors exit 2.
+``depth-limit``, ``extract-g``, ``counterexample`` and ``self-test``.  Domain,
+file and memory errors exit 1, naming the error on stderr; usage errors exit 2.
 Outputs are byte-identical across runs with the same arguments and seed.
 """
 
@@ -213,6 +213,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error: FileNotFound: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: FileAccess: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: OutOfMemory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: BadInputFile: {type(exc).__name__}: {exc}", file=sys.stderr)

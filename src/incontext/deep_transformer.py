@@ -5,8 +5,7 @@ the context measure is pushed forward alongside (the diamond rule).  The same
 stack acts on measures by relocating every atom, and on token sequences by
 acting pointwise while keeping the input order.  Each layer moves all atoms
 (or tokens) in one call of the batched kernel ``layer_step``, which reads its
-context measure only through the measure's points and weights arrays;
-all layers of one pass share one kernel workspace.
+context measure only through the measure's points and weights arrays.
 
 Each layer carries an optional velocity scale: at scale 1 the layer applies
 ``F(x + Att(mu, x))`` directly, at scale c it applies ``x + c * velocity``,
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import Layer, _context, _row, _workspace, layer_step
+from .attention import Layer, _context, _row, layer_step
 from .errors import DimensionMismatch
 from .measures import DiscreteMeasure, TokenSequence, _freeze, canonicalize, iota, relocate
 
@@ -60,19 +59,15 @@ def context_chain(stack: LayerStack, mu: DiscreteMeasure) -> list[DiscreteMeasur
     """
     nu = canonicalize(mu)
     chain = [nu]
-    # later contexts are canonical push-forwards of the first, which can merge
-    # atoms but never add one, so one buffer sized for the first serves them all
-    work = _workspace(nu.n, nu.n) if stack.layers else None
     for layer in stack.layers:
-        nu = relocate(nu, layer_step(layer, nu.points, nu.weights, nu.points, work=work))
+        nu = relocate(nu, layer_step(layer, nu.points, nu.weights, nu.points))
         chain.append(nu)
     return chain
 
 
 def _map_rows(stack: LayerStack, chain: list[DiscreteMeasure], X: np.ndarray) -> np.ndarray:
-    work = _workspace(X.shape[0], chain[0].n) if stack.layers else None
     for layer, ctx in zip(stack.layers, chain):
-        X = layer_step(layer, ctx.points, ctx.weights, X, work=work)
+        X = layer_step(layer, ctx.points, ctx.weights, X)
     return X
 
 

@@ -170,6 +170,8 @@ def characteristic_map(
     """
     if not 0.0 <= t <= 1.0:
         raise TooFewTimePoints(f"time {t} outside [0, 1]")
+    if steps < 1:
+        raise TooFewTimePoints(f"need at least one RK4 step, got {steps}")
     y = np.array(np.asarray(x, dtype=float).reshape(-1))
     if t == 0.0:
         return y

@@ -610,6 +610,48 @@ class TestBadInputs:
         assert len(lines) == 1 + 5 * 2
 
 
+LIMITED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    "from incontext.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def run_limited(*argv):
+    """The CLI on ``argv`` in a fresh interpreter whose address space is capped at 2 GiB."""
+    return subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], env=src_env(), capture_output=True, text=True)
+
+
+class TestResourceErrors:
+    def test_a_directory_in_place_of_a_file_exits_one(self, tmp_path, capsys):
+        m = write_measure(tmp_path / "m.json", ic.dirac([0.0]))
+        for argv in (["counterexample", "--mmax", "2", "--out", str(tmp_path)], ["w1", "--a", str(tmp_path), "--b", m]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: FileAccess: IsADirectoryError: "), argv
+
+    def test_failed_allocations_exit_one(self, tmp_path):
+        rng = np.random.default_rng(33)
+        s = write_stack(tmp_path / "s.json", random_stack(rng, 1))
+        few = write_measure(tmp_path / "few.json", random_measure(rng, 8, 1))
+        many = write_measure(tmp_path / "many.json", random_measure(rng, 20000, 1))
+        for argv in (
+            ["flow", "--stack", s, "--measure", few, "--T", "100000000", "--out", str(tmp_path / "f.csv")],
+            ["extract-g", "--map", "identity", "--measure", many, "--x", "0.1"],
+        ):
+            done = run_limited(*argv)
+            assert (done.returncode, done.stdout) == (1, ""), (argv, done.stderr)
+            assert done.stderr.startswith("error: OutOfMemory: ") and done.stderr.count("\n") == 1, done.stderr
+
+    def test_forward_on_many_atoms_runs_in_bounded_memory(self, tmp_path):
+        rng = np.random.default_rng(34)
+        s = write_stack(tmp_path / "s.json", random_stack(rng, 1))
+        m = write_measure(tmp_path / "m.json", random_measure(rng, 12000, 1))
+        done = run_limited("forward", "--stack", s, "--measure", m, "--out", str(tmp_path / "y.json"))
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+        assert ser.measure_from_doc(ser.load_json(str(tmp_path / "y.json"))).dim == 1
+
+
 def _subcommand_argv(command, tmp_path, stack, mu):
     """argv running ``command`` on the stack (or its first layer) and the measure."""
     s = write_stack(tmp_path / "s.json", stack)

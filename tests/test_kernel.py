@@ -4,12 +4,13 @@ per-point reference evaluation."""
 import itertools
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import incontext as ic
-from incontext.attention import _attend, _context, _rowmul
+from incontext.attention import SCRATCH_ENTRIES, _attend, _context, _rowmul
 from incontext.errors import EmptyMeasure
 from incontext.measures import relocate
 
@@ -133,13 +134,28 @@ def collapsing_stack(rng, d):
     return ic.LayerStack((first, random_layer(rng, d, 2, 2), random_layer(rng, d, 1, 3, 0.25)), d)
 
 
-def chain_without_workspace(stack, mu):
-    """The context chain of ``stack`` on ``mu`` from one ``layer_step`` call per layer, ``work=None``."""
+def layer_by_layer_chain(stack, mu, step=ic.layer_step):
+    """The context chain of ``stack`` on ``mu`` from one ``step`` call per layer."""
     chain = [ic.canonicalize(mu)]
     for layer in stack.layers:
         nu = chain[-1]
-        chain.append(relocate(nu, ic.layer_step(layer, nu.points, nu.weights, nu.points)))
+        chain.append(relocate(nu, step(layer, nu.points, nu.weights, nu.points)))
     return chain
+
+
+def in_chunks(fn, *args, size=7):
+    """``fn(*args)`` on consecutive chunks of ``size`` rows of its last argument, stacked."""
+    *head, X = args
+    return np.vstack([fn(*head, X[i : i + size]) for i in range(0, X.shape[0], size)])
+
+
+chunked_step = partial(in_chunks, ic.layer_step)
+
+
+def distinct_context(rng, n, d):
+    ctx = ic.canonicalize(random_measure(rng, n, d))
+    assert ctx.n == n
+    return ctx
 
 
 def traced_peak(fn):
@@ -154,33 +170,58 @@ def traced_peak(fn):
 
 
 class TestWorkspace:
-    def test_rows_do_not_depend_on_the_workspace(self):
-        reused = np.empty(2 * 263 * 256)  # the largest (m, n) of cases()
-        for layer, ctx, X in cases(9):
+    """The kernel's own scratch: query rows taken in blocks of bounded size."""
+
+    def test_blocked_rows_equal_small_chunks_bitwise(self):
+        rng = np.random.default_rng(9)
+        n = 1100
+        assert SCRATCH_ENTRIES // n < n < 2 * (SCRATCH_ENTRIES // n)  # two blocks
+        for d, heads, scale in ((1, 2, 1.0), (3, 1, 0.125)):
+            layer = random_layer(rng, d, heads, 2, scale)
+            ctx = distinct_context(rng, n, d)
+            X = np.vstack([ctx.points[100:][::-1], rng.uniform(-2.5, 2.5, size=(100, d))])
             args = (ctx.points, ctx.weights, X)
-            step = ic.layer_step(layer, *args)
-            vel = ic.velocity_rows(layer.attention, layer.mlp, *args)
-            fresh = np.empty(2 * X.shape[0] * ctx.n)
-            assert np.array_equal(ic.layer_step(layer, *args, work=fresh), step)
-            assert np.array_equal(ic.velocity_rows(layer.attention, layer.mlp, *args, work=fresh), vel)
-            reused.fill(np.nan)
-            assert np.array_equal(ic.layer_step(layer, *args, work=reused), step)
-            reused.fill(np.nan)
-            assert np.array_equal(ic.velocity_rows(layer.attention, layer.mlp, *args, work=reused), vel)
+            assert np.array_equal(ic.layer_step(layer, *args), chunked_step(layer, *args))
+            att, mlp_p = layer.attention, layer.mlp
+            assert np.array_equal(ic.velocity_rows(att, mlp_p, *args), in_chunks(ic.velocity_rows, att, mlp_p, *args))
+
+            def head_weights(rows):
+                weights = []
+                _attend(att, ctx.points, ctx.weights, rows, weights)
+                return np.stack(weights)
+
+            chunks = [head_weights(X[i : i + 7]) for i in range(0, n, 7)]
+            assert np.array_equal(head_weights(X), np.concatenate(chunks, axis=1))
+
+    def test_blocked_stack_passes_equal_small_chunks_bitwise(self):
+        rng = np.random.default_rng(10)
+        n, d = 1500, 2
+        stack = ic.LayerStack((random_layer(rng, d, 2, 3), random_layer(rng, d, 1, 2, 0.25)), d)
+        mu = random_measure(rng, n, d)
+        want = layer_by_layer_chain(stack, mu, chunked_step)
+        assert want[0].n == n
+        got = ic.forward_measure(stack, mu)
+        assert np.array_equal(got.points, want[-1].points) and np.array_equal(got.weights, want[-1].weights)
+
+        seq = ic.new_tokens(mu.points[rng.permutation(n)])
+        X = seq.tokens
+        for layer, ctx in zip(stack.layers, layer_by_layer_chain(stack, ic.iota(seq), chunked_step)):
+            X = chunked_step(layer, ctx.points, ctx.weights, X)
+        assert np.array_equal(ic.forward_tokens(stack, seq).tokens, X)
 
     def test_context_collapsing_mid_pass_matches_layer_by_layer_calls(self):
         rng = np.random.default_rng(10)
         for d in (1, 3):
             stack = collapsing_stack(rng, d)
             mu = random_measure(rng, 40, d)
-            chain = chain_without_workspace(stack, mu)
+            chain = layer_by_layer_chain(stack, mu)
             assert [c.n for c in chain] == [40, 1, 1, 1]
             got = ic.forward_measure(stack, mu)
             assert np.array_equal(got.points, chain[-1].points) and np.array_equal(got.weights, chain[-1].weights)
 
             seq = ic.new_tokens(rng.uniform(-2.0, 2.0, size=(25, d))[rng.integers(0, 25, size=50)])
             X = seq.tokens
-            for layer, ctx in zip(stack.layers, chain_without_workspace(stack, ic.iota(seq))):
+            for layer, ctx in zip(stack.layers, layer_by_layer_chain(stack, ic.iota(seq))):
                 X = ic.layer_step(layer, ctx.points, ctx.weights, X)
             assert np.array_equal(ic.forward_tokens(stack, seq).tokens, X)
 
@@ -195,28 +236,28 @@ class TestWorkspace:
         for head, p in zip(att.heads, got):
             alone = ic.AttentionParams((head,), att.key_dim)
             assert np.array_equal(ic.attention_weights(alone, mu, x)[0], p)
-        pts, w = _context(mu)
-        work = np.empty(2 * pts.shape[0])
-        head_weights = []
-        _attend(att, pts, w, x.reshape(1, -1), head_weights, work=work)
-        for p, q in zip(got, head_weights):
-            assert not np.shares_memory(q, work)
-            assert np.array_equal(p, q[0])
 
-    def test_layer_step_with_a_workspace_allocates_less_than_one_logit_array(self):
+    @pytest.mark.parametrize("heads", [2, 4])
+    def test_layer_step_allocates_less_than_three_logit_arrays(self, heads):
         rng = np.random.default_rng(12)
         m = n = 256
-        layer = random_layer(rng, 4, 2, 3)
-        ctx = ic.canonicalize(random_measure(rng, n, 4))
-        assert ctx.n == n
-        work = np.empty(2 * m * n)
+        layer = random_layer(rng, 4, heads, 3)
+        ctx = distinct_context(rng, n, 4)
 
         def step():
-            ic.layer_step(layer, ctx.points, ctx.weights, ctx.points, work=work)
+            ic.layer_step(layer, ctx.points, ctx.weights, ctx.points)
 
         step()
         peak = traced_peak(step)
-        assert peak < m * n * 8, peak
+        assert peak < 3 * m * n * 8, peak
+
+    def test_scratch_is_bounded_for_many_atoms(self):
+        rng = np.random.default_rng(14)
+        n = 3000
+        layer = random_layer(rng, 1, 1, 2)
+        ctx = distinct_context(rng, n, 1)
+        peak = traced_peak(lambda: ic.layer_step(layer, ctx.points, ctx.weights, ctx.points))
+        assert peak < 2 * SCRATCH_ENTRIES * 8 + 2**20, peak
 
     def test_an_empty_stack_allocates_no_workspace(self):
         rng = np.random.default_rng(13)

@@ -145,6 +145,12 @@ class TestCharacteristicMap:
         got = ic.characteristic_map(decay_field(), ic.dirac([1.0]), x, 0.0)
         assert np.array_equal(got, x)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_rejects_fewer_than_one_step(self, steps, t):
+        with pytest.raises(TooFewTimePoints):
+            ic.characteristic_map(decay_field(), ic.dirac([1.0]), np.array([0.7]), t, steps=steps)
+
     def test_zero_field(self):
         x = np.array([0.7, -0.8])
         mu0 = ic.new_discrete([[0.0, 0.0]], [1.0])

@@ -144,16 +144,15 @@ def _rowmul(X: np.ndarray, A: np.ndarray, out: np.ndarray | None = None, term: n
     """Rows of ``X @ A.T``, accumulated over the shared axis term by term.
 
     ``out`` and ``term``, when given, are (m, k) arrays that receive the result
-    and each product term; both are written before they are read.  Raises
+    and each product term; both are written before they are read.  Without
+    ``term`` each product term is a temporary.  Raises
     DimensionMismatch when the rows of X and of A differ in width.
     """
     if X.shape[1] != A.shape[1]:
         raise DimensionMismatch(f"points of dimension {X.shape[1]} meet a matrix of width {A.shape[1]}")
     out = X[:, :1] * A[:, 0] if out is None else np.multiply(X[:, :1], A[:, 0], out=out)
-    if term is None:
-        term = np.empty_like(out)
     for j in range(1, X.shape[1]):
-        out += np.multiply(X[:, j : j + 1], A[:, j], out=term)
+        out += X[:, j : j + 1] * A[:, j] if term is None else np.multiply(X[:, j : j + 1], A[:, j], out=term)
     return out
 
 
@@ -168,10 +167,15 @@ def _attend(
 
     Per head: logits (m, n) = (Q x) . (K x_l) / sqrt(key_dim), a weighted
     softmax stabilized by each row's maximum, and the pooled values mapped
-    through W V, reducing over the atoms in the order given.  The (m, n)
-    softmax weights of each head are appended to ``weights`` if given, as
-    copies.  Query rows go in blocks of ``max(1, SCRATCH_ENTRIES // n)`` that
-    reuse one scratch for every head (see the module docstring).
+    through W V, reducing over the atoms in the order given.  Each head's
+    keys K x_l are computed once per call and stored column-contiguous, so
+    every block reads each key coordinate as one contiguous row of n values.
+    The (m, n) softmax weights of each head are appended to ``weights`` if
+    given, as copies.  Query rows go in blocks of ``max(1, SCRATCH_ENTRIES //
+    n)`` that reuse one scratch for every head (see the module docstring).
+    The atom reductions call ``np.maximum.reduce`` and ``np.add.reduce``
+    directly: on the few-atom contexts of a flow, the Python wrappers of
+    ``np.max`` and ``np.sum`` cost as much as the arithmetic.
     """
     if pts.shape[0] == 0:
         raise EmptyMeasure("attention needs a nonempty context measure")
@@ -179,24 +183,25 @@ def _attend(
     rows = max(1, SCRATCH_ENTRIES // n)
     scratch = np.empty((2, min(m, rows), n))
     pts_t = np.ascontiguousarray(pts.T)
+    keys = [np.asfortranarray(_rowmul(pts, head.k)) for head in params.heads]
     scale = 1.0 / math.sqrt(params.key_dim)
     probs = [np.empty((m, n)) for _ in params.heads] if weights is not None else None
-    out = np.zeros_like(X)
+    out = np.zeros(X.shape, X.dtype)
     for lo in range(0, m, rows):
         Xb = X[lo : lo + rows]
         p, term = scratch[0, : len(Xb)], scratch[1, : len(Xb)]
         for h, head in enumerate(params.heads):
-            _rowmul(_rowmul(Xb, head.q) * scale, _rowmul(pts, head.k), out=p, term=term)
-            p -= np.max(p, axis=1, keepdims=True)
+            _rowmul(_rowmul(Xb, head.q) * scale, keys[h], out=p, term=term)
+            p -= np.maximum.reduce(p, axis=1, keepdims=True)
             np.exp(p, out=p)
             p *= w
-            p /= np.sum(p, axis=1, keepdims=True)
+            p /= np.add.reduce(p, axis=1, keepdims=True)
             if probs is not None:
                 probs[h][lo : lo + rows] = p
-            pooled = np.empty_like(Xb)
-            for j in range(pts_t.shape[0]):
-                pooled[:, j] = np.sum(np.multiply(p, pts_t[j], out=term), axis=1)
-            out[lo : lo + rows] += _rowmul(_rowmul(pooled, head.v), head.w)
+            pooled = np.empty((len(pts_t), len(Xb)))
+            for coord, pooled_j in zip(pts_t, pooled):
+                np.add.reduce(np.multiply(p, coord, out=term), axis=1, out=pooled_j)
+            out[lo : lo + rows] += _rowmul(_rowmul(pooled.T, head.v), head.w)
     if weights is not None:
         weights.extend(probs)
     return out

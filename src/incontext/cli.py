@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .serialize import (
     write_csv,
 )
 from .transport import w1, w1_extended, w1_matching
-from .vlasov import VelocityField, depth_limit_error, euler_flow, rk4_flow
+from .vlasov import Trajectory, VelocityField, depth_limit_error, euler_flow, rk4_flow
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,14 +128,23 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     v = VelocityField.from_stack(stack)
     traj = (euler_flow if args.integrator == "euler" else rk4_flow)(v, mu, args.steps)
     header = ["t", "atom_index"] + [f"x_{i + 1}" for i in range(mu.dim)] + ["weight"]
-    weights = traj.weights.tolist()
-    rows = [
-        [t, i, *x, weights[i]]
-        for t, state in zip(traj.times.tolist(), traj.points.tolist())
-        for i, x in enumerate(state)
-    ]
-    write_csv(args.out, header, rows)
+    write_csv(args.out, header, _trajectory_blocks(traj))
     return 0
+
+
+def _trajectory_blocks(traj: Trajectory) -> Iterator[np.ndarray]:
+    """One (n, d + 3) block per time step, rows ``t, atom_index, x_1..x_d, weight``.
+
+    Every step reuses one array, so a block is valid until the next is drawn.
+    """
+    n, d = traj.points.shape[1:]
+    block = np.empty((n, d + 3))
+    block[:, 1] = np.arange(n)
+    block[:, -1] = traj.weights
+    for t, state in zip(traj.times, traj.points):
+        block[:, 0] = t
+        block[:, 2:-1] = state
+        yield block
 
 
 def _cmd_depth_limit(args: argparse.Namespace) -> int:

@@ -33,6 +33,8 @@ DEFAULT_EPS = 1e-6
 MAX_PATCH_RADIUS = 0.05
 MIN_PATCH_RADIUS = 1e-8
 MAX_HALVINGS = 12
+# The most (row, column) entries of one block of distances in ``_min_spacing``.
+SPACING_BLOCK_ENTRIES = 2**16
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -156,10 +158,23 @@ def linear_combination(a: float, f1: TestFunction, b: float, f2: TestFunction) -
 
 
 def _min_spacing(points: np.ndarray) -> float:
-    """Smallest distance between two rows of ``points`` (inf for a single row)."""
-    if points.shape[0] < 2:
+    """Smallest distance between two rows of ``points`` (inf for a single row).
+
+    Walks the rows in blocks of ``max(1, SPACING_BLOCK_ENTRIES // n)``, taking
+    each block's distances to every row but itself.  ``_distances`` computes
+    each entry alone and is exactly symmetric, so this is bitwise the minimum
+    over the pairs i < j, in memory that does not grow with n**2.
+    """
+    n = points.shape[0]
+    if n < 2:
         return np.inf
-    return float(np.min(_distances(points, points)[np.triu_indices(points.shape[0], k=1)]))
+    rows = max(1, SPACING_BLOCK_ENTRIES // n)
+    block_minima = []
+    for lo in range(0, n, rows):
+        dist = _distances(points[lo : lo + rows], points)
+        np.fill_diagonal(dist[:, lo:], np.inf)
+        block_minima.append(np.min(dist))
+    return float(np.min(block_minima))
 
 
 def _usable_radius(r: float, spacing: float) -> float:

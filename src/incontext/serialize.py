@@ -225,11 +225,22 @@ def save_json(path: str, doc: Any) -> None:
         fh.write(dumps(doc))
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    """CSV with '.' decimals, ',' separators, a header row and LF endings."""
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any] | np.ndarray]) -> None:
+    """CSV with '.' decimals, ',' separators, a header row and LF endings.
+
+    Each item of ``rows`` is one row of cells, floats written by ``fmt`` and
+    other cells by ``str``, or a 2-d float array holding a block of rows,
+    written by one ``"%.17g"`` format call.  ``"%.17g" % x`` is ``fmt(x)`` for
+    every double, and an integral float below 2**53 reads as its integer, so
+    a block's integer columns print as ``str`` would print them.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
+            if isinstance(row, np.ndarray):
+                r, c = row.shape
+                fh.write(((",".join(["%.17g"] * c) + "\n") * r) % tuple(row.ravel().tolist()))
+                continue
             cells = [
                 fmt(c) if isinstance(c, (float, np.floating)) else str(c) for c in row
             ]

@@ -125,6 +125,18 @@ def reference_emit(value):
     raise TypeError(type(value).__name__)
 
 
+def reference_flow_csv(traj):
+    """The flow CSV as one list of cells per row, each cell formatted alone:
+    floats with 17 significant digits, the atom index with ``str``."""
+    d = traj.points.shape[2]
+    lines = [",".join(["t", "atom_index"] + [f"x_{i + 1}" for i in range(d)] + ["weight"])]
+    weights = traj.weights.tolist()
+    for t, state in zip(traj.times.tolist(), traj.points.tolist()):
+        for i, x in enumerate(state):
+            lines.append(",".join([format(t, ".17g"), str(i)] + [format(c, ".17g") for c in [*x, weights[i]]]))
+    return "\n".join(lines) + "\n"
+
+
 # -- per-point reference evaluation ----------------------------------------------
 #
 # The layer evaluation as it was before the batched kernel: one query point per

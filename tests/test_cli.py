@@ -263,6 +263,53 @@ class TestFlowCommand:
         ]
 
 
+# VmHWM is the peak resident memory of this program; ru_maxrss would also
+# count the parent's resident memory at the fork
+RSS_GROWTH_MAIN = (
+    "import sys\n"
+    "from incontext.cli import main\n"
+    "def kib(field):\n"
+    "    with open('/proc/self/status') as fh:\n"
+    "        return next(int(line.split()[1]) for line in fh if line.startswith(field))\n"
+    "before = kib('VmRSS:')\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, (kib('VmHWM:') - before) * 1024)\n"
+)
+
+
+def flow_rss_growth(tmp_path, steps):
+    """Run ``flow`` on 16 atoms in d = 2, one child process per step count, all
+    at once; return each child's exit code and the bytes by which its peak
+    resident memory exceeds its resident memory before ``main``.  The field is
+    zero: a layer's work allocates nothing that outlives its step."""
+    s, m = tmp_path / "s.json", tmp_path / "m.json"
+    ser.save_json(str(s), {"dim": 2, "layers": []})
+    write_measure(m, random_measure(np.random.default_rng(61), 16, 2))
+    procs = {
+        T: subprocess.Popen(
+            [sys.executable, "-c", RSS_GROWTH_MAIN, "flow", "--stack", str(s), "--measure", str(m),
+             "--T", str(T), "--out", str(tmp_path / f"y{T}.csv")],
+            env=src_env(),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for T in steps
+    }
+    return {T: tuple(int(v) for v in proc.communicate()[0].split()) for T, proc in procs.items()}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads resident memory from /proc")
+def test_flow_csv_memory_is_bounded_in_the_step_count(tmp_path):
+    # the (T + 1, n, d) path is the only array that grows with T; the CSV is
+    # written one time step at a time (a list of all rows took 221 MiB at T = 40,000)
+    n, d = 16, 2
+    growth = flow_rss_growth(tmp_path, (5_000, 20_000))
+    for T, (code, grown) in growth.items():
+        assert code == 0
+        assert grown <= (T + 1) * n * d * 8 + 4 * 2**20, (T, grown)
+    assert growth[20_000][1] - growth[5_000][1] <= 15_000 * n * d * 8 + 2 * 2**20, growth
+
+
 class TestDepthLimitCommand:
     def test_errors_decrease(self, tmp_path):
         rng = np.random.default_rng(42)

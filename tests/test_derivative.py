@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import incontext as ic
-from incontext.derivative import MAX_PATCH_RADIUS, regular_derivative
+from incontext.derivative import MAX_PATCH_RADIUS, SPACING_BLOCK_ENTRIES, _min_spacing, regular_derivative
+from incontext.measures import _distances
 from incontext.errors import AnchorsTooClose, DisplacementTooLarge, ProbeMassLost
 
 from helpers import each_row, random_attention, random_measure, random_mlp, random_stack
@@ -68,6 +71,42 @@ class TestPatchedTest:
                 e[i] = h
                 fd = (patched.value(y + e) - patched.value(y - e)) / (2 * h)
                 assert abs(grad[i] - fd) <= 1e-6
+
+
+def triu_min_spacing(points):
+    """The minimum of the whole distance matrix over its strict upper triangle."""
+    if points.shape[0] < 2:
+        return np.inf
+    return float(np.min(_distances(points, points)[np.triu_indices(points.shape[0], k=1)]))
+
+
+class TestMinSpacing:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_the_upper_triangle_minimum_bitwise(self, d):
+        rng = np.random.default_rng(40 + d)
+        # one block of `side` rows at n = side, two blocks at side + 1, three at 600;
+        # a repeated row gives spacing zero
+        side = int(SPACING_BLOCK_ENTRIES**0.5)
+        for n in (1, 2, 3, 5, 17, side, side + 1, 600):
+            points = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, d))
+            got, want = _min_spacing(points), triu_min_spacing(points)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, got, want)
+            if n > 3:
+                points[n // 2] = points[1]
+                assert _min_spacing(points) == triu_min_spacing(points) == 0.0
+                points[-1] = np.nan
+                assert np.isnan(_min_spacing(points)) and np.isnan(triu_min_spacing(points))
+
+    def test_memory_does_not_grow_with_the_square_of_n(self):
+        points = np.random.default_rng(44).uniform(-2.5, 2.5, size=(5000, 1))
+        tracemalloc.start()
+        try:
+            _min_spacing(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole matrix with its index pairs took 572 MiB
+        assert peak < 8 * 2**20, peak
 
 
 class TestCoordinateTest:

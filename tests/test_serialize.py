@@ -2,11 +2,17 @@ import json
 import math
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import incontext as ic
 from incontext import serialize as ser
+from incontext.cli import _trajectory_blocks, main
+from incontext.vlasov import Trajectory
 
-from helpers import random_attention, random_measure, random_mlp, reference_emit
+from helpers import random_attention, random_measure, random_mlp, random_stack, reference_emit, reference_flow_csv
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 class TestFloatFormat:
@@ -100,3 +106,69 @@ class TestCsv:
         ser.write_csv(str(path), ["a", "b"], [[1, 0.5], [2, 0.25]])
         text = path.read_bytes().decode()
         assert text == "a,b\n1,0.5\n2,0.25\n"
+
+
+class TestFloatBlocks:
+    """A float block is written by one ``"%.17g"`` format call, byte for byte as ``fmt``."""
+
+    @PROPERTY
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.2250738585072009e-308)
+    @example(float("inf"))
+    @example(float("-inf"))
+    @example(float("nan"))
+    @example(1e-300)
+    @example(2.0**53)
+    def test_percent_format_is_fmt(self, x):
+        assert "%.17g" % x == ser.fmt(x)
+
+    def test_percent_format_is_fmt_on_random_bit_patterns(self):
+        # every exponent, both signs, subnormals and NaN payloads
+        bits = np.random.default_rng(52).integers(0, 2**64, size=100_000, dtype=np.uint64)
+        values = bits.view(np.float64).tolist()
+        assert ("%.17g," * len(values)) % tuple(values) == "".join([ser.fmt(x) + "," for x in values])
+
+    @PROPERTY
+    @given(st.integers(0, 2**53))
+    def test_integral_floats_read_as_their_integer(self, i):
+        assert "%.17g" % float(i) == str(i)
+
+    def test_block_equals_its_rows_cell_by_cell(self, tmp_path):
+        block = np.array([[0.0, 1.0, -0.0, 1e-300], [0.5, 2.0, 5e-324, -1 / 3], [1.0, 3.0, -1e308, np.nan]])
+        cells = [[row[0], int(row[1]), *row[2:]] for row in block.tolist()]
+        ser.write_csv(str(tmp_path / "a.csv"), ["t", "i", "x", "w"], [block[:1], block[1:]])
+        ser.write_csv(str(tmp_path / "b.csv"), ["t", "i", "x", "w"], cells)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_mixed_rows_keep_their_cells(self, tmp_path):
+        path = tmp_path / "out.csv"
+        ser.write_csv(str(path), ["a", "b"], [["x", 0.5], np.array([[1.0, -0.0]]), [2, 0.25]])
+        assert path.read_text() == "a,b\nx,0.5\n1,-0\n2,0.25\n"
+
+
+class TestFlowCsv:
+    def test_trajectory_with_signed_zero_and_tiny_values_matches_the_cell_writer(self, tmp_path):
+        points = np.array(
+            [[[-0.0, 1e-300], [0.5, -5e-324]], [[1e-300, -0.0], [-1e308, 1 / 3]], [[0.0, 2.5], [-2.5, 1e16]]]
+        )
+        weights = np.array([1e-300, 0.75])
+        traj = Trajectory(np.array([0.0, 0.5, 1.0]), points, weights, ic.default_box(2))
+        path = tmp_path / "t.csv"
+        ser.write_csv(str(path), ["t", "atom_index", "x_1", "x_2", "weight"], _trajectory_blocks(traj))
+        assert path.read_text() == reference_flow_csv(traj)
+        assert ",-0," in path.read_text() and ",1e-300," in path.read_text()
+
+    def test_flow_command_matches_the_cell_writer(self, tmp_path):
+        rng = np.random.default_rng(51)
+        stack = random_stack(rng, 2, depth=2)
+        mu = ic.new_discrete(rng.uniform(-1.0, 1.0, (5, 2)) * [1.0, 1e-300], rng.uniform(0.2, 1.0, 5))
+        ser.save_json(str(tmp_path / "s.json"), ser.stack_to_doc(stack))
+        ser.save_json(str(tmp_path / "m.json"), ser.measure_to_doc(mu))
+        for integrator, flow in (("euler", ic.euler_flow), ("rk4", ic.rk4_flow)):
+            out = tmp_path / f"{integrator}.csv"
+            argv = ["flow", "--stack", str(tmp_path / "s.json"), "--measure", str(tmp_path / "m.json")]
+            assert main(argv + ["--T", "7", "--integrator", integrator, "--out", str(out)]) == 0
+            traj = flow(ic.VelocityField.from_stack(stack), mu, 7)
+            assert out.read_text() == reference_flow_csv(traj)

@@ -19,7 +19,7 @@ from . import __version__
 from .counterexample import counter_map, discontinuity_scan
 from .deep_transformer import forward_measure, forward_tokens
 from .derivative import MeasureMap, extract_g_detailed
-from .errors import DomainError
+from .errors import DomainError, TooFewTimePoints
 from .selftest import run_self_test
 from .serialize import (
     attention_from_doc,
@@ -148,10 +148,12 @@ def _trajectory_blocks(traj: Trajectory) -> Iterator[np.ndarray]:
 
 
 def _cmd_depth_limit(args: argparse.Namespace) -> int:
+    depths = [int(s) for s in args.Ts.split(",") if s]
+    if not depths:
+        raise TooFewTimePoints(f"--Ts {args.Ts!r} names no depth")
     doc = load_json(args.base)
     att, mlp_p = attention_from_doc(doc["attention"]), mlp_from_doc(doc["mlp"])
     mu = measure_from_doc(load_json(args.measure))
-    depths = [int(s) for s in args.Ts.split(",") if s]
     rows = [[T, depth_limit_error(att, mlp_p, mu, T)] for T in depths]
     write_csv(args.out, ["T", "error"], rows)
     return 0

@@ -19,17 +19,19 @@ import numpy as np
 
 from .derivative import MeasureMap, extract_g_detailed
 from .errors import NotProbability, OutOfDomain
-from .measures import Box, DiscreteMeasure, canonicalize, new_discrete, push_forward
+from .measures import Box, DiscreteMeasure, _raw_measure, new_discrete, push_forward
 from .transport import w1_1d
 
 DOMAIN_HALF_WIDTH = 3.0
 BUMP_AMPLITUDE = 0.1
 KAPPA_FLOOR = 1e-14
 PROBABILITY_TOL = 1e-10
+# Boxes are immutable, so every measure on the domain shares this one.
+DOMAIN_BOX = Box(np.array([-DOMAIN_HALF_WIDTH]), np.array([DOMAIN_HALF_WIDTH]))
 
 
 def domain_box() -> Box:
-    return Box(np.array([-DOMAIN_HALF_WIDTH]), np.array([DOMAIN_HALF_WIDTH]))
+    return DOMAIN_BOX
 
 
 def r_map(a: float, x: float | np.ndarray) -> float | np.ndarray:
@@ -43,11 +45,12 @@ def r_map(a: float, x: float | np.ndarray) -> float | np.ndarray:
     if a < 0.0:
         raise OutOfDomain(f"frequency parameter must be nonnegative, got {a}")
     x = np.asarray(x, dtype=float)
-    outside = x[np.abs(x) > DOMAIN_HALF_WIDTH]
+    size = np.abs(x)
+    outside = x[size > DOMAIN_HALF_WIDTH]
     if outside.size:
         raise OutOfDomain(f"point {outside[0]} outside [-3, 3]")
     c = np.cos(0.5 * math.pi * x)
-    y = np.where(np.abs(x) < 1.0, x + BUMP_AMPLITUDE * c * c * np.cos(a * x), x)
+    y = np.where(size < 1.0, x + BUMP_AMPLITUDE * c * c * np.cos(a * x), x)
     return float(y) if y.ndim == 0 else y
 
 
@@ -55,9 +58,10 @@ def kappa(mu: DiscreteMeasure) -> float:
     """Mass near the origin: atoms weighted 1 inside (-1, 1), tapering to 0 at |x| = 2."""
     if mu.dim != 1:
         raise OutOfDomain(f"defined in dimension one, got {mu.dim}")
-    if np.any(np.abs(mu.points[:, 0]) > DOMAIN_HALF_WIDTH):
+    size = np.abs(mu.points[:, 0])
+    if (size > DOMAIN_HALF_WIDTH).any():
         raise OutOfDomain("support leaves [-3, 3]")
-    return float(np.sum(mu.weights * np.clip(2.0 - np.abs(mu.points[:, 0]), 0.0, 1.0)))
+    return float(np.add.reduce(mu.weights * (2.0 - size).clip(0.0, 1.0)))
 
 
 def frequency(mu: DiscreteMeasure) -> float:
@@ -95,9 +99,8 @@ def two_atom_measure(eps: float) -> DiscreteMeasure:
     """(1 - eps) delta_2 + eps delta_sqrt(eps) on [-3, 3]."""
     if not 0.0 < eps < 1.0:
         raise OutOfDomain(f"eps must lie in (0, 1), got {eps}")
-    return canonicalize(
-        new_discrete([[2.0], [math.sqrt(eps)]], [1.0 - eps, eps], domain_box())
-    )
+    # already canonical: sqrt(eps) < 1 < 2, and both weights are positive
+    return _raw_measure(np.array([[math.sqrt(eps)], [2.0]]), np.array([eps, 1.0 - eps]), DOMAIN_BOX, True)
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,7 @@ def discontinuity_scan(m_max: int) -> list[ScanRow]:
     if m_max < 2:
         raise OutOfDomain("scan needs m_max >= 2")
     f = counter_map()
-    delta2 = new_discrete([[2.0]], [1.0], domain_box())
+    delta2 = new_discrete([[2.0]], [1.0], DOMAIN_BOX)
     rows = []
     for family in ("limsup", "liminf"):
         for m in range(2, m_max + 1):

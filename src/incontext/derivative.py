@@ -39,7 +39,7 @@ SPACING_BLOCK_ENTRIES = 2**16
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
     """C^2 ramp: 0 for u <= 0, 1 for u >= 1, 6u^5 - 15u^4 + 10u^3 between."""
-    u = np.clip(u, 0.0, 1.0)
+    u = u.clip(0.0, 1.0)
     return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
 
 
@@ -83,7 +83,7 @@ class TestFunction:
     def _nearest_anchor(self, Y: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per row: nearest anchor, its distance and value, and (dist - r/2) / (r/2)."""
         dist = _distances(Y, self.patch.anchors)
-        j = np.argmin(dist, axis=1)
+        j = dist.argmin(axis=1)
         dist = dist[np.arange(Y.shape[0]), j]
         half = self.patch.radius / 2.0
         return j, dist, self.patch.values[j], (dist - half) / half
@@ -122,7 +122,7 @@ def coordinate_test(ell: int, box: Box) -> TestFunction:
     lo, hi = box.lo, box.hi
 
     def cutoff(Y: np.ndarray) -> np.ndarray:
-        return np.prod((1.0 - _smoothstep(lo - Y)) * (1.0 - _smoothstep(Y - hi)), axis=1)
+        return np.multiply.reduce((1.0 - _smoothstep(lo - Y)) * (1.0 - _smoothstep(Y - hi)), axis=1)
 
     def cutoff_grad(Y: np.ndarray) -> np.ndarray:
         below, above = lo - Y, Y - hi
@@ -133,7 +133,7 @@ def coordinate_test(ell: int, box: Box) -> TestFunction:
         )
         grad = np.empty_like(Y)
         for i in range(Y.shape[1]):
-            grad[:, i] = df[:, i] * np.prod(np.delete(f, i, axis=1), axis=1)
+            grad[:, i] = df[:, i] * np.multiply.reduce(np.delete(f, i, axis=1), axis=1)
         return grad
 
     def val(Y: np.ndarray) -> np.ndarray:
@@ -144,7 +144,7 @@ def coordinate_test(ell: int, box: Box) -> TestFunction:
         g[:, ell] += cutoff(Y)
         return g
 
-    reach = float(np.max(np.abs(np.stack([lo, hi])))) + 1.0
+    reach = float(np.maximum.reduce(np.abs(np.concatenate((lo, hi))))) + 1.0
     return TestFunction(val, grad, 1.0 + reach * 1.875)
 
 
@@ -169,12 +169,12 @@ def _min_spacing(points: np.ndarray) -> float:
     if n < 2:
         return np.inf
     rows = max(1, SPACING_BLOCK_ENTRIES // n)
-    block_minima = []
+    least = np.inf
     for lo in range(0, n, rows):
         dist = _distances(points[lo : lo + rows], points)
         np.fill_diagonal(dist[:, lo:], np.inf)
-        block_minima.append(np.min(dist))
-    return float(np.min(block_minima))
+        least = np.minimum(least, np.minimum.reduce(dist, axis=None))  # a NaN propagates
+    return float(least)
 
 
 def _usable_radius(r: float, spacing: float) -> float:
@@ -256,12 +256,15 @@ def _paired_quotient(psi: TestFunction, probe: _PairedProbe) -> float:
 
     Matched probe atoms carry exactly their anchor's patched value, so each
     anchor's value weighted by its excess mass cancels the large common terms
-    before any rounding can be amplified by 1/eps.
+    before any rounding can be amplified by 1/eps.  ``psi`` is evaluated once,
+    on the anchors followed by the unmatched atoms.
     """
-    a = psi.base_value(probe.anchors)
-    v = _blend(psi.base_value(probe.free_points), a[probe.free_anchor], probe.free_dist, probe.radius)
+    n = probe.anchors.shape[0]
+    values = psi.base_value(np.concatenate((probe.anchors, probe.free_points)))
+    a = values[:n]
+    v = _blend(values[n:], a[probe.free_anchor], probe.free_dist, probe.radius)
     unmatched = probe.free_weights * v
-    anchored = np.sum(probe.excess * a)
+    anchored = np.add.reduce(probe.excess * a)
     # summed left to right from 0.0 (np.sum would pair the terms)
     total = np.add.accumulate(np.concatenate(([0.0], unmatched, [anchored])))[-1]
     return float(total) / probe.added
@@ -278,11 +281,11 @@ def _new_image_clearance(dist: np.ndarray) -> float | None:
     told apart.
     """
     unpicked = np.ones(dist.shape[1], dtype=bool)
-    unpicked[np.argmin(dist, axis=1)] = False
-    new = np.flatnonzero(unpicked)
+    unpicked[dist.argmin(axis=1)] = False
+    new = unpicked.nonzero()[0]
     if new.size != 1:
         return None
-    return float(np.min(dist[:, new[0]]))
+    return float(np.minimum.reduce(dist[:, new[0]]))
 
 
 def _verified_probe(
@@ -311,7 +314,7 @@ def _verified_probe(
     for _ in range(MAX_HALVINGS + 1):
         probe = add_atom(mu, x, eps)
         # at an existing atom, probe and mu list the same points in the same order
-        added = eps if probe.n > mu.n else float(np.max(probe.weights - mu.weights))
+        added = eps if probe.n > mu.n else float(np.maximum.reduce(probe.weights - mu.weights))
         if added == 0.0:
             raise ProbeMassLost(f"probe mass {eps:.3g} at an atom of mu is lost to rounding")
         f_probe = canonicalize(f(probe))
@@ -320,17 +323,17 @@ def _verified_probe(
         clearance = _new_image_clearance(dist)
         if clearance is not None and clearance < r:
             r_eff = max(clearance / 2.0, MIN_PATCH_RADIUS)
-        if np.max(np.min(dist, axis=1)) < r_eff / 4.0:
+        if np.maximum.reduce(np.minimum.reduce(dist, axis=1)) < r_eff / 4.0:
             break
         eps /= 2.0
     else:
         raise DisplacementTooLarge(f"image support moves more than {r / 4.0:.3g} even at eps {eps * 2:.3g}")
     radius = _usable_radius(r_eff, spacing)
-    nearest = np.argmin(dist, axis=0)
+    nearest = dist.argmin(axis=0)
     near_dist = dist[nearest, np.arange(f_probe.n)]
     matched = near_dist <= radius / 2.0
-    matched_mass = np.zeros(f_mu.n)
-    np.add.at(matched_mass, nearest[matched], f_probe.weights[matched])
+    # summed in probe atom order from 0.0, as np.add.at would
+    matched_mass = np.bincount(nearest[matched], weights=f_probe.weights[matched], minlength=f_mu.n)
     free = ~matched
     free_atoms = (f_probe.points[free], f_probe.weights[free], nearest[free], near_dist[free])
     excess = matched_mass - f_mu.weights

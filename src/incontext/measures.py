@@ -54,9 +54,9 @@ class Box:
         hi = np.array(self.hi, dtype=float)
         if lo.ndim != 1 or hi.ndim != 1 or lo.shape != hi.shape:
             raise LengthMismatch("box corners must be 1-d vectors of equal length")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        if not np.isfinite(np.concatenate((lo, hi))).all():
             raise PointOutsideBox("box corners must be finite")
-        if np.any(lo > hi):
+        if not (lo <= hi).all():
             raise PointOutsideBox("box lower corner exceeds upper corner")
         object.__setattr__(self, "lo", _freeze(lo))
         object.__setattr__(self, "hi", _freeze(hi))
@@ -66,8 +66,7 @@ class Box:
         return self.lo.shape[0]
 
     def contains(self, points: np.ndarray) -> bool:
-        pts = np.atleast_2d(points)
-        return bool((pts >= self.lo).all() and (pts <= self.hi).all())
+        return bool(((points >= self.lo) & (points <= self.hi)).all())
 
     def hull(self, points: np.ndarray) -> "Box":
         """Smallest box containing both self and the given points (self when
@@ -115,7 +114,7 @@ class DiscreteMeasure:
 
     @property
     def total_mass(self) -> float:
-        return float(np.sum(self.weights))
+        return float(np.add.reduce(self.weights))
 
     def normalized(self) -> "DiscreteMeasure":
         """Same atoms with weights scaled to total mass one."""
@@ -123,9 +122,15 @@ class DiscreteMeasure:
         return _raw_measure(self.points, w, self.box, self.is_canonical)
 
     def scaled(self, s: float) -> "DiscreteMeasure":
+        """Weights times ``s``; NonpositiveWeight when a scaled weight rounds
+        to 0 or the scaled total is not finite."""
         if not 0.0 < s < np.inf:
             raise NonpositiveWeight(f"scale factor must be positive and finite, got {s!r}")
-        return _raw_measure(self.points, self.weights * s, self.box, self.is_canonical)
+        with np.errstate(over="ignore"):
+            w = self.weights * s
+            if not _valid_weights(w):
+                raise NonpositiveWeight(f"weights scaled by {s!r} must stay positive with a finite total")
+        return _raw_measure(self.points, w, self.box, self.is_canonical)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscreteMeasure):
@@ -176,6 +181,14 @@ def _raw_measure(points: np.ndarray, weights: np.ndarray, box: Box, canonical: b
     return DiscreteMeasure(_freeze(points), _freeze(weights), box, canonical)
 
 
+def _valid_weights(w: np.ndarray) -> bool:
+    """Whether every weight is positive and their total (as ``total_mass``
+    sums it) is finite, which bounds every weight too.  Positive terms can
+    only overflow, and callers hold ``np.errstate(over="ignore")`` and raise
+    NonpositiveWeight, so a bad weight ends as that error, never a warning."""
+    return bool((w > 0.0).all() and np.add.reduce(w) < np.inf)
+
+
 def new_discrete(
     points: Sequence[Sequence[float]] | np.ndarray,
     weights: Sequence[float] | np.ndarray,
@@ -183,9 +196,9 @@ def new_discrete(
 ) -> DiscreteMeasure:
     """Validate and build a discrete measure.
 
-    Raises LengthMismatch, NonpositiveWeight, PointOutsideBox or EmptyMeasure
-    when the inputs violate the carrier invariants.  ``box`` defaults to
-    [-3, 3]^d.
+    Raises LengthMismatch, NonpositiveWeight (a weight that is not positive,
+    or a total mass that is not finite), PointOutsideBox or EmptyMeasure when
+    the inputs violate the carrier invariants.  ``box`` defaults to [-3, 3]^d.
     """
     pts = np.atleast_2d(np.array(points, dtype=float))
     w = np.array(weights, dtype=float).reshape(-1)
@@ -196,8 +209,9 @@ def new_discrete(
         raise LengthMismatch(f"points must form an (n, d) array, got shape {pts.shape}")
     if pts.shape[0] != w.shape[0]:
         raise LengthMismatch(f"{pts.shape[0]} points vs {w.shape[0]} weights")
-    if not np.isfinite(w).all() or np.any(w <= 0.0):
-        raise NonpositiveWeight("weights must be finite and strictly positive")
+    with np.errstate(over="ignore"):
+        if not _valid_weights(w):
+            raise NonpositiveWeight("weights must be strictly positive with a finite total")
     if not np.isfinite(pts).all():
         raise PointOutsideBox("points must be finite")
     if box is None:
@@ -217,7 +231,7 @@ def dirac(point: Sequence[float] | np.ndarray, mass: float = 1.0, box: Box | Non
 def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Euclidean distances (len(A), len(B)) from each row of A to each row of B."""
     diff = A[:, None, :] - B[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    return np.sqrt(np.add.reduce(diff * diff, axis=2))
 
 
 def _lex_order(points: np.ndarray) -> np.ndarray:
@@ -234,22 +248,29 @@ def canonicalize(mu: DiscreteMeasure) -> DiscreteMeasure:
     the result does not depend on the input atom order, bit for bit.
     Idempotent.
     """
-    if mu.is_canonical:
-        return mu
-    pts = mu.points + 0.0  # -0.0 + 0.0 is +0.0
+    return mu if mu.is_canonical else _canonical(mu.points, mu.weights, mu.box)
+
+
+def _canonical(points: np.ndarray, weights: np.ndarray, box: Box) -> DiscreteMeasure:
+    """The canonical measure with atoms ``points`` of ``weights`` in ``box``."""
+    pts = points + 0.0  # -0.0 + 0.0 is +0.0
     order = _lex_order(pts)
-    pts, w = pts[order], mu.weights[order]
+    pts, w = pts[order], weights[order]
     # a group starts wherever a row differs from the row before it
-    bounds = np.flatnonzero(np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1), [True])))
+    steps = np.logical_or.reduce(pts[1:] != pts[:-1], axis=1).nonzero()[0]
+    if steps.size == w.size - 1:  # no two atoms share a point
+        return _raw_measure(pts, w, box, True)
+    bounds = np.concatenate(([0], steps + 1, [w.size]))
     first, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
-    weights = w[first]
-    # np.sum along a row of a (g, k) block gives, bit for bit, np.sum of that
-    # group alone; np.add.reduceat sums in another order
+    merged = w[first]
+    # np.add.reduce along a row of a (g, k) block gives, bit for bit, np.add.reduce
+    # of that group alone; np.add.reduceat sums in another order
     for k in set(sizes[sizes > 1].tolist()):
         of_size_k = sizes == k
         block = w[first[of_size_k, None] + np.arange(k)]
-        weights[of_size_k] = np.sum(np.sort(block, axis=1), axis=1)
-    return _raw_measure(pts[first], weights, mu.box, True)
+        block.sort(axis=1)
+        merged[of_size_k] = np.add.reduce(block, axis=1)
+    return _raw_measure(pts[first], merged, box, True)
 
 
 def push_forward(mu: DiscreteMeasure, rows_map: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:
@@ -278,20 +299,21 @@ def relocate(mu: DiscreteMeasure, images: np.ndarray) -> DiscreteMeasure:
     that coincide exactly merge; total mass is preserved up to the rounding
     of those merged sums.
     """
-    bad = np.flatnonzero(~np.isfinite(images).all(axis=1))
-    if bad.size:
+    finite = np.isfinite(images)
+    if not finite.all():
+        bad = np.flatnonzero(~finite.all(axis=1))
         raise MapUndefinedAtAtom(f"map returned a non-finite value at atom {bad[0]}")
     if images.shape[1] == mu.dim:
         box = mu.box.hull(images)
     else:
         box = Box(images.min(axis=0), images.max(axis=0))
-    return canonicalize(_raw_measure(images, mu.weights, box, False))
+    return _canonical(images, mu.weights, box)
 
 
 def add_atom(mu: DiscreteMeasure, x: np.ndarray, mass: float) -> DiscreteMeasure:
     """Canonical form of ``mu + mass * delta(x)`` (merges with an existing atom
     only when x equals it exactly).  Raises PointOutsideBox, naming x, when x
-    is not finite."""
+    is not finite, and NonpositiveWeight when the total mass is not."""
     if not 0.0 < mass < np.inf:
         raise NonpositiveWeight(f"added mass must be positive and finite, got {mass!r}")
     x = np.asarray(x, dtype=float).reshape(1, -1)
@@ -300,9 +322,13 @@ def add_atom(mu: DiscreteMeasure, x: np.ndarray, mass: float) -> DiscreteMeasure
     if not np.isfinite(x).all():
         raise PointOutsideBox(f"added atom {x[0].tolist()} must be finite")
     box = mu.box.hull(x)
-    pts = np.vstack([mu.points, x])
-    w = np.concatenate([mu.weights, [mass]])
-    return canonicalize(_raw_measure(pts, w, box, False))
+    pts = np.concatenate((mu.points, x))
+    w = np.concatenate((mu.weights, [mass]))
+    with np.errstate(over="ignore"):
+        out = _canonical(pts, w, box)
+        if not _valid_weights(out.weights):
+            raise NonpositiveWeight(f"adding mass {mass!r} leaves a total that is not finite")
+    return out
 
 
 # -- subset-sum gap -------------------------------------------------------------
@@ -404,7 +430,7 @@ def iota(seq: TokenSequence) -> DiscreteMeasure:
     if seq.n == 0:
         raise EmptySequence("cannot identify an empty sequence with a measure")
     w = np.full(seq.n, 1.0 / seq.n)
-    return canonicalize(_raw_measure(seq.tokens, w, seq.box, False))
+    return _canonical(seq.tokens, w, seq.box)
 
 
 def iota_inv(mu: DiscreteMeasure, n: int) -> TokenSequence:

@@ -113,16 +113,19 @@ def w1_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     if mu.dim != 1 or nu.dim != 1:
         raise DimensionNotOne(f"got dimensions {mu.dim} and {nu.dim}")
     _require_equal_mass(mu, nu)
-    xs = np.sort(mu.points[:, 0])
-    ys = np.sort(nu.points[:, 0])
-    cum_x = np.cumsum(mu.weights[np.argsort(mu.points[:, 0], kind="stable")])
-    cum_y = np.cumsum(nu.weights[np.argsort(nu.points[:, 0], kind="stable")])
-    grid = np.sort(np.concatenate([xs, ys]), kind="stable")
-    ix = np.searchsorted(xs, grid, side="right")
-    iy = np.searchsorted(ys, grid, side="right")
-    f_x = np.where(ix > 0, cum_x[np.maximum(ix - 1, 0)], 0.0)
-    f_y = np.where(iy > 0, cum_y[np.maximum(iy - 1, 0)], 0.0)
-    return float(np.sum(np.abs(f_x - f_y)[:-1] * np.diff(grid)))
+    xs, cum_x = _cdf_steps(mu)
+    ys, cum_y = _cdf_steps(nu)
+    grid = np.sort(np.concatenate((xs, ys)), kind="stable")
+    f_x = cum_x[xs.searchsorted(grid, side="right")]
+    f_y = cum_y[ys.searchsorted(grid, side="right")]
+    return float(np.add.reduce(np.abs(f_x - f_y)[:-1] * (grid[1:] - grid[:-1])))
+
+
+def _cdf_steps(mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted atom positions, and the cumulative masses: entry k is the
+    mass of the k leftmost atoms, from 0.0 at k = 0."""
+    x = mu.points[:, 0]
+    return np.sort(x), np.concatenate(([0.0], mu.weights[x.argsort(kind="stable")])).cumsum()
 
 
 def _uniform_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:

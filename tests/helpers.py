@@ -189,7 +189,7 @@ def reference_apply_layer(layer, mu, x):
     return x + layer.scale * reference_velocity(layer.attention, layer.mlp, mu, x)
 
 
-def reference_canonicalize(mu):
+def scan_canonicalize(mu):
     """Canonical form by a per-atom scan over the lex-sorted atoms: an atom
     equal to the first atom of the group before it joins that group."""
     order = np.lexsort(mu.points.T[::-1])
@@ -206,6 +206,42 @@ def reference_canonicalize(mu):
             current = [w[i]]
     group_weights.append(float(np.sum(np.sort(current))))
     return ic.new_discrete(pts[rep_rows], np.array(group_weights), mu.box)
+
+
+def reference_canonicalize(mu):
+    """``canonicalize`` as it was before its early return for measures with no
+    merges: the group bounds of every measure, and merged weights summed by
+    np.sum over each group's ascending row of a (g, k) block."""
+    if mu.is_canonical:
+        return mu
+    pts = mu.points + 0.0
+    order = np.lexsort(pts.T[::-1])
+    pts, w = pts[order], mu.weights[order]
+    bounds = np.flatnonzero(np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1), [True])))
+    first, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    weights = w[first]
+    for k in set(sizes[sizes > 1].tolist()):
+        of_size_k = sizes == k
+        block = w[first[of_size_k, None] + np.arange(k)]
+        weights[of_size_k] = np.sum(np.sort(block, axis=1), axis=1)
+    return ic.measures._raw_measure(pts[first], weights, mu.box, True)
+
+
+def reference_relocate(mu, images):
+    """``relocate`` as it was: the same box rule, then ``reference_canonicalize``."""
+    if images.shape[1] == mu.dim:
+        box = mu.box.hull(images)
+    else:
+        box = ic.Box(images.min(axis=0), images.max(axis=0))
+    return reference_canonicalize(ic.measures._raw_measure(images, mu.weights, box, False))
+
+
+def reference_add_atom(mu, x, mass):
+    """``add_atom`` as it was, for a finite x of the measure's dimension."""
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    pts = np.vstack([mu.points, x])
+    w = np.concatenate([mu.weights, [mass]])
+    return reference_canonicalize(ic.measures._raw_measure(pts, w, mu.box.hull(x), False))
 
 
 def reference_marginal_constraints(n, m):

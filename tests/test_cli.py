@@ -745,6 +745,15 @@ class TestNonFiniteSizes:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: TooFewTimePoints: ")
 
+    @pytest.mark.parametrize("depths", [",", ",,", ""])
+    def test_no_depth_exits_one(self, tmp_path, capsys, depths):
+        rng = np.random.default_rng(31)
+        argv = _subcommand_argv("depth-limit", tmp_path, random_stack(rng, 2), random_measure(rng, 3, 2))
+        argv[argv.index("--Ts") + 1] = depths
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: TooFewTimePoints: --Ts {depths!r} names no depth\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_non_finite_eps_exits_one(self, tmp_path, capsys, eps):
         m = write_measure(tmp_path / "m.json", ic.new_discrete([[0.1, -0.4], [1.2, 0.8]], [0.5, 0.5]))
@@ -760,6 +769,41 @@ class TestNonFiniteSizes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: PointOutsideBox: added atom [{float(x)}] must be finite\n"
+
+
+class TestOverflowingMass:
+    """Weights whose total mass overflows end as NonpositiveWeight, exit 1,
+    with the error line alone on stderr: no overflow warning, and no run on
+    a measure of infinite mass."""
+
+    @pytest.mark.parametrize("command", ["forward", "flow", "w1", "w1-extended"])
+    def test_measure_file_exits_one(self, tmp_path, capsys, command):
+        pts = [[0.5, 0.1], [1.0, 0.2], [0.0, 0.0]]
+        big, big3 = str(tmp_path / "big.json"), str(tmp_path / "big3.json")
+        doc = {"dim": 2, "points": pts[:2], "weights": [1e308, 1e308], "box": {"lo": [-3, -3], "hi": [3, 3]}}
+        ser.save_json(big, doc)
+        ser.save_json(big3, dict(doc, points=pts, weights=[1e308, 1e308, 1.0]))
+        p3 = write_measure(tmp_path / "p3.json", ic.new_discrete(pts, [0.3, 0.3, 0.4]))
+        s = write_stack(tmp_path / "s.json", random_stack(np.random.default_rng(33), 2))
+        out = str(tmp_path / "out")
+        argv = {
+            "forward": ["forward", "--stack", s, "--measure", big, "--out", out],
+            "flow": ["flow", "--stack", s, "--measure", big, "--T", "2", "--out", out],
+            "w1": ["w1", "--a", big3, "--b", p3],
+            "w1-extended": ["w1", "--a", big, "--b", p3, "--extended"],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: NonpositiveWeight: weights must be strictly positive with a finite total\n"
+        assert not os.path.exists(out)
+
+    def test_probe_mass_that_overflows_the_total_exits_one(self, tmp_path, capsys):
+        m = write_measure(tmp_path / "m.json", ic.new_discrete([[0.5, 0.1], [1.0, 0.2]], [1e308, 0.5]))
+        assert main(["extract-g", "--map", "identity", "--measure", m, "--x", "0.5,0.1", "--eps", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: NonpositiveWeight: adding mass 1e+308 leaves a total that is not finite\n"
 
 
 class TestDocumentDim:

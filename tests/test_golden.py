@@ -76,6 +76,8 @@ def _inputs(rng) -> dict:
     merged = rng.uniform(-2.0, 2.0, size=(4, 2))[rng.permutation(np.repeat(np.arange(4), 6))]
     docs["merged.json"] = ser.measure_to_doc(ic.new_discrete(merged, rng.uniform(0.2, 1.0, size=24)))
     docs["mistyped.json"] = dict(docs["m2.json"], weights="heavy")
+    # an existing atom of weight 0.5 takes the probe mass fl(0.5 + eps) - 0.5
+    docs["pair.json"] = ser.measure_to_doc(ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5]))
     return docs
 
 
@@ -98,7 +100,10 @@ JOBS = {
     "extract_identity": "extract-g --map identity --measure {d}/m2.json --x 0.3,-0.7",
     "extract_stack": "extract-g --map stack:{d}/one_head.json --measure {d}/small2.json --x 0.5,0.25",
     "extract_counterexample": "extract-g --map counterexample --measure {d}/near.json --x 0.1 --eps 1e-7",
+    "extract_counterexample_halvings": "extract-g --map counterexample --measure {d}/near.json --x 0.1 --eps 0.01",
+    "extract_existing_atom": "extract-g --map identity --measure {d}/pair.json --x 1,1",
     "counterexample": "counterexample --mmax 4 --out {d}/y.csv",
+    "counterexample_m20": "counterexample --mmax 20 --out {d}/y.csv",
     "self_test": "--seed 3 self-test",
     "error_mass_mismatch": "w1 --a {d}/a2.json --b {d}/heavy2.json",
     "error_dimension_mismatch": "forward --stack {d}/one_head.json --measure {d}/m3.json --out {d}/y.json",

@@ -16,7 +16,7 @@ from incontext.errors import (
 )
 from incontext.measures import relocate
 
-from helpers import gap_oracle_literal, gap_oracle_signed, random_measure, random_stack, reference_canonicalize
+from helpers import gap_oracle_literal, gap_oracle_signed, random_measure, random_stack, scan_canonicalize
 
 
 # tie-heavy weights: shared values whose sums collide, plus arbitrary ones
@@ -46,6 +46,20 @@ class TestNewDiscrete:
     def test_rejects_zero_weight(self):
         with pytest.raises(NonpositiveWeight):
             ic.new_discrete([[1.0]], [0.0], box1())
+
+    def test_rejects_a_total_mass_that_overflows(self):
+        # each weight is finite, but total_mass would read inf
+        with pytest.raises(NonpositiveWeight, match="finite total"):
+            ic.new_discrete([[0.5, 0.1], [1.0, 0.2]], [1e308, 1e308])
+
+    @pytest.mark.parametrize("w", [[np.inf, -np.inf], [np.nan, 1.0], [np.inf, np.inf], [1e308, 1e308, -1e308]])
+    def test_rejects_non_finite_weights_without_a_warning(self, w):
+        with pytest.raises(NonpositiveWeight):
+            ic.new_discrete([[0.0], [1.0], [2.0]][: len(w)], w)
+
+    def test_accepts_the_largest_finite_total(self):
+        mu = ic.new_discrete([[0.5], [1.0]], [np.finfo(float).max / 2, np.finfo(float).max / 2])
+        assert mu.total_mass == np.finfo(float).max
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -139,7 +153,7 @@ class TestCanonicalize:
             w = rng.uniform(0.2, 1.0, size=pts.shape[0]) * rng.choice([1e-3, 1.0, 1e3], size=pts.shape[0])
             perm = rng.permutation(pts.shape[0])
             mu = ic.new_discrete(pts[perm], w[perm])
-            got, want = ic.canonicalize(mu), reference_canonicalize(mu)
+            got, want = ic.canonicalize(mu), scan_canonicalize(mu)
             assert got.n == distinct.shape[0]
             assert got.points.tobytes() == want.points.tobytes()
             assert got.weights.tobytes() == want.weights.tobytes()
@@ -221,6 +235,11 @@ class TestAddAtom:
         with pytest.raises(PointOutsideBox, match=r"added atom \[.*\] must be finite"):
             ic.add_atom(ic.dirac([0.0, 0.0]), x, 0.5)
 
+    @pytest.mark.parametrize("x", [[0.0], [1.0]], ids=["merged", "new"])
+    def test_rejects_a_total_mass_that_overflows(self, x):
+        with pytest.raises(NonpositiveWeight, match="not finite"):
+            ic.add_atom(ic.dirac([0.0], mass=1e308), x, 1e308)
+
 
 class TestGap:
     def test_single_weight(self):
@@ -291,6 +310,11 @@ class TestScaled:
     def test_rejects_nonpositive_or_non_finite_factor(self, s):
         with pytest.raises(NonpositiveWeight):
             ic.dirac([0.0]).scaled(s)
+
+    @pytest.mark.parametrize("mass, s", [(1e-300, 1e-300), (1e300, 1e10)], ids=["underflow", "overflow"])
+    def test_rejects_weights_that_leave_the_positive_finite_range(self, mass, s):
+        with pytest.raises(NonpositiveWeight, match="finite total"):
+            ic.dirac([0.0], mass=mass).scaled(s)
 
 
 class TestMakeDif:

@@ -1,4 +1,5 @@
 """Property tests of the canonical form and of the invariants built on it,
+of the carrier functions against the reference formula of the canonical form,
 of flows, which keep the atom order of their canonical initial measure, of
 the row-map contract: a map evaluated on rows gives, bitwise, the rows of
 its one-point calls, and of the command line's input boundary: a document
@@ -18,14 +19,22 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import incontext as ic
 from incontext import serialize as ser
 from incontext.cli import main
+from incontext.measures import relocate
 
-from helpers import random_attention, random_measure, random_mlp
+from helpers import (
+    random_attention,
+    random_measure,
+    random_mlp,
+    reference_add_atom,
+    reference_canonicalize,
+    reference_relocate,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -33,17 +42,27 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 coordinate = st.one_of(st.sampled_from([-1.0, 0.0, 1e-10, 0.5, 0.5 + 5e-10]), st.floats(-2.5, 2.5))
 
 
-@st.composite
-def rows(draw, max_rows=30):
-    """An (n, d) array of rows drawn from a pool of at most 8, each copy
-    with the signs of its zero coordinates flipped or not."""
-    d = draw(st.integers(1, 3))
-    pool = np.array(draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=8)))
-    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), min_size=1, max_size=max_rows))
-    out = pool[[i for i, _ in picks]]
-    flip = np.array([f for _, f in picks])
+def flip_zero_signs(out, flip):
+    """``out`` with the signs of the zero coordinates of the flagged rows flipped."""
     out[flip] = np.where(out[flip] == 0.0, -out[flip], out[flip])
     return out
+
+
+@st.composite
+def rows(draw, max_rows=30, n=None, max_pool=8):
+    """An (n, d) array of rows drawn from a pool of at most ``max_pool``, each
+    copy with the signs of its zero coordinates flipped or not; n is drawn
+    when not given."""
+    d = draw(st.integers(1, 3))
+    pool = np.array(draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=max_pool)))
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(pool) - 1), st.booleans()),
+            min_size=n or 1,
+            max_size=n or max_rows,
+        )
+    )
+    return flip_zero_signs(pool[[i for i, _ in picks]], np.array([f for _, f in picks]))
 
 
 @st.composite
@@ -55,6 +74,71 @@ def measures(draw):
 
 def same_bytes(a, b):
     return a.points.tobytes() == b.points.tobytes() and a.weights.tobytes() == b.weights.tobytes()
+
+
+@st.composite
+def grouped_measures(draw):
+    """Merge groups of 1-6 copies of each of 1-5 distinct rows in d = 1-3,
+    shuffled, each copy with the signs of its zero coordinates flipped or not,
+    and weights from 1e-3 to 1e3."""
+    d = draw(st.integers(1, 3))
+    pool = np.unique(np.array(draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=5))) + 0.0, axis=0)
+    sizes = draw(st.lists(st.integers(1, 6), min_size=len(pool), max_size=len(pool)))
+    pts = np.repeat(pool, sizes, axis=0)
+    n = pts.shape[0]
+    pts = flip_zero_signs(pts, np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+    perm = np.array(draw(st.permutations(range(n))))
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    return ic.new_discrete(pts[perm], weights)
+
+
+def same_carrier(got, want):
+    """Bitwise the same points, weights and box, both canonical."""
+    return (
+        same_bytes(got, want)
+        and got.box.lo.tobytes() == want.box.lo.tobytes()
+        and got.box.hi.tobytes() == want.box.hi.tobytes()
+        and got.is_canonical
+        and want.is_canonical
+    )
+
+
+SIGNED_ZEROS = ic.new_discrete([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [1.0, -0.0]], [0.25, 0.5, 0.125, 1.0])
+
+
+class TestCarrierMatchesReference:
+    """``canonicalize``, ``relocate`` and ``add_atom`` give bitwise the
+    carriers of the formula they had before the early return for measures
+    with no merges (``helpers.reference_canonicalize``)."""
+
+    @PROPERTY
+    @given(grouped_measures())
+    @example(ic.new_discrete([[0.5]], [1.0]))
+    @example(SIGNED_ZEROS)
+    def test_canonicalize(self, mu):
+        assert same_carrier(ic.canonicalize(mu), reference_canonicalize(mu))
+
+    @PROPERTY
+    @given(grouped_measures(), st.data())
+    @example(SIGNED_ZEROS, None)
+    def test_relocate(self, mu, data):
+        if data is None:
+            images = -mu.points
+        else:
+            images = data.draw(rows(n=mu.n, max_pool=3)) * data.draw(st.sampled_from([1.0, 2.0]))
+        assert same_carrier(relocate(mu, images), reference_relocate(mu, images))
+
+    @PROPERTY
+    @given(grouped_measures(), st.data(), st.floats(1e-3, 1e3))
+    @example(SIGNED_ZEROS, None, 0.5)
+    def test_add_atom(self, mu, data, mass):
+        if data is None:
+            x = np.array([-0.0, 0.0])
+        elif data.draw(st.booleans()):  # at an atom, its zeros' signs flipped or not
+            x = flip_zero_signs(mu.points[[data.draw(st.integers(0, mu.n - 1))]], np.array([data.draw(st.booleans())]))
+        else:
+            x = np.array([data.draw(coordinate) for _ in range(mu.dim)]) * data.draw(st.sampled_from([1.0, 2.0]))
+        assert same_carrier(ic.add_atom(mu, x, mass), reference_add_atom(mu, x, mass))
 
 
 class TestCanonicalForm:

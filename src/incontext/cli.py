@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -37,6 +37,18 @@ from .serialize import (
 )
 from .transport import w1, w1_extended, w1_matching
 from .vlasov import Trajectory, VelocityField, depth_limit_error, euler_flow, rk4_flow
+
+
+def _comma_list(kind: Callable[[str], object]) -> Callable[[str], tuple[str, list]]:
+    """An argparse type: the argument as given and its comma-separated entries
+    read by ``kind``, empty entries skipped.  A malformed entry is a usage
+    error (exit 2), not a bad input file."""
+
+    def parse(text: str) -> tuple[str, list]:
+        return text, [kind(s) for s in text.split(",") if s]
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,13 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dl = sub.add_parser("depth-limit", help="depth-scaling error against the RK4 reference")
     p_dl.add_argument("--base", required=True, help="JSON with attention and mlp parameters")
     p_dl.add_argument("--measure", required=True)
-    p_dl.add_argument("--Ts", required=True, help="comma-separated depths")
+    p_dl.add_argument("--Ts", required=True, type=_comma_list(int), help="comma-separated depths")
     p_dl.add_argument("--out", required=True)
 
     p_ex = sub.add_parser("extract-g", help="recover the pointwise map from a measure map")
     p_ex.add_argument("--map", required=True, dest="map_spec", help="identity | stack:FILE | counterexample")
     p_ex.add_argument("--measure", required=True)
-    p_ex.add_argument("--x", required=True, help="comma-separated query point")
+    p_ex.add_argument("--x", required=True, type=_comma_list(float), help="comma-separated query point")
     p_ex.add_argument("--eps", type=float, default=1e-6)
 
     p_cex = sub.add_parser("counterexample", help="scan the discontinuity families")
@@ -148,9 +160,9 @@ def _trajectory_blocks(traj: Trajectory) -> Iterator[np.ndarray]:
 
 
 def _cmd_depth_limit(args: argparse.Namespace) -> int:
-    depths = [int(s) for s in args.Ts.split(",") if s]
+    text, depths = args.Ts
     if not depths:
-        raise TooFewTimePoints(f"--Ts {args.Ts!r} names no depth")
+        raise TooFewTimePoints(f"--Ts {text!r} names no depth")
     doc = load_json(args.base)
     att, mlp_p = attention_from_doc(doc["attention"]), mlp_from_doc(doc["mlp"])
     mu = measure_from_doc(load_json(args.measure))
@@ -171,7 +183,7 @@ def _make_map(name: str, dim: int) -> MeasureMap:
 
 def _cmd_extract_g(args: argparse.Namespace) -> int:
     mu = measure_from_doc(load_json(args.measure))
-    x = np.array([float(s) for s in args.x.split(",") if s])
+    x = np.array(args.x[1])
     f = _make_map(args.map_spec, mu.dim)
     values, eps_used = extract_g_detailed(f, mu, x, args.eps)
     print(" ".join(fmt(v) for v in values))

@@ -8,8 +8,10 @@ enough eps), so the quotient isolates the value the map assigns to the probe
 point.  Running the quotient against patched coordinate projections (ramped
 to zero over a width of 1 outside their box) recovers the full vector
 ``G(mu, x)`` of the in-context map with ``f = G(mu)_# mu``.  Each extraction
-settles the probe and pairs its image with ``f(mu)`` once; every coordinate's
-quotient is then a weighted sum of its patched test function.
+settles the probe and pairs its image with ``f(mu)`` once: every image atom
+goes to its nearest atom of ``f(mu)``, found in bounded blocks of rows, so no
+(n, m) distance matrix is built.  Every coordinate's quotient is then a
+weighted sum of its patched test function.
 
 Test functions are C^1 with compact support: a base evaluator with gradient, a
 Lipschitz bound, and an optional patch (anchor set, radius, C^1 ramp blending
@@ -33,7 +35,7 @@ DEFAULT_EPS = 1e-6
 MAX_PATCH_RADIUS = 0.05
 MIN_PATCH_RADIUS = 1e-8
 MAX_HALVINGS = 12
-# The most (row, column) entries of one block of distances in ``_min_spacing``.
+# The most (row, column) entries of one block of distances.
 SPACING_BLOCK_ENTRIES = 2**16
 
 
@@ -82,9 +84,7 @@ class TestFunction:
 
     def _nearest_anchor(self, Y: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per row: nearest anchor, its distance and value, and (dist - r/2) / (r/2)."""
-        dist = _distances(Y, self.patch.anchors)
-        j = dist.argmin(axis=1)
-        dist = dist[np.arange(Y.shape[0]), j]
+        j, dist = _nearest(Y, self.patch.anchors)
         half = self.patch.radius / 2.0
         return j, dist, self.patch.values[j], (dist - half) / half
 
@@ -155,6 +155,20 @@ def linear_combination(a: float, f1: TestFunction, b: float, f2: TestFunction) -
         lambda y: a * f1.base_gradient(y) + b * f2.base_gradient(y),
         abs(a) * f1.lip + abs(b) * f2.lip,
     )
+
+
+def _nearest(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``A``: the index of its nearest row of ``B`` (the lowest on a
+    tie) and the distance to it; bitwise the dense ``argmin`` and row minimum,
+    taken over blocks of at most SPACING_BLOCK_ENTRIES distances."""
+    rows = max(1, SPACING_BLOCK_ENTRIES // B.shape[0])
+    index = np.empty(A.shape[0], dtype=np.intp)
+    dist = np.empty(A.shape[0])
+    for lo in range(0, A.shape[0], rows):
+        block = _distances(A[lo : lo + rows], B)
+        block.argmin(axis=1, out=index[lo : lo + rows])
+        np.minimum.reduce(block, axis=1, out=dist[lo : lo + rows])
+    return index, dist
 
 
 def _min_spacing(points: np.ndarray) -> float:
@@ -270,24 +284,6 @@ def _paired_quotient(psi: TestFunction, probe: _PairedProbe) -> float:
     return float(total) / probe.added
 
 
-def _new_image_clearance(dist: np.ndarray) -> float | None:
-    """Distance from the probe's own image atom to the nearest existing image.
-
-    ``dist`` holds the distances (f_mu.n, f_probe.n) from each atom of f(mu)
-    to each atom of the probe image.  Every atom of f(mu) picks its nearest
-    atom of the probe image; the probe's own image is the one atom that none
-    of them picks, whatever its weight.  None unless exactly one atom goes
-    unpicked: the image merged into the existing support, or it cannot be
-    told apart.
-    """
-    unpicked = np.ones(dist.shape[1], dtype=bool)
-    unpicked[dist.argmin(axis=1)] = False
-    new = unpicked.nonzero()[0]
-    if new.size != 1:
-        return None
-    return float(np.minimum.reduce(dist[:, new[0]]))
-
-
 def _verified_probe(
     f: MeasureMap, mu: DiscreteMeasure, x: np.ndarray, eps: float, patch_radius: float | None = None
 ) -> _PairedProbe:
@@ -318,19 +314,21 @@ def _verified_probe(
         if added == 0.0:
             raise ProbeMassLost(f"probe mass {eps:.3g} at an atom of mu is lost to rounding")
         f_probe = canonicalize(f(probe))
+        picks, moved = _nearest(f_mu.points, f_probe.points)
+        nearest, near_dist = _nearest(f_probe.points, f_mu.points)
+        # the probe's own image is the one atom no atom of f(mu) picks, whatever its weight
+        unpicked = np.ones(f_probe.n, dtype=bool)
+        unpicked[picks] = False
+        clearance = near_dist[unpicked]
         r_eff = r
-        dist = _distances(f_mu.points, f_probe.points)
-        clearance = _new_image_clearance(dist)
-        if clearance is not None and clearance < r:
-            r_eff = max(clearance / 2.0, MIN_PATCH_RADIUS)
-        if np.maximum.reduce(np.minimum.reduce(dist, axis=1)) < r_eff / 4.0:
+        if clearance.size == 1 and clearance[0] < r:
+            r_eff = max(clearance[0] / 2.0, MIN_PATCH_RADIUS)
+        if np.maximum.reduce(moved) < r_eff / 4.0:
             break
         eps /= 2.0
     else:
         raise DisplacementTooLarge(f"image support moves more than {r / 4.0:.3g} even at eps {eps * 2:.3g}")
     radius = _usable_radius(r_eff, spacing)
-    nearest = dist.argmin(axis=0)
-    near_dist = dist[nearest, np.arange(f_probe.n)]
     matched = near_dist <= radius / 2.0
     # summed in probe atom order from 0.0, as np.add.at would
     matched_mass = np.bincount(nearest[matched], weights=f_probe.weights[matched], minlength=f_mu.n)

@@ -117,8 +117,11 @@ class DiscreteMeasure:
         return float(np.add.reduce(self.weights))
 
     def normalized(self) -> "DiscreteMeasure":
-        """Same atoms with weights scaled to total mass one."""
+        """Same atoms with weights scaled to total mass one; NonpositiveWeight
+        when a weight rounds to 0 (``[5e-324, 2.0]`` would give ``[0.0, 1.0]``)."""
         w = self.weights / self.total_mass
+        if not _valid_weights(w):
+            raise NonpositiveWeight("a weight divided by the total mass rounds to 0")
         return _raw_measure(self.points, w, self.box, self.is_canonical)
 
     def scaled(self, s: float) -> "DiscreteMeasure":

@@ -1,0 +1,170 @@
+"""Committed mutation checks: each invariant of the package, broken on purpose,
+must make the tests that guard it fail.
+
+Each mutant replaces one exact snippet of a file under ``src/incontext`` and
+names the test node ids that must then fail.  Run from the repository root:
+
+    python tests/mutants.py [NAME ...]
+
+For each mutant (all of them, or those named), the runner copies ``src/`` to
+a temporary directory, applies the mutant there, and runs its tests with
+``PYTHONPATH`` on the copy; the checkout is never changed.  It prints a kill
+table and exits 1 if a mutant survives, that is, if one of its tests passes.
+pytest does not collect this file; ``test_mutants.py`` checks that every
+snippet still occurs exactly once, so the list cannot rot silently.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to src/incontext
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+    guards: str
+
+
+MUTANTS = (
+    Mutant(
+        "nearest-last-on-tie",
+        "derivative.py",
+        "block.argmin(axis=1, out=index[lo : lo + rows])",
+        "index[lo : lo + rows] = block.shape[1] - 1 - block[:, ::-1].argmin(axis=1)",
+        (
+            "tests/test_derivative.py::TestNearest::test_equals_the_dense_argmin_bitwise",
+            "tests/test_derivative.py::TestNearest::test_picks_the_lowest_index_on_a_tie",
+        ),
+        "the nearest-atom search keeps argmin's lowest index on a tie",
+    ),
+    Mutant(
+        "clearance-from-the-wrong-side",
+        "derivative.py",
+        "clearance = near_dist[unpicked]",
+        "clearance = moved[unpicked[: moved.size]]",
+        (
+            "tests/test_derivative.py::TestExtractG::test_query_image_near_existing_image",
+            "tests/test_derivative.py::TestExtractG::test_light_atom_is_not_taken_for_the_probe",
+        ),
+        "the probe image's clearance is its distance to the nearest atom of f(mu)",
+    ),
+    Mutant(
+        "quotient-divides-by-eps",
+        "derivative.py",
+        "return float(total) / probe.added",
+        "return float(total) / probe.eps",
+        ("tests/test_derivative.py::TestExtractG::test_probe_at_an_atom_divides_by_the_added_mass",),
+        "the difference quotient divides by the mass actually added",
+    ),
+    Mutant(
+        "box-shares-the-callers-corners",
+        "measures.py",
+        "lo = np.array(self.lo, dtype=float)",
+        "lo = np.asarray(self.lo, dtype=float)",
+        ("tests/test_measures.py::TestOwnership::test_box_copies_the_corners",),
+        "a carrier copies the caller's arrays once at its validated edge",
+    ),
+    Mutant(
+        "new-discrete-shares-the-callers-points",
+        "measures.py",
+        "pts = np.atleast_2d(np.array(points, dtype=float))",
+        "pts = np.atleast_2d(np.asarray(points, dtype=float))",
+        ("tests/test_measures.py::TestOwnership::test_new_discrete_copies_points_and_weights",),
+        "a carrier copies the caller's arrays once at its validated edge",
+    ),
+    Mutant(
+        "relocate-skips-the-canonical-form",
+        "measures.py",
+        "return _canonical(images, mu.weights, box)",
+        "return _raw_measure(images, mu.weights, box, True)",
+        ("tests/test_properties.py::TestCarrierMatchesReference::test_relocate",),
+        "relocate returns the canonical form of the moved atoms",
+    ),
+    Mutant(
+        "freeze-left-writeable",
+        "measures.py",
+        "    out.flags.writeable = False\n",
+        "",
+        (
+            "tests/test_measures.py::TestOwnership::test_box_copies_the_corners",
+            "tests/test_measures.py::TestOwnership::test_every_returned_array_is_read_only",
+        ),
+        "every array a carrier holds is read-only",
+    ),
+    Mutant(
+        "canonicalize-keeps-negative-zero",
+        "measures.py",
+        "pts = points + 0.0  # -0.0 + 0.0 is +0.0",
+        "pts = points",
+        ("tests/test_measures.py::TestCanonicalize::test_signed_zero_merges_to_positive_zero",),
+        "-0.0 and +0.0 are one point, stored as +0.0",
+    ),
+    Mutant(
+        "certify-returns-early",
+        "transport.py",
+        "    v = np.min(dist - u[:, None], axis=0)\n",
+        "    return 0.0\n",
+        ("tests/test_transport.py::TestSparseColumns::test_certificate_on_two_by_two",),
+        "a transport plan's cost is checked against its dual bound",
+    ),
+    Mutant(
+        "reduced-cost-tolerance-sign",
+        "transport.py",
+        "REDUCED_COST_TOL = 1e-10",
+        "REDUCED_COST_TOL = -1e-10",
+        ("tests/test_transport.py::TestSparseColumns::test_only_improving_columns_enter",),
+        "a column enters the LP only when its reduced cost is negative",
+    ),
+)
+
+
+def mutate(root: Path, mutant: Mutant) -> None:
+    """Apply ``mutant`` to the package under ``root``."""
+    path = root / "incontext" / mutant.file
+    text = path.read_text()
+    if text.count(mutant.snippet) != 1:
+        raise SystemExit(f"{mutant.name}: snippet occurs {text.count(mutant.snippet)} times in {mutant.file}")
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+
+
+def not_failing(mutant: Mutant) -> list[str]:
+    """The listed tests that do not fail on the mutated copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        mutate(src, mutant)
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *mutant.tests]
+        out = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True).stdout
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return [t for t in mutant.tests if not any(f == t or f.startswith((t + "[", t + "::")) for f in failed)]
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    width = max(len(m.name) for m in chosen)
+    survivors = 0
+    for mutant in chosen:
+        passing = not_failing(mutant)
+        survivors += bool(passing)
+        verdict = "SURVIVED (passing: " + ", ".join(passing) + ")" if passing else "killed"
+        print(f"{mutant.name:<{width}}  {verdict}  [{mutant.guards}]", flush=True)
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -681,14 +681,19 @@ class TestResourceErrors:
         rng = np.random.default_rng(33)
         s = write_stack(tmp_path / "s.json", random_stack(rng, 1))
         few = write_measure(tmp_path / "few.json", random_measure(rng, 8, 1))
-        many = write_measure(tmp_path / "many.json", random_measure(rng, 20000, 1))
-        for argv in (
-            ["flow", "--stack", s, "--measure", few, "--T", "100000000", "--out", str(tmp_path / "f.csv")],
-            ["extract-g", "--map", "identity", "--measure", many, "--x", "0.1"],
-        ):
-            done = run_limited(*argv)
-            assert (done.returncode, done.stdout) == (1, ""), (argv, done.stderr)
-            assert done.stderr.startswith("error: OutOfMemory: ") and done.stderr.count("\n") == 1, done.stderr
+        done = run_limited("flow", "--stack", s, "--measure", few, "--T", "100000000", "--out", str(tmp_path / "f.csv"))
+        assert (done.returncode, done.stdout) == (1, ""), done.stderr
+        assert done.stderr.startswith("error: OutOfMemory: ") and done.stderr.count("\n") == 1, done.stderr
+
+    def test_extract_on_many_atoms_runs_in_bounded_memory(self, tmp_path):
+        # the (n, n + 1) distance matrices of a 10,000-atom extraction took 763 MiB each
+        n = 10000
+        grid = ic.new_discrete(np.linspace(-2.5, 2.5, n)[:, None], np.full(n, 1.0 / n))
+        m = write_measure(tmp_path / "grid.json", grid)
+        done = run_limited("extract-g", "--map", "identity", "--measure", m, "--x", "0.1")
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+        value, eps_line = done.stdout.splitlines()
+        assert abs(float(value) - 0.1) <= 1e-10 and eps_line == "eps_used 9.9999999999999995e-07"
 
     def test_forward_on_many_atoms_runs_in_bounded_memory(self, tmp_path):
         rng = np.random.default_rng(34)
@@ -754,6 +759,26 @@ class TestNonFiniteSizes:
         assert capsys.readouterr().err == f"error: TooFewTimePoints: --Ts {depths!r} names no depth\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("extract-g", "--x", "0.1,abc"),
+            ("extract-g", "--x", "1e400x"),
+            ("depth-limit", "--Ts", "4,x"),
+            ("depth-limit", "--Ts", "2.5"),
+        ],
+    )
+    def test_malformed_list_entry_is_a_usage_error(self, tmp_path, capsys, command, option, value):
+        rng = np.random.default_rng(31)
+        argv = _subcommand_argv(command, tmp_path, random_stack(rng, 2), random_measure(rng, 3, 2))
+        argv[argv.index(option) + 1] = value
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        kind = "float" if option == "--x" else "int"
+        assert captured.err.endswith(f"error: argument {option}: invalid comma-separated {kind} value: {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_non_finite_eps_exits_one(self, tmp_path, capsys, eps):
         m = write_measure(tmp_path / "m.json", ic.new_discrete([[0.1, -0.4], [1.2, 0.8]], [0.5, 0.5]))
@@ -804,6 +829,16 @@ class TestOverflowingMass:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: NonpositiveWeight: adding mass 1e+308 leaves a total that is not finite\n"
+
+
+    @pytest.mark.parametrize("weights", [[5e-324, 2.0], [1e-300, 1e300]], ids=["subnormal", "wide"])
+    def test_extended_w1_on_a_weight_lost_to_normalization_exits_one(self, tmp_path, capsys, weights):
+        a = write_measure(tmp_path / "a.json", ic.new_discrete([[0.0], [1.0]], weights))
+        b = write_measure(tmp_path / "b.json", ic.dirac([0.5]))
+        assert main(["w1", "--a", a, "--b", b, "--extended"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: NonpositiveWeight: a weight divided by the total mass rounds to 0\n"
 
 
 class TestDocumentDim:

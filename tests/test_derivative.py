@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import incontext as ic
-from incontext.derivative import MAX_PATCH_RADIUS, SPACING_BLOCK_ENTRIES, _min_spacing, regular_derivative
+from incontext.derivative import (
+    MAX_PATCH_RADIUS,
+    SPACING_BLOCK_ENTRIES,
+    _min_spacing,
+    _nearest,
+    regular_derivative,
+)
 from incontext.measures import _distances
 from incontext.errors import AnchorsTooClose, DisplacementTooLarge, ProbeMassLost
 
@@ -106,6 +112,46 @@ class TestMinSpacing:
         finally:
             tracemalloc.stop()
         # the whole matrix with its index pairs took 572 MiB
+        assert peak < 8 * 2**20, peak
+
+
+class TestNearest:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_the_dense_argmin_bitwise(self, d):
+        # m = 64 columns give blocks of 1024 rows: one block at n = 1024, two
+        # at 1025 and three at 3000
+        rng = np.random.default_rng(70 + d)
+        m = 64
+        rows = SPACING_BLOCK_ENTRIES // m
+        for n in (1, 5, rows, rows + 1, 3000):
+            B = rng.integers(-4, 5, size=(m, d)).astype(float)
+            B[m // 2 :] = B[: m - m // 2]  # every column has a twin further on
+            A = rng.normal(scale=10.0 ** rng.integers(-3, 2), size=(n, d))
+            # planted ties: rows on a twinned column, and 1-D midpoints of two columns
+            A[::3] = B[rng.integers(0, m, size=A[::3].shape[0])]
+            A[1::7, 0] = 0.5
+            dense = _distances(A, B)
+            assert (np.add.reduce(dense == dense.min(axis=1)[:, None], axis=1) > 1).any()
+            want = dense.argmin(axis=1)
+            index, dist = _nearest(A, B)
+            assert index.dtype == np.intp and np.array_equal(index, want), n
+            assert dist.tobytes() == dense[np.arange(n), want].tobytes() == dense.min(axis=1).tobytes(), n
+
+    def test_picks_the_lowest_index_on_a_tie(self):
+        index, dist = _nearest(np.array([[1.0], [3.0], [0.0]]), np.array([[0.0], [2.0], [2.0], [0.0]]))
+        assert index.tolist() == [0, 1, 0] and dist.tolist() == [1.0, 1.0, 0.0]
+
+    def test_extraction_memory_does_not_grow_with_the_square_of_n(self):
+        mu = ic.new_discrete(np.linspace(-2.5, 2.5, 5000)[:, None], np.full(5000, 1 / 5000))
+        f = ic.MeasureMap.identity(1)
+        tracemalloc.start()
+        try:
+            values, eps_used = ic.extract_g_detailed(f, mu, np.array([0.1]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(values[0] - 0.1) <= 1e-10 and eps_used == 1e-6
+        # the (n, n + 1) distance matrices took 572 MiB
         assert peak < 8 * 2**20, peak
 
 
@@ -275,28 +321,34 @@ class TestExtractG:
             assert ic.w1_matching(rebuilt, ic.forward_measure(stack, mu)).cost <= 1e-4
 
     def test_probe_is_settled_and_paired_once(self, monkeypatch):
-        # one spacing matrix for the image support and one matrix per eps
-        # tried; the coordinates read the pairing and build none
+        # one spacing pass over the image support and one pairing (a nearest
+        # search each way) per eps tried; the coordinates read the pairing
+        # and compute no distance
         from incontext import derivative
 
         calls = []
-        distances = derivative._distances
-        monkeypatch.setattr(derivative, "_distances", lambda A, B: calls.append(1) or distances(A, B))
+        distances, nearest = derivative._distances, derivative._nearest
+        monkeypatch.setattr(derivative, "_distances", lambda A, B: calls.append("d") or distances(A, B))
+        monkeypatch.setattr(derivative, "_nearest", lambda A, B: calls.append("n") or nearest(A, B))
         rng = np.random.default_rng(5)
         f = ic.MeasureMap.from_stack(random_stack(rng, 2, depth=3))
         mu = random_measure(rng, 12, 2)
         _, eps_used = ic.extract_g_detailed(f, mu, rng.uniform(-1, 1, size=2), 1e-6)
         assert eps_used == 1e-6
-        assert len(calls) == 1 + 1
+        # each walk over 12 or 13 atoms is a single block
+        assert calls == ["d"] + ["n", "d"] * 2
 
     def test_query_image_near_existing_image(self):
         # the probe's image lands 0.01 from an existing image atom, inside the
-        # default patch ball; the radius must shrink so the reading stays exact
+        # default patch ball, and sorts before or after it; either way the
+        # radius must shrink so the reading stays exact
         f = ic.MeasureMap.identity(2)
         mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
-        x = np.array([0.01, 0.0])
-        got = ic.extract_g(f, mu, x, 1e-6)
-        assert np.max(np.abs(got - x)) <= 1e-10
+        for atom in mu.points:
+            for step in ([0.01, 0.0], [-0.01, 0.0], [0.0, 0.01], [0.0, -0.01]):
+                x = atom + np.array(step)
+                got = ic.extract_g(f, mu, x, 1e-6)
+                assert np.max(np.abs(got - x)) <= 1e-10, x
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-16])
     def test_probe_at_an_atom_divides_by_the_added_mass(self, eps):

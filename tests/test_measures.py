@@ -317,6 +317,20 @@ class TestScaled:
             ic.dirac([0.0], mass=mass).scaled(s)
 
 
+class TestNormalized:
+    @pytest.mark.parametrize("weights", [[5e-324, 2.0], [1e-300, 1e300]], ids=["subnormal", "wide"])
+    def test_rejects_a_weight_that_rounds_to_zero(self, weights):
+        mu = ic.new_discrete([[0.0], [1.0]], weights)
+        with pytest.raises(NonpositiveWeight, match="rounds to 0"):
+            mu.normalized()
+
+    def test_divides_by_the_total_mass(self):
+        mu = ic.new_discrete(np.random.default_rng(9).normal(size=(7, 2)), [1e-300, 3.0, 0.1, 0.2, 0.3, 7.0, 1e-5])
+        got = mu.normalized()
+        assert got.weights.tobytes() == (mu.weights / mu.total_mass).tobytes()
+        assert np.array_equal(got.points, mu.points) and got.box == mu.box
+
+
 class TestMakeDif:
     @pytest.mark.parametrize("eps", [0.0, np.nan, np.inf])
     def test_rejects_nonpositive_or_non_finite_eps(self, eps):

@@ -342,6 +342,21 @@ class TestSparseColumns:
             _lp_plan(a, b)
         assert len(solves) == 1 and len(solves[0].x) == NEIGHBOURS * 90
 
+    def test_only_improving_columns_enter(self):
+        # sources left of targets on one line: every cost is y_j - x_i, so
+        # every plan is optimal and no column prices below zero beyond
+        # rounding; the first restricted LP is final
+        rng = np.random.default_rng(3)
+        n, m = 60, 50
+        xa, xb = rng.uniform(-2.5, -0.5, n), rng.uniform(0.5, 2.5, m)
+        wa, wb = rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, m)
+        a = ic.new_discrete(np.column_stack((xa, np.zeros(n))), wa / wa.sum())
+        b = ic.new_discrete(np.column_stack((xb, np.zeros(m))), wb / wb.sum())
+        with recorded("linprog") as solves:
+            plan = _lp_plan(a, b)
+        assert len(solves) == 1 and len(solves[0].x) < n * m
+        assert abs(plan.cost - (np.sum(b.weights * b.points[:, 0]) - np.sum(a.weights * a.points[:, 0]))) <= 1e-12
+
     def test_certificate_on_two_by_two(self):
         # sources (0,0), (1,0) and targets (0,1), (1,1), half a unit each:
         # with u = 0 the repaired v is (1, 1) and the bound 1, the straight cost

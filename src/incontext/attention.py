@@ -6,9 +6,10 @@ the layer and makes the output invariant under rescaling the total mass.  For
 uniform weights it coincides with the familiar token-sequence softmax.
 
 A single residual layer is attention followed by an MLP with unit skip; its
-displacement ``x -> F(x + Att(mu, x)) - x`` is the layer velocity.  In-context
-maps compose with the diamond rule: the second map sees the first map's
-pushed-forward context.
+displacement ``x -> F(x + Att(mu, x)) - x`` is the layer velocity.  An
+in-context map is a chain of stages under the diamond rule: each stage sees
+the context pushed forward through the stages before it.  Composing two maps
+joins their chains, and layer stacks run through the same chain.
 
 All of it is evaluated by one batched kernel, :func:`layer_step`, on query
 rows (m, d) against context points (n, d) and weights (n,) in the order given;
@@ -25,13 +26,15 @@ do not depend on the batch, blocking changes no bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyMeasure, LengthMismatch, SkipNotUnit
-from .measures import DiscreteMeasure, canonicalize, push_forward
+from .measures import DiscreteMeasure, canonicalize, relocate
 
 ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "tanh": np.tanh,
@@ -140,6 +143,10 @@ class Layer:
 # and kernels change with the operand shapes), so none is used here.
 
 
+def _mismatch(d: int, width: int) -> DimensionMismatch:
+    return DimensionMismatch(f"points of dimension {d} meet a matrix of width {width}")
+
+
 def _rowmul(X: np.ndarray, A: np.ndarray, out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
     """Rows of ``X @ A.T``, accumulated over the shared axis term by term.
 
@@ -149,7 +156,7 @@ def _rowmul(X: np.ndarray, A: np.ndarray, out: np.ndarray | None = None, term: n
     DimensionMismatch when the rows of X and of A differ in width.
     """
     if X.shape[1] != A.shape[1]:
-        raise DimensionMismatch(f"points of dimension {X.shape[1]} meet a matrix of width {A.shape[1]}")
+        raise _mismatch(X.shape[1], A.shape[1])
     out = X[:, :1] * A[:, 0] if out is None else np.multiply(X[:, :1], A[:, 0], out=out)
     for j in range(1, X.shape[1]):
         out += X[:, j : j + 1] * A[:, j] if term is None else np.multiply(X[:, j : j + 1], A[:, j], out=term)
@@ -293,56 +300,61 @@ def velocity(att: AttentionParams, mlp_p: MlpParams, mu: DiscreteMeasure, x: np.
     return velocity_rows(att, mlp_p, *_context(mu), _row(x))[0]
 
 
-@dataclass(eq=False)
-class InContextMap:
-    """A map (measure, point) -> point, with a push-forward action on measures.
+def _push_stage(nu: DiscreteMeasure, stage: Callable) -> DiscreteMeasure:
+    return relocate(nu, stage(nu.points, nu.weights, nu.points))
 
-    ``fn(mu, X)`` maps query rows X (m, d_in) to their image rows (m, d_out).
+
+@dataclass(frozen=True)
+class InContextMap:
+    """A chain of in-context maps under the diamond rule, acting on points and measures.
+
+    Stage k, ``f(points, weights, X)``, maps query rows X (m, d) to their image
+    rows against the arrays of its canonical context: the input measure pushed
+    through stages 0..k-1.  Nothing is cached between calls.
     """
 
-    fn: Callable[[DiscreteMeasure, np.ndarray], np.ndarray]
+    stages: tuple[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], ...]
     dim_in: int
     dim_out: int
-    _last_push: tuple[DiscreteMeasure, DiscreteMeasure] | None = field(default=None, repr=False)
+
+    def _contexts(self, mu: DiscreteMeasure) -> Iterator[DiscreteMeasure]:
+        """Each stage's context, then the pushed measure, each computed when it is read."""
+        if mu.dim != self.dim_in:
+            raise _mismatch(mu.dim, self.dim_in)
+        return accumulate(self.stages, _push_stage, initial=canonicalize(mu))
+
+    def rows(self, mu: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
+        """Images of the query rows X (m, dim_in); reads one context per stage."""
+        for stage, nu in zip(self.stages, self._contexts(mu)):
+            X = stage(nu.points, nu.weights, X)
+        return X
 
     def __call__(self, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(mu, _row(x)), dtype=float)[0]
+        return self.rows(mu, _row(x))[0]
 
     def push(self, mu: DiscreteMeasure) -> DiscreteMeasure:
-        """Push-forward of ``mu``: one call of ``fn`` on all atoms of ``mu``.
-
-        Only the latest push is cached: a diamond composition pushes the same
-        measure on every call, and older measures are not kept alive.
-        """
-        last = self._last_push
-        if last is not None and last[0] is mu:
-            return last[1]
-        nu = push_forward(mu, lambda X: self.fn(mu, X))
-        self._last_push = (mu, nu)
+        """Push-forward of ``mu``: each stage runs once, on all atoms of its context."""
+        for nu in self._contexts(mu):
+            pass
         return nu
 
     @staticmethod
     def identity(dim: int) -> "InContextMap":
-        return InContextMap(lambda mu, X: X, dim, dim)
+        return InContextMap((), dim, dim)
 
     @staticmethod
     def from_gamma(params: AttentionParams) -> "InContextMap":
-        return InContextMap(lambda mu, X: X + _attend(params, *_context(mu), X), params.dim, params.dim)
+        return InContextMap((lambda pts, w, X: X + _attend(params, pts, w, X),), params.dim, params.dim)
 
     @staticmethod
     def from_layer(att: AttentionParams, mlp_p: MlpParams) -> "InContextMap":
-        layer = Layer(att, mlp_p)
-        return InContextMap(lambda mu, X: layer_step(layer, *_context(mu), X), att.dim, att.dim)
+        return InContextMap((partial(layer_step, Layer(att, mlp_p)),), att.dim, att.dim)
 
 
 def compose_diamond(g1: InContextMap, g2: InContextMap) -> InContextMap:
-    """Diamond composition: (mu, x) -> g2(g1 push-forward of mu, g1(mu, x))."""
+    """Diamond composition (mu, x) -> g2(g1 push-forward of mu, g1(mu, x)): g1's stages, then g2's."""
     if g1.dim_out != g2.dim_in:
         raise DimensionMismatch(
             f"cannot chain output dimension {g1.dim_out} into input dimension {g2.dim_in}"
         )
-
-    def composed(mu: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
-        return g2.fn(g1.push(mu), g1.fn(mu, X))
-
-    return InContextMap(composed, g1.dim_in, g2.dim_out)
+    return InContextMap(g1.stages + g2.stages, g1.dim_in, g2.dim_out)

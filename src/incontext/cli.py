@@ -114,8 +114,7 @@ def _cmd_w1(args: argparse.Namespace) -> int:
         print(fmt(w1(a, b)))
         return 0
     plan = w1_matching(a, b)
-    if args.plan:
-        save_json(args.plan, plan_to_doc(plan))
+    save_json(args.plan, plan_to_doc(plan))
     print(fmt(plan.cost))
     return 0
 

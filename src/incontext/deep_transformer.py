@@ -1,11 +1,11 @@
 """Layer stacks: deep attention+MLP compositions as one in-context map.
 
-A stack of T layers acts on a point by threading it through each layer while
+A stack of T layers is the chain of its layers' in-context maps, whose stages
+are the batched kernel ``layer_step``: a point threads through each layer while
 the context measure is pushed forward alongside (the diamond rule).  The same
-stack acts on measures by relocating every atom, and on token sequences by
+chain acts on measures by relocating every atom, and on token sequences by
 acting pointwise while keeping the input order.  Each layer moves all atoms
-(or tokens) in one call of the batched kernel ``layer_step``, which reads its
-context measure only through the measure's points and weights arrays.
+(or tokens) in one kernel call, which reads only the context's arrays.
 
 Each layer carries an optional velocity scale: at scale 1 the layer applies
 ``F(x + Att(mu, x))`` directly, at scale c it applies ``x + c * velocity``,
@@ -16,12 +16,13 @@ velocity field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .attention import Layer, _context, _row, layer_step
-from .errors import DimensionMismatch
-from .measures import DiscreteMeasure, TokenSequence, _freeze, canonicalize, iota, relocate
+from .attention import InContextMap, Layer, _context, _row, layer_step
+from .errors import DimensionMismatch, MapUndefinedAtAtom
+from .measures import DiscreteMeasure, TokenSequence, _freeze, iota
 
 
 @dataclass(frozen=True)
@@ -45,40 +46,23 @@ class LayerStack:
         return len(self.layers)
 
 
+def _chain(stack: LayerStack) -> InContextMap:
+    return InContextMap(tuple(partial(layer_step, layer) for layer in stack.layers), stack.dim, stack.dim)
+
+
 def apply_layer(layer: Layer, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
     """One layer at context ``mu``: F(Gamma(mu, x)), or the scaled velocity step."""
     return layer_step(layer, *_context(mu), _row(x))[0]
 
 
-def context_chain(stack: LayerStack, mu: DiscreteMeasure) -> list[DiscreteMeasure]:
-    """Canonical context measures seen by each layer, plus the final measure.
-
-    Entry tau is the context for layer tau; the last entry is the output
-    measure of the whole stack.  Each layer moves all atoms of its context in
-    one kernel call.
-    """
-    nu = canonicalize(mu)
-    chain = [nu]
-    for layer in stack.layers:
-        nu = relocate(nu, layer_step(layer, nu.points, nu.weights, nu.points))
-        chain.append(nu)
-    return chain
-
-
-def _map_rows(stack: LayerStack, chain: list[DiscreteMeasure], X: np.ndarray) -> np.ndarray:
-    for layer, ctx in zip(stack.layers, chain):
-        X = layer_step(layer, ctx.points, ctx.weights, X)
-    return X
-
-
 def forward_map(stack: LayerStack, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
     """The stack's in-context map at (mu, x)."""
-    return _map_rows(stack, context_chain(stack, mu), _row(x))[0]
+    return _chain(stack)(mu, x)
 
 
 def forward_measure(stack: LayerStack, mu: DiscreteMeasure) -> DiscreteMeasure:
     """Push ``mu`` through the stack (layerwise push-forwards composed)."""
-    return context_chain(stack, mu)[-1]
+    return _chain(stack).push(mu)
 
 
 def forward_tokens(stack: LayerStack, seq: TokenSequence) -> TokenSequence:
@@ -87,7 +71,12 @@ def forward_tokens(stack: LayerStack, seq: TokenSequence) -> TokenSequence:
     All tokens are mapped in one batch through the stack against the contexts
     generated by the sequence's empirical measure.  Kernel rows do not depend
     on the batch, so equal tokens receive equal images and permuting the
-    input permutes the output identically, bit for bit.
+    input permutes the output identically, bit for bit.  Raises
+    MapUndefinedAtAtom naming, as its atom, the first token whose image is
+    not finite.
     """
-    out = _map_rows(stack, context_chain(stack, iota(seq)), seq.tokens)
+    out = _chain(stack).rows(iota(seq), seq.tokens)
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise MapUndefinedAtAtom(f"map returned a non-finite value at atom {np.flatnonzero(~finite)[0]}")
     return TokenSequence(_freeze(out), seq.box.hull(out))

@@ -406,6 +406,6 @@ def split_reg_irreg(
     x = np.asarray(x, dtype=float).reshape(-1)
     probe = add_atom(mu_c, x, eps)
     reg = psi.value(g(probe, x))
-    drift = psi.value(g.fn(probe, mu_c.points)) - psi.value(g.fn(mu_c, mu_c.points))
+    drift = psi.value(g.rows(probe, mu_c.points)) - psi.value(g.rows(mu_c, mu_c.points))
     irreg = float(np.sum(mu_c.weights * drift)) / eps
     return reg, irreg

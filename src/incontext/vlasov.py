@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import AttentionParams, Layer, MlpParams, velocity_rows
+from .attention import AttentionParams, Layer, MlpParams, _mismatch, velocity_rows
 from .deep_transformer import LayerStack, forward_measure
-from .errors import NonFiniteState, TooFewTimePoints
+from .errors import DimensionMismatch, NonFiniteState, TooFewTimePoints
 from .measures import Box, DiscreteMeasure, _freeze, _raw_measure, canonicalize
 from .transport import w1_matching
 
@@ -54,9 +54,15 @@ class VelocityField:
     @staticmethod
     def from_stack(stack: LayerStack) -> "VelocityField":
         """Piecewise-constant-in-time field: layer floor(t * depth) drives [0, 1]."""
-        layers = stack.layers
+        layers, dim = stack.layers, stack.dim
         if not layers:
-            return VelocityField(lambda t, pts, w, X: np.zeros_like(X))
+
+            def still(t: float, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+                if X.shape[1] != dim:
+                    raise _mismatch(X.shape[1], dim)
+                return np.zeros_like(X)
+
+            return VelocityField(still)
 
         def fn(t: float, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
             layer = layers[min(int(t * len(layers)), len(layers) - 1)]
@@ -166,13 +172,16 @@ def characteristic_map(
     placed on an atom reproduces that atom's trajectory exactly (the query is
     one more row of each velocity evaluation).  ``steps`` is the step count
     for the full unit horizon; integration to time t uses round(steps * t)
-    steps of equal size.
+    steps of equal size.  Raises DimensionMismatch when x is not a point of
+    the dimension of ``mu0``.
     """
     if not 0.0 <= t <= 1.0:
         raise TooFewTimePoints(f"time {t} outside [0, 1]")
     if steps < 1:
         raise TooFewTimePoints(f"need at least one RK4 step, got {steps}")
     y = np.array(np.asarray(x, dtype=float).reshape(-1))
+    if y.shape[0] != mu0.dim:
+        raise DimensionMismatch(f"query point of length {y.shape[0]} in a measure of dimension {mu0.dim}")
     if t == 0.0:
         return y
     mu_c = canonicalize(mu0)

@@ -70,6 +70,41 @@ MUTANTS = (
         "the difference quotient divides by the mass actually added",
     ),
     Mutant(
+        "rowmul-by-matmul",
+        "attention.py",
+        "    out = X[:, :1] * A[:, 0] if out is None else np.multiply(X[:, :1], A[:, 0], out=out)\n"
+        "    for j in range(1, X.shape[1]):\n"
+        "        out += X[:, j : j + 1] * A[:, j] if term is None else np.multiply(X[:, j : j + 1], A[:, j], out=term)\n",
+        "    if out is None:\n"
+        "        return X @ A.T\n"
+        "    out[...] = X @ A.T\n",
+        (
+            "tests/test_kernel.py::TestBatchIndependence::test_rows_equal_single_row_evaluations_bitwise",
+            "tests/test_kernel.py::TestArrayKernel::test_rowmul_reads_columns_of_any_layout_bitwise",
+        ),
+        "each kernel row is bitwise independent of the batch it is evaluated in",
+    ),
+    Mutant(
+        "heads-share-one-probs-buffer",
+        "attention.py",
+        "probs = [np.empty((m, n)) for _ in params.heads] if weights is not None else None",
+        "probs = [np.empty((m, n))] * len(params.heads) if weights is not None else None",
+        ("tests/test_kernel.py::TestWorkspace::test_attention_weights_are_per_head_copies",),
+        "each head's softmax weights are its own array",
+    ),
+    Mutant(
+        "chain-hands-every-stage-the-input-context",
+        "attention.py",
+        "return relocate(nu, stage(nu.points, nu.weights, nu.points))",
+        "return nu",
+        (
+            "tests/test_attention.py::TestComposeDiamond::test_nested_push_calls_each_stage_once",
+            "tests/test_kernel.py::TestWorkspace::test_context_collapsing_mid_pass_matches_layer_by_layer_calls",
+            "tests/test_kernel.py::TestAgainstPerPointReference::test_forward_measure",
+        ),
+        "stage k reads the context pushed through stages 0..k-1 (the diamond rule)",
+    ),
+    Mutant(
         "box-shares-the-callers-corners",
         "measures.py",
         "lo = np.array(self.lo, dtype=float)",
@@ -83,6 +118,14 @@ MUTANTS = (
         "pts = np.atleast_2d(np.array(points, dtype=float))",
         "pts = np.atleast_2d(np.asarray(points, dtype=float))",
         ("tests/test_measures.py::TestOwnership::test_new_discrete_copies_points_and_weights",),
+        "a carrier copies the caller's arrays once at its validated edge",
+    ),
+    Mutant(
+        "new-tokens-shares-the-callers-tokens",
+        "measures.py",
+        "toks = np.atleast_2d(np.array(tokens, dtype=float))",
+        "toks = np.atleast_2d(np.asarray(tokens, dtype=float))",
+        ("tests/test_measures.py::TestOwnership::test_new_tokens_copies_the_tokens",),
         "a carrier copies the caller's arrays once at its validated edge",
     ),
     Mutant(

@@ -96,6 +96,16 @@ class TestW1Command:
     def test_usage_error_exit_code(self, capsys):
         assert main(["w1", "--a", "only.json"]) == 2
 
+    def test_empty_plan_path_exits_one(self, tmp_path, capsys):
+        # like forward --out "": an empty path names no file to write
+        rng = np.random.default_rng(0)
+        a = write_measure(tmp_path / "a.json", random_measure(rng, 3, 2, uniform=True))
+        b = write_measure(tmp_path / "b.json", random_measure(rng, 3, 2, uniform=True))
+        assert main(["w1", "--a", a, "--b", b, "--plan", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: FileNotFound: "), captured.err
+
     def test_extended_with_plan_is_a_usage_error(self, tmp_path, capsys):
         # the extended distance has no plan to write
         a = write_measure(tmp_path / "a.json", ic.dirac([0.0], mass=2.0))
@@ -735,6 +745,17 @@ class TestDimensionMismatch:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: DimensionMismatch: points of dimension "), err
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("command", ["forward", "forward-tokens", "flow", "extract-g"])
+    def test_empty_stack_of_another_dimension_exits_one(self, tmp_path, capsys, command, dim):
+        rng = np.random.default_rng(30)
+        argv = _subcommand_argv(command, tmp_path, ic.LayerStack((), dim), random_measure(rng, 3, 2))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: DimensionMismatch: points of dimension 2 meet a matrix of width {dim}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_matching_dimension_still_runs(self, tmp_path, capsys):
         rng = np.random.default_rng(30)

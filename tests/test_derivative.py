@@ -382,7 +382,7 @@ class TestSplitRegIrreg:
     def test_context_free_map_has_zero_irregular_part(self):
         rng = np.random.default_rng(9)
         mlp_p = random_mlp(rng, 2)
-        g = ic.InContextMap(each_row(lambda mu, x: ic.mlp(mlp_p, x)), 2, 2)
+        g = ic.InContextMap((each_row(lambda pts, w, x: ic.mlp(mlp_p, x)),), 2, 2)
         mu = random_measure(rng, 3, 2)
         psi = ic.coordinate_test(0, ic.default_box(2).enlarged(2.0))
         reg, irreg = ic.split_reg_irreg(g, mu, np.array([0.1, 0.2]), psi, 1e-6)

@@ -5,7 +5,7 @@ import pytest
 
 import incontext as ic
 from incontext import vlasov
-from incontext.errors import NonFiniteState, TooFewTimePoints
+from incontext.errors import DimensionMismatch, NonFiniteState, TooFewTimePoints
 
 from helpers import each_row, random_attention, random_measure, random_mlp
 
@@ -150,6 +150,13 @@ class TestCharacteristicMap:
     def test_rejects_fewer_than_one_step(self, steps, t):
         with pytest.raises(TooFewTimePoints):
             ic.characteristic_map(decay_field(), ic.dirac([1.0]), np.array([0.7]), t, steps=steps)
+
+    @pytest.mark.parametrize("length", [1, 3])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_rejects_a_query_of_another_length(self, length, t):
+        mu0 = ic.new_discrete([[0.0, 0.0]], [1.0])
+        with pytest.raises(DimensionMismatch, match=f"query point of length {length} in a measure of dimension 2"):
+            ic.characteristic_map(zero_field(), mu0, np.zeros(length), t, steps=4)
 
     def test_zero_field(self):
         x = np.array([0.7, -0.8])

@@ -33,7 +33,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMeasure, LengthMismatch, SkipNotUnit
+from .errors import DimensionMismatch, EmptyMeasure, LengthMismatch, MapUndefinedAtAtom, SkipNotUnit
 from .measures import DiscreteMeasure, canonicalize, relocate
 
 ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -308,25 +308,30 @@ def _push_stage(nu: DiscreteMeasure, stage: Callable) -> DiscreteMeasure:
 class InContextMap:
     """A chain of in-context maps under the diamond rule, acting on points and measures.
 
-    Stage k, ``f(points, weights, X)``, maps query rows X (m, d) to their image
-    rows against the arrays of its canonical context: the input measure pushed
-    through stages 0..k-1.  Nothing is cached between calls.
+    Stage k, ``f(points, weights, X)``, maps query rows X (m, dim) to their
+    image rows (m, dim) against the arrays of its canonical context: the input
+    measure pushed through stages 0..k-1.  Nothing is cached between calls.
     """
 
     stages: tuple[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], ...]
-    dim_in: int
-    dim_out: int
+    dim: int
 
     def _contexts(self, mu: DiscreteMeasure) -> Iterator[DiscreteMeasure]:
         """Each stage's context, then the pushed measure, each computed when it is read."""
-        if mu.dim != self.dim_in:
-            raise _mismatch(mu.dim, self.dim_in)
+        if mu.dim != self.dim:
+            raise _mismatch(mu.dim, self.dim)
         return accumulate(self.stages, _push_stage, initial=canonicalize(mu))
 
     def rows(self, mu: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
-        """Images of the query rows X (m, dim_in); reads one context per stage."""
+        """Images of the query rows X (m, dim), one context read per stage; checks
+        the width first, and names the first non-finite image row as its atom."""
+        if X.shape[1] != self.dim:
+            raise _mismatch(X.shape[1], self.dim)
         for stage, nu in zip(self.stages, self._contexts(mu)):
             X = stage(nu.points, nu.weights, X)
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise MapUndefinedAtAtom(f"map returned a non-finite value at atom {np.flatnonzero(~finite)[0]}")
         return X
 
     def __call__(self, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
@@ -340,21 +345,19 @@ class InContextMap:
 
     @staticmethod
     def identity(dim: int) -> "InContextMap":
-        return InContextMap((), dim, dim)
+        return InContextMap((), dim)
 
     @staticmethod
     def from_gamma(params: AttentionParams) -> "InContextMap":
-        return InContextMap((lambda pts, w, X: X + _attend(params, pts, w, X),), params.dim, params.dim)
+        return InContextMap((lambda pts, w, X: X + _attend(params, pts, w, X),), params.dim)
 
     @staticmethod
     def from_layer(att: AttentionParams, mlp_p: MlpParams) -> "InContextMap":
-        return InContextMap((partial(layer_step, Layer(att, mlp_p)),), att.dim, att.dim)
+        return InContextMap((partial(layer_step, Layer(att, mlp_p)),), att.dim)
 
 
 def compose_diamond(g1: InContextMap, g2: InContextMap) -> InContextMap:
     """Diamond composition (mu, x) -> g2(g1 push-forward of mu, g1(mu, x)): g1's stages, then g2's."""
-    if g1.dim_out != g2.dim_in:
-        raise DimensionMismatch(
-            f"cannot chain output dimension {g1.dim_out} into input dimension {g2.dim_in}"
-        )
-    return InContextMap(g1.stages + g2.stages, g1.dim_in, g2.dim_out)
+    if g1.dim != g2.dim:
+        raise DimensionMismatch(f"cannot chain output dimension {g1.dim} into input dimension {g2.dim}")
+    return InContextMap(g1.stages + g2.stages, g1.dim)

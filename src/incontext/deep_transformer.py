@@ -20,8 +20,8 @@ from functools import partial
 
 import numpy as np
 
-from .attention import InContextMap, Layer, _context, _row, layer_step
-from .errors import DimensionMismatch, MapUndefinedAtAtom
+from .attention import InContextMap, Layer, layer_step
+from .errors import DimensionMismatch
 from .measures import DiscreteMeasure, TokenSequence, _freeze, iota
 
 
@@ -47,16 +47,11 @@ class LayerStack:
 
 
 def _chain(stack: LayerStack) -> InContextMap:
-    return InContextMap(tuple(partial(layer_step, layer) for layer in stack.layers), stack.dim, stack.dim)
-
-
-def apply_layer(layer: Layer, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
-    """One layer at context ``mu``: F(Gamma(mu, x)), or the scaled velocity step."""
-    return layer_step(layer, *_context(mu), _row(x))[0]
+    return InContextMap(tuple(partial(layer_step, layer) for layer in stack.layers), stack.dim)
 
 
 def forward_map(stack: LayerStack, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
-    """The stack's in-context map at (mu, x)."""
+    """The stack's in-context map at (mu, x); MapUndefinedAtAtom if the image is not finite."""
     return _chain(stack)(mu, x)
 
 
@@ -76,7 +71,4 @@ def forward_tokens(stack: LayerStack, seq: TokenSequence) -> TokenSequence:
     not finite.
     """
     out = _chain(stack).rows(iota(seq), seq.tokens)
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
-        raise MapUndefinedAtAtom(f"map returned a non-finite value at atom {np.flatnonzero(~finite)[0]}")
     return TokenSequence(_freeze(out), seq.box.hull(out))

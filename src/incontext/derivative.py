@@ -192,11 +192,11 @@ def _min_spacing(points: np.ndarray) -> float:
 
 
 def _usable_radius(r: float, spacing: float) -> float:
-    """``r``, or 0.49 * spacing when that is below 2r; AnchorsTooClose if not positive or below 1e-8."""
-    if r <= 0.0:
+    """The patch radius rule: min(r, spacing / 4), AnchorsTooClose if ``r`` is
+    not positive or the result is below 1e-8."""
+    if not r > 0.0:
         raise AnchorsTooClose("patch radius must be positive")
-    if r >= spacing / 2.0:
-        r = 0.49 * spacing
+    r = min(r, spacing / 4.0)
     if r < MIN_PATCH_RADIUS:
         raise AnchorsTooClose(f"usable patch radius {r:.3g} below {MIN_PATCH_RADIUS}")
     return r
@@ -205,9 +205,9 @@ def _usable_radius(r: float, spacing: float) -> float:
 def build_patched_test(base: TestFunction, anchors: np.ndarray, r: float) -> TestFunction:
     """Patch ``base`` to be constant near each anchor.
 
-    Shrinks the radius internally when anchors are closer than 2r; raises
-    AnchorsTooClose if the usable radius falls below 1e-8.  The patched
-    function deviates from the base by at most Lip(base) * r.
+    The radius is min(r, a quarter of the minimal anchor spacing); raises
+    AnchorsTooClose if r is not positive or that radius is below 1e-8.  The
+    patched function deviates from the base by at most Lip(base) * r.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     if anchors.shape[0] == 0:
@@ -237,7 +237,7 @@ class MeasureMap:
 
     @staticmethod
     def from_in_context(g: InContextMap) -> "MeasureMap":
-        return MeasureMap(g.push, g.dim_out)
+        return MeasureMap(g.push, g.dim)
 
     @staticmethod
     def from_stack(stack: LayerStack) -> "MeasureMap":
@@ -289,24 +289,24 @@ def _verified_probe(
 ) -> _PairedProbe:
     """Settle the probe and pair its image with f(mu), once per extraction.
 
-    The radius starts at min(quarter of the minimal image spacing, 0.05,
-    ``patch_radius``).  The added mass is eps at a new atom and fl(w + eps) - w
-    at an atom of weight w; ProbeMassLost is raised when it is 0.  eps is
-    halved until every existing image moves less than a quarter of the
-    working patch radius.  When the probe's own image lands inside the default
-    patch ball of an existing image, the radius is shrunk below half their
-    separation so the reading is never blended; an image that merges into the
-    existing support keeps the full radius (the constant is right there).  The
-    accepted radius passes ``build_patched_test``'s spacing rule.
+    ``eps``, and the cap ``patch_radius`` under the radius rule on its own,
+    are checked before f is evaluated.  The radius r is the rule
+    (``_usable_radius``) applied to min(0.05, cap) and the minimal spacing of
+    f(mu), before the first probe.  The added mass is eps at a new atom and
+    fl(w + eps) - w at an atom of weight w; ProbeMassLost is raised when it is
+    0.  When the probe's own image lands within r of an existing image, the
+    working radius r_eff is half their separation, checked by the same rule,
+    so the reading is never blended; an image that merges into the existing
+    support keeps r (the constant is right there).  eps is halved until every
+    existing image moves less than r_eff / 4.
     """
-    if patch_radius is not None and not patch_radius > 0.0:
-        raise AnchorsTooClose("patch radius must be positive")
+    if not 0.0 < eps < np.inf:
+        raise NonpositiveWeight(f"eps must be positive and finite, got {eps!r}")
+    cap = MAX_PATCH_RADIUS if patch_radius is None else _usable_radius(min(patch_radius, MAX_PATCH_RADIUS), np.inf)
     mu = canonicalize(mu)
     f_mu = canonicalize(f(mu))
     spacing = _min_spacing(f_mu.points)
-    r = min(0.25 * spacing, MAX_PATCH_RADIUS, np.inf if patch_radius is None else patch_radius)
-    if not 0.0 < eps < np.inf:
-        raise NonpositiveWeight(f"eps must be positive and finite, got {eps!r}")
+    r = _usable_radius(cap, spacing)
     for _ in range(MAX_HALVINGS + 1):
         probe = add_atom(mu, x, eps)
         # at an existing atom, probe and mu list the same points in the same order
@@ -322,21 +322,20 @@ def _verified_probe(
         clearance = near_dist[unpicked]
         r_eff = r
         if clearance.size == 1 and clearance[0] < r:
-            r_eff = max(clearance[0] / 2.0, MIN_PATCH_RADIUS)
+            r_eff = _usable_radius(clearance[0] / 2.0, spacing)
         if np.maximum.reduce(moved) < r_eff / 4.0:
             break
         eps /= 2.0
     else:
-        raise DisplacementTooLarge(f"image support moves more than {r / 4.0:.3g} even at eps {eps * 2:.3g}")
-    radius = _usable_radius(r_eff, spacing)
-    matched = near_dist <= radius / 2.0
+        raise DisplacementTooLarge(f"image support moves more than {r_eff / 4.0:.3g} even at eps {eps * 2:.3g}")
+    matched = near_dist <= r_eff / 2.0
     # summed in probe atom order from 0.0, as np.add.at would
     matched_mass = np.bincount(nearest[matched], weights=f_probe.weights[matched], minlength=f_mu.n)
     free = ~matched
     free_atoms = (f_probe.points[free], f_probe.weights[free], nearest[free], near_dist[free])
     excess = matched_mass - f_mu.weights
     box = f_mu.box.hull(f_probe.points)
-    return _PairedProbe(eps, added, f_mu.points, radius, excess, *free_atoms, box)
+    return _PairedProbe(eps, added, f_mu.points, r_eff, excess, *free_atoms, box)
 
 
 def regular_derivative(
@@ -351,12 +350,12 @@ def regular_derivative(
 
     The quotient divides by the mass actually added: at an atom of mu with
     weight w that is fl(w + eps) - w, not eps.  ``psi`` is patched at the
-    support of f(mu) with radius min(quarter of the minimal image spacing,
-    0.05); eps is halved (up to 12 times) until the matched support
-    displacement passes the r/4 safety check, else DisplacementTooLarge is
-    raised.  ``patch_radius`` caps the automatic radius (useful for
-    radius-robustness checks); a cap that is not positive raises
-    AnchorsTooClose before f is evaluated.
+    support of f(mu) with radius r = min(quarter of the minimal image spacing,
+    0.05, ``patch_radius``), or half the probe image's distance to f(mu) when
+    that is below r; a radius below 1e-8 raises AnchorsTooClose.  eps is
+    halved (up to 12 times) until the matched support displacement passes the
+    r/4 safety check, else DisplacementTooLarge is raised.  A bad eps or cap
+    raises (NonpositiveWeight, AnchorsTooClose) before f is evaluated.
     """
     return _paired_quotient(psi, _verified_probe(f, mu, x, eps, patch_radius))
 

@@ -3,13 +3,14 @@
 All floats are written in decimal with 17 significant digits, which
 round-trips IEEE-754 doubles exactly and keeps output files byte-stable across
 runs.  The emitter is a small recursive serializer because the standard json
-encoder does not expose float formatting; it writes the rows of 1-d and 2-d
-float64 arrays in one pass each.
+encoder does not expose float formatting; it writes each float64 array, and
+each record array (a plan's flows), with one ``%`` format.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -26,8 +27,17 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _float_list(values: list) -> str:
-    return "[" + ",".join([format(v, ".17g") for v in values]) + "]"
+def _emit_array(value: np.ndarray) -> str:
+    """A float64 array, or a record array of int and float fields, as one ``%`` format
+    built from its shape: ``"%.17g" % x`` is ``fmt(x)`` for every double."""
+    if value.dtype.names is None:
+        item, cells = "%.17g", value.ravel().tolist()
+    else:
+        fields = [f'{json.dumps(k)}:{"%.17g" if value.dtype[k].kind == "f" else "%d"}' for k in value.dtype.names]
+        item, cells = "{" + ",".join(fields) + "}", chain.from_iterable(value.ravel().tolist())
+    for n in reversed(value.shape):
+        item = "[" + ",".join([item] * n) + "]"
+    return item % tuple(cells)
 
 
 def _emit(value: Any) -> str:
@@ -37,10 +47,8 @@ def _emit(value: Any) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_emit(v) for v in value) + "]"
     if isinstance(value, np.ndarray):
-        if value.dtype == np.float64 and value.ndim == 1:
-            return _float_list(value.tolist())
-        if value.dtype == np.float64 and value.ndim == 2:
-            return "[" + ",".join([_float_list(row) for row in value.tolist()]) + "]"
+        if value.dtype == np.float64 or value.dtype.names is not None:
+            return _emit_array(value)
         return _emit(value.tolist())
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -202,13 +210,9 @@ def stack_from_doc(doc: dict) -> LayerStack:
 
 
 def plan_to_doc(plan: TransportPlan) -> dict:
-    return {
-        "cost": plan.cost,
-        "flows": [
-            {"source": int(i), "target": int(j), "mass": float(m)}
-            for i, j, m in plan.triples()
-        ],
-    }
+    """The cost and the flows, a record array with fields source, target and mass."""
+    flows = np.rec.fromarrays((plan.source, plan.target, plan.mass), names="source,target,mass")
+    return {"cost": plan.cost, "flows": flows}
 
 
 # -- file helpers --------------------------------------------------------------------

@@ -78,12 +78,6 @@ class TransportPlan:
     mass: np.ndarray
     cost: float
 
-    def triples(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(i), int(j), float(m))
-            for i, j, m in zip(self.source, self.target, self.mass)
-        ]
-
     def marginals(self, n_source: int, n_target: int) -> tuple[np.ndarray, np.ndarray]:
         row = np.zeros(n_source)
         col = np.zeros(n_target)

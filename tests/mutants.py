@@ -38,6 +38,35 @@ class Mutant:
     guards: str
 
 
+# The probe loop of ``derivative._verified_probe``, from the radius settled
+# before the first probe to the pairing after the last.
+PROBE_LOOP = (
+    "    r = _usable_radius(cap, spacing)\n"
+    "    for _ in range(MAX_HALVINGS + 1):\n"
+    "        probe = add_atom(mu, x, eps)\n"
+    "        # at an existing atom, probe and mu list the same points in the same order\n"
+    "        added = eps if probe.n > mu.n else float(np.maximum.reduce(probe.weights - mu.weights))\n"
+    "        if added == 0.0:\n"
+    "            raise ProbeMassLost(f\"probe mass {eps:.3g} at an atom of mu is lost to rounding\")\n"
+    "        f_probe = canonicalize(f(probe))\n"
+    "        picks, moved = _nearest(f_mu.points, f_probe.points)\n"
+    "        nearest, near_dist = _nearest(f_probe.points, f_mu.points)\n"
+    "        # the probe's own image is the one atom no atom of f(mu) picks, whatever its weight\n"
+    "        unpicked = np.ones(f_probe.n, dtype=bool)\n"
+    "        unpicked[picks] = False\n"
+    "        clearance = near_dist[unpicked]\n"
+    "        r_eff = r\n"
+    "        if clearance.size == 1 and clearance[0] < r:\n"
+    "            r_eff = _usable_radius(clearance[0] / 2.0, spacing)\n"
+    "        if np.maximum.reduce(moved) < r_eff / 4.0:\n"
+    "            break\n"
+    "        eps /= 2.0\n"
+    "    else:\n"
+    "        raise DisplacementTooLarge(f\"image support moves more than {r_eff / 4.0:.3g} even at eps {eps * 2:.3g}\")\n"
+    "    matched = near_dist <= r_eff / 2.0\n"
+)
+
+
 MUTANTS = (
     Mutant(
         "nearest-last-on-tie",
@@ -103,6 +132,35 @@ MUTANTS = (
             "tests/test_kernel.py::TestAgainstPerPointReference::test_forward_measure",
         ),
         "stage k reads the context pushed through stages 0..k-1 (the diamond rule)",
+    ),
+    Mutant(
+        "radius-floor-restored",
+        "derivative.py",
+        "r_eff = _usable_radius(clearance[0] / 2.0, spacing)",
+        "r_eff = max(clearance[0] / 2.0, MIN_PATCH_RADIUS)",
+        ("tests/test_derivative.py::TestExtractG::test_query_image_closer_than_the_radius_floor_raises",),
+        "a probe image's clearance shrinks the radius with no floor",
+    ),
+    Mutant(
+        "radius-checked-after-the-loop",
+        "derivative.py",
+        PROBE_LOOP,
+        PROBE_LOOP.replace("r = _usable_radius(cap, spacing)", "r = min(cap, spacing / 4.0)").replace(
+            "    matched = ", "    _usable_radius(r_eff, spacing)\n    matched = "
+        ),
+        ("tests/test_derivative.py::TestExtractG::test_close_image_atoms_fail_before_the_first_probe",),
+        "the patch radius is settled before the first probe",
+    ),
+    Mutant(
+        "rows-skips-the-width-check",
+        "attention.py",
+        "        if X.shape[1] != self.dim:\n            raise _mismatch(X.shape[1], self.dim)\n",
+        "",
+        (
+            "tests/test_attention.py::TestComposeDiamond::test_a_chain_without_stages_checks_the_query_width",
+            "tests/test_deep_transformer.py::TestForwardMap::test_empty_stack_rejects_a_query_of_another_dimension",
+        ),
+        "an in-context map checks the width of its query rows at its entry",
     ),
     Mutant(
         "box-shares-the-callers-corners",

@@ -236,6 +236,12 @@ class TestComposeDiamond:
         with pytest.raises(DimensionMismatch):
             ic.compose_diamond(ic.InContextMap.identity(2), ic.InContextMap.identity(3))
 
+    def test_a_chain_without_stages_checks_the_query_width(self):
+        # no kernel runs, so the chain itself must refuse a 3-vector for a 2-d measure
+        mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+        with pytest.raises(DimensionMismatch, match="^points of dimension 3 meet a matrix of width 2$"):
+            ic.InContextMap.identity(2)(mu, np.zeros(3))
+
     def test_associativity(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
@@ -256,7 +262,7 @@ class TestComposeDiamond:
                 calls[k] += 1
                 return X + 1.0
 
-            return ic.InContextMap((stage,), 1, 1)
+            return ic.InContextMap((stage,), 1)
 
         maps = [counted(k) for k in range(12)]
         if nesting == "left":
@@ -279,7 +285,7 @@ class TestComposeDiamond:
 
             return stage
 
-        g1, g2 = ic.InContextMap((counted("g1"),), 1, 1), ic.InContextMap((counted("g2"),), 1, 1)
+        g1, g2 = ic.InContextMap((counted("g1"),), 1), ic.InContextMap((counted("g2"),), 1)
         mu = random_measure(rng, 3, 1)
         g1.push(mu)
         assert calls == {"g1": 1, "g2": 0}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import incontext as ic
-from incontext.errors import MapUndefinedAtAtom
+from incontext.errors import DimensionMismatch, MapUndefinedAtAtom
 
 from helpers import OVERFLOW_POINTS, each_row, overflowing_stack, random_attention, random_measure, random_mlp, random_stack
 
@@ -20,6 +20,11 @@ class TestForwardMap:
         mu = ic.new_discrete([[0.1, 0.2]], [1.0])
         x = np.array([0.5, -0.5])
         assert np.array_equal(ic.forward_map(stack, mu, x), x)
+
+    def test_empty_stack_rejects_a_query_of_another_dimension(self):
+        mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+        with pytest.raises(DimensionMismatch, match="^points of dimension 3 meet a matrix of width 2$"):
+            ic.forward_map(ic.LayerStack((), 2), mu, np.zeros(3))
 
     def test_identity_layer(self):
         rng = np.random.default_rng(0)
@@ -124,6 +129,12 @@ class TestUndefinedMap:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(MapUndefinedAtAtom, match="at atom 0"):
                 ic.forward_measure(overflowing_stack(), mu)
+
+    def test_forward_map_raises_on_a_non_finite_image(self):
+        mu = ic.new_discrete(OVERFLOW_POINTS, [0.2, 0.3, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(MapUndefinedAtAtom, match="at atom 0"):
+                ic.forward_map(overflowing_stack(), mu, mu.points[0])
 
     def test_forward_tokens_names_first_atom(self):
         seq = ic.new_tokens(OVERFLOW_POINTS)

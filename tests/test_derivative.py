@@ -12,7 +12,7 @@ from incontext.derivative import (
     regular_derivative,
 )
 from incontext.measures import _distances
-from incontext.errors import AnchorsTooClose, DisplacementTooLarge, ProbeMassLost
+from incontext.errors import AnchorsTooClose, DisplacementTooLarge, NonpositiveWeight, ProbeMassLost
 
 from helpers import each_row, random_attention, random_measure, random_mlp, random_stack
 
@@ -242,6 +242,21 @@ class TestRegularDerivative:
             regular_derivative(f, mu, np.array([0.5]), psi, 1e-6, patch_radius=radius)
         assert calls == []
 
+    @pytest.mark.parametrize("eps", [0.0, np.nan])
+    def test_bad_eps_fails_before_any_map_evaluation(self, eps):
+        calls = []
+
+        def counted(mu):
+            calls.append(mu)
+            return ic.canonicalize(mu)
+
+        f = ic.MeasureMap(counted, 1)
+        mu = ic.new_discrete([[0.0], [1.0]], [0.5, 0.5])
+        psi = ic.coordinate_test(0, ic.default_box(1))
+        with pytest.raises(NonpositiveWeight, match="^eps must be positive and finite"):
+            regular_derivative(f, mu, np.array([0.5]), psi, eps)
+        assert calls == []
+
     def test_eps_halving_reported(self):
         # displacement shrinks with eps: the probe must settle on a smaller eps
         def touchy(mu):
@@ -350,6 +365,24 @@ class TestExtractG:
                 got = ic.extract_g(f, mu, x, 1e-6)
                 assert np.max(np.abs(got - x)) <= 1e-10, x
 
+    def test_query_image_closer_than_the_radius_floor_raises(self):
+        # the probe's image lies 5e-10 from the image of the atom at 0: a patch
+        # ball that keeps it apart is below 1e-8, so no reading can be trusted
+        # (a radius lifted to 1e-8 would merge it into that atom and read 0)
+        mu = ic.new_discrete([[0.0], [1.0]], [0.5, 0.5])
+        with pytest.raises(AnchorsTooClose, match="^usable patch radius 2.5e-10 below 1e-08$"):
+            ic.extract_g_detailed(ic.MeasureMap.identity(1), mu, np.array([5e-10]))
+
+    def test_close_image_atoms_fail_before_the_first_probe(self):
+        # two image atoms 1.3e-9 apart leave a radius below 1e-8 at f(mu) already
+        stack = random_stack(np.random.default_rng(1), 1, depth=1)
+        calls = []
+        f = ic.MeasureMap(lambda mu: calls.append(mu) or ic.forward_measure(stack, mu), 1)
+        mu = ic.new_discrete([[0.3], [0.3 + 1e-9], [-0.8]], [0.3, 0.3, 0.4])
+        with pytest.raises(AnchorsTooClose, match="^usable patch radius 3.32e-10 below 1e-08$"):
+            ic.extract_g_detailed(f, mu, np.array([0.1]))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("eps", [1e-6, 1e-16])
     def test_probe_at_an_atom_divides_by_the_added_mass(self, eps):
         # 0.5 + eps adds fl(0.5 + eps) - 0.5, not eps: 1e-16 adds 1.11e-16
@@ -382,7 +415,7 @@ class TestSplitRegIrreg:
     def test_context_free_map_has_zero_irregular_part(self):
         rng = np.random.default_rng(9)
         mlp_p = random_mlp(rng, 2)
-        g = ic.InContextMap((each_row(lambda pts, w, x: ic.mlp(mlp_p, x)),), 2, 2)
+        g = ic.InContextMap((each_row(lambda pts, w, x: ic.mlp(mlp_p, x)),), 2)
         mu = random_measure(rng, 3, 2)
         psi = ic.coordinate_test(0, ic.default_box(2).enlarged(2.0))
         reg, irreg = ic.split_reg_irreg(g, mu, np.array([0.1, 0.2]), psi, 1e-6)

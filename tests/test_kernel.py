@@ -80,8 +80,9 @@ class TestBatchIndependence:
             att_rows = _attend(att, pts, w, X, head_weights)
             vel_rows = ic.velocity_rows(att, mlp_p, pts, w, X)
             for i in (0, X.shape[0] - 1):
-                assert np.array_equal(ic.deep_transformer.apply_layer(layer, ctx, X[i]), rows[i])
-                assert np.array_equal(ic.deep_transformer.apply_layer(layer, mu, X[i]), rows[i])
+                one_layer = ic.LayerStack((layer,), X.shape[1])
+                assert np.array_equal(ic.forward_map(one_layer, ctx, X[i]), rows[i])
+                assert np.array_equal(ic.forward_map(one_layer, mu, X[i]), rows[i])
                 assert np.array_equal(ic.attention(att, mu, X[i]), att_rows[i])
                 assert np.array_equal(ic.gamma(att, mu, X[i]), X[i] + att_rows[i])
                 assert np.array_equal(ic.velocity(att, mlp_p, mu, X[i]), vel_rows[i])

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,12 +31,13 @@ class TestFloatArrays:
 
     def test_special_values_match_the_recursive_emitter(self):
         vec = np.array(self.SPECIAL)
-        for value in (vec, vec.reshape(1, -1), vec.reshape(-1, 1), vec[::-2], vec.reshape(-1, 1).T):
+        every_rank = (vec[6].reshape(()), vec[:8].reshape(2, 2, 2), vec[:8].reshape(2, 1, 2, 2).transpose(3, 1, 2, 0))
+        for value in (vec, vec.reshape(1, -1), vec.reshape(-1, 1), vec[::-2], vec.reshape(-1, 1).T, *every_rank):
             assert ser.dumps(value) == reference_emit(value) + "\n"
         assert ser.dumps(np.array(-0.0)) == "-0\n"
 
     def test_empty_arrays_match_the_recursive_emitter(self):
-        for shape in [(0,), (0, 4), (3, 0), (0, 0)]:
+        for shape in [(0,), (0, 4), (3, 0), (0, 0), (0, 2, 3), (2, 0, 3), (2, 3, 0)]:
             value = np.empty(shape)
             assert ser.dumps({"a": value}) == reference_emit({"a": value}) + "\n"
 
@@ -98,6 +100,14 @@ class TestJsonDocs:
         doc = ser.plan_to_doc(ic.w1_matching(a, b))
         assert doc["cost"] == 1.0
         assert len(doc["flows"]) == 2
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_plan_doc_matches_the_recursive_emitter(self, d):
+        # the flows as one JSON object each, in plan order
+        rng = np.random.default_rng(13)
+        plan = ic.w1_matching(random_measure(rng, 40, d).normalized(), random_measure(rng, 30, d).normalized())
+        flows = [{"source": i, "target": j, "mass": m} for i, j, m in zip(plan.source, plan.target, plan.mass)]
+        assert ser.dumps(ser.plan_to_doc(plan)) == reference_emit({"cost": plan.cost, "flows": flows}) + "\n"
 
 
 class TestCsv:

@@ -243,9 +243,7 @@ class TestDepthLimit:
         stack = ic.scaled_stack(att, mlp_p, T)
         mu = ic.canonicalize(random_measure(rng, 3, 2))
         x = rng.uniform(-1, 1, size=2)
-        from incontext.deep_transformer import apply_layer
-
-        got = apply_layer(stack.layers[0], mu, x)
+        got = ic.forward_map(ic.LayerStack(stack.layers[:1], 2), mu, x)
         want = x + (1.0 / T) * ic.velocity(att, mlp_p, mu, x)
         assert np.array_equal(got, want)
 

@@ -34,7 +34,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyMeasure, LengthMismatch, MapUndefinedAtAtom, SkipNotUnit
-from .measures import DiscreteMeasure, canonicalize, relocate
+from .measures import DiscreteMeasure, _finite_rows, canonicalize, relocate
 
 ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "tanh": np.tanh,
@@ -145,6 +145,16 @@ class Layer:
 
 def _mismatch(d: int, width: int) -> DimensionMismatch:
     return DimensionMismatch(f"points of dimension {d} meet a matrix of width {width}")
+
+
+def _held_to(Y: np.ndarray, X: np.ndarray, rows_error: type = MapUndefinedAtAtom) -> np.ndarray:
+    """``Y`` itself when it has the shape of the query rows X: ``rows_error`` for
+    another row count, DimensionMismatch for another width."""
+    if Y.shape[:1] != X.shape[:1]:
+        raise rows_error(f"map returned shape {Y.shape} for {X.shape[0]} atoms")
+    if Y.shape != X.shape:
+        raise _mismatch(X.shape[1], math.prod(Y.shape[1:]))
+    return Y
 
 
 def _rowmul(X: np.ndarray, A: np.ndarray, out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
@@ -301,7 +311,7 @@ def velocity(att: AttentionParams, mlp_p: MlpParams, mu: DiscreteMeasure, x: np.
 
 
 def _push_stage(nu: DiscreteMeasure, stage: Callable) -> DiscreteMeasure:
-    return relocate(nu, stage(nu.points, nu.weights, nu.points))
+    return relocate(nu, _held_to(stage(nu.points, nu.weights, nu.points), nu.points))
 
 
 @dataclass(frozen=True)
@@ -310,7 +320,9 @@ class InContextMap:
 
     Stage k, ``f(points, weights, X)``, maps query rows X (m, dim) to their
     image rows (m, dim) against the arrays of its canonical context: the input
-    measure pushed through stages 0..k-1.  Nothing is cached between calls.
+    measure pushed through stages 0..k-1.  Another row count raises
+    MapUndefinedAtAtom and another width DimensionMismatch, so a chain keeps
+    the atom count, the mass and the dimension.  Nothing is cached.
     """
 
     stages: tuple[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], ...]
@@ -324,15 +336,12 @@ class InContextMap:
 
     def rows(self, mu: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
         """Images of the query rows X (m, dim), one context read per stage; checks
-        the width first, and names the first non-finite image row as its atom."""
-        if X.shape[1] != self.dim:
-            raise _mismatch(X.shape[1], self.dim)
+        the shape first, and names the first non-finite image row as its atom."""
+        if X.shape[1:] != (self.dim,):  # a 1-d X holds points of dimension 1
+            raise _mismatch(math.prod(X.shape[1:]), self.dim)
         for stage, nu in zip(self.stages, self._contexts(mu)):
-            X = stage(nu.points, nu.weights, X)
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
-            raise MapUndefinedAtAtom(f"map returned a non-finite value at atom {np.flatnonzero(~finite)[0]}")
-        return X
+            X = _held_to(stage(nu.points, nu.weights, X), X)
+        return _finite_rows(X)
 
     def __call__(self, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
         return self.rows(mu, _row(x))[0]

@@ -170,9 +170,9 @@ def _cmd_depth_limit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_map(name: str, dim: int) -> MeasureMap:
+def _make_map(name: str) -> MeasureMap:
     if name == "identity":
-        return MeasureMap.identity(dim)
+        return MeasureMap.identity()
     if name == "counterexample":
         return counter_map()
     if name.startswith("stack:"):
@@ -183,7 +183,7 @@ def _make_map(name: str, dim: int) -> MeasureMap:
 def _cmd_extract_g(args: argparse.Namespace) -> int:
     mu = measure_from_doc(load_json(args.measure))
     x = np.array(args.x[1])
-    f = _make_map(args.map_spec, mu.dim)
+    f = _make_map(args.map_spec)
     values, eps_used = extract_g_detailed(f, mu, x, args.eps)
     print(" ".join(fmt(v) for v in values))
     print(f"eps_used {fmt(eps_used)}")

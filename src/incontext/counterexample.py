@@ -91,8 +91,8 @@ def f_counter_extended(mu: DiscreteMeasure) -> DiscreteMeasure:
 
 
 def counter_map() -> MeasureMap:
-    """The counterexample as a black-box measure map (output dimension one)."""
-    return MeasureMap(f_counter_extended, 1)
+    """The counterexample as a black-box measure map."""
+    return MeasureMap(f_counter_extended)
 
 
 def two_atom_measure(eps: float) -> DiscreteMeasure:

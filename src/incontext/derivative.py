@@ -28,7 +28,7 @@ import numpy as np
 
 from .attention import InContextMap
 from .deep_transformer import LayerStack, forward_measure
-from .errors import AnchorsTooClose, DisplacementTooLarge, NonpositiveWeight, ProbeMassLost
+from .errors import AnchorsTooClose, DimensionMismatch, DisplacementTooLarge, NonpositiveWeight, ProbeMassLost
 from .measures import Box, DiscreteMeasure, _distances, add_atom, canonicalize, push_forward
 
 DEFAULT_EPS = 1e-6
@@ -218,30 +218,29 @@ def build_patched_test(base: TestFunction, anchors: np.ndarray, r: float) -> Tes
 
 @dataclass(eq=False)
 class MeasureMap:
-    """Black-box measure-to-measure map with a declared output dimension."""
+    """Black-box measure-to-measure map; extraction reads the output dimension off its images."""
 
     fn: Callable[[DiscreteMeasure], DiscreteMeasure]
-    dim_out: int
 
     def __call__(self, mu: DiscreteMeasure) -> DiscreteMeasure:
         return self.fn(mu)
 
     @staticmethod
-    def identity(dim: int) -> "MeasureMap":
-        return MeasureMap(lambda mu: canonicalize(mu), dim)
+    def identity() -> "MeasureMap":
+        return MeasureMap(lambda mu: canonicalize(mu))
 
     @staticmethod
-    def from_point_map(rows_map: Callable[[np.ndarray], np.ndarray], dim_out: int) -> "MeasureMap":
-        """Push-forward under ``rows_map``: atom rows (n, d) to images (n, dim_out)."""
-        return MeasureMap(lambda mu: push_forward(mu, rows_map), dim_out)
+    def from_point_map(rows_map: Callable[[np.ndarray], np.ndarray]) -> "MeasureMap":
+        """Push-forward under ``rows_map``: atom rows (n, d) to their images (n, d')."""
+        return MeasureMap(lambda mu: push_forward(mu, rows_map))
 
     @staticmethod
     def from_in_context(g: InContextMap) -> "MeasureMap":
-        return MeasureMap(g.push, g.dim)
+        return MeasureMap(g.push)
 
     @staticmethod
     def from_stack(stack: LayerStack) -> "MeasureMap":
-        return MeasureMap(lambda mu: forward_measure(stack, mu), stack.dim)
+        return MeasureMap(lambda mu: forward_measure(stack, mu))
 
 
 @dataclass(frozen=True)
@@ -294,11 +293,12 @@ def _verified_probe(
     (``_usable_radius``) applied to min(0.05, cap) and the minimal spacing of
     f(mu), before the first probe.  The added mass is eps at a new atom and
     fl(w + eps) - w at an atom of weight w; ProbeMassLost is raised when it is
-    0.  When the probe's own image lands within r of an existing image, the
-    working radius r_eff is half their separation, checked by the same rule,
-    so the reading is never blended; an image that merges into the existing
-    support keeps r (the constant is right there).  eps is halved until every
-    existing image moves less than r_eff / 4.
+    0, DimensionMismatch when f(probe) and f(mu) differ in dimension.  When
+    the probe's own image lands within r of an existing image, the working
+    radius r_eff is half their separation, checked by the same rule, so the
+    reading is never blended; an image that merges into the existing support
+    keeps r (the constant is right there).  eps is halved until every existing
+    image moves less than r_eff / 4.
     """
     if not 0.0 < eps < np.inf:
         raise NonpositiveWeight(f"eps must be positive and finite, got {eps!r}")
@@ -314,6 +314,8 @@ def _verified_probe(
         if added == 0.0:
             raise ProbeMassLost(f"probe mass {eps:.3g} at an atom of mu is lost to rounding")
         f_probe = canonicalize(f(probe))
+        if f_probe.dim != f_mu.dim:
+            raise DimensionMismatch(f"f maps the probe to dimension {f_probe.dim} and mu to {f_mu.dim}")
         picks, moved = _nearest(f_mu.points, f_probe.points)
         nearest, near_dist = _nearest(f_probe.points, f_mu.points)
         # the probe's own image is the one atom no atom of f(mu) picks, whatever its weight
@@ -368,13 +370,13 @@ def extract_g_detailed(
 ) -> tuple[np.ndarray, float]:
     """Recover G(mu, x) componentwise along patched coordinate projections.
 
-    Returns (vector, eps actually used).  The coordinate cutoffs are built on
-    a box hulling both image supports, so they are exactly the coordinate
-    projections wherever the images live.
+    Returns (vector, eps actually used), one value per coordinate of f(mu).
+    The coordinate cutoffs are built on a box hulling both image supports, so
+    they are exactly the coordinate projections wherever the images live.
     """
     probe = _verified_probe(f, mu, x, eps)
     out_box = probe.box.enlarged(0.5)
-    values = [_paired_quotient(coordinate_test(ell, out_box), probe) for ell in range(f.dim_out)]
+    values = [_paired_quotient(coordinate_test(ell, out_box), probe) for ell in range(out_box.dim)]
     return np.array(values, dtype=float), probe.eps
 
 

@@ -277,39 +277,37 @@ def _canonical(points: np.ndarray, weights: np.ndarray, box: Box) -> DiscreteMea
 
 
 def push_forward(mu: DiscreteMeasure, rows_map: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:
-    """Relocate every atom through ``rows_map`` and canonicalize.
-
-    ``rows_map`` takes all atoms as rows (n, d) to their images (n, d'); a
-    map that raises or returns another row count raises MapUndefinedAtAtom.
-    See :func:`relocate` for the output box and the finiteness check.
-    """
+    """:func:`relocate` each atom to its row of ``rows_map(points)``, the map taking
+    all atoms as rows (n, d) at once; a map that raises raises MapUndefinedAtAtom."""
     try:
         images = np.asarray(rows_map(mu.points), dtype=float)
     except Exception as exc:  # noqa: BLE001 - map failure is a domain error
         raise MapUndefinedAtAtom(f"map failed: {exc}") from exc
-    if images.shape[:1] != (mu.n,):
-        raise MapUndefinedAtAtom(f"map returned shape {images.shape} for {mu.n} atoms")
-    return relocate(mu, images.reshape(mu.n, -1))
+    return relocate(mu, images)
+
+
+def _finite_rows(images: np.ndarray) -> np.ndarray:
+    """``images`` itself; MapUndefinedAtAtom naming the first row that is not finite as its atom."""
+    finite = np.isfinite(images)
+    if not finite.all():
+        raise MapUndefinedAtAtom(f"map returned a non-finite value at atom {np.flatnonzero(~finite.all(axis=1))[0]}")
+    return images
 
 
 def relocate(mu: DiscreteMeasure, images: np.ndarray) -> DiscreteMeasure:
     """Canonical measure with atom i of ``mu`` moved to row i of ``images``.
 
-    Raises MapUndefinedAtAtom naming the first atom whose image is not
-    finite.  The output box is the input box when the images stay inside it
-    (and the dimension is unchanged); otherwise the smallest box containing
-    the images (hulled with the input box when dimensions match).  Images
-    that coincide exactly merge; total mass is preserved up to the rounding
-    of those merged sums.
+    A push needs exactly one finite row per atom: other images than (n, d'),
+    d' >= 1, raise MapUndefinedAtAtom, as does a row that is not finite,
+    naming its atom.  The output box is the input box hulled with the images when d' is
+    its dimension, else the images' own bounding box.  Images that coincide
+    exactly merge; total mass is preserved up to the rounding of those sums.
     """
-    finite = np.isfinite(images)
-    if not finite.all():
-        bad = np.flatnonzero(~finite.all(axis=1))
-        raise MapUndefinedAtAtom(f"map returned a non-finite value at atom {bad[0]}")
-    if images.shape[1] == mu.dim:
-        box = mu.box.hull(images)
-    else:
-        box = Box(images.min(axis=0), images.max(axis=0))
+    if images.ndim != 2 or images.shape[0] != mu.n or not images.shape[1]:
+        raise MapUndefinedAtAtom(f"map returned shape {images.shape} for {mu.n} atoms")
+    _finite_rows(images)
+    same_dim = images.shape[1] == mu.dim
+    box = mu.box.hull(images) if same_dim else Box(images.min(axis=0), images.max(axis=0))
     return _canonical(images, mu.weights, box)
 
 
@@ -379,14 +377,11 @@ def gap_strict(mu: DiscreteMeasure) -> float:
     half = n // 2
     sa, pa, na = _half_signed_sums(w[:half])
     sb, pb, nb = _half_signed_sums(w[half:])
-    a_zero_vec = np.zeros(sa.size, dtype=bool)
-    a_zero_vec[0] = True
-    # both signs present in the union
+    # both signs in the union; A's negative-only sums would mirror the second term bit for bit
     return min(
         _min_abs_pair_sum(sa[pa & na], np.sort(sb)),
         _min_abs_pair_sum(sa[pa & ~na], np.sort(sb[nb])),
-        _min_abs_pair_sum(sa[~pa & na], np.sort(sb[pb])),
-        _min_abs_pair_sum(sa[a_zero_vec], np.sort(sb[pb & nb])),
+        _min_abs_pair_sum(sa[:1], np.sort(sb[pb & nb])),
     )
 
 

@@ -126,7 +126,7 @@ def _box_from_doc(box: Any) -> Box:
 
 def _dim_checked(doc: dict, value):
     """``value`` itself, after checking it against the document's optional ``dim``."""
-    if doc.get("dim", value.dim) != value.dim:
+    if "dim" in doc and _integer(doc["dim"], "dim") != value.dim:
         raise LengthMismatch(f"the document says dim {doc['dim']!r}, its entries have dimension {value.dim}")
     return value
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import AttentionParams, Layer, MlpParams, _mismatch, velocity_rows
+from .attention import AttentionParams, Layer, MlpParams, _held_to, velocity_rows
 from .deep_transformer import LayerStack, forward_measure
 from .errors import DimensionMismatch, NonFiniteState, TooFewTimePoints
 from .measures import Box, DiscreteMeasure, _freeze, _raw_measure, canonicalize
@@ -33,18 +33,18 @@ VelocityFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 class VelocityField:
     """Velocity ``(t, points, weights, X) -> dX/dt`` on query rows X of shape (m, d).
 
-    ``fn`` receives all m rows at once and returns an (m, d) array; row i is
-    the velocity at X[i] in the field of the measure sum_j weights[j] *
-    delta(points[j]), with points (n, d) and weights (n,), whose atoms the
-    layer fields reduce in the order given.  In a flow all three arguments
-    are read-only views of the stage state, and X includes the tracer rows.
+    ``fn`` receives all m rows at once and returns X's shape, or the call
+    raises DimensionMismatch; row i is the velocity at X[i] in the field of
+    sum_j weights[j] * delta(points[j]), points (n, d) and weights (n,), whose
+    atoms the layer fields reduce in the order given.  In a flow all three
+    arguments are read-only views of the stage state, X with the tracer rows.
     """
 
     fn: VelocityFn
 
     def __call__(self, t: float, points: np.ndarray, weights: np.ndarray, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return np.asarray(self.fn(t, points, weights, X), dtype=float).reshape(X.shape)
+        return _held_to(np.asarray(self.fn(t, points, weights, X), dtype=float), X, DimensionMismatch)
 
     @staticmethod
     def from_layer(att: AttentionParams, mlp_p: MlpParams) -> "VelocityField":
@@ -55,14 +55,8 @@ class VelocityField:
     def from_stack(stack: LayerStack) -> "VelocityField":
         """Piecewise-constant-in-time field: layer floor(t * depth) drives [0, 1]."""
         layers, dim = stack.layers, stack.dim
-        if not layers:
-
-            def still(t: float, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-                if X.shape[1] != dim:
-                    raise _mismatch(X.shape[1], dim)
-                return np.zeros_like(X)
-
-            return VelocityField(still)
+        if not layers:  # rows of the stack's dimension, so X of another width raises
+            return VelocityField(lambda t, pts, w, X: np.zeros((len(X), dim)))
 
         def fn(t: float, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
             layer = layers[min(int(t * len(layers)), len(layers) - 1)]
@@ -210,7 +204,9 @@ def weak_residual(traj: Trajectory, v: VelocityField, phi) -> float:
 
 
 def scaled_stack(att: AttentionParams, mlp_p: MlpParams, T: int):
-    """Depth-T stack whose every layer applies 1/T of the base layer velocity."""
+    """Depth-T stack (T >= 1) whose every layer applies 1/T of the base layer velocity."""
+    if T < 1:
+        raise TooFewTimePoints(f"need a depth of at least one, got {T}")
     layer = Layer(att, mlp_p, scale=1.0 / T)
     return LayerStack(tuple([layer] * T), att.dim)
 
@@ -221,8 +217,6 @@ def depth_limit_error(att: AttentionParams, mlp_p: MlpParams, mu0: DiscreteMeasu
     Both are built from one base layer (``att``, ``mlp_p``); the reference
     uses 4T RK4 steps of that layer's velocity.
     """
-    if T < 1:
-        raise TooFewTimePoints(f"need a depth of at least one, got {T}")
     stack_final = forward_measure(scaled_stack(att, mlp_p, T), mu0)
     ref_final = rk4_flow(VelocityField.from_layer(att, mlp_p), mu0, 4 * T).final
     return w1_matching(stack_final, ref_final).cost

@@ -49,6 +49,8 @@ PROBE_LOOP = (
     "        if added == 0.0:\n"
     "            raise ProbeMassLost(f\"probe mass {eps:.3g} at an atom of mu is lost to rounding\")\n"
     "        f_probe = canonicalize(f(probe))\n"
+    "        if f_probe.dim != f_mu.dim:\n"
+    "            raise DimensionMismatch(f\"f maps the probe to dimension {f_probe.dim} and mu to {f_mu.dim}\")\n"
     "        picks, moved = _nearest(f_mu.points, f_probe.points)\n"
     "        nearest, near_dist = _nearest(f_probe.points, f_mu.points)\n"
     "        # the probe's own image is the one atom no atom of f(mu) picks, whatever its weight\n"
@@ -124,7 +126,7 @@ MUTANTS = (
     Mutant(
         "chain-hands-every-stage-the-input-context",
         "attention.py",
-        "return relocate(nu, stage(nu.points, nu.weights, nu.points))",
+        "return relocate(nu, _held_to(stage(nu.points, nu.weights, nu.points), nu.points))",
         "return nu",
         (
             "tests/test_attention.py::TestComposeDiamond::test_nested_push_calls_each_stage_once",
@@ -154,13 +156,66 @@ MUTANTS = (
     Mutant(
         "rows-skips-the-width-check",
         "attention.py",
-        "        if X.shape[1] != self.dim:\n            raise _mismatch(X.shape[1], self.dim)\n",
+        "        if X.shape[1:] != (self.dim,):  # a 1-d X holds points of dimension 1\n"
+        "            raise _mismatch(math.prod(X.shape[1:]), self.dim)\n",
         "",
         (
             "tests/test_attention.py::TestComposeDiamond::test_a_chain_without_stages_checks_the_query_width",
             "tests/test_deep_transformer.py::TestForwardMap::test_empty_stack_rejects_a_query_of_another_dimension",
         ),
         "an in-context map checks the width of its query rows at its entry",
+    ),
+    Mutant(
+        "stage-skips-the-row-count-check",
+        "attention.py",
+        "    if Y.shape[:1] != X.shape[:1]:\n"
+        "        raise rows_error(f\"map returned shape {Y.shape} for {X.shape[0]} atoms\")\n",
+        "",
+        ("tests/test_attention.py::TestStageShape::test_rows_raise",),
+        "a stage that returns another row count raises MapUndefinedAtAtom",
+    ),
+    Mutant(
+        "stage-skips-the-width-check",
+        "attention.py",
+        "    if Y.shape != X.shape:\n        raise _mismatch(X.shape[1], math.prod(Y.shape[1:]))\n",
+        "",
+        (
+            "tests/test_attention.py::TestStageShape::test_push_raises",
+            "tests/test_attention.py::TestStageShape::test_rows_raise",
+            "tests/test_attention.py::TestStageShape::test_extraction_through_the_measure_map_raises",
+        ),
+        "a stage that returns another width raises DimensionMismatch",
+    ),
+    Mutant(
+        "relocate-skips-the-shape-check",
+        "measures.py",
+        "    if images.ndim != 2 or images.shape[0] != mu.n or not images.shape[1]:\n"
+        "        raise MapUndefinedAtAtom(f\"map returned shape {images.shape} for {mu.n} atoms\")\n",
+        "",
+        (
+            "tests/test_measures.py::TestPushForward::test_wrong_row_count_is_domain_error",
+            "tests/test_measures.py::TestPushForward::test_images_that_are_not_rows_are_domain_error",
+        ),
+        "a push needs exactly one row of at least one coordinate per atom",
+    ),
+    Mutant(
+        "field-reshaped-to-the-query",
+        "vlasov.py",
+        "return _held_to(np.asarray(self.fn(t, points, weights, X), dtype=float), X, DimensionMismatch)",
+        "return np.asarray(self.fn(t, points, weights, X), dtype=float).reshape(X.shape)",
+        ("tests/test_vlasov.py::TestFieldShape::test_a_field_of_another_shape_raises",),
+        "a velocity field must return its query's shape; nothing reshapes it",
+    ),
+    Mutant(
+        "extract-a-fixed-number-of-coordinates",
+        "derivative.py",
+        "for ell in range(out_box.dim)]",
+        "for ell in range(2)]",
+        (
+            "tests/test_derivative.py::TestOutputDimension::test_identity_extracts_every_coordinate",
+            "tests/test_derivative.py::TestOutputDimension::test_a_map_into_another_dimension_extracts_its_values",
+        ),
+        "extraction reads the output dimension off f(mu)",
     ),
     Mutant(
         "box-shares-the-callers-corners",

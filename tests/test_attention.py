@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import incontext as ic
-from incontext.errors import DimensionMismatch, SkipNotUnit
+from incontext.errors import DimensionMismatch, MapUndefinedAtAtom, SkipNotUnit
 
 from helpers import random_attention, random_measure, random_mlp
 
@@ -292,3 +292,66 @@ class TestComposeDiamond:
         # the diamond's push: each stage once, on all atoms of its context
         ic.compose_diamond(g1, g2).push(random_measure(rng, 3, 1))
         assert calls == {"g1": 2, "g2": 1}
+
+
+def drops_a_row(pts, w, X):
+    return X[:-1] + 0.1
+
+
+def doubles_the_width(pts, w, X):
+    return np.hstack((X, X))
+
+
+BAD_STAGES = pytest.mark.parametrize(
+    "stage, error, message",
+    [
+        (drops_a_row, MapUndefinedAtAtom, r"^map returned shape \(\d, 2\) for \d atoms$"),
+        (doubles_the_width, DimensionMismatch, "^points of dimension 2 meet a matrix of width 4$"),
+    ],
+    ids=["drops-a-row", "doubles-the-width"],
+)
+
+
+class TestStageShape:
+    """Every stage is held to its query's shape, so a chain cannot drop atoms,
+    lose mass or change its dimension."""
+
+    MU = ic.new_discrete([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]], [0.2, 0.3, 0.5])
+
+    @staticmethod
+    def chains(stage):
+        # the bad stage alone, and after a layer that reads the context
+        bad = ic.InContextMap((stage,), 2)
+        return bad, ic.compose_diamond(ic.InContextMap.from_gamma(random_attention(np.random.default_rng(21), 2)), bad)
+
+    @BAD_STAGES
+    def test_push_raises(self, stage, error, message):
+        for chain in self.chains(stage):
+            with pytest.raises(error, match=message):
+                chain.push(self.MU)
+
+    @BAD_STAGES
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_rows_raise(self, stage, error, message, m):
+        X = np.linspace(-1.0, 1.0, 2 * m).reshape(m, 2)
+        for chain in self.chains(stage):
+            with pytest.raises(error, match=message):
+                chain.rows(self.MU, X)
+
+    @BAD_STAGES
+    def test_extraction_through_the_measure_map_raises(self, stage, error, message):
+        for chain in self.chains(stage):
+            with pytest.raises(error, match=message):
+                ic.extract_g(ic.MeasureMap.from_in_context(chain), self.MU, np.array([0.25, 0.25]))
+
+    def test_rows_reject_a_query_that_is_not_two_dimensional(self):
+        for chain in (ic.InContextMap.identity(2), self.chains(doubles_the_width)[1]):
+            # a 1-d array holds points of dimension 1
+            with pytest.raises(DimensionMismatch, match="^points of dimension 1 meet a matrix of width 2$"):
+                chain.rows(self.MU, np.zeros(2))
+
+    def test_a_good_chain_keeps_atoms_and_mass(self):
+        chain = self.chains(lambda pts, w, X: X + 0.1)[1]
+        nu = chain.push(self.MU)
+        assert nu.n == self.MU.n and nu.dim == 2
+        assert nu.weights.tolist() == ic.canonicalize(self.MU).weights.tolist()

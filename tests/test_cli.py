@@ -871,6 +871,20 @@ class TestDocumentDim:
         assert main(["w1", "--a", str(a), "--b", str(a)]) == 1
         assert capsys.readouterr().err.startswith("error: LengthMismatch: the document says dim 3")
 
+    @pytest.mark.parametrize(
+        "dim, message",
+        [("2", f"{BAD}dim must be numeric, got str"), ([2], f"{BAD}dim must be a number, got an array")],
+        ids=["string", "array"],
+    )
+    def test_measure_dim_is_read_as_an_integer(self, tmp_path, capsys, dim, message):
+        doc = ser.measure_to_doc(ic.new_discrete([[0.1, 0.2]], [1.0]))
+        a = tmp_path / "a.json"
+        ser.save_json(str(a), dict(doc, dim=dim))
+        assert main(["w1", "--a", str(a), "--b", str(a)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        ser.save_json(str(a), dict(doc, dim=2.0))
+        assert main(["w1", "--a", str(a), "--b", str(a)]) == 0
+
     def test_tokens_dim_must_match_tokens(self, tmp_path, capsys):
         s = write_stack(tmp_path / "s.json", random_stack(np.random.default_rng(32), 2))
         t = tmp_path / "t.json"

@@ -12,7 +12,13 @@ from incontext.derivative import (
     regular_derivative,
 )
 from incontext.measures import _distances
-from incontext.errors import AnchorsTooClose, DisplacementTooLarge, NonpositiveWeight, ProbeMassLost
+from incontext.errors import (
+    AnchorsTooClose,
+    DimensionMismatch,
+    DisplacementTooLarge,
+    NonpositiveWeight,
+    ProbeMassLost,
+)
 
 from helpers import each_row, random_attention, random_measure, random_mlp, random_stack
 
@@ -143,7 +149,7 @@ class TestNearest:
 
     def test_extraction_memory_does_not_grow_with_the_square_of_n(self):
         mu = ic.new_discrete(np.linspace(-2.5, 2.5, 5000)[:, None], np.full(5000, 1 / 5000))
-        f = ic.MeasureMap.identity(1)
+        f = ic.MeasureMap.identity()
         tracemalloc.start()
         try:
             values, eps_used = ic.extract_g_detailed(f, mu, np.array([0.1]))
@@ -174,14 +180,14 @@ class TestCoordinateTest:
 
 class TestRegularDerivative:
     def test_identity_map_reads_coordinate(self):
-        f = ic.MeasureMap.identity(2)
+        f = ic.MeasureMap.identity()
         mu = ic.new_discrete([[0.1, -0.4], [1.2, 0.8]], [0.5, 0.5])
         psi = ic.coordinate_test(0, ic.default_box(2))
         x = np.array([0.7, 0.2])
         assert regular_derivative(f, mu, x, psi) == pytest.approx(0.7, abs=1e-12)
 
     def test_doubling_map(self):
-        f = ic.MeasureMap.from_point_map(lambda p: 2.0 * p, 1)
+        f = ic.MeasureMap.from_point_map(lambda p: 2.0 * p)
         got = regular_derivative(
             f, ic.dirac([0.0]), np.array([1.0]), ic.coordinate_test(0, ic.default_box(1))
         )
@@ -221,7 +227,7 @@ class TestRegularDerivative:
             shift = 1.0 if mu.total_mass > 1.0 else 0.0
             return ic.push_forward(mu, lambda p: p + shift)
 
-        f = ic.MeasureMap(jumpy, 1)
+        f = ic.MeasureMap(jumpy)
         mu = ic.new_discrete([[0.0], [1.0]], [0.5, 0.5])
         psi = ic.coordinate_test(0, ic.default_box(1))
         with pytest.raises(DisplacementTooLarge):
@@ -235,7 +241,7 @@ class TestRegularDerivative:
             calls.append(mu)
             return ic.canonicalize(mu)
 
-        f = ic.MeasureMap(counted, 1)
+        f = ic.MeasureMap(counted)
         mu = ic.new_discrete([[0.0], [1.0]], [0.5, 0.5])
         psi = ic.coordinate_test(0, ic.default_box(1))
         with pytest.raises(AnchorsTooClose, match="^patch radius must be positive$"):
@@ -250,7 +256,7 @@ class TestRegularDerivative:
             calls.append(mu)
             return ic.canonicalize(mu)
 
-        f = ic.MeasureMap(counted, 1)
+        f = ic.MeasureMap(counted)
         mu = ic.new_discrete([[0.0], [1.0]], [0.5, 0.5])
         psi = ic.coordinate_test(0, ic.default_box(1))
         with pytest.raises(NonpositiveWeight, match="^eps must be positive and finite"):
@@ -263,7 +269,7 @@ class TestRegularDerivative:
             extra = mu.total_mass - 1.0
             return ic.push_forward(mu, lambda p: p + 4000.0 * extra)
 
-        f = ic.MeasureMap(touchy, 1)
+        f = ic.MeasureMap(touchy)
         mu = ic.new_discrete([[0.0], [1.0]], [0.5, 0.5])
         _, eps_used = ic.extract_g_detailed(f, mu, np.array([0.4]), 1e-5)
         assert eps_used < 1e-5
@@ -271,7 +277,7 @@ class TestRegularDerivative:
 
 class TestExtractG:
     def test_identity(self):
-        f = ic.MeasureMap.identity(2)
+        f = ic.MeasureMap.identity()
         mu = ic.new_discrete([[0.1, -0.4], [1.2, 0.8]], [0.5, 0.5])
         x = np.array([0.7, 0.2])
         assert np.allclose(ic.extract_g(f, mu, x), x, atol=1e-12)
@@ -357,7 +363,7 @@ class TestExtractG:
         # the probe's image lands 0.01 from an existing image atom, inside the
         # default patch ball, and sorts before or after it; either way the
         # radius must shrink so the reading stays exact
-        f = ic.MeasureMap.identity(2)
+        f = ic.MeasureMap.identity()
         mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
         for atom in mu.points:
             for step in ([0.01, 0.0], [-0.01, 0.0], [0.0, 0.01], [0.0, -0.01]):
@@ -371,13 +377,13 @@ class TestExtractG:
         # (a radius lifted to 1e-8 would merge it into that atom and read 0)
         mu = ic.new_discrete([[0.0], [1.0]], [0.5, 0.5])
         with pytest.raises(AnchorsTooClose, match="^usable patch radius 2.5e-10 below 1e-08$"):
-            ic.extract_g_detailed(ic.MeasureMap.identity(1), mu, np.array([5e-10]))
+            ic.extract_g_detailed(ic.MeasureMap.identity(), mu, np.array([5e-10]))
 
     def test_close_image_atoms_fail_before_the_first_probe(self):
         # two image atoms 1.3e-9 apart leave a radius below 1e-8 at f(mu) already
         stack = random_stack(np.random.default_rng(1), 1, depth=1)
         calls = []
-        f = ic.MeasureMap(lambda mu: calls.append(mu) or ic.forward_measure(stack, mu), 1)
+        f = ic.MeasureMap(lambda mu: calls.append(mu) or ic.forward_measure(stack, mu))
         mu = ic.new_discrete([[0.3], [0.3 + 1e-9], [-0.8]], [0.3, 0.3, 0.4])
         with pytest.raises(AnchorsTooClose, match="^usable patch radius 3.32e-10 below 1e-08$"):
             ic.extract_g_detailed(f, mu, np.array([0.1]))
@@ -388,17 +394,17 @@ class TestExtractG:
         # 0.5 + eps adds fl(0.5 + eps) - 0.5, not eps: 1e-16 adds 1.11e-16
         mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
         x = np.array([1.0, 1.0])
-        values, eps_used = ic.extract_g_detailed(ic.MeasureMap.identity(2), mu, x, eps)
+        values, eps_used = ic.extract_g_detailed(ic.MeasureMap.identity(), mu, x, eps)
         assert values.tolist() == [1.0, 1.0]
         assert eps_used == eps
         psi = ic.coordinate_test(0, ic.default_box(2))
-        assert regular_derivative(ic.MeasureMap.identity(2), mu, x, psi, eps) == 1.0
+        assert regular_derivative(ic.MeasureMap.identity(), mu, x, psi, eps) == 1.0
 
     def test_probe_mass_lost_to_rounding_raises(self):
         # 0.5 + 1e-17 == 0.5: the probe would read 0 instead of (1, 1)
         mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
         with pytest.raises(ProbeMassLost):
-            ic.extract_g(ic.MeasureMap.identity(2), mu, np.array([1.0, 1.0]), 1e-17)
+            ic.extract_g(ic.MeasureMap.identity(), mu, np.array([1.0, 1.0]), 1e-17)
 
     def test_counterexample_value(self):
         from incontext.counterexample import counter_map, two_atom_measure
@@ -409,6 +415,39 @@ class TestExtractG:
         got = ic.extract_g(counter_map(), mu, x, eps**1.5 / 20.0)
         want = ic.r_map(1.0 / eps, float(x[0]))
         assert abs(got[0] - want) <= 1e-10
+
+
+class TestOutputDimension:
+    """Extraction reads the output dimension off f(mu); a map declares none."""
+
+    MU = ic.new_discrete([[0.1, -0.4], [1.2, 0.8], [-0.9, 0.3]], [0.2, 0.3, 0.5])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_identity_extracts_every_coordinate(self, d):
+        rng = np.random.default_rng(40 + d)
+        mu = ic.new_discrete(rng.uniform(-1, 1, size=(3, d)), [0.2, 0.3, 0.5])
+        x = rng.uniform(-1, 1, size=d)
+        got = ic.extract_g(ic.MeasureMap.identity(), mu, x)
+        assert got.shape == (d,) and np.max(np.abs(got - x)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "rows_map, want",
+        [
+            (lambda X: X[:, :1] + X[:, 1:], [0.9]),
+            (lambda X: np.hstack((X, X[:, :1] * X[:, 1:])), [0.7, 0.2, 0.7 * 0.2]),
+        ],
+        ids=["into-1", "into-3"],
+    )
+    def test_a_map_into_another_dimension_extracts_its_values(self, rows_map, want):
+        got = ic.extract_g(ic.MeasureMap.from_point_map(rows_map), self.MU, np.array([0.7, 0.2]))
+        assert got.shape == (len(want),) and np.max(np.abs(got - want)) <= 1e-10
+
+    def test_a_probe_image_of_another_dimension_raises(self):
+        def switching(nu):
+            return ic.canonicalize(nu) if nu.n == 3 else ic.push_forward(nu, lambda X: X[:, :1])
+
+        with pytest.raises(DimensionMismatch, match="^f maps the probe to dimension 1 and mu to 2$"):
+            ic.extract_g(ic.MeasureMap(switching), self.MU, np.array([0.7, 0.2]))
 
 
 class TestSplitRegIrreg:

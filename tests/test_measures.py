@@ -14,7 +14,7 @@ from incontext.errors import (
     PointOutsideBox,
     SupportTooLarge,
 )
-from incontext.measures import relocate
+from incontext.measures import _half_signed_sums, _min_abs_pair_sum, relocate
 
 from helpers import gap_oracle_literal, gap_oracle_signed, random_measure, random_stack, scan_canonicalize
 
@@ -209,6 +209,16 @@ class TestPushForward:
         with pytest.raises(MapUndefinedAtAtom):
             ic.push_forward(mu, lambda X: X[:2])
 
+    @pytest.mark.parametrize(
+        "rows_map", [lambda X: X[:, 0], lambda X: X[:, :0], lambda X: X[:, :, None], lambda X: 1.0],
+        ids=["one-value-per-atom", "no-coordinates", "three-axes", "scalar"],
+    )
+    def test_images_that_are_not_rows_are_domain_error(self, rows_map):
+        # exactly one row of at least one coordinate per atom, nothing reshaped
+        mu = ic.new_discrete([[0.5, -1.0], [-0.25, 2.0], [1.0, 0.0]], [0.25, 0.5, 0.25])
+        with pytest.raises(MapUndefinedAtAtom, match="^map returned shape .* for 3 atoms$"):
+            ic.push_forward(mu, rows_map)
+
     def test_into_another_dimension(self):
         # the output box is the images' own bounding box, not a hull with the input box
         mu = ic.new_discrete([[0.5, -1.0], [-0.25, 2.0], [1.0, 0.0]], [0.25, 0.5, 0.25])
@@ -297,6 +307,28 @@ class TestGap:
         assert want == min(min(weights), gap_oracle_literal(weights, require_nonempty_k=True))
         assert ic.gap(mu) == min(float(np.min(w)), ic.gap_strict(mu))
         assert abs(ic.gap(mu) - want) <= 1e-12
+
+    def test_equals_the_four_case_form_bitwise(self):
+        # gap_strict leaves out A's negative-only sums against B's sums with a
+        # positive term: rounding is symmetric, so they negate the positive-only
+        # case exactly and cannot change the minimum, not even in the last bit
+        def four_cases(w):
+            sa, pa, na = _half_signed_sums(w[: w.size // 2])
+            sb, pb, nb = _half_signed_sums(w[w.size // 2 :])
+            return min(
+                _min_abs_pair_sum(sa[pa & na], np.sort(sb)),
+                _min_abs_pair_sum(sa[pa & ~na], np.sort(sb[nb])),
+                _min_abs_pair_sum(sa[~pa & na], np.sort(sb[pb])),
+                _min_abs_pair_sum(sa[:1], np.sort(sb[pb & nb])),
+            )
+
+        rng = np.random.default_rng(22)
+        for _ in range(600):
+            n = int(rng.integers(1, 13))
+            # ties from a few shared values, mixed with arbitrary weights
+            w = np.where(rng.random(n) < 0.5, rng.choice([0.1, 0.25, 0.3, 0.5, 0.7], n), rng.uniform(0.05, 2.0, n))
+            mu = ic.new_discrete(0.1 * np.arange(n)[:, None], w, box1())
+            assert np.float64(ic.gap_strict(mu)).tobytes() == np.float64(four_cases(w)).tobytes(), w.tolist()
 
     def test_degenerate_cases_found(self):
         # 0.3 + 0.4 == 0.7 exactly in the reals but not in binary; use halves

@@ -120,6 +120,30 @@ class TestFixedOrder:
         assert np.array_equal(seen[16][2][3], y)
 
 
+class TestFieldShape:
+    MU0 = ic.new_discrete([[0.5, -1.0], [1.0, 0.25], [-0.75, 0.5]], [0.2, 0.3, 0.5])
+
+    @pytest.mark.parametrize(
+        "fn, message",
+        [
+            (lambda t, pts, w, X: -X.T, r"^map returned shape \(2, (3|4)\) for (3|4) atoms$"),
+            (lambda t, pts, w, X: 0.5, r"^map returned shape \(\) for (3|4) atoms$"),
+            (lambda t, pts, w, X: -X[:, 0], "^points of dimension 2 meet a matrix of width 1$"),
+        ],
+        ids=["transposed", "scalar", "one-column-as-a-vector"],
+    )
+    def test_a_field_of_another_shape_raises(self, fn, message):
+        # the field is not reshaped into X's shape: a transposed field would run a scrambled flow
+        v = ic.VelocityField(fn)
+        with pytest.raises(DimensionMismatch, match=message):
+            v(0.0, self.MU0.points, self.MU0.weights, self.MU0.points)
+        for flow in (ic.euler_flow, ic.rk4_flow):
+            with pytest.raises(DimensionMismatch, match=message):
+                flow(v, self.MU0, 4)
+        with pytest.raises(DimensionMismatch, match=message):
+            ic.characteristic_map(v, self.MU0, np.zeros(2), 1.0, steps=4)
+
+
 class TestTrajectoryArrays:
     def test_points_read_only_and_state_box_rule(self):
         mu0 = ic.new_discrete([[0.5, -1.0], [1.0, 0.25], [-0.75, 0.5]], [0.2, 0.3, 0.5])
@@ -234,6 +258,12 @@ class TestDepthLimit:
         e16 = ic.depth_limit_error(att, mlp_p, mu0, 16)
         e32 = ic.depth_limit_error(att, mlp_p, mu0, 32)
         assert 0.3 <= e32 / e16 <= 0.7
+
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_scaled_stack_needs_a_depth_of_at_least_one(self, T):
+        rng = np.random.default_rng(3)
+        with pytest.raises(TooFewTimePoints, match=f"^need a depth of at least one, got {T}$"):
+            ic.scaled_stack(random_attention(rng, 2), random_mlp(rng, 2), T)
 
     def test_scaled_layer_is_euler_step(self):
         rng = np.random.default_rng(3)

@@ -34,7 +34,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyMeasure, LengthMismatch, MapUndefinedAtAtom, SkipNotUnit
-from .measures import DiscreteMeasure, _finite_rows, canonicalize, relocate
+from .measures import DiscreteMeasure, _canonical, _finite_rows, _relocated, canonicalize
 
 ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "tanh": np.tanh,
@@ -310,8 +310,11 @@ def velocity(att: AttentionParams, mlp_p: MlpParams, mu: DiscreteMeasure, x: np.
     return velocity_rows(att, mlp_p, *_context(mu), _row(x))[0]
 
 
-def _push_stage(nu: DiscreteMeasure, stage: Callable) -> DiscreteMeasure:
-    return relocate(nu, _held_to(stage(nu.points, nu.weights, nu.points), nu.points))
+def _push_stage(
+    context: tuple[DiscreteMeasure, np.ndarray, np.ndarray], stage: Callable
+) -> tuple[DiscreteMeasure, np.ndarray, np.ndarray]:
+    nu = context[0]
+    return _relocated(nu, _held_to(stage(nu.points, nu.weights, nu.points), nu.points))
 
 
 @dataclass(frozen=True)
@@ -328,18 +331,27 @@ class InContextMap:
     stages: tuple[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], ...]
     dim: int
 
-    def _contexts(self, mu: DiscreteMeasure) -> Iterator[DiscreteMeasure]:
-        """Each stage's context, then the pushed measure, each computed when it is read."""
+    def _contexts(self, mu: DiscreteMeasure) -> Iterator[tuple[DiscreteMeasure, np.ndarray, np.ndarray]]:
+        """Each stage's context, then the pushed measure, each computed when it is read.
+
+        Each comes as ``measures._canonical`` returns it, with the sort order and
+        group starts that place the atoms it was built from (the atoms of ``mu``,
+        then of the context before it), so a caller can follow an atom through
+        every merge with ``measures._with_atoms``; a caller that does not pays
+        nothing for it."""
         if mu.dim != self.dim:
             raise _mismatch(mu.dim, self.dim)
-        return accumulate(self.stages, _push_stage, initial=canonicalize(mu))
+        if mu.is_canonical:  # each atom is its own row, in order
+            return accumulate(self.stages, _push_stage, initial=(mu, np.arange(mu.n), np.arange(mu.n - 1)))
+        return accumulate(self.stages, _push_stage, initial=_canonical(mu.points, mu.weights, mu.box))
 
     def rows(self, mu: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
         """Images of the query rows X (m, dim), one context read per stage; checks
         the shape first, and names the first non-finite image row as its atom."""
+        X = np.asarray(X, dtype=float)
         if X.shape[1:] != (self.dim,):  # a 1-d X holds points of dimension 1
             raise _mismatch(math.prod(X.shape[1:]), self.dim)
-        for stage, nu in zip(self.stages, self._contexts(mu)):
+        for stage, (nu, *_) in zip(self.stages, self._contexts(mu)):
             X = _held_to(stage(nu.points, nu.weights, X), X)
         return _finite_rows(X)
 
@@ -348,7 +360,7 @@ class InContextMap:
 
     def push(self, mu: DiscreteMeasure) -> DiscreteMeasure:
         """Push-forward of ``mu``: each stage runs once, on all atoms of its context."""
-        for nu in self._contexts(mu):
+        for nu, *_ in self._contexts(mu):
             pass
         return nu
 

@@ -3,9 +3,12 @@
 A stack of T layers is the chain of its layers' in-context maps, whose stages
 are the batched kernel ``layer_step``: a point threads through each layer while
 the context measure is pushed forward alongside (the diamond rule).  The same
-chain acts on measures by relocating every atom, and on token sequences by
-acting pointwise while keeping the input order.  Each layer moves all atoms
-(or tokens) in one kernel call, which reads only the context's arrays.
+chain acts on measures by relocating every atom, and on token sequences as
+the push-forward of their empirical measure: each token carries the index of
+its atom through every merge and reads the last layer's image of that atom,
+in the input order.  Each layer moves all atoms of its context in one kernel
+call, which reads only the context's arrays, so T layers make T calls on at
+most as many rows as there are distinct tokens.
 
 Each layer carries an optional velocity scale: at scale 1 the layer applies
 ``F(x + Att(mu, x))`` directly, at scale c it applies ``x + c * velocity``,
@@ -22,7 +25,7 @@ import numpy as np
 
 from .attention import InContextMap, Layer, layer_step
 from .errors import DimensionMismatch
-from .measures import DiscreteMeasure, TokenSequence, _freeze, iota
+from .measures import DiscreteMeasure, TokenSequence, _empirical, _finite_rows, _freeze, _with_atoms
 
 
 @dataclass(frozen=True)
@@ -63,12 +66,23 @@ def forward_measure(stack: LayerStack, mu: DiscreteMeasure) -> DiscreteMeasure:
 def forward_tokens(stack: LayerStack, seq: TokenSequence) -> TokenSequence:
     """Act on a token sequence, preserving the input order.
 
-    All tokens are mapped in one batch through the stack against the contexts
-    generated by the sequence's empirical measure.  Kernel rows do not depend
-    on the batch, so equal tokens receive equal images and permuting the
-    input permutes the output identically, bit for bit.  Raises
-    MapUndefinedAtAtom naming, as its atom, the first token whose image is
-    not finite.
+    The image of a token is the image of its atom of ``iota(seq)`` in the
+    stack's push-forward: each layer runs once, on the atoms of its context,
+    and each token follows its atom through every merge, then reads the last
+    layer's image of that atom.  As kernel rows do not depend on the batch,
+    that is bitwise the stack's map at the token's atom.  Tokens of one atom
+    get one image, so permuting the input permutes the output identically,
+    bit for bit; a token holding -0.0 is the atom at +0.0 and gets its image.
+    An empty stack returns the tokens as given, signed zeros included.
+    Raises MapUndefinedAtAtom naming a context atom when an intermediate
+    image is not finite, and the first token when a last image is not.
     """
-    out = _chain(stack).rows(iota(seq), seq.tokens)
+    contexts = _chain(stack)._contexts(_empirical(seq))  # checks the dimension, also with no layers
+    if not stack.layers:
+        return seq
+    atom = np.arange(seq.n)  # token i is atom i of the empirical measure
+    for layer, context in zip(stack.layers, contexts):
+        nu, merged = _with_atoms(context)
+        atom = merged[atom]
+    out = _finite_rows(layer_step(layer, nu.points, nu.weights, nu.points)[atom])
     return TokenSequence(_freeze(out), seq.box.hull(out))

@@ -251,18 +251,21 @@ def canonicalize(mu: DiscreteMeasure) -> DiscreteMeasure:
     the result does not depend on the input atom order, bit for bit.
     Idempotent.
     """
-    return mu if mu.is_canonical else _canonical(mu.points, mu.weights, mu.box)
+    return mu if mu.is_canonical else _canonical(mu.points, mu.weights, mu.box)[0]
 
 
-def _canonical(points: np.ndarray, weights: np.ndarray, box: Box) -> DiscreteMeasure:
-    """The canonical measure with atoms ``points`` of ``weights`` in ``box``."""
+def _canonical(points: np.ndarray, weights: np.ndarray, box: Box) -> tuple[DiscreteMeasure, np.ndarray, np.ndarray]:
+    """The canonical measure with atoms ``points`` of ``weights`` in ``box``, the
+    sort order of the rows, and the sorted positions after which a new atom
+    starts: what :func:`_with_atoms` reads, so that callers that need no atom
+    index pay nothing for it."""
     pts = points + 0.0  # -0.0 + 0.0 is +0.0
     order = _lex_order(pts)
     pts, w = pts[order], weights[order]
     # a group starts wherever a row differs from the row before it
     steps = np.logical_or.reduce(pts[1:] != pts[:-1], axis=1).nonzero()[0]
     if steps.size == w.size - 1:  # no two atoms share a point
-        return _raw_measure(pts, w, box, True)
+        return _raw_measure(pts, w, box, True), order, steps
     bounds = np.concatenate(([0], steps + 1, [w.size]))
     first, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
     merged = w[first]
@@ -273,7 +276,16 @@ def _canonical(points: np.ndarray, weights: np.ndarray, box: Box) -> DiscreteMea
         block = w[first[of_size_k, None] + np.arange(k)]
         block.sort(axis=1)
         merged[of_size_k] = np.add.reduce(block, axis=1)
-    return _raw_measure(pts[first], merged, box, True)
+    return _raw_measure(pts[first], merged, box, True), order, steps
+
+
+def _with_atoms(canonical: tuple[DiscreteMeasure, np.ndarray, np.ndarray]) -> tuple[DiscreteMeasure, np.ndarray]:
+    """The measure of :func:`_canonical`, and for each row it was given the index
+    of its atom: the number of atoms that start before the row's sorted position."""
+    mu, order, steps = canonical
+    atom = np.empty(order.size, np.intp)
+    atom[order] = np.searchsorted(steps, np.arange(order.size))
+    return mu, atom
 
 
 def push_forward(mu: DiscreteMeasure, rows_map: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:
@@ -303,6 +315,11 @@ def relocate(mu: DiscreteMeasure, images: np.ndarray) -> DiscreteMeasure:
     its dimension, else the images' own bounding box.  Images that coincide
     exactly merge; total mass is preserved up to the rounding of those sums.
     """
+    return _relocated(mu, images)[0]
+
+
+def _relocated(mu: DiscreteMeasure, images: np.ndarray) -> tuple[DiscreteMeasure, np.ndarray, np.ndarray]:
+    """``relocate(mu, images)`` as :func:`_canonical` returns it, the atoms of ``mu`` as its rows."""
     if images.ndim != 2 or images.shape[0] != mu.n or not images.shape[1]:
         raise MapUndefinedAtAtom(f"map returned shape {images.shape} for {mu.n} atoms")
     _finite_rows(images)
@@ -326,7 +343,7 @@ def add_atom(mu: DiscreteMeasure, x: np.ndarray, mass: float) -> DiscreteMeasure
     pts = np.concatenate((mu.points, x))
     w = np.concatenate((mu.weights, [mass]))
     with np.errstate(over="ignore"):
-        out = _canonical(pts, w, box)
+        out = _canonical(pts, w, box)[0]
         if not _valid_weights(out.weights):
             raise NonpositiveWeight(f"adding mass {mass!r} leaves a total that is not finite")
     return out
@@ -427,8 +444,12 @@ def iota(seq: TokenSequence) -> DiscreteMeasure:
     """
     if seq.n == 0:
         raise EmptySequence("cannot identify an empty sequence with a measure")
-    w = np.full(seq.n, 1.0 / seq.n)
-    return _canonical(seq.tokens, w, seq.box)
+    return canonicalize(_empirical(seq))
+
+
+def _empirical(seq: TokenSequence) -> DiscreteMeasure:
+    """(1/n) sum_i delta(token_i) with atom i at token i, before canonical form."""
+    return _raw_measure(seq.tokens, np.full(seq.n, 1.0 / seq.n), seq.box, False)
 
 
 def iota_inv(mu: DiscreteMeasure, n: int) -> TokenSequence:

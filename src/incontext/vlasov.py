@@ -34,16 +34,19 @@ class VelocityField:
     """Velocity ``(t, points, weights, X) -> dX/dt`` on query rows X of shape (m, d).
 
     ``fn`` receives all m rows at once and returns X's shape, or the call
-    raises DimensionMismatch; row i is the velocity at X[i] in the field of
-    sum_j weights[j] * delta(points[j]), points (n, d) and weights (n,), whose
-    atoms the layer fields reduce in the order given.  In a flow all three
-    arguments are read-only views of the stage state, X with the tracer rows.
+    raises DimensionMismatch, as it does for an X that is not 2-d; row i is
+    the velocity at X[i] in the field of sum_j weights[j] * delta(points[j]),
+    points (n, d) and weights (n,), whose atoms the layer fields reduce in
+    the order given.  In a flow all three arguments are read-only views of
+    the stage state, X with the tracer rows.
     """
 
     fn: VelocityFn
 
     def __call__(self, t: float, points: np.ndarray, weights: np.ndarray, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise DimensionMismatch(f"query rows must form an (m, d) array, got shape {X.shape}")
         return _held_to(np.asarray(self.fn(t, points, weights, X), dtype=float), X, DimensionMismatch)
 
     @staticmethod

@@ -126,14 +126,39 @@ MUTANTS = (
     Mutant(
         "chain-hands-every-stage-the-input-context",
         "attention.py",
-        "return relocate(nu, _held_to(stage(nu.points, nu.weights, nu.points), nu.points))",
-        "return nu",
+        "    return _relocated(nu, _held_to(stage(nu.points, nu.weights, nu.points), nu.points))\n",
+        "    return context\n",
         (
             "tests/test_attention.py::TestComposeDiamond::test_nested_push_calls_each_stage_once",
             "tests/test_kernel.py::TestWorkspace::test_context_collapsing_mid_pass_matches_layer_by_layer_calls",
             "tests/test_kernel.py::TestAgainstPerPointReference::test_forward_measure",
         ),
         "stage k reads the context pushed through stages 0..k-1 (the diamond rule)",
+    ),
+    Mutant(
+        "token-index-skips-the-merge",
+        "deep_transformer.py",
+        "        atom = merged[atom]\n",
+        "        atom = merged[atom] if layer is stack.layers[0] else atom\n",
+        (
+            "tests/test_kernel.py::TestWorkCount::test_tokens_run_each_layer_once_on_the_atoms",
+            "tests/test_kernel.py::TestWorkCount::test_tokens_follow_their_atoms_through_a_collapse",
+            "tests/test_kernel.py::TestWorkspace::test_blocked_stack_passes_equal_small_chunks_bitwise",
+        ),
+        "each token follows its atom through every stage's sort and merge",
+    ),
+    Mutant(
+        "tokens-read-the-input-context",
+        "deep_transformer.py",
+        "    out = _finite_rows(layer_step(layer, nu.points, nu.weights, nu.points)[atom])\n",
+        "    nu = _with_atoms(next(_chain(stack)._contexts(_empirical(seq))))[0]\n"
+        "    out = _finite_rows(layer_step(layer, nu.points, nu.weights, nu.points)[atom])\n",
+        (
+            "tests/test_kernel.py::TestWorkCount::test_tokens_run_each_layer_once_on_the_atoms",
+            "tests/test_kernel.py::TestWorkspace::test_context_collapsing_mid_pass_matches_layer_by_layer_calls",
+            "tests/test_kernel.py::TestWorkspace::test_blocked_stack_passes_equal_small_chunks_bitwise",
+        ),
+        "token images are the last stage's images of the last context's atoms",
     ),
     Mutant(
         "radius-floor-restored",
@@ -245,7 +270,7 @@ MUTANTS = (
         "relocate-skips-the-canonical-form",
         "measures.py",
         "return _canonical(images, mu.weights, box)",
-        "return _raw_measure(images, mu.weights, box, True)",
+        "return _raw_measure(images, mu.weights, box, True), np.arange(mu.n), np.arange(mu.n - 1)",
         ("tests/test_properties.py::TestCarrierMatchesReference::test_relocate",),
         "relocate returns the canonical form of the moved atoms",
     ),

@@ -242,6 +242,14 @@ class TestComposeDiamond:
         with pytest.raises(DimensionMismatch, match="^points of dimension 3 meet a matrix of width 2$"):
             ic.InContextMap.identity(2)(mu, np.zeros(3))
 
+    def test_rows_reads_nested_lists_as_arrays(self):
+        mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+        X = [[0.0, 0.0], [0.5, -1.0]]
+        for chain in (ic.InContextMap.identity(2), ic.InContextMap.from_gamma(random_attention(np.random.default_rng(13), 2))):
+            assert np.array_equal(chain.rows(mu, X), chain.rows(mu, np.array(X)))
+            with pytest.raises(DimensionMismatch, match="^points of dimension 3 meet a matrix of width 2$"):
+                chain.rows(mu, [[0.0, 0.0, 0.0]])
+
     def test_associativity(self):
         rng = np.random.default_rng(12)
         for _ in range(10):

@@ -96,9 +96,10 @@ class TestForwardMeasure:
 
 class TestForwardTokens:
     def test_identity_stack_keeps_order(self):
-        seq = ic.new_tokens([[1.0], [0.0]])
+        # the tokens as given, bit for bit: -0.0 stays -0.0
+        seq = ic.new_tokens([[1.0], [0.0], [-0.0]])
         out = ic.forward_tokens(ic.LayerStack((), 1), seq)
-        assert np.array_equal(out.tokens, seq.tokens)
+        assert out.tokens.tobytes() == seq.tokens.tobytes() and np.signbit(out.tokens[2, 0])
 
     def test_permutation_equivariance_bitwise(self):
         rng = np.random.default_rng(6)
@@ -121,6 +122,15 @@ class TestForwardTokens:
         distinct_in = len(np.unique(toks))
         distinct_out = len(np.unique(out.tokens))
         assert distinct_out <= distinct_in
+
+    def test_signed_zeros_are_one_atom(self):
+        rng = np.random.default_rng(8)
+        stack = random_stack(rng, 2, depth=1)
+        out = ic.forward_tokens(stack, ic.new_tokens([[-0.0, 1.0], [0.0, 1.0]]))
+        assert out.tokens[0].tobytes() == out.tokens[1].tobytes()
+        # the atom sits at +0.0, so both tokens read its image
+        want = ic.forward_map(stack, ic.new_discrete([[0.0, 1.0]], [1.0]), np.array([0.0, 1.0]))
+        assert out.tokens[0].tobytes() == want.tobytes()
 
 
 class TestUndefinedMap:

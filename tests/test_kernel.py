@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import incontext as ic
+from incontext import deep_transformer
 from incontext.attention import SCRATCH_ENTRIES, _attend, _context, _rowmul
 from incontext.errors import EmptyMeasure
 from incontext.measures import relocate
@@ -266,6 +267,44 @@ class TestWorkspace:
         stack = ic.LayerStack((), 2)
         peak = traced_peak(lambda: (ic.forward_measure(stack, mu), ic.forward_tokens(stack, ic.new_tokens(mu.points))))
         assert peak < 2000 * 2000 * 8, peak
+
+
+def counted_kernel(monkeypatch):
+    """The row count of each ``layer_step`` call that the stacks make, in call order."""
+    rows = []
+
+    def step(layer, pts, w, X):
+        rows.append(len(X))
+        return ic.layer_step(layer, pts, w, X)
+
+    monkeypatch.setattr(deep_transformer, "layer_step", step)
+    return rows
+
+
+class TestWorkCount:
+    """Tokens are read off the push-forward: each layer runs once, on its context's atoms."""
+
+    def test_tokens_run_each_layer_once_on_the_atoms(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        stack = ic.LayerStack(tuple(random_layer(rng, 4, 2, 3) for _ in range(6)), 4)
+        base = rng.uniform(-2.0, 2.0, size=(64, 4))
+        seq = ic.new_tokens(np.concatenate([base, base])[rng.permutation(128)])
+        want = seq.tokens
+        for layer, ctx in zip(stack.layers, layer_by_layer_chain(stack, ic.iota(seq))):
+            want = ic.layer_step(layer, ctx.points, ctx.weights, want)
+        rows = counted_kernel(monkeypatch)
+        assert np.array_equal(ic.forward_tokens(stack, seq).tokens, want)
+        assert rows == [64] * 6
+
+    def test_tokens_follow_their_atoms_through_a_collapse(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        stack = collapsing_stack(rng, 2)
+        seq = ic.new_tokens(rng.uniform(-2.0, 2.0, size=(25, 2))[rng.integers(0, 25, size=50)])
+        distinct = ic.iota(seq).n
+        rows = counted_kernel(monkeypatch)
+        out = ic.forward_tokens(stack, seq)
+        assert rows == [distinct, 1, 1]
+        assert np.array_equal(out.tokens, np.broadcast_to(out.tokens[0], out.tokens.shape))
 
 
 class TestAgainstPerPointReference:

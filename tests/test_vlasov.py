@@ -143,6 +143,13 @@ class TestFieldShape:
         with pytest.raises(DimensionMismatch, match=message):
             ic.characteristic_map(v, self.MU0, np.zeros(2), 1.0, steps=4)
 
+    def test_query_rows_that_are_not_2d_raise(self):
+        # the field is not called, so a 1-d X cannot end in an IndexError from its width
+        v = ic.VelocityField(lambda t, pts, w, X: np.zeros((2, 1)))
+        for X in (np.zeros(2), np.zeros((2, 2, 1))):
+            with pytest.raises(DimensionMismatch, match=r"^query rows must form an \(m, d\) array, got shape"):
+                v(0.0, self.MU0.points, self.MU0.weights, X)
+
 
 class TestTrajectoryArrays:
     def test_points_read_only_and_state_box_rule(self):

@@ -34,7 +34,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyMeasure, LengthMismatch, MapUndefinedAtAtom, SkipNotUnit
-from .measures import DiscreteMeasure, _canonical, _finite_rows, _relocated, canonicalize
+from .measures import DiscreteMeasure, _canonical, _finite_rows, _floats, _relocated, canonicalize
 
 ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "tanh": np.tanh,
@@ -261,7 +261,7 @@ def layer_step(layer: Layer, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> n
 
 
 def _row(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=float).reshape(1, -1)
+    return _floats(x).reshape(1, -1)
 
 
 def _context(mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +348,7 @@ class InContextMap:
     def rows(self, mu: DiscreteMeasure, X: np.ndarray) -> np.ndarray:
         """Images of the query rows X (m, dim), one context read per stage; checks
         the shape first, and names the first non-finite image row as its atom."""
-        X = np.asarray(X, dtype=float)
+        X = _floats(X)
         if X.shape[1:] != (self.dim,):  # a 1-d X holds points of dimension 1
             raise _mismatch(math.prod(X.shape[1:]), self.dim)
         for stage, (nu, *_) in zip(self.stages, self._contexts(mu)):

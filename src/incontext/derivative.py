@@ -21,6 +21,7 @@ they evaluate points given as rows (m, d).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -29,13 +30,15 @@ import numpy as np
 from .attention import InContextMap
 from .deep_transformer import LayerStack, forward_measure
 from .errors import AnchorsTooClose, DimensionMismatch, DisplacementTooLarge, NonpositiveWeight, ProbeMassLost
-from .measures import Box, DiscreteMeasure, _distances, add_atom, canonicalize, push_forward
+from .measures import Box, DiscreteMeasure, _distances, _squared_distances, add_atom, canonicalize, push_forward
 
 DEFAULT_EPS = 1e-6
 MAX_PATCH_RADIUS = 0.05
 MIN_PATCH_RADIUS = 1e-8
 MAX_HALVINGS = 12
-# The most (row, column) entries of one block of distances.
+# The most (row, column) entries of one block of distances.  The kernel sums
+# squares over (n, m) planes, so a block holds at most 9 such planes up to 128
+# coordinates (one more per halving beyond), never an (n, m, d) cube.
 SPACING_BLOCK_ENTRIES = 2**16
 
 
@@ -164,10 +167,11 @@ def _nearest(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = max(1, SPACING_BLOCK_ENTRIES // B.shape[0])
     index = np.empty(A.shape[0], dtype=np.intp)
     dist = np.empty(A.shape[0])
-    for lo in range(0, A.shape[0], rows):
-        block = _distances(A[lo : lo + rows], B)
-        block.argmin(axis=1, out=index[lo : lo + rows])
-        np.minimum.reduce(block, axis=1, out=dist[lo : lo + rows])
+    with np.errstate(over="ignore"):  # an overflowing distance reads +inf: far
+        for lo in range(0, A.shape[0], rows):
+            block = _distances(A[lo : lo + rows], B)
+            at = block.argmin(axis=1, out=index[lo : lo + rows])
+            dist[lo : lo + rows] = block[np.arange(len(at)), at]
     return index, dist
 
 
@@ -175,20 +179,23 @@ def _min_spacing(points: np.ndarray) -> float:
     """Smallest distance between two rows of ``points`` (inf for a single row).
 
     Walks the rows in blocks of ``max(1, SPACING_BLOCK_ENTRIES // n)``, taking
-    each block's distances to every row but itself.  ``_distances`` computes
-    each entry alone and is exactly symmetric, so this is bitwise the minimum
-    over the pairs i < j, in memory that does not grow with n**2.
+    each block's squared distances to every row but itself.  The kernel
+    computes each entry alone and is exactly symmetric, and sqrt is monotone,
+    so the root of the least square is bitwise the minimum of
+    ``measures._distances`` over the pairs i < j, in memory that does not grow
+    with n**2.
     """
     n = points.shape[0]
     if n < 2:
         return np.inf
     rows = max(1, SPACING_BLOCK_ENTRIES // n)
     least = np.inf
-    for lo in range(0, n, rows):
-        dist = _distances(points[lo : lo + rows], points)
-        np.fill_diagonal(dist[:, lo:], np.inf)
-        least = np.minimum(least, np.minimum.reduce(dist, axis=None))  # a NaN propagates
-    return float(least)
+    with np.errstate(over="ignore"):  # an overflowing distance reads +inf: far
+        for lo in range(0, n, rows):
+            sq = _squared_distances(points[lo : lo + rows], points)
+            np.fill_diagonal(sq[:, lo:], np.inf)
+            least = np.minimum(least, np.minimum.reduce(sq, axis=None))  # a NaN propagates
+    return math.sqrt(least)
 
 
 def _usable_radius(r: float, spacing: float) -> float:

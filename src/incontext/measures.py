@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EmptyMeasure,
     EmptySequence,
     LengthMismatch,
@@ -179,6 +180,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _floats(x) -> np.ndarray:
+    """A query point or query rows as a float array; DimensionMismatch when
+    they are not numbers in rows of one length (numpy's ragged-array error)."""
+    try:
+        return np.asarray(x, dtype=float)
+    except ValueError:
+        raise DimensionMismatch("query rows must be numbers in rows of one length") from None
+
+
 def _raw_measure(points: np.ndarray, weights: np.ndarray, box: Box, canonical: bool) -> DiscreteMeasure:
     """Internal constructor that skips validation (inputs already checked)."""
     return DiscreteMeasure(_freeze(points), _freeze(weights), box, canonical)
@@ -232,9 +242,60 @@ def dirac(point: Sequence[float] | np.ndarray, mass: float = 1.0, box: Box | Non
 
 
 def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Euclidean distances (len(A), len(B)) from each row of A to each row of B."""
-    diff = A[:, None, :] - B[None, :, :]
-    return np.sqrt(np.add.reduce(diff * diff, axis=2))
+    """Euclidean distances (len(A), len(B)) from each row of A to each row of
+    B, bitwise ``np.sqrt(np.add.reduce(diff * diff, axis=2))`` on the cube of
+    coordinate differences: the square roots of :func:`_squared_distances`,
+    which sums in numpy's pairwise order over at most 9 (n, m) planes up to
+    128 coordinates, taken in place."""
+    total = _squared_distances(A, B)
+    return np.sqrt(total, out=total)
+
+
+def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (len(A), len(B)) from each row of A to each
+    row of B.
+
+    Bitwise ``np.add.reduce(diff * diff, axis=2)`` on the (n, m, d) cube of
+    coordinate differences, but summed over contiguous (n, m) planes, one
+    coordinate at a time, in the order numpy's reduction adds a row of d terms:
+    left to right below 8 coordinates; up to 128, eight interleaved partial
+    sums r0..r7 combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest
+    left to right; beyond 128, the sums of two halves split at d // 2 rounded
+    down to a multiple of 8.  It holds at most 9 planes up to 128 coordinates,
+    and one more per halving beyond, never the cube.  A square that overflows
+    reads +inf; the caller's ``np.errstate`` decides whether numpy warns.
+    """
+    d = A.shape[1]
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        total = _squared_distances(A[:, :half], B[:, :half])
+        total += _squared_distances(A[:, half:], B[:, half:])
+        return total
+    # plane k is column k of A, as (n, 1), against a contiguous row k of B.T
+    A, B = A.T[:, :, None], B.T.copy()
+    if d < 8:
+        total, rest = _square(A[0], B[0]), 1
+    else:
+        rest = d - d % 8
+        r = [_square(A[k], B[k]) for k in range(8)]
+        for k in range(8, rest):
+            r[k % 8] += _square(A[k], B[k])
+        # in place: r0 ends as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+        for j in (0, 2, 4, 6):
+            r[j] += r[j + 1]
+        r[0] += r[2]
+        r[4] += r[6]
+        r[0] += r[4]
+        total = r[0]
+    for k in range(rest, d):
+        total += _square(A[k], B[k])
+    return total
+
+
+def _square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    t = a - b
+    t *= t
+    return t
 
 
 def _lex_order(points: np.ndarray) -> np.ndarray:
@@ -334,7 +395,7 @@ def add_atom(mu: DiscreteMeasure, x: np.ndarray, mass: float) -> DiscreteMeasure
     is not finite, and NonpositiveWeight when the total mass is not."""
     if not 0.0 < mass < np.inf:
         raise NonpositiveWeight(f"added mass must be positive and finite, got {mass!r}")
-    x = np.asarray(x, dtype=float).reshape(1, -1)
+    x = _floats(x).reshape(1, -1)
     if x.shape[1] != mu.dim:
         raise LengthMismatch("atom dimension does not match the measure")
     if not np.isfinite(x).all():

@@ -109,6 +109,7 @@ def w1_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     _require_equal_mass(mu, nu)
     xs, cum_x = _cdf_steps(mu)
     ys, cum_y = _cdf_steps(nu)
+    _require_finite_reach(xs, ys)
     grid = np.sort(np.concatenate((xs, ys)), kind="stable")
     f_x = cum_x[xs.searchsorted(grid, side="right")]
     f_y = cum_y[ys.searchsorted(grid, side="right")]
@@ -120,6 +121,24 @@ def _cdf_steps(mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     mass of the k leftmost atoms, from 0.0 at k = 0."""
     x = mu.points[:, 0]
     return np.sort(x), np.concatenate(([0.0], mu.weights[x.argsort(kind="stable")])).cumsum()
+
+
+def _finite(dist: np.ndarray) -> np.ndarray:
+    """``dist``, or ProblemTooLarge if an atom distance overflowed to +inf.
+    The assignment and LP routes compute their distance matrix under
+    ``np.errstate(over="ignore")`` and pass it here before a solver sees it."""
+    if not np.maximum.reduce(dist, axis=None) < np.inf:
+        raise ProblemTooLarge("atom distances overflow")
+    return dist
+
+
+def _require_finite_reach(x: np.ndarray, y: np.ndarray) -> None:
+    """ProblemTooLarge if an atom of ``x`` and one of ``y``, sorted 1-D
+    coordinates, lie farther apart than the largest float.  The two 1-D
+    routes check this first: every distance they compute, a gap of the merged
+    grid included, is at most the farthest such pair, so none overflows."""
+    if not max(float(x[-1]) - float(y[0]), float(y[-1]) - float(x[0])) < np.inf:
+        raise ProblemTooLarge("atom distances overflow")
 
 
 def _uniform_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
@@ -151,7 +170,8 @@ def linprog(c: np.ndarray, **kwargs):
 
 
 def _assignment_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
-    dist = _distances(mu.points, nu.points)
+    with np.errstate(over="ignore"):
+        dist = _finite(_distances(mu.points, nu.points))
     rows, cols = linear_sum_assignment(dist)
     mass = mu.weights[rows]
     cost = float(np.sum(mass * dist[rows, cols]))
@@ -197,6 +217,7 @@ def _monotone_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     total = mu.total_mass
     ox = np.argsort(mu.points[:, 0], kind="stable")
     oy = np.argsort(nu.points[:, 0], kind="stable")
+    _require_finite_reach(mu.points[ox, 0], nu.points[oy, 0])
     # rescale the target marginal so both sides sum identically
     src, tgt, mass = _north_west_corner(mu.weights[ox], nu.weights[oy] * (total / nu.total_mass))
     keep = mass > 1e-13 * total
@@ -249,7 +270,8 @@ def _lp_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     """
     n, m = mu.n, nu.n
     total = mu.total_mass
-    dist = _distances(mu.points, nu.points)
+    with np.errstate(over="ignore"):
+        dist = _finite(_distances(mu.points, nu.points))
     # rescale the target marginal so both sides sum identically
     b_target = nu.weights * (total / nu.total_mass)
     # At mass LP_MASS and HiGHS's tightest tolerances (the defaults are 1e-7)

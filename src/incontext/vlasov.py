@@ -23,7 +23,7 @@ import numpy as np
 from .attention import AttentionParams, Layer, MlpParams, _held_to, velocity_rows
 from .deep_transformer import LayerStack, forward_measure
 from .errors import DimensionMismatch, NonFiniteState, TooFewTimePoints
-from .measures import Box, DiscreteMeasure, _freeze, _raw_measure, canonicalize
+from .measures import Box, DiscreteMeasure, _floats, _freeze, _raw_measure, canonicalize
 from .transport import w1_matching
 
 VelocityFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -44,7 +44,7 @@ class VelocityField:
     fn: VelocityFn
 
     def __call__(self, t: float, points: np.ndarray, weights: np.ndarray, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = _floats(X)
         if X.ndim != 2:
             raise DimensionMismatch(f"query rows must form an (m, d) array, got shape {X.shape}")
         return _held_to(np.asarray(self.fn(t, points, weights, X), dtype=float), X, DimensionMismatch)
@@ -176,7 +176,7 @@ def characteristic_map(
         raise TooFewTimePoints(f"time {t} outside [0, 1]")
     if steps < 1:
         raise TooFewTimePoints(f"need at least one RK4 step, got {steps}")
-    y = np.array(np.asarray(x, dtype=float).reshape(-1))
+    y = np.array(_floats(x).reshape(-1))
     if y.shape[0] != mu0.dim:
         raise DimensionMismatch(f"query point of length {y.shape[0]} in a measure of dimension {mu0.dim}")
     if t == 0.0:

@@ -144,6 +144,14 @@ def reference_flow_csv(traj):
 # results must agree with it to 1e-12.
 
 
+def reference_distances(A, B):
+    """Euclidean distances from each row of A to each row of B: the (n, m, d)
+    cube of coordinate differences, squared and reduced over its last axis.
+    ``measures._distances`` must equal it bit for bit."""
+    diff = A[:, None, :] - B[None, :, :]
+    return np.sqrt(np.add.reduce(diff * diff, axis=2))
+
+
 def reference_attention_weights(params, mu, x):
     mu_c = ic.canonicalize(mu)
     x = np.asarray(x, dtype=float).reshape(-1)

@@ -73,13 +73,21 @@ MUTANTS = (
     Mutant(
         "nearest-last-on-tie",
         "derivative.py",
-        "block.argmin(axis=1, out=index[lo : lo + rows])",
-        "index[lo : lo + rows] = block.shape[1] - 1 - block[:, ::-1].argmin(axis=1)",
+        "at = block.argmin(axis=1, out=index[lo : lo + rows])",
+        "at = index[lo : lo + rows] = block.shape[1] - 1 - block[:, ::-1].argmin(axis=1)",
         (
             "tests/test_derivative.py::TestNearest::test_equals_the_dense_argmin_bitwise",
             "tests/test_derivative.py::TestNearest::test_picks_the_lowest_index_on_a_tie",
         ),
         "the nearest-atom search keeps argmin's lowest index on a tie",
+    ),
+    Mutant(
+        "spacing-without-the-root",
+        "derivative.py",
+        "    return math.sqrt(least)\n",
+        "    return float(least)\n",
+        ("tests/test_derivative.py::TestMinSpacing::test_equals_the_upper_triangle_minimum_bitwise",),
+        "the spacing walk keeps squares and returns the root of the least one",
     ),
     Mutant(
         "clearance-from-the-wrong-side",
@@ -292,6 +300,44 @@ MUTANTS = (
         "pts = points",
         ("tests/test_measures.py::TestCanonicalize::test_signed_zero_merges_to_positive_zero",),
         "-0.0 and +0.0 are one point, stored as +0.0",
+    ),
+    Mutant(
+        "distances-left-to-right-beyond-eight",
+        "measures.py",
+        "    if d < 8:\n        total, rest = _square(A[0], B[0]), 1\n",
+        "    if d <= 128:\n        total, rest = _square(A[0], B[0]), 1\n",
+        (
+            "tests/test_measures.py::TestDistances::test_equals_the_cube_formula_bitwise",
+            "tests/test_properties.py::TestDistancesMatchReference::test_bitwise",
+        ),
+        "distances sum 8 or more squares in numpy's pairwise order",
+    ),
+    Mutant(
+        "distances-tree-reordered",
+        "measures.py",
+        "        r[0] += r[2]\n        r[4] += r[6]\n        r[0] += r[4]\n",
+        "        r[0] += r[4]\n        r[2] += r[6]\n        r[0] += r[2]\n",
+        (
+            "tests/test_measures.py::TestDistances::test_equals_the_cube_formula_bitwise",
+            "tests/test_properties.py::TestDistancesMatchReference::test_bitwise",
+        ),
+        "the eight partial sums combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))",
+    ),
+    Mutant(
+        "assignment-skips-the-overflow-check",
+        "transport.py",
+        "    with np.errstate(over=\"ignore\"):\n        dist = _finite(_distances(mu.points, nu.points))\n    rows, cols",
+        "    with np.errstate(over=\"ignore\"):\n        dist = _distances(mu.points, nu.points)\n    rows, cols",
+        ("tests/test_cli.py::TestOverflowingDistances::test_w1_exits_one",),
+        "no solver sees an infinite atom distance",
+    ),
+    Mutant(
+        "reach-within-one-side",
+        "transport.py",
+        "max(float(x[-1]) - float(y[0]), float(y[-1]) - float(x[0]))",
+        "float(x[-1]) - float(x[0])",
+        ("tests/test_cli.py::TestOverflowingDistances::test_far_atoms_on_one_side_are_no_overflow",),
+        "1-D routes check the distances between the two measures, not within one",
     ),
     Mutant(
         "certify-returns-early",

@@ -6,7 +6,7 @@ import pytest
 import incontext as ic
 from incontext.errors import DimensionMismatch, MapUndefinedAtAtom, SkipNotUnit
 
-from helpers import random_attention, random_measure, random_mlp
+from helpers import random_attention, random_measure, random_mlp, random_stack
 
 
 def zero_output_params(d, k=1):
@@ -206,6 +206,25 @@ class TestVelocity:
         bad = ic.MlpParams(0.5, ((np.eye(1), np.zeros(1)),))
         with pytest.raises(SkipNotUnit):
             ic.velocity(params, bad, ic.dirac([0.0]), np.array([0.0]))
+
+
+RAGGED = [[0.0], [0.0, 1.0]]
+RAGGED_QUERIES = {
+    "rows": lambda mu: ic.InContextMap.identity(2).rows(mu, RAGGED),
+    "call": lambda mu: ic.InContextMap.identity(2)(mu, RAGGED),
+    "forward_map": lambda mu: ic.forward_map(random_stack(np.random.default_rng(14), 2), mu, RAGGED),
+    "velocity_field": lambda mu: ic.VelocityField(lambda t, p, w, X: X)(0.0, mu.points, mu.weights, RAGGED),
+    "characteristic_map": lambda mu: ic.characteristic_map(ic.VelocityField(lambda t, p, w, X: X), mu, RAGGED, 0.5),
+    "add_atom": lambda mu: ic.add_atom(mu, RAGGED, 0.1),
+}
+
+
+@pytest.mark.parametrize("entry", RAGGED_QUERIES.values(), ids=RAGGED_QUERIES.keys())
+def test_ragged_query_rows_raise_dimension_mismatch(entry):
+    # numpy's own ValueError for a ragged nested list must not escape
+    mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+    with pytest.raises(DimensionMismatch, match="^query rows must be numbers in rows of one length$"):
+        entry(mu)
 
 
 class TestComposeDiamond:

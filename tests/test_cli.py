@@ -862,6 +862,53 @@ class TestOverflowingMass:
         assert captured.err == "error: NonpositiveWeight: a weight divided by the total mass rounds to 0\n"
 
 
+class TestOverflowingDistances:
+    """Atoms whose squared (or, in dimension one, plain) differences overflow:
+    every W1 route exits 1 with ProblemTooLarge before a solver or a sum sees
+    +inf, and extraction reads the overflow as "far", with nothing on stderr."""
+
+    PAIRS = {
+        "assignment": ([[1e200, 1e200], [-1e200, -1e200]], [0.5, 0.5], [[-1e200, 1e200], [1e200, -1e200]], [0.5, 0.5]),
+        "lp": ([[1e200, 1e200], [-1e200, -1e200]], [0.5, 0.5], [[-1e200, 1e200], [1e200, -1e200], [0.0, 0.0]], [0.3, 0.3, 0.4]),
+        "line": ([[1e308], [-1e308]], [0.5, 0.5], [[-1e308], [1e308]], [0.2, 0.8]),
+    }
+
+    @staticmethod
+    def wide_measure(path, points, weights):
+        half_width = 1.7e308 if len(points[0]) == 1 else 1e300
+        box = ic.Box([-half_width] * len(points[0]), [half_width] * len(points[0]))
+        return write_measure(path, ic.new_discrete(points, weights, box))
+
+    # in dimension one, w1 takes the closed form and --plan the monotone plan
+    @pytest.mark.parametrize("plan", [False, True], ids=["value", "plan"])
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_w1_exits_one(self, tmp_path, capsys, pair, plan):
+        pa, wa, pb, wb = self.PAIRS[pair]
+        a, b = self.wide_measure(tmp_path / "a.json", pa, wa), self.wide_measure(tmp_path / "b.json", pb, wb)
+        out = tmp_path / "plan.json"
+        assert main(["w1", "--a", a, "--b", b, *(["--plan", str(out)] if plan else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ProblemTooLarge: atom distances overflow\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("plan", [False, True], ids=["value", "plan"])
+    def test_far_atoms_on_one_side_are_no_overflow(self, tmp_path, capsys, plan):
+        # only distances between the two measures count: each is 1e308 here
+        a = self.wide_measure(tmp_path / "a.json", [[-1e308], [1e308]], [0.5, 0.5])
+        b = self.wide_measure(tmp_path / "b.json", [[0.0]], [1.0])
+        assert main(["w1", "--a", a, "--b", b, *(["--plan", str(tmp_path / "plan.json")] if plan else [])]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "1e+308\n" and captured.err == ""
+
+    def test_extraction_reads_overflow_as_far(self, tmp_path, capsys):
+        pa, wa, _, _ = self.PAIRS["assignment"]
+        m = self.wide_measure(tmp_path / "m.json", pa, wa)
+        assert main(["extract-g", "--map", "identity", "--measure", m, "--x", "0.25,-0.5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("0.25 -0.5\n") and captured.err == ""
+
+
 class TestDocumentDim:
     def test_measure_dim_must_match_points(self, tmp_path, capsys):
         doc = ser.measure_to_doc(ic.new_discrete([[0.1, 0.2]], [1.0]))

@@ -11,7 +11,6 @@ from incontext.derivative import (
     _nearest,
     regular_derivative,
 )
-from incontext.measures import _distances
 from incontext.errors import (
     AnchorsTooClose,
     DimensionMismatch,
@@ -20,7 +19,7 @@ from incontext.errors import (
     ProbeMassLost,
 )
 
-from helpers import each_row, random_attention, random_measure, random_mlp, random_stack
+from helpers import each_row, random_attention, random_measure, random_mlp, random_stack, reference_distances
 
 
 class TestPatchedTest:
@@ -89,7 +88,7 @@ def triu_min_spacing(points):
     """The minimum of the whole distance matrix over its strict upper triangle."""
     if points.shape[0] < 2:
         return np.inf
-    return float(np.min(_distances(points, points)[np.triu_indices(points.shape[0], k=1)]))
+    return float(np.min(reference_distances(points, points)[np.triu_indices(points.shape[0], k=1)]))
 
 
 class TestMinSpacing:
@@ -136,12 +135,32 @@ class TestNearest:
             # planted ties: rows on a twinned column, and 1-D midpoints of two columns
             A[::3] = B[rng.integers(0, m, size=A[::3].shape[0])]
             A[1::7, 0] = 0.5
-            dense = _distances(A, B)
+            dense = reference_distances(A, B)
             assert (np.add.reduce(dense == dense.min(axis=1)[:, None], axis=1) > 1).any()
             want = dense.argmin(axis=1)
             index, dist = _nearest(A, B)
             assert index.dtype == np.intp and np.array_equal(index, want), n
             assert dist.tobytes() == dense[np.arange(n), want].tobytes() == dense.min(axis=1).tobytes(), n
+
+    def test_squares_with_one_root_take_the_lowest_index(self):
+        # rows (1.39, t_k) lie 1.39**2 + k ulps from the origin; three whose
+        # squares share one root, listed largest first: the dense argmin of
+        # the roots takes index 0, where an argmin of the squares would take 2
+        A = np.zeros((1, 2))
+        rows = np.column_stack([np.full(8, 1.39), np.sqrt(np.arange(8) * 2.0**-52)])
+        roots = reference_distances(A, rows)[0]
+        k = next(k for k in range(6) if roots[k] == roots[k + 2])
+        B = rows[[k + 2, k + 1, k]]
+        assert len(set(np.add.reduce(B * B, axis=1))) == 3
+        index, dist = _nearest(A, B)
+        assert index.tolist() == [0] and dist.tobytes() == roots[k : k + 1].tobytes()
+
+    def test_a_nan_is_taken_where_argmin_takes_it(self):
+        A = np.array([[0.0, 0.0], [np.nan, 1.0]])
+        B = np.array([[1.0, 1.0], [0.5, 0.5], [np.nan, 0.0], [0.0, 0.0]])
+        index, dist = _nearest(A, B)
+        assert index.tolist() == reference_distances(A, B).argmin(axis=1).tolist() == [2, 0]
+        assert np.isnan(dist).all()
 
     def test_picks_the_lowest_index_on_a_tie(self):
         index, dist = _nearest(np.array([[1.0], [3.0], [0.0]]), np.array([[0.0], [2.0], [2.0], [0.0]]))
@@ -348,8 +367,10 @@ class TestExtractG:
         from incontext import derivative
 
         calls = []
-        distances, nearest = derivative._distances, derivative._nearest
-        monkeypatch.setattr(derivative, "_distances", lambda A, B: calls.append("d") or distances(A, B))
+        nearest = derivative._nearest
+        for name in ("_distances", "_squared_distances"):
+            kernel = getattr(derivative, name)
+            monkeypatch.setattr(derivative, name, lambda A, B, kernel=kernel: calls.append("d") or kernel(A, B))
         monkeypatch.setattr(derivative, "_nearest", lambda A, B: calls.append("n") or nearest(A, B))
         rng = np.random.default_rng(5)
         f = ic.MeasureMap.from_stack(random_stack(rng, 2, depth=3))

@@ -78,6 +78,12 @@ def _inputs(rng) -> dict:
     docs["mistyped.json"] = dict(docs["m2.json"], weights="heavy")
     # an existing atom of weight 0.5 takes the probe mass fl(0.5 + eps) - 0.5
     docs["pair.json"] = ser.measure_to_doc(ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5]))
+    # nine coordinates: the distances sum their squares by numpy's pairwise rule
+    docs["ua9.json"] = ser.measure_to_doc(random_measure(rng, 12, 9, uniform=True))
+    docs["ub9.json"] = ser.measure_to_doc(random_measure(rng, 12, 9, uniform=True))
+    docs["a9.json"] = ser.measure_to_doc(_probability(rng, 10, 9))
+    docs["b9.json"] = ser.measure_to_doc(_probability(rng, 8, 9))
+    docs["m9.json"] = ser.measure_to_doc(random_measure(rng, 7, 9))
     return docs
 
 
@@ -102,6 +108,9 @@ JOBS = {
     "extract_counterexample": "extract-g --map counterexample --measure {d}/near.json --x 0.1 --eps 1e-7",
     "extract_counterexample_halvings": "extract-g --map counterexample --measure {d}/near.json --x 0.1 --eps 0.01",
     "extract_existing_atom": "extract-g --map identity --measure {d}/pair.json --x 1,1",
+    "w1_assignment_d9": "w1 --a {d}/ua9.json --b {d}/ub9.json --plan {d}/y.json",
+    "w1_lp_d9": "w1 --a {d}/a9.json --b {d}/b9.json --plan {d}/y.json",
+    "extract_identity_d9": "extract-g --map identity --measure {d}/m9.json --x 0.4,-0.3,0.2,-0.1,0.5,-0.6,0.7,-0.2,0.1",
     "counterexample": "counterexample --mmax 4 --out {d}/y.csv",
     "counterexample_m20": "counterexample --mmax 20 --out {d}/y.csv",
     "self_test": "--seed 3 self-test",

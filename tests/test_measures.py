@@ -14,9 +14,16 @@ from incontext.errors import (
     PointOutsideBox,
     SupportTooLarge,
 )
-from incontext.measures import _half_signed_sums, _min_abs_pair_sum, relocate
+from incontext.measures import _distances, _half_signed_sums, _min_abs_pair_sum, relocate
 
-from helpers import gap_oracle_literal, gap_oracle_signed, random_measure, random_stack, scan_canonicalize
+from helpers import (
+    gap_oracle_literal,
+    gap_oracle_signed,
+    random_measure,
+    random_stack,
+    reference_distances,
+    scan_canonicalize,
+)
 
 
 # tie-heavy weights: shared values whose sums collide, plus arbitrary ones
@@ -85,6 +92,23 @@ class TestNewDiscrete:
         mu = ic.new_discrete([[0.0]], [1.0], box1())
         with pytest.raises(ValueError):
             mu.points[0, 0] = 5.0
+
+
+class TestDistances:
+    @pytest.mark.parametrize("d", [*range(1, 40), 63, 64, 65, 127, 128, 129, 130, 200, 256, 300])
+    def test_equals_the_cube_formula_bitwise(self, d):
+        # every form of numpy's pairwise sum: left to right below 8 terms, eight
+        # partial sums up to 128, halves beyond; blocks of 1 to 40 rows
+        rng = np.random.default_rng(d)
+        for n, m in ((1, 1), (1, 40), (40, 1), (17, 23)):
+            A = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=(n, d))
+            B = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-6, 7, size=(m, d))
+            assert _distances(A, B).tobytes() == reference_distances(A, B).tobytes(), (n, m)
+
+    def test_an_overflowing_square_reads_inf(self):
+        with np.errstate(over="ignore"):
+            dist = _distances(np.array([[1e200, 0.0], [0.0, 1e100]]), np.array([[0.0, 0.0]]))
+        assert dist.tolist() == [[np.inf], [1e100]]
 
 
 class TestCanonicalize:

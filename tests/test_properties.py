@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import incontext as ic
 from incontext import serialize as ser
 from incontext.cli import main
-from incontext.measures import relocate
+from incontext.measures import _distances, relocate
 
 from helpers import (
     random_attention,
@@ -33,6 +33,7 @@ from helpers import (
     random_mlp,
     reference_add_atom,
     reference_canonicalize,
+    reference_distances,
     reference_relocate,
 )
 
@@ -139,6 +140,42 @@ class TestCarrierMatchesReference:
         else:
             x = np.array([data.draw(coordinate) for _ in range(mu.dim)]) * data.draw(st.sampled_from([1.0, 2.0]))
         assert same_carrier(ic.add_atom(mu, x, mass), reference_add_atom(mu, x, mass))
+
+
+@st.composite
+def distance_inputs(draw):
+    """Two arrays of rows of one width d (1 to 20, or 64 and 128-130, where
+    numpy's summation changes form), 1 to 40 rows each: magnitudes from 1e-6
+    to 1e6 of either sign, rows repeated across and within the arrays,
+    signed zeros, and at most one NaN."""
+    d = draw(st.one_of(st.integers(1, 20), st.sampled_from([64, 128, 129, 130])))
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, B = (rng.choice([-1.0, 1.0], size=(k, d)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(k, d)) for k in (n, m))
+    for _ in range(draw(st.integers(0, 3))):
+        B[draw(st.integers(0, m - 1))] = A[draw(st.integers(0, n - 1))]
+        A[draw(st.integers(0, n - 1))] = A[draw(st.integers(0, n - 1))]
+    for X in (A, B):
+        zeros = rng.random(X.shape) < draw(st.sampled_from([0.0, 0.3]))
+        X[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+    if draw(st.booleans()):
+        X = draw(st.sampled_from([A, B]))
+        X[draw(st.integers(0, len(X) - 1)), draw(st.integers(0, d - 1))] = np.nan
+    return A, B
+
+
+class TestDistancesMatchReference:
+    """``measures._distances`` sums squares plane by plane in numpy's order,
+    so it equals the cube formula (``helpers.reference_distances``) bitwise."""
+
+    @PROPERTY
+    @given(distance_inputs())
+    def test_bitwise(self, inputs):
+        A, B = inputs
+        got = _distances(A, B)
+        assert got.tobytes() == reference_distances(A, B).tobytes()
+        # a NaN coordinate makes its row's or column's distances NaN
+        assert np.array_equal(np.isnan(got), np.isnan(A).any(axis=1)[:, None] | np.isnan(B).any(axis=1))
 
 
 class TestCanonicalForm:

@@ -30,7 +30,8 @@ import numpy as np
 from .attention import InContextMap
 from .deep_transformer import LayerStack, forward_measure
 from .errors import AnchorsTooClose, DimensionMismatch, DisplacementTooLarge, NonpositiveWeight, ProbeMassLost
-from .measures import Box, DiscreteMeasure, _distances, _squared_distances, add_atom, canonicalize, push_forward
+from .measures import Box, DiscreteMeasure, _distances, _floats, _squared_distances, add_atom, canonicalize
+from .measures import push_forward
 
 DEFAULT_EPS = 1e-6
 MAX_PATCH_RADIUS = 0.05
@@ -92,7 +93,7 @@ class TestFunction:
         return j, dist, self.patch.values[j], (dist - half) / half
 
     def value(self, y: np.ndarray) -> float | np.ndarray:
-        y = np.asarray(y, dtype=float)
+        y = _floats(y)
         Y = np.atleast_2d(y)
         v = self.base_value(Y)
         if self.patch is not None:
@@ -101,7 +102,7 @@ class TestFunction:
         return float(v[0]) if y.ndim == 1 else v
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
+        y = _floats(y)
         Y = np.atleast_2d(y)
         g = np.asarray(self.base_gradient(Y), dtype=float)
         if self.patch is not None:
@@ -167,11 +168,10 @@ def _nearest(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = max(1, SPACING_BLOCK_ENTRIES // B.shape[0])
     index = np.empty(A.shape[0], dtype=np.intp)
     dist = np.empty(A.shape[0])
-    with np.errstate(over="ignore"):  # an overflowing distance reads +inf: far
-        for lo in range(0, A.shape[0], rows):
-            block = _distances(A[lo : lo + rows], B)
-            at = block.argmin(axis=1, out=index[lo : lo + rows])
-            dist[lo : lo + rows] = block[np.arange(len(at)), at]
+    for lo in range(0, A.shape[0], rows):
+        block = _distances(A[lo : lo + rows], B)  # an overflowing distance reads +inf: far
+        at = block.argmin(axis=1, out=index[lo : lo + rows])
+        dist[lo : lo + rows] = block[np.arange(len(at)), at]
     return index, dist
 
 
@@ -190,11 +190,10 @@ def _min_spacing(points: np.ndarray) -> float:
         return np.inf
     rows = max(1, SPACING_BLOCK_ENTRIES // n)
     least = np.inf
-    with np.errstate(over="ignore"):  # an overflowing distance reads +inf: far
-        for lo in range(0, n, rows):
-            sq = _squared_distances(points[lo : lo + rows], points)
-            np.fill_diagonal(sq[:, lo:], np.inf)
-            least = np.minimum(least, np.minimum.reduce(sq, axis=None))  # a NaN propagates
+    for lo in range(0, n, rows):
+        sq = _squared_distances(points[lo : lo + rows], points)  # an overflowing square reads +inf: far
+        np.fill_diagonal(sq[:, lo:], np.inf)
+        least = np.minimum(least, np.minimum.reduce(sq, axis=None))  # a NaN propagates
     return math.sqrt(least)
 
 
@@ -411,7 +410,7 @@ def split_reg_irreg(
     the raw unpatched difference quotient identically.
     """
     mu_c = canonicalize(mu)
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _floats(x).reshape(-1)
     probe = add_atom(mu_c, x, eps)
     reg = psi.value(g(probe, x))
     drift = psi.value(g.rows(probe, mu_c.points)) - psi.value(g.rows(mu_c, mu_c.points))

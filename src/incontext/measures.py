@@ -262,34 +262,35 @@ def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     sums r0..r7 combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest
     left to right; beyond 128, the sums of two halves split at d // 2 rounded
     down to a multiple of 8.  It holds at most 9 planes up to 128 coordinates,
-    and one more per halving beyond, never the cube.  A square that overflows
-    reads +inf; the caller's ``np.errstate`` decides whether numpy warns.
+    and one more per halving beyond, never the cube.  A square or sum that
+    overflows reads +inf, without a warning.
     """
-    d = A.shape[1]
-    if d > 128:
-        half = d // 2 - d // 2 % 8
-        total = _squared_distances(A[:, :half], B[:, :half])
-        total += _squared_distances(A[:, half:], B[:, half:])
+    with np.errstate(over="ignore"):
+        d = A.shape[1]
+        if d > 128:
+            half = d // 2 - d // 2 % 8
+            total = _squared_distances(A[:, :half], B[:, :half])
+            total += _squared_distances(A[:, half:], B[:, half:])
+            return total
+        # plane k is column k of A, as (n, 1), against a contiguous row k of B.T
+        A, B = A.T[:, :, None], B.T.copy()
+        if d < 8:
+            total, rest = _square(A[0], B[0]), 1
+        else:
+            rest = d - d % 8
+            r = [_square(A[k], B[k]) for k in range(8)]
+            for k in range(8, rest):
+                r[k % 8] += _square(A[k], B[k])
+            # in place: r0 ends as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+            for j in (0, 2, 4, 6):
+                r[j] += r[j + 1]
+            r[0] += r[2]
+            r[4] += r[6]
+            r[0] += r[4]
+            total = r[0]
+        for k in range(rest, d):
+            total += _square(A[k], B[k])
         return total
-    # plane k is column k of A, as (n, 1), against a contiguous row k of B.T
-    A, B = A.T[:, :, None], B.T.copy()
-    if d < 8:
-        total, rest = _square(A[0], B[0]), 1
-    else:
-        rest = d - d % 8
-        r = [_square(A[k], B[k]) for k in range(8)]
-        for k in range(8, rest):
-            r[k % 8] += _square(A[k], B[k])
-        # in place: r0 ends as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-        for j in (0, 2, 4, 6):
-            r[j] += r[j + 1]
-        r[0] += r[2]
-        r[4] += r[6]
-        r[0] += r[4]
-        total = r[0]
-    for k in range(rest, d):
-        total += _square(A[k], B[k])
-    return total
 
 
 def _square(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -142,7 +142,8 @@ def tokens_to_doc(seq: TokenSequence) -> dict:
 
 def tokens_from_doc(doc: dict) -> TokenSequence:
     toks = np.atleast_2d(_numbers(doc["tokens"], "tokens"))
-    box = _box_from_doc(doc["box"]) if "box" in doc else default_box(toks.shape[1]).hull(toks)
+    # the default box hulls the tokens with non-finite entries clipped, so new_tokens names them
+    box = _box_from_doc(doc["box"]) if "box" in doc else default_box(toks.shape[1]).hull(np.nan_to_num(toks))
     return _dim_checked(doc, new_tokens(toks, box))
 
 

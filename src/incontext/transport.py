@@ -23,10 +23,15 @@ How each plan route is certified:
 
 * LP — by duality.  Its duals, repaired to be feasible on every column, bound
   W1 from below, and the plan's cost must meet that bound to ``MASS_TOL`` of
-  the mass, else ``DualityGap`` is raised.
+  the mass times min(1, the largest distance), else ``DualityGap`` is raised.
+  An LP solve that stops short raises ``ProblemTooLarge``.
 * 1-D — the plan is the unique monotone plan, whose cost equals ``w1_1d``.
 * assignment — exact by construction.  scipy's combinatorial solver returns
   no duals to certify it with.
+
+One check, ``_finite``, refuses overflow: an infinite distance (in dimension one,
+the farthest pair across the measures) or W1 result raises ProblemTooLarge,
+"atom distances overflow" or "the W1 cost overflows", before it is used.
 
 ``w1`` picks the closed form in dimension one and the optimal plan's cost
 otherwise, after checking that both measures share a dimension.
@@ -38,6 +43,7 @@ are distinct.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,11 +115,13 @@ def w1_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     _require_equal_mass(mu, nu)
     xs, cum_x = _cdf_steps(mu)
     ys, cum_y = _cdf_steps(nu)
-    _require_finite_reach(xs, ys)
-    grid = np.sort(np.concatenate((xs, ys)), kind="stable")
-    f_x = cum_x[xs.searchsorted(grid, side="right")]
-    f_y = cum_y[ys.searchsorted(grid, side="right")]
-    return float(np.add.reduce(np.abs(f_x - f_y)[:-1] * (grid[1:] - grid[:-1])))
+    with np.errstate(over="ignore"):
+        _finite(max(xs[-1] - ys[0], ys[-1] - xs[0]), "atom distances overflow")
+        grid = np.sort(np.concatenate((xs, ys)), kind="stable")
+        f_x = cum_x[xs.searchsorted(grid, side="right")]
+        f_y = cum_y[ys.searchsorted(grid, side="right")]
+        cost = float(np.add.reduce(np.abs(f_x - f_y)[:-1] * (grid[1:] - grid[:-1])))
+    return _finite(cost, "the W1 cost overflows")
 
 
 def _cdf_steps(mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -123,22 +131,11 @@ def _cdf_steps(mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(x), np.concatenate(([0.0], mu.weights[x.argsort(kind="stable")])).cumsum()
 
 
-def _finite(dist: np.ndarray) -> np.ndarray:
-    """``dist``, or ProblemTooLarge if an atom distance overflowed to +inf.
-    The assignment and LP routes compute their distance matrix under
-    ``np.errstate(over="ignore")`` and pass it here before a solver sees it."""
-    if not np.maximum.reduce(dist, axis=None) < np.inf:
-        raise ProblemTooLarge("atom distances overflow")
-    return dist
-
-
-def _require_finite_reach(x: np.ndarray, y: np.ndarray) -> None:
-    """ProblemTooLarge if an atom of ``x`` and one of ``y``, sorted 1-D
-    coordinates, lie farther apart than the largest float.  The two 1-D
-    routes check this first: every distance they compute, a gap of the merged
-    grid included, is at most the farthest such pair, so none overflows."""
-    if not max(float(x[-1]) - float(y[0]), float(y[-1]) - float(x[0])) < np.inf:
-        raise ProblemTooLarge("atom distances overflow")
+def _finite(value: float, message: str) -> float:
+    """``value``, or ProblemTooLarge(message) if it is not finite, NaN included."""
+    if not math.isfinite(value):
+        raise ProblemTooLarge(message)
+    return value
 
 
 def _uniform_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
@@ -170,8 +167,8 @@ def linprog(c: np.ndarray, **kwargs):
 
 
 def _assignment_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
-    with np.errstate(over="ignore"):
-        dist = _finite(_distances(mu.points, nu.points))
+    dist = _distances(mu.points, nu.points)
+    _finite(np.maximum.reduce(dist, axis=None), "atom distances overflow")  # the largest; a NaN propagates
     rows, cols = linear_sum_assignment(dist)
     mass = mu.weights[rows]
     cost = float(np.sum(mass * dist[rows, cols]))
@@ -217,7 +214,8 @@ def _monotone_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     total = mu.total_mass
     ox = np.argsort(mu.points[:, 0], kind="stable")
     oy = np.argsort(nu.points[:, 0], kind="stable")
-    _require_finite_reach(mu.points[ox, 0], nu.points[oy, 0])
+    x, y = mu.points[ox, 0], nu.points[oy, 0]
+    _finite(max(x[-1] - y[0], y[-1] - x[0]), "atom distances overflow")
     # rescale the target marginal so both sides sum identically
     src, tgt, mass = _north_west_corner(mu.weights[ox], nu.weights[oy] * (total / nu.total_mass))
     keep = mass > 1e-13 * total
@@ -251,12 +249,12 @@ def _certify(plan: TransportPlan, dist: np.ndarray, a: np.ndarray, b: np.ndarray
 
     The target potentials v_j = min_i (dist_ij - u_i) make (u, v) feasible for
     the dual LP on every column, so sum(a u) + sum(b v) <= W1.  Raises
-    DualityGap when the gap exceeds MASS_TOL of the mass.
+    DualityGap when the gap exceeds MASS_TOL * mass * min(1, largest distance).
     """
     v = np.min(dist - u[:, None], axis=0)
     gap = plan.cost - float(np.sum(a * u) + np.sum(b * v))
     total = float(np.sum(a))
-    if gap > MASS_TOL * total:
+    if gap > MASS_TOL * total * min(1.0, float(np.max(dist))):
         raise DualityGap(f"transport plan cost exceeds its dual bound by {gap:.3g} at mass {total!r}")
     return gap
 
@@ -270,8 +268,8 @@ def _lp_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     """
     n, m = mu.n, nu.n
     total = mu.total_mass
-    with np.errstate(over="ignore"):
-        dist = _finite(_distances(mu.points, nu.points))
+    dist = _distances(mu.points, nu.points)
+    _finite(np.maximum.reduce(dist, axis=None), "atom distances overflow")  # the largest; a NaN propagates
     # rescale the target marginal so both sides sum identically
     b_target = nu.weights * (total / nu.total_mass)
     # At mass LP_MASS and HiGHS's tightest tolerances (the defaults are 1e-7)
@@ -285,8 +283,8 @@ def _lp_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
         src, tgt = np.nonzero(active)
         a_eq = _marginal_constraints(n, m, src, tgt)
         res = linprog(dist[src, tgt], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=options)
-        if res.status != 0:
-            raise MassMismatch(f"transport LP failed: {res.message}")
+        if res.status != 0:  # the LP is feasible and bounded: the solver met sizes it cannot handle
+            raise ProblemTooLarge(f"transport LP failed: {res.message}")
         u, v = res.eqlin.marginals[:n], res.eqlin.marginals[n:]
         entering = ~active & (dist - u[:, None] - v < -REDUCED_COST_TOL)
         if not entering.any():
@@ -311,17 +309,18 @@ def w1_matching(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     the minimum over atom permutations of the mean displacement; other pairs
     in dimension one get the monotone plan, and everything else an exact LP
     solve.  Raises DimensionMismatch when the measures live in different
-    dimensions and ProblemTooLarge beyond 200 atoms on either side.
+    dimensions, and ProblemTooLarge beyond 200 atoms on either side or when a
+    distance or the cost overflows.
     """
     _require_same_dim(mu, nu)
     _require_equal_mass(mu, nu)
     if mu.n > ATOM_CAP or nu.n > ATOM_CAP:
         raise ProblemTooLarge(f"atom counts {mu.n}, {nu.n} exceed cap {ATOM_CAP}")
-    if _uniform_pair(mu, nu):
-        return _assignment_plan(mu, nu)
-    if mu.dim == 1:
-        return _monotone_plan(mu, nu)
-    return _lp_plan(mu, nu)
+    route = _assignment_plan if _uniform_pair(mu, nu) else _monotone_plan if mu.dim == 1 else _lp_plan
+    with np.errstate(over="ignore"):
+        plan = route(mu, nu)
+    _finite(plan.cost, "the W1 cost overflows")
+    return plan
 
 
 def w1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -304,8 +304,8 @@ MUTANTS = (
     Mutant(
         "distances-left-to-right-beyond-eight",
         "measures.py",
-        "    if d < 8:\n        total, rest = _square(A[0], B[0]), 1\n",
-        "    if d <= 128:\n        total, rest = _square(A[0], B[0]), 1\n",
+        "        if d < 8:\n            total, rest = _square(A[0], B[0]), 1\n",
+        "        if d <= 128:\n            total, rest = _square(A[0], B[0]), 1\n",
         (
             "tests/test_measures.py::TestDistances::test_equals_the_cube_formula_bitwise",
             "tests/test_properties.py::TestDistancesMatchReference::test_bitwise",
@@ -315,8 +315,8 @@ MUTANTS = (
     Mutant(
         "distances-tree-reordered",
         "measures.py",
-        "        r[0] += r[2]\n        r[4] += r[6]\n        r[0] += r[4]\n",
-        "        r[0] += r[4]\n        r[2] += r[6]\n        r[0] += r[2]\n",
+        "            r[0] += r[2]\n            r[4] += r[6]\n            r[0] += r[4]\n",
+        "            r[0] += r[4]\n            r[2] += r[6]\n            r[0] += r[2]\n",
         (
             "tests/test_measures.py::TestDistances::test_equals_the_cube_formula_bitwise",
             "tests/test_properties.py::TestDistancesMatchReference::test_bitwise",
@@ -326,16 +326,17 @@ MUTANTS = (
     Mutant(
         "assignment-skips-the-overflow-check",
         "transport.py",
-        "    with np.errstate(over=\"ignore\"):\n        dist = _finite(_distances(mu.points, nu.points))\n    rows, cols",
-        "    with np.errstate(over=\"ignore\"):\n        dist = _distances(mu.points, nu.points)\n    rows, cols",
+        "    _finite(np.maximum.reduce(dist, axis=None), \"atom distances overflow\")  # the largest; a NaN propagates\n"
+        "    rows, cols",
+        "    rows, cols",
         ("tests/test_cli.py::TestOverflowingDistances::test_w1_exits_one",),
         "no solver sees an infinite atom distance",
     ),
     Mutant(
         "reach-within-one-side",
         "transport.py",
-        "max(float(x[-1]) - float(y[0]), float(y[-1]) - float(x[0]))",
-        "float(x[-1]) - float(x[0])",
+        "max(xs[-1] - ys[0], ys[-1] - xs[0])",
+        "xs[-1] - xs[0]",
         ("tests/test_cli.py::TestOverflowingDistances::test_far_atoms_on_one_side_are_no_overflow",),
         "1-D routes check the distances between the two measures, not within one",
     ),
@@ -346,6 +347,22 @@ MUTANTS = (
         "    return 0.0\n",
         ("tests/test_transport.py::TestSparseColumns::test_certificate_on_two_by_two",),
         "a transport plan's cost is checked against its dual bound",
+    ),
+    Mutant(
+        "certificate-ignores-the-distance-scale",
+        "transport.py",
+        "    if gap > MASS_TOL * total * min(1.0, float(np.max(dist))):\n",
+        "    if gap > MASS_TOL * total:\n",
+        ("tests/test_transport.py::TestCertificateScale::test_tiny_distances_raise_duality_gap",),
+        "the certificate's tolerance shrinks with the largest distance",
+    ),
+    Mutant(
+        "matching-skips-the-cost-check",
+        "transport.py",
+        "    _finite(plan.cost, \"the W1 cost overflows\")\n    return plan\n",
+        "    return plan\n",
+        ("tests/test_cli.py::TestOverflowingCost::test_w1_exits_one",),
+        "no plan with an overflowing cost is returned or written",
     ),
     Mutant(
         "reduced-cost-tolerance-sign",

@@ -216,6 +216,11 @@ RAGGED_QUERIES = {
     "velocity_field": lambda mu: ic.VelocityField(lambda t, p, w, X: X)(0.0, mu.points, mu.weights, RAGGED),
     "characteristic_map": lambda mu: ic.characteristic_map(ic.VelocityField(lambda t, p, w, X: X), mu, RAGGED, 0.5),
     "add_atom": lambda mu: ic.add_atom(mu, RAGGED, 0.1),
+    "split_reg_irreg": lambda mu: ic.split_reg_irreg(
+        ic.InContextMap.identity(2), mu, RAGGED, ic.coordinate_test(0, mu.box)
+    ),
+    "test_function_value": lambda mu: ic.coordinate_test(0, mu.box).value(RAGGED),
+    "test_function_gradient": lambda mu: ic.coordinate_test(0, mu.box).gradient(RAGGED),
 }
 
 

@@ -667,6 +667,125 @@ class TestBadInputs:
         assert len(lines) == 1 + 5 * 2
 
 
+NAN = float("nan")
+
+
+class TestErrorBranches:
+    """One run per error branch of the package that the CLI reaches and no
+    other test runs: exit 1 and exactly its error line.  ``{m}``, ``{s}``,
+    ``{t}`` and ``{out}`` in the arguments stand for a 2-d measure, a 2-d
+    stack, a 2-d token sequence (each after ``edit``) and an output file."""
+
+    @pytest.mark.parametrize(
+        "argv, edit, message",
+        [
+            (
+                "extract-g --map foo --measure {m} --x 0.1,0.2",
+                None,
+                "DomainError: unknown map name 'foo'",
+            ),
+            (
+                "extract-g --map identity --measure {m} --x 0.1,0.2,0.3",
+                None,
+                "LengthMismatch: atom dimension does not match the measure",
+            ),
+            (
+                "w1 --a {m} --b {m}",
+                lambda d: d["m"].update(points=[[NAN, 0.0], [0.5, 0.5]]),
+                "PointOutsideBox: points must be finite",
+            ),
+            (
+                "w1 --a {m} --b {m}",
+                lambda d: d["m"].update(box={"lo": [-3.0] * 3, "hi": [3.0] * 3}),
+                "LengthMismatch: box dimension 3 vs point dimension 2",
+            ),
+            (
+                "forward --stack {s} --measure {m} --out {out}",
+                lambda d: _attention(d["s"]).update(heads=0, per_head=[]),
+                "LengthMismatch: attention needs at least one head",
+            ),
+            (
+                "forward --stack {s} --measure {m} --out {out}",
+                lambda d: _head(d["s"]).update(Q=[[0.1, 0.2]] * 3),
+                "DimensionMismatch: query/key matrices must be key_dim x d",
+            ),
+            (
+                "forward --stack {s} --measure {m} --out {out}",
+                lambda d: _head(d["s"]).update(W=[[1.0]]),
+                "DimensionMismatch: value/output matrices have inconsistent shapes",
+            ),
+            (
+                "forward --stack {s} --measure {m} --out {out}",
+                lambda d: _head(d["s"]).update(V=[[NAN, 0.0], [0.0, 1.0]]),
+                "DimensionMismatch: attention matrices must be finite",
+            ),
+            (
+                "forward --stack {s} --measure {m} --out {out}",
+                lambda d: _mlp(d["s"]).update(activation="relu"),
+                "LengthMismatch: unknown activation 'relu'",
+            ),
+            (
+                "forward --stack {s} --measure {m} --out {out}",
+                lambda d: _mlp(d["s"]).update(layers=[{"A": [[0.1, 0.2]] * 3, "b": [0.0] * 3}]),
+                "DimensionMismatch: MLP must map back to its input dimension",
+            ),
+            (
+                "forward --stack {s} --measure {m} --out {out}",
+                lambda d: d["s"].update(dim=3),
+                "DimensionMismatch: layer dimension 2 != stack dimension 3",
+            ),
+            (
+                "forward --stack {s} --measure {m} --out {out}",
+                lambda d: _mlp(d["s"]).update(layers=[{"A": [[0.1, 0.2, 0.3]] * 3, "b": [0.0] * 3}]),
+                "DimensionMismatch: MLP dimension does not match the stack",
+            ),
+            (
+                "flow --stack {s} --measure {m} --T 0 --integrator rk4 --out {out}",
+                None,
+                "TooFewTimePoints: need at least one RK4 step",
+            ),
+            (
+                "counterexample --mmax 1 --out {out}",
+                None,
+                "OutOfDomain: scan needs m_max >= 2",
+            ),
+            (
+                "forward-tokens --stack {s} --tokens {t} --out {out}",
+                lambda d: d["t"].update(tokens=[[NAN, 0.0], [0.5, 0.5]], box={"lo": [-3.0] * 2, "hi": [3.0] * 2}),
+                "PointOutsideBox: tokens must be finite",
+            ),
+            (
+                "forward-tokens --stack {s} --tokens {t} --out {out}",
+                lambda d: d["t"].update(tokens=[[NAN, 0.0], [0.5, 0.5]]),
+                "PointOutsideBox: tokens must be finite",
+            ),
+        ],
+        ids=[
+            "unknown-map", "probe-dim", "nan-point", "box-dim", "no-head", "query-shape", "output-shape",
+            "nan-matrix", "activation", "mlp-dim-change", "stack-dim", "mlp-stack-dim", "rk4-steps", "mmax",
+            "nan-token-in-box", "nan-token-default-box",
+        ],
+    )
+    def test_exits_one_naming_the_error(self, tmp_path, capsys, argv, edit, message):
+        rng = np.random.default_rng(33)
+        docs = {
+            "m": ser.measure_to_doc(random_measure(rng, 2, 2)),
+            "s": ser.stack_to_doc(random_stack(rng, 2)),
+            "t": ser.tokens_to_doc(ic.new_tokens([[0.1, 0.2], [0.3, 0.4]])),
+        }
+        docs = {k: json.loads(ser.dumps(doc)) for k, doc in docs.items()}  # plain JSON values, NaN allowed
+        if edit is not None:
+            edit(docs)
+        paths = {"out": str(tmp_path / "out")}
+        for k, doc in docs.items():
+            paths[k] = str(tmp_path / f"{k}.json")
+            Path(paths[k]).write_text(json.dumps(doc))
+        assert main([arg.format(**paths) for arg in argv.split()]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 LIMITED_MAIN = (
     "import resource, sys\n"
     "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
@@ -907,6 +1026,46 @@ class TestOverflowingDistances:
         assert main(["extract-g", "--map", "identity", "--measure", m, "--x", "0.25,-0.5"]) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("0.25 -0.5\n") and captured.err == ""
+
+
+class TestOverflowingCost:
+    """Finite atom distances whose W1 cost overflows end in ProblemTooLarge
+    before anything is printed or written, on every route; so do LPs whose
+    magnitudes the solver cannot handle."""
+
+    PAIRS = {
+        "line": ([[8e307], [-8e307]], [5.0, 5.0], [[-8e307], [8e307]], [2.0, 8.0]),
+        "assignment": ([[1.0, 1.0], [-1.0, -1.0]], [8e307, 8e307], [[-1.0, 1.0], [1.0, -1.0]], [8e307, 8e307]),
+        "lp": (
+            [[1.0, 1.0], [-1.0, -1.0]], [8e307, 8e307],
+            [[-1.0, 1.0], [1.0, -1.0], [0.0, 0.0]], [4.8e307, 4.8e307, 6.4e307],
+        ),
+    }
+
+    @staticmethod
+    def run(tmp_path, capsys, pair, plan):
+        pa, wa, pb, wb = pair
+        a = TestOverflowingDistances.wide_measure(tmp_path / "a.json", pa, wa)
+        b = TestOverflowingDistances.wide_measure(tmp_path / "b.json", pb, wb)
+        out = tmp_path / "plan.json"
+        assert main(["w1", "--a", a, "--b", b, *(["--plan", str(out)] if plan else [])]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("plan", [False, True], ids=["value", "plan"])
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_w1_exits_one(self, tmp_path, capsys, pair, plan):
+        err = self.run(tmp_path, capsys, self.PAIRS[pair], plan)
+        assert err == "error: ProblemTooLarge: the W1 cost overflows\n"
+
+    @pytest.mark.parametrize("scale", [1e18, 1e100])
+    def test_lp_the_solver_cannot_finish_is_too_large(self, tmp_path, capsys, scale):
+        # the transport LP is feasible and bounded, so a solver that stops short met magnitudes it cannot handle
+        pa, pb = [[scale, scale], [-scale, -scale]], [[-scale, scale], [scale, -scale], [0.0, 0.0]]
+        err = self.run(tmp_path, capsys, (pa, [0.5, 0.5], pb, [0.3, 0.3, 0.4]), True)
+        assert err.startswith("error: ProblemTooLarge: transport LP failed: ") and err.count("\n") == 1
 
 
 class TestDocumentDim:

@@ -375,6 +375,39 @@ class TestSparseColumns:
             _certify(crossing, dist, half, half, u)
 
 
+class TestCertificateScale:
+    """The LP certificate allows a gap of MASS_TOL of the mass times the
+    largest distance (at most 1), so shrinking every coordinate by s leaves an
+    optimal plan's cost at s times the unscaled one, or ends in DualityGap."""
+
+    @staticmethod
+    def pair(seed, s):
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(3, 60, 2)
+        pa, pb = rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-1.0, 1.0, (m, 2))
+        wa, wb = rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, m)
+        return ic.new_discrete(pa * s, wa), ic.new_discrete(pb * s, wb * (wa.sum() / wb.sum()))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tiny_distances_raise_duality_gap(self, seed):
+        # HiGHS's dual tolerance is absolute: at s = 1e-9 it stops 0.2-3.7% above the optimum
+        with pytest.raises(DualityGap):
+            ic.w1_matching(*self.pair(seed, 1e-9))
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-3])
+    def test_certified_costs_scale_with_the_distances(self, s):
+        certified = 0
+        for seed in range(12):
+            want = s * ic.w1_matching(*self.pair(seed, 1.0)).cost
+            try:
+                got = ic.w1_matching(*self.pair(seed, s)).cost
+            except DualityGap:
+                continue
+            certified += 1
+            assert abs(got - want) <= 1e-15 * want, seed
+        assert certified >= 9
+
+
 class TestSolverTracing:
     @staticmethod
     def tracer():

@@ -15,12 +15,21 @@ All of it is evaluated by one batched kernel, :func:`layer_step`, on query
 rows (m, d) against context points (n, d) and weights (n,) in the order given;
 the single-point functions are its m = 1 calls on a canonical measure's arrays.
 
-The kernel owns its scratch: each call allocates one array that holds a
-block of query rows' logits and softmax weights, and the product terms of
-the contractions over the atoms, for every head in turn.  It attends in
-blocks of ``max(1, SCRATCH_ENTRIES // n)`` query rows, so the scratch has at
-most 2 * max(SCRATCH_ENTRIES, n) entries however many queries meet; as rows
-do not depend on the batch, blocking changes no bit.
+The kernel has two bodies, bitwise equal; the size of a call picks one.  A
+call whose (m, n) products have fewer than ``SMALL_ENTRIES`` entries, as on
+the few-atom contexts of flows and extraction, takes the small body:
+each short contraction is one product summed along its leading axis, a few
+whole-array calls per head.  On large contexts those (d, m, n) products cost
+more than loops over the coordinates (1.35x at 128 atoms in d = 2 on a
+2-core Xeon), so larger calls take the blocked body, which owns its scratch:
+each call allocates one array that holds a block of query rows' logits and
+softmax weights, and the product terms of the contractions over the atoms,
+for every head in turn.  It attends in blocks of ``max(1, SCRATCH_ENTRIES //
+n)`` query rows, so the scratch has at most 2 * max(SCRATCH_ENTRIES, n)
+entries however many queries meet; as rows do not depend on the batch,
+blocking changes no bit.  numpy's summation order follows the memory layout
+(term by term along a leading axis, pairwise along a contiguous last one),
+so in both bodies ``np.exp`` and every reduction read C-contiguous arrays.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 # The most (row, atom) entries of one block of the kernel's scratch.
 SCRATCH_ENTRIES = 2**20
+# Calls whose rows x atoms x max(d, key_dim) is smaller take the small body.
+SMALL_ENTRIES = 2**11
 
 
 @dataclass(frozen=True)
@@ -136,11 +147,12 @@ class Layer:
 #
 # Every evaluation of attention, MLPs and layers runs through the row functions
 # below on queries X of shape (m, d).  Short contractions (key_dim, d) are
-# accumulated term by term with elementwise products and the atom axis is
-# reduced with ``np.sum`` along contiguous rows, so each output row depends on
-# its own query row only: evaluating m rows at once gives bitwise the same
-# result as evaluating each row alone.  BLAS products would not (their blocking
-# and kernels change with the operand shapes), so none is used here.
+# accumulated term by term, with elementwise products or along the leading
+# axis of one product, and the atom axis is reduced along contiguous rows, so
+# each output row depends on its own query row only: evaluating m rows at once
+# gives bitwise the same result as evaluating each row alone.  BLAS products
+# would not (their blocking and kernels change with the operand shapes), so
+# none is used here.
 
 
 def _mismatch(d: int, width: int) -> DimensionMismatch:
@@ -173,6 +185,24 @@ def _rowmul(X: np.ndarray, A: np.ndarray, out: np.ndarray | None = None, term: n
     return out
 
 
+def _leading_sum(A: np.ndarray, Xt: np.ndarray) -> np.ndarray:
+    """``A @ Xt`` for A (k, d) and Xt (d, m) of any layout: the C-ordered
+    (d, k, m) product of the terms, summed along its leading axis.
+
+    numpy adds leading-axis terms one at a time, so this is bitwise the
+    transpose of ``_rowmul(Xt.T, A)``.  A lone output entry (k = m = 1) is
+    accumulated instead, as numpy sums a lone run of 8 or more terms
+    pairwise.  Raises DimensionMismatch when the rows of Xt and the width of
+    A differ.
+    """
+    if Xt.shape[0] != A.shape[1]:
+        raise _mismatch(Xt.shape[0], A.shape[1])
+    terms = np.multiply(A.T[:, :, None], Xt[:, None, :], order="C")
+    if A.shape[0] * Xt.shape[1] > 1:
+        return np.add.reduce(terms, axis=0)
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
 def _attend(
     params: AttentionParams,
     pts: np.ndarray,
@@ -184,25 +214,75 @@ def _attend(
 
     Per head: logits (m, n) = (Q x) . (K x_l) / sqrt(key_dim), a weighted
     softmax stabilized by each row's maximum, and the pooled values mapped
-    through W V, reducing over the atoms in the order given.  Each head's
-    keys K x_l are computed once per call and stored column-contiguous, so
-    every block reads each key coordinate as one contiguous row of n values.
-    The (m, n) softmax weights of each head are appended to ``weights`` if
-    given, as copies.  Query rows go in blocks of ``max(1, SCRATCH_ENTRIES //
-    n)`` that reuse one scratch for every head (see the module docstring).
-    The atom reductions call ``np.maximum.reduce`` and ``np.add.reduce``
-    directly: on the few-atom contexts of a flow, the Python wrappers of
-    ``np.max`` and ``np.sum`` cost as much as the arithmetic.
+    through W V, reducing over the atoms in the order given.  The (m, n)
+    softmax weights of each head are appended to ``weights`` if given, as
+    copies.  A call whose rows x atoms x max(d, key_dim), the size of the
+    largest (m, n) products in ``_attend_small``, is below ``SMALL_ENTRIES``
+    runs there, any other in ``_attend_blocked``; the two bodies are bitwise
+    equal.
     """
     if pts.shape[0] == 0:
         raise EmptyMeasure("attention needs a nonempty context measure")
+    m, n = X.shape[0], pts.shape[0]
+    probs = [np.empty((m, n)) for _ in params.heads] if weights is not None else None
+    small = m * n * max(X.shape[1], params.key_dim) < SMALL_ENTRIES
+    out = (_attend_small if small else _attend_blocked)(params, pts, w, X, probs)
+    if weights is not None:
+        weights.extend(probs)
+    return out
+
+
+def _attend_small(
+    params: AttentionParams, pts: np.ndarray, w: np.ndarray, X: np.ndarray, probs: list[np.ndarray] | None
+) -> np.ndarray:
+    """``_attend`` in a few whole-array calls per head, copying each head's
+    softmax weights into ``probs[h]`` if given.
+
+    Keys (d, key_dim, n), queries (d, key_dim, m), logits (key_dim, m, n) and
+    the V and W maps (d, d_head, m) are ``_leading_sum`` products.  The
+    pooled values are the C-ordered (d, m, n) product of ``pts.T`` and the
+    weights, reduced along its last axis: numpy sums each contiguous row
+    pairwise, as ``_attend_blocked`` sums the row of each coordinate.  Only
+    the logits and the pooled values grow with m x n; the other products
+    grow with the atoms or the rows alone.
+    """
+    pts_t, Xt = pts.T, X.T
+    scale = 1.0 / math.sqrt(params.key_dim)
+    out = np.zeros(X.shape, X.dtype)
+    for h, head in enumerate(params.heads):
+        keys = _leading_sum(head.k, pts_t)
+        p = _leading_sum((_leading_sum(head.q, Xt) * scale).T, keys)
+        p -= np.maximum.reduce(p, axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p *= w
+        p /= np.add.reduce(p, axis=1, keepdims=True)
+        if probs is not None:
+            probs[h][...] = p
+        pooled = np.add.reduce(np.multiply(pts_t[:, None, :], p, order="C"), axis=2)
+        out += _leading_sum(head.w, _leading_sum(head.v, pooled)).T
+    return out
+
+
+def _attend_blocked(
+    params: AttentionParams, pts: np.ndarray, w: np.ndarray, X: np.ndarray, probs: list[np.ndarray] | None
+) -> np.ndarray:
+    """``_attend`` on query rows in blocks, each softmax weight row copied into
+    ``probs[h]`` if given.
+
+    Each head's keys K x_l are computed once per call and stored
+    column-contiguous, so every block reads each key coordinate as one
+    contiguous row of n values.  Query rows go in blocks of ``max(1,
+    SCRATCH_ENTRIES // n)`` that reuse one scratch for every head (see the
+    module docstring).  The atom reductions call ``np.maximum.reduce`` and
+    ``np.add.reduce`` directly: on rows of few atoms, the Python wrappers of
+    ``np.max`` and ``np.sum`` cost as much as the arithmetic.
+    """
     m, n = X.shape[0], pts.shape[0]
     rows = max(1, SCRATCH_ENTRIES // n)
     scratch = np.empty((2, min(m, rows), n))
     pts_t = np.ascontiguousarray(pts.T)
     keys = [np.asfortranarray(_rowmul(pts, head.k)) for head in params.heads]
     scale = 1.0 / math.sqrt(params.key_dim)
-    probs = [np.empty((m, n)) for _ in params.heads] if weights is not None else None
     out = np.zeros(X.shape, X.dtype)
     for lo in range(0, m, rows):
         Xb = X[lo : lo + rows]
@@ -219,8 +299,6 @@ def _attend(
             for coord, pooled_j in zip(pts_t, pooled):
                 np.add.reduce(np.multiply(p, coord, out=term), axis=1, out=pooled_j)
             out[lo : lo + rows] += _rowmul(_rowmul(pooled.T, head.v), head.w)
-    if weights is not None:
-        weights.extend(probs)
     return out
 
 
@@ -325,7 +403,10 @@ class InContextMap:
     image rows (m, dim) against the arrays of its canonical context: the input
     measure pushed through stages 0..k-1.  Another row count raises
     MapUndefinedAtAtom and another width DimensionMismatch, so a chain keeps
-    the atom count, the mass and the dimension.  Nothing is cached.
+    the atom count, the mass and the dimension.  ``rows`` and ``push`` run
+    the stages under one ``np.errstate(over="ignore", invalid="ignore")``,
+    so an image that overflows meets its finiteness check without a warning.
+    Nothing is cached.
     """
 
     stages: tuple[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], ...]
@@ -351,8 +432,9 @@ class InContextMap:
         X = _floats(X)
         if X.shape[1:] != (self.dim,):  # a 1-d X holds points of dimension 1
             raise _mismatch(math.prod(X.shape[1:]), self.dim)
-        for stage, (nu, *_) in zip(self.stages, self._contexts(mu)):
-            X = _held_to(stage(nu.points, nu.weights, X), X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for stage, (nu, *_) in zip(self.stages, self._contexts(mu)):
+                X = _held_to(stage(nu.points, nu.weights, X), X)
         return _finite_rows(X)
 
     def __call__(self, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
@@ -360,8 +442,9 @@ class InContextMap:
 
     def push(self, mu: DiscreteMeasure) -> DiscreteMeasure:
         """Push-forward of ``mu``: each stage runs once, on all atoms of its context."""
-        for nu, *_ in self._contexts(mu):
-            pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            for nu, *_ in self._contexts(mu):
+                pass
         return nu
 
     @staticmethod

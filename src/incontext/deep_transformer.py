@@ -75,14 +75,17 @@ def forward_tokens(stack: LayerStack, seq: TokenSequence) -> TokenSequence:
     bit for bit; a token holding -0.0 is the atom at +0.0 and gets its image.
     An empty stack returns the tokens as given, signed zeros included.
     Raises MapUndefinedAtAtom naming a context atom when an intermediate
-    image is not finite, and the first token when a last image is not.
+    image is not finite, and the first token when a last image is not; the
+    layers run under one ``np.errstate``, so an overflow warns nothing.
     """
     contexts = _chain(stack)._contexts(_empirical(seq))  # checks the dimension, also with no layers
     if not stack.layers:
         return seq
     atom = np.arange(seq.n)  # token i is atom i of the empirical measure
-    for layer, context in zip(stack.layers, contexts):
-        nu, merged = _with_atoms(context)
-        atom = merged[atom]
-    out = _finite_rows(layer_step(layer, nu.points, nu.weights, nu.points)[atom])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer, context in zip(stack.layers, contexts):
+            nu, merged = _with_atoms(context)
+            atom = merged[atom]
+        images = layer_step(layer, nu.points, nu.weights, nu.points)
+    out = _finite_rows(images[atom])
     return TokenSequence(_freeze(out), seq.box.hull(out))

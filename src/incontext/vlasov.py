@@ -105,6 +105,8 @@ def _integrate(v: VelocityField, w: np.ndarray, z: np.ndarray, h: float, steps: 
     Rows z[:n] are the particles, with the read-only weights w (n,) in the
     canonical atom order; rows from n on are passive tracers.  Each stage
     hands the field read-only views of its particle rows, w and all of z.
+    The steps run under one ``np.errstate(over="ignore", invalid="ignore")``:
+    a state that overflows raises NonFiniteState without a warning.
     """
     n = len(w)
 
@@ -115,16 +117,17 @@ def _integrate(v: VelocityField, w: np.ndarray, z: np.ndarray, h: float, steps: 
 
     path = np.empty((steps + 1,) + z.shape)
     path[0] = z
-    for step in range(steps):
-        t, z = step * h, path[step]
-        k1 = k(t, z)
-        if not rk4:
-            path[step + 1] = z + h * k1
-            continue
-        k2 = k(t + h / 2, z + (h / 2) * k1)
-        k3 = k(t + h / 2, z + (h / 2) * k2)
-        k4 = k(t + h, z + h * k3)
-        path[step + 1] = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            t, z = step * h, path[step]
+            k1 = k(t, z)
+            if not rk4:
+                path[step + 1] = z + h * k1
+                continue
+            k2 = k(t + h / 2, z + (h / 2) * k1)
+            k3 = k(t + h / 2, z + (h / 2) * k2)
+            k4 = k(t + h, z + h * k3)
+            path[step + 1] = z + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     if not np.isfinite(path[-1]).all():
         raise NonFiniteState("flow state became non-finite")
     return _freeze(path)

@@ -132,6 +132,40 @@ MUTANTS = (
         "each head's softmax weights are its own array",
     ),
     Mutant(
+        "pooled-product-in-operand-order",
+        "attention.py",
+        'pooled = np.add.reduce(np.multiply(pts_t[:, None, :], p, order="C"), axis=2)',
+        "pooled = np.add.reduce(np.multiply(pts_t[:, None, :], p), axis=2)",
+        ("tests/test_kernel.py::TestTwoBodies::test_bodies_are_bitwise_equal",),
+        "the small body reduces the pooled values over C-ordered rows, in numpy's pairwise order",
+    ),
+    Mutant(
+        "small-logits-reverse-the-key-dims",
+        "attention.py",
+        "        p = _leading_sum((_leading_sum(head.q, Xt) * scale).T, keys)\n",
+        "        p = _leading_sum((_leading_sum(head.q, Xt) * scale).T[:, ::-1], keys[::-1])\n",
+        ("tests/test_kernel.py::TestTwoBodies::test_bodies_are_bitwise_equal",),
+        "the small body adds the key-dim terms of each logit in order",
+    ),
+    Mutant(
+        "leading-sum-skips-the-width-check",
+        "attention.py",
+        "    if Xt.shape[0] != A.shape[1]:\n        raise _mismatch(Xt.shape[0], A.shape[1])\n",
+        "",
+        ("tests/test_cli.py::TestDimensionMismatch::test_input_of_another_dimension_exits_one",),
+        "the small body raises DimensionMismatch on points of another width",
+    ),
+    Mutant(
+        "lone-entry-summed-pairwise",
+        "attention.py",
+        "    if A.shape[0] * Xt.shape[1] > 1:\n"
+        "        return np.add.reduce(terms, axis=0)\n"
+        "    return np.add.accumulate(terms, axis=0)[-1]\n",
+        "    return np.add.reduce(terms, axis=0)\n",
+        ("tests/test_kernel.py::TestTwoBodies::test_lone_entries_of_many_terms_are_summed_in_order",),
+        "a contraction with one output entry adds its terms in order, also from 8 terms on",
+    ),
+    Mutant(
         "chain-hands-every-stage-the-input-context",
         "attention.py",
         "    return _relocated(nu, _held_to(stage(nu.points, nu.weights, nu.points), nu.points))\n",
@@ -158,9 +192,9 @@ MUTANTS = (
     Mutant(
         "tokens-read-the-input-context",
         "deep_transformer.py",
-        "    out = _finite_rows(layer_step(layer, nu.points, nu.weights, nu.points)[atom])\n",
-        "    nu = _with_atoms(next(_chain(stack)._contexts(_empirical(seq))))[0]\n"
-        "    out = _finite_rows(layer_step(layer, nu.points, nu.weights, nu.points)[atom])\n",
+        "        images = layer_step(layer, nu.points, nu.weights, nu.points)\n",
+        "        nu = _with_atoms(next(_chain(stack)._contexts(_empirical(seq))))[0]\n"
+        "        images = layer_step(layer, nu.points, nu.weights, nu.points)\n",
         (
             "tests/test_kernel.py::TestWorkCount::test_tokens_run_each_layer_once_on_the_atoms",
             "tests/test_kernel.py::TestWorkspace::test_context_collapsing_mid_pass_matches_layer_by_layer_calls",

@@ -187,8 +187,7 @@ class TestForwardCommands:
     def test_overflowing_stack_exits_one(self, tmp_path, capsys):
         s = write_stack(tmp_path / "s.json", overflowing_stack())
         m = write_measure(tmp_path / "m.json", ic.new_discrete(OVERFLOW_POINTS, [0.2, 0.3, 0.5]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["forward", "--stack", s, "--measure", m, "--out", str(tmp_path / "y.json")]) == 1
+        assert main(["forward", "--stack", s, "--measure", m, "--out", str(tmp_path / "y.json")]) == 1
         assert "error: MapUndefinedAtAtom" in capsys.readouterr().err
 
     def test_output_independent_of_blas_threads(self, tmp_path):
@@ -1066,6 +1065,50 @@ class TestOverflowingCost:
         pa, pb = [[scale, scale], [-scale, -scale]], [[-scale, scale], [scale, -scale], [0.0, 0.0]]
         err = self.run(tmp_path, capsys, (pa, [0.5, 0.5], pb, [0.3, 0.3, 0.4]), True)
         assert err.startswith("error: ProblemTooLarge: transport LP failed: ") and err.count("\n") == 1
+
+
+class TestOverflowingAttention:
+    """Attention logits, layer images or flow states that overflow end in one
+    named error, with no numpy warning before it, and write no output."""
+
+    @staticmethod
+    def argv(tmp_path, case):
+        rng = np.random.default_rng(36)
+        out = str(tmp_path / "out")
+        s = write_stack(tmp_path / "s.json", random_stack(rng, 2))
+        if case == "token":
+            t = tmp_path / "t.json"
+            ser.save_json(str(t), {"tokens": [[1e300, 0.0], [0.0, 1.0]]})
+            return ["forward-tokens", "--stack", s, "--tokens", str(t), "--out", out]
+        if case == "atom":
+            box = ic.Box([-1e301, -1e301], [1e301, 1e301])
+            m = write_measure(tmp_path / "m.json", ic.new_discrete([[1e300, 0.0], [0.0, 1.0]], [0.5, 0.5], box))
+            return ["forward", "--stack", s, "--measure", m, "--out", out]
+        if case == "logits":
+            s = write_stack(tmp_path / "s.json", overflowing_stack())
+            m = write_measure(tmp_path / "m.json", ic.new_discrete(OVERFLOW_POINTS, [0.2, 0.3, 0.5]))
+            return ["forward", "--stack", s, "--measure", m, "--out", out]
+        layer = random_stack(rng, 2).layers[0]
+        s = write_stack(tmp_path / "s.json", ic.LayerStack((ic.Layer(layer.attention, layer.mlp, 1e308),), 2))
+        m = write_measure(tmp_path / "m.json", random_measure(rng, 3, 2))
+        return ["flow", "--stack", s, "--measure", m, "--T", "2", "--out", out]
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("token", "MapUndefinedAtAtom"),
+            ("atom", "MapUndefinedAtAtom"),
+            ("logits", "MapUndefinedAtAtom"),
+            ("flow", "NonFiniteState"),
+        ],
+    )
+    def test_exits_one_without_a_warning(self, tmp_path, capsys, case, error):
+        assert main(self.argv(tmp_path, case)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {error}: "), captured.err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDocumentDim:

@@ -1,6 +1,7 @@
-"""The batched layer kernel: batch-size independence and agreement with the
-per-point reference evaluation."""
+"""The batched layer kernel: batch-size independence, agreement with the
+per-point reference evaluation, and the bitwise equality of its two bodies."""
 
+import importlib
 import itertools
 import tracemalloc
 from dataclasses import replace
@@ -8,10 +9,20 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import incontext as ic
 from incontext import deep_transformer
-from incontext.attention import SCRATCH_ENTRIES, _attend, _context, _rowmul
+from incontext.attention import (
+    SCRATCH_ENTRIES,
+    SMALL_ENTRIES,
+    _attend,
+    _attend_blocked,
+    _attend_small,
+    _context,
+    _rowmul,
+)
 from incontext.errors import EmptyMeasure
 from incontext.measures import relocate
 
@@ -343,3 +354,102 @@ class TestAgainstPerPointReference:
             assert got.n == nu.n
             assert np.max(np.abs(got.points - nu.points)) <= 1e-12
             assert np.max(np.abs(got.weights - nu.weights)) <= 1e-12
+
+
+def layouts(rng, rows, cols):
+    """One (rows, cols) array of normal draws, C-ordered, Fortran-ordered and as a strided view."""
+    a = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-2, 3)
+    big = rng.normal(size=(2 * rows, 3 * cols))
+    big[::2, 1::3] = a
+    return {"C": a, "F": np.asfortranarray(a), "strided": big[::2, 1::3]}
+
+
+def attention_of(rng, d, key_dim, head_dims):
+    """Attention with normal entries and one head of each value dimension in ``head_dims``."""
+    heads = tuple(
+        ic.HeadParams(*(rng.normal(size=shape) for shape in ((key_dim, d), (key_dim, d), (dh, d), (d, dh))))
+        for dh in head_dims
+    )
+    return ic.AttentionParams(heads, key_dim)
+
+
+def both_bodies(att, pts, w, X):
+    """Each body's rows and per-head softmax weights for one call."""
+    m, n = X.shape[0], pts.shape[0]
+    results = []
+    for body in (_attend_small, _attend_blocked):
+        probs = [np.empty((m, n)) for _ in att.heads]
+        results.append((body(att, pts, w, X, probs), probs))
+    return results
+
+
+def assert_bitwise_equal(results):
+    (small, small_probs), (blocked, blocked_probs) = results
+    assert small.tobytes() == blocked.tobytes()
+    assert [p.tobytes() for p in small_probs] == [p.tobytes() for p in blocked_probs]
+
+
+class TestTwoBodies:
+    """The small and the blocked body of the attention kernel are bitwise equal
+    on every shape and layout; the call's size picks one, and the small one
+    stays within a fixed multiple of its constant."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 40), st.integers(1, 40), st.integers(1, 4), st.integers(1, 4),
+        st.lists(st.integers(1, 4), min_size=1, max_size=2), st.sampled_from(["C", "F", "strided"]),
+        st.sampled_from(["C", "F", "strided"]), st.integers(0, 2**32 - 1),
+    )
+    def test_bodies_are_bitwise_equal(self, n, m, d, key_dim, head_dims, pts_layout, x_layout, seed):
+        rng = np.random.default_rng(seed)
+        att = attention_of(rng, d, key_dim, head_dims)
+        pts, X = layouts(rng, n, d)[pts_layout], layouts(rng, m, d)[x_layout]
+        w = rng.uniform(0.1, 1.0, size=n)
+        assert_bitwise_equal(both_bodies(att, pts, w / w.sum(), X))
+
+    def test_lone_entries_of_many_terms_are_summed_in_order(self):
+        # one query and one atom: every contraction of 8 or more terms has a lone output entry
+        rng = np.random.default_rng(15)
+        for d, key_dim, dh in itertools.product((1, 8, 11), (1, 9), (1, 10)):
+            att = attention_of(rng, d, key_dim, [dh])
+            pts, X = rng.normal(size=(1, d)) * 1e3, rng.normal(size=(1, d))
+            assert_bitwise_equal(both_bodies(att, pts, np.ones(1), X))
+
+    @pytest.mark.parametrize(
+        "m, n, d, key_dim, small",
+        [
+            (17, 16, 2, 2, True),  # a flow with a tracer
+            (13, 13, 2, 2, True),  # an extraction probe
+            (45, 45, 1, 1, True),
+            (1, 1000, 2, 2, True),
+            (32, 32, 2, 2, False),  # the smallest forward pass: m n max(d, key_dim) is the constant
+            (23, 23, 4, 1, False),
+            (23, 23, 1, 4, False),
+        ],
+    )
+    def test_the_call_size_picks_the_body(self, monkeypatch, m, n, d, key_dim, small):
+        rng = np.random.default_rng(16)
+        att = random_attention(rng, d, key_dim=key_dim)
+        kernel, calls = importlib.import_module("incontext.attention"), []
+        for name in ("_attend_small", "_attend_blocked"):
+            body = getattr(kernel, name)
+            monkeypatch.setattr(kernel, name, lambda *args, body=body, name=name: calls.append(name) or body(*args))
+        pts, w, X = rng.normal(size=(n, d)), np.full(n, 1.0 / n), rng.normal(size=(m, d))
+        _attend(att, pts, w, X)
+        assert calls == ["_attend_small" if small else "_attend_blocked"]
+
+    @pytest.mark.parametrize(
+        "m, n, d, key_dim",
+        [(31, 33, 2, 2), (45, 45, 1, 1), (22, 23, 4, 4), (1, 1023, 2, 2), (1023, 1, 2, 2), (1, 511, 4, 4),
+         (511, 1, 4, 4), (2047, 1, 1, 1)],
+    )
+    def test_small_body_memory_is_bounded_by_its_constant(self, m, n, d, key_dim):
+        # just below the constant, no product has more than max(d, key_dim)
+        # times SMALL_ENTRIES entries (d_head = d here); a broadcast multiply also
+        # holds two operand buffers of its output's size, and arrays of the rows lie beside it
+        rng = np.random.default_rng(17)
+        assert SMALL_ENTRIES - 50 < m * n * max(d, key_dim) < SMALL_ENTRIES
+        att = random_attention(rng, d, heads=2, key_dim=key_dim)
+        pts, w, X = rng.normal(size=(n, d)), np.full(n, 1.0 / n), rng.normal(size=(m, d))
+        peak = traced_peak(lambda: _attend_small(att, pts, w, X, None))
+        assert peak < 8 * max(d, key_dim) * SMALL_ENTRIES * 8, peak

@@ -49,7 +49,7 @@ class TestEulerFlow:
 
     def test_nonfinite_detected(self):
         blowup = ic.VelocityField(lambda t, pts, w, x: x * 1e200)
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
+        with pytest.raises(NonFiniteState):
             ic.euler_flow(blowup, ic.dirac([1.0]), 4)
 
 

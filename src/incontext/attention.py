@@ -15,21 +15,24 @@ All of it is evaluated by one batched kernel, :func:`layer_step`, on query
 rows (m, d) against context points (n, d) and weights (n,) in the order given;
 the single-point functions are its m = 1 calls on a canonical measure's arrays.
 
-The kernel has two bodies, bitwise equal; the size of a call picks one.  A
-call whose (m, n) products have fewer than ``SMALL_ENTRIES`` entries, as on
-the few-atom contexts of flows and extraction, takes the small body:
-each short contraction is one product summed along its leading axis, a few
-whole-array calls per head.  On large contexts those (d, m, n) products cost
-more than loops over the coordinates (1.35x at 128 atoms in d = 2 on a
+The kernel has two bodies, bitwise equal; the size of a call picks one.
+Every short contraction (keys, queries, the V and W maps, each MLP layer) is
+one product summed along its leading axis, ``_leading_sum``; the bodies
+differ only in how they form the two (m, n) contractions, the logits and the
+pooled values, and in row blocking.  A call whose (m, n) products have fewer
+than ``SMALL_ENTRIES`` entries, as on the few-atom contexts of flows and
+extraction, takes the small body, which forms those two as whole products
+as well.  On large contexts such (d, m, n) products cost more than adding
+one (m, n) term at a time (1.2-1.9x at 256 atoms in d = 4, two heads, on a
 2-core Xeon), so larger calls take the blocked body, which owns its scratch:
-each call allocates one array that holds a block of query rows' logits and
-softmax weights, and the product terms of the contractions over the atoms,
-for every head in turn.  It attends in blocks of ``max(1, SCRATCH_ENTRIES //
-n)`` query rows, so the scratch has at most 2 * max(SCRATCH_ENTRIES, n)
-entries however many queries meet; as rows do not depend on the batch,
-blocking changes no bit.  numpy's summation order follows the memory layout
-(term by term along a leading axis, pairwise along a contiguous last one),
-so in both bodies ``np.exp`` and every reduction read C-contiguous arrays.
+one array per call holds a block of query rows' logits and softmax weights,
+and the product terms of the contractions over the atoms, for every head in
+turn.  It attends in blocks of ``max(1, SCRATCH_ENTRIES // n)`` query rows,
+so the scratch has at most 2 * max(SCRATCH_ENTRIES, n) entries however many
+queries meet; as rows do not depend on the batch, blocking changes no bit.
+numpy's summation order follows the memory layout (term by term along a
+leading axis, pairwise along a contiguous last one), so in both bodies
+``np.exp`` and every reduction read C-contiguous arrays.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ class AttentionParams:
             raise LengthMismatch("attention needs at least one head")
         if any(m.ndim != 2 for h in self.heads for m in (h.q, h.k, h.v, h.w)):
             raise DimensionMismatch("attention matrices must be 2-d")
+        if self.key_dim < 1 or any(m.size == 0 for h in self.heads for m in (h.q, h.k, h.v, h.w)):
+            raise DimensionMismatch("attention matrices must be nonempty")
         d = self.heads[0].q.shape[1]
         for h in self.heads:
             if h.q.shape != (self.key_dim, d) or h.k.shape != (self.key_dim, d):
@@ -115,6 +120,8 @@ class MlpParams:
         if self.layers:
             if any(a.ndim != 2 or b.ndim != 1 for a, b in self.layers):
                 raise DimensionMismatch("each MLP layer needs a 2-d matrix A and a 1-d bias b")
+            if any(a.size == 0 for a, _ in self.layers):
+                raise DimensionMismatch("MLP matrices must be nonempty")
             d = self.layers[0][0].shape[1]
             prev = d
             for a, b in self.layers:
@@ -146,13 +153,13 @@ class Layer:
 # -- the batched layer kernel ------------------------------------------------------
 #
 # Every evaluation of attention, MLPs and layers runs through the row functions
-# below on queries X of shape (m, d).  Short contractions (key_dim, d) are
-# accumulated term by term, with elementwise products or along the leading
-# axis of one product, and the atom axis is reduced along contiguous rows, so
-# each output row depends on its own query row only: evaluating m rows at once
-# gives bitwise the same result as evaluating each row alone.  BLAS products
-# would not (their blocking and kernels change with the operand shapes), so
-# none is used here.
+# below on queries X of shape (m, d).  Short contractions (over d, key_dim,
+# d_head or an MLP width) are accumulated term by term by ``_leading_sum``,
+# or one (m, n) term at a time for the blocked logits, and the atom axis is
+# reduced along contiguous rows, so each output row depends on its own query
+# row only: evaluating m rows at once gives bitwise the same result as
+# evaluating each row alone.  BLAS products would not (their blocking and
+# kernels change with the operand shapes), so none is used here.
 
 
 def _mismatch(d: int, width: int) -> DimensionMismatch:
@@ -169,31 +176,15 @@ def _held_to(Y: np.ndarray, X: np.ndarray, rows_error: type = MapUndefinedAtAtom
     return Y
 
 
-def _rowmul(X: np.ndarray, A: np.ndarray, out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
-    """Rows of ``X @ A.T``, accumulated over the shared axis term by term.
-
-    ``out`` and ``term``, when given, are (m, k) arrays that receive the result
-    and each product term; both are written before they are read.  Without
-    ``term`` each product term is a temporary.  Raises
-    DimensionMismatch when the rows of X and of A differ in width.
-    """
-    if X.shape[1] != A.shape[1]:
-        raise _mismatch(X.shape[1], A.shape[1])
-    out = X[:, :1] * A[:, 0] if out is None else np.multiply(X[:, :1], A[:, 0], out=out)
-    for j in range(1, X.shape[1]):
-        out += X[:, j : j + 1] * A[:, j] if term is None else np.multiply(X[:, j : j + 1], A[:, j], out=term)
-    return out
-
-
 def _leading_sum(A: np.ndarray, Xt: np.ndarray) -> np.ndarray:
     """``A @ Xt`` for A (k, d) and Xt (d, m) of any layout: the C-ordered
     (d, k, m) product of the terms, summed along its leading axis.
 
-    numpy adds leading-axis terms one at a time, so this is bitwise the
-    transpose of ``_rowmul(Xt.T, A)``.  A lone output entry (k = m = 1) is
-    accumulated instead, as numpy sums a lone run of 8 or more terms
-    pairwise.  Raises DimensionMismatch when the rows of Xt and the width of
-    A differ.
+    numpy adds leading-axis terms one at a time, in the order of the shared
+    axis, so each output entry is bitwise the same whatever k, m and the
+    layouts are.  A lone output entry (k = m = 1) is accumulated instead, as
+    numpy sums a lone run of 8 or more terms pairwise.  Raises
+    DimensionMismatch when the rows of Xt and the width of A differ.
     """
     if Xt.shape[0] != A.shape[1]:
         raise _mismatch(Xt.shape[0], A.shape[1])
@@ -269,9 +260,9 @@ def _attend_blocked(
     """``_attend`` on query rows in blocks, each softmax weight row copied into
     ``probs[h]`` if given.
 
-    Each head's keys K x_l are computed once per call and stored
-    column-contiguous, so every block reads each key coordinate as one
-    contiguous row of n values.  Query rows go in blocks of ``max(1,
+    Each head's keys K x_l are computed once per call as C-ordered (key_dim,
+    n) rows, so the logits add one contiguous key row per key dimension into
+    the scratch, in order.  Query rows go in blocks of ``max(1,
     SCRATCH_ENTRIES // n)`` that reuse one scratch for every head (see the
     module docstring).  The atom reductions call ``np.maximum.reduce`` and
     ``np.add.reduce`` directly: on rows of few atoms, the Python wrappers of
@@ -281,24 +272,27 @@ def _attend_blocked(
     rows = max(1, SCRATCH_ENTRIES // n)
     scratch = np.empty((2, min(m, rows), n))
     pts_t = np.ascontiguousarray(pts.T)
-    keys = [np.asfortranarray(_rowmul(pts, head.k)) for head in params.heads]
+    keys = [_leading_sum(head.k, pts_t) for head in params.heads]
     scale = 1.0 / math.sqrt(params.key_dim)
     out = np.zeros(X.shape, X.dtype)
     for lo in range(0, m, rows):
-        Xb = X[lo : lo + rows]
-        p, term = scratch[0, : len(Xb)], scratch[1, : len(Xb)]
+        Xt = X[lo : lo + rows].T
+        p, term = scratch[0, : Xt.shape[1]], scratch[1, : Xt.shape[1]]
         for h, head in enumerate(params.heads):
-            _rowmul(_rowmul(Xb, head.q) * scale, keys[h], out=p, term=term)
+            q = _leading_sum(head.q, Xt) * scale
+            np.multiply(q[0][:, None], keys[h][0], out=p)
+            for q_j, k_j in zip(q[1:], keys[h][1:]):
+                p += np.multiply(q_j[:, None], k_j, out=term)
             p -= np.maximum.reduce(p, axis=1, keepdims=True)
             np.exp(p, out=p)
             p *= w
             p /= np.add.reduce(p, axis=1, keepdims=True)
             if probs is not None:
                 probs[h][lo : lo + rows] = p
-            pooled = np.empty((len(pts_t), len(Xb)))
+            pooled = np.empty((len(pts_t), len(p)))
             for coord, pooled_j in zip(pts_t, pooled):
                 np.add.reduce(np.multiply(p, coord, out=term), axis=1, out=pooled_j)
-            out[lo : lo + rows] += _rowmul(_rowmul(pooled.T, head.v), head.w)
+            out[lo : lo + rows] += _leading_sum(head.w, _leading_sum(head.v, pooled)).T
     return out
 
 
@@ -308,7 +302,7 @@ def _mlp_rows(params: MlpParams, X: np.ndarray) -> np.ndarray:
     act = ACTIVATIONS[params.activation]
     h = X
     for a, b in params.layers:
-        h = act(_rowmul(h, a) + b)
+        h = act(_leading_sum(a, h.T).T + b)
     return params.skip * X + h
 
 

@@ -209,12 +209,15 @@ def new_discrete(
 ) -> DiscreteMeasure:
     """Validate and build a discrete measure.
 
-    Raises LengthMismatch, NonpositiveWeight (a weight that is not positive,
-    or a total mass that is not finite), PointOutsideBox or EmptyMeasure when
-    the inputs violate the carrier invariants.  ``box`` defaults to [-3, 3]^d.
+    Raises LengthMismatch (also for weights that are not one row),
+    NonpositiveWeight (a weight that is not positive, or a total mass that is
+    not finite), PointOutsideBox or EmptyMeasure when the inputs violate the
+    carrier invariants.  ``box`` defaults to [-3, 3]^d.
     """
     pts = np.atleast_2d(np.array(points, dtype=float))
-    w = np.array(weights, dtype=float).reshape(-1)
+    w = np.atleast_1d(np.array(weights, dtype=float))
+    if w.ndim > 1:
+        raise LengthMismatch(f"weights must form an (n,) array, got shape {w.shape}")
     # an empty point list becomes shape (1, 0) under atleast_2d
     if pts.size == 0:
         raise EmptyMeasure("a measure needs at least one atom")

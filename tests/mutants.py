@@ -109,17 +109,14 @@ MUTANTS = (
         "the difference quotient divides by the mass actually added",
     ),
     Mutant(
-        "rowmul-by-matmul",
+        "leading-sum-by-matmul",
         "attention.py",
-        "    out = X[:, :1] * A[:, 0] if out is None else np.multiply(X[:, :1], A[:, 0], out=out)\n"
-        "    for j in range(1, X.shape[1]):\n"
-        "        out += X[:, j : j + 1] * A[:, j] if term is None else np.multiply(X[:, j : j + 1], A[:, j], out=term)\n",
-        "    if out is None:\n"
-        "        return X @ A.T\n"
-        "    out[...] = X @ A.T\n",
+        "    terms = np.multiply(A.T[:, :, None], Xt[:, None, :], order=\"C\")\n",
+        "    return A @ Xt\n",
         (
             "tests/test_kernel.py::TestBatchIndependence::test_rows_equal_single_row_evaluations_bitwise",
-            "tests/test_kernel.py::TestArrayKernel::test_rowmul_reads_columns_of_any_layout_bitwise",
+            "tests/test_kernel.py::TestArrayKernel::test_leading_sum_reads_columns_of_any_layout_bitwise",
+            "tests/test_kernel.py::TestArrayKernel::test_mlp_rows_add_the_terms_in_order",
         ),
         "each kernel row is bitwise independent of the batch it is evaluated in",
     ),
@@ -162,8 +159,45 @@ MUTANTS = (
         "        return np.add.reduce(terms, axis=0)\n"
         "    return np.add.accumulate(terms, axis=0)[-1]\n",
         "    return np.add.reduce(terms, axis=0)\n",
-        ("tests/test_kernel.py::TestTwoBodies::test_lone_entries_of_many_terms_are_summed_in_order",),
+        (
+            "tests/test_kernel.py::TestTwoBodies::test_lone_entries_of_many_terms_are_summed_in_order",
+            "tests/test_kernel.py::TestArrayKernel::test_leading_sum_reads_columns_of_any_layout_bitwise",
+        ),
         "a contraction with one output entry adds its terms in order, also from 8 terms on",
+    ),
+    Mutant(
+        "blocked-logits-reverse-key-order",
+        "attention.py",
+        "            np.multiply(q[0][:, None], keys[h][0], out=p)\n"
+        "            for q_j, k_j in zip(q[1:], keys[h][1:]):\n",
+        "            np.multiply(q[-1][:, None], keys[h][-1], out=p)\n"
+        "            for q_j, k_j in zip(q[-2::-1], keys[h][-2::-1]):\n",
+        ("tests/test_kernel.py::TestTwoBodies::test_bodies_are_bitwise_equal",),
+        "the blocked body adds the key-dim terms of each logit in order (two terms commute exactly)",
+    ),
+    Mutant(
+        "empty-width-accepted",
+        "attention.py",
+        "        if self.key_dim < 1 or any(m.size == 0 for h in self.heads for m in (h.q, h.k, h.v, h.w)):\n",
+        "        if False:\n",
+        ("tests/test_attention.py::test_empty_widths_raise_dimension_mismatch",),
+        "attention with key_dim 0 or a head of d_head 0 is refused when it is built",
+    ),
+    Mutant(
+        "empty-mlp-width-accepted",
+        "attention.py",
+        "            if any(a.size == 0 for a, _ in self.layers):\n",
+        "            if False:\n",
+        ("tests/test_attention.py::test_empty_widths_raise_dimension_mismatch",),
+        "an MLP with a layer of width 0 is refused when it is built",
+    ),
+    Mutant(
+        "weights-of-any-shape-flattened",
+        "measures.py",
+        "    if w.ndim > 1:\n",
+        "    if False:\n",
+        ("tests/test_measures.py::TestNewDiscrete::test_rejects_weights_that_are_not_one_row",),
+        "a measure's weights are one row, never a flattened matrix",
     ),
     Mutant(
         "chain-hands-every-stage-the-input-context",

@@ -208,6 +208,25 @@ class TestVelocity:
             ic.velocity(params, bad, ic.dirac([0.0]), np.array([0.0]))
 
 
+def empty_width_layer(case, d=2):
+    """A layer with one empty width: key_dim 0, a head with d_head 0, or an MLP with a hidden layer of width 0."""
+    q = np.ones((0 if case == "key-dim" else 1, d))
+    dh = 0 if case == "d-head" else d
+    head = ic.HeadParams(q, q, np.ones((dh, d)), np.ones((d, dh)))
+    hidden = 0 if case == "mlp-hidden" else d
+    mlp_p = ic.MlpParams(1.0, ((np.ones((hidden, d)), np.zeros(hidden)), (np.ones((d, hidden)), np.zeros(d))))
+    return ic.Layer(ic.AttentionParams((head,), len(q)), mlp_p)
+
+
+@pytest.mark.parametrize("n", [3, 64])  # the small and the blocked body
+@pytest.mark.parametrize("case", ["key-dim", "d-head", "mlp-hidden"])
+def test_empty_widths_raise_dimension_mismatch(case, n):
+    rng = np.random.default_rng(15)
+    pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+    with pytest.raises(DimensionMismatch, match="matrices must be nonempty$"):
+        ic.layer_step(empty_width_layer(case), pts, np.full(n, 1.0 / n), pts)
+
+
 RAGGED = [[0.0], [0.0, 1.0]]
 RAGGED_QUERIES = {
     "rows": lambda mu: ic.InContextMap.identity(2).rows(mu, RAGGED),

@@ -749,6 +749,11 @@ class TestErrorBranches:
                 "OutOfDomain: scan needs m_max >= 2",
             ),
             (
+                "flow --stack {s} --measure {m} --T 1 --out {out}",
+                lambda d: d["m"].update(weights=[[0.5, 0.5]]),
+                "LengthMismatch: weights must form an (n,) array, got shape (1, 2)",
+            ),
+            (
                 "forward-tokens --stack {s} --tokens {t} --out {out}",
                 lambda d: d["t"].update(tokens=[[NAN, 0.0], [0.5, 0.5]], box={"lo": [-3.0] * 2, "hi": [3.0] * 2}),
                 "PointOutsideBox: tokens must be finite",
@@ -762,7 +767,7 @@ class TestErrorBranches:
         ids=[
             "unknown-map", "probe-dim", "nan-point", "box-dim", "no-head", "query-shape", "output-shape",
             "nan-matrix", "activation", "mlp-dim-change", "stack-dim", "mlp-stack-dim", "rk4-steps", "mmax",
-            "nan-token-in-box", "nan-token-default-box",
+            "weights-2d", "nan-token-in-box", "nan-token-default-box",
         ],
     )
     def test_exits_one_naming_the_error(self, tmp_path, capsys, argv, edit, message):

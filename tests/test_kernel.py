@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 import incontext as ic
 from incontext import deep_transformer
 from incontext.attention import (
+    ACTIVATIONS,
     SCRATCH_ENTRIES,
     SMALL_ENTRIES,
     _attend,
     _attend_blocked,
     _attend_small,
     _context,
-    _rowmul,
+    _leading_sum,
+    _mlp_rows,
 )
 from incontext.errors import EmptyMeasure
 from incontext.measures import relocate
@@ -115,9 +117,9 @@ def contiguous_transpose_rowmul(X, A):
 
 
 class TestArrayKernel:
-    def test_rowmul_reads_columns_of_any_layout_bitwise(self):
+    def test_leading_sum_reads_columns_of_any_layout_bitwise(self):
         rng = np.random.default_rng(7)
-        for m, k, d in itertools.product((1, 3, 17), (1, 2, 5), (1, 2, 4)):
+        for m, k, d in itertools.product((1, 3, 17), (1, 2, 5), (1, 2, 4, 9)):
             X, A = rng.normal(size=(m, d)), rng.normal(size=(k, d))
             big_X, big_A = rng.normal(size=(2 * m, 2 * d + 1)), rng.normal(size=(2 * k + 1, 3 * d))
             xs = (X, np.asfortranarray(X), big_X[::2, 1::2])
@@ -126,7 +128,24 @@ class TestArrayKernel:
             if d > 1:
                 assert not xs[2].flags.c_contiguous and not as_[2].flags.c_contiguous
             for x, a in itertools.product(xs, as_):
-                assert np.array_equal(_rowmul(x, a), contiguous_transpose_rowmul(x, a)), (m, k, d)
+                assert np.array_equal(_leading_sum(a, x.T).T, contiguous_transpose_rowmul(x, a)), (m, k, d)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 12), st.lists(st.integers(1, 9), min_size=1, max_size=4),
+        st.sampled_from(sorted(ACTIVATIONS)), st.sampled_from(["C", "F", "strided"]), st.integers(0, 2**32 - 1),
+    )
+    def test_mlp_rows_add_the_terms_in_order(self, m, widths, activation, x_layout, seed):
+        # layer widths d, widths[1:]..., d: 9 is one past numpy's 8-term pairwise runs
+        rng = np.random.default_rng(seed)
+        d, chain = widths[0], widths + widths[:1]
+        layers = tuple((rng.normal(size=(k, j)), rng.normal(size=k)) for j, k in zip(chain, chain[1:]))
+        mlp_p = ic.MlpParams(1.0, layers, activation)
+        X = layouts(rng, m, d)[x_layout]
+        h = X
+        for a, b in layers:
+            h = ACTIVATIONS[activation](contiguous_transpose_rowmul(h, a) + b)
+        assert _mlp_rows(mlp_p, X).tobytes() == (X + h).tobytes()
 
     def test_empty_context_arrays_raise(self):
         rng = np.random.default_rng(8)
@@ -394,10 +413,11 @@ class TestTwoBodies:
     on every shape and layout; the call's size picks one, and the small one
     stays within a fixed multiple of its constant."""
 
+    # widths reach 9, one past the 8-term runs that numpy sums pairwise
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
-        st.integers(1, 40), st.integers(1, 40), st.integers(1, 4), st.integers(1, 4),
-        st.lists(st.integers(1, 4), min_size=1, max_size=2), st.sampled_from(["C", "F", "strided"]),
+        st.integers(1, 40), st.integers(1, 40), st.integers(1, 9), st.integers(1, 9),
+        st.lists(st.integers(1, 9), min_size=1, max_size=2), st.sampled_from(["C", "F", "strided"]),
         st.sampled_from(["C", "F", "strided"]), st.integers(0, 2**32 - 1),
     )
     def test_bodies_are_bitwise_equal(self, n, m, d, key_dim, head_dims, pts_layout, x_layout, seed):
@@ -408,12 +428,17 @@ class TestTwoBodies:
         assert_bitwise_equal(both_bodies(att, pts, w / w.sum(), X))
 
     def test_lone_entries_of_many_terms_are_summed_in_order(self):
-        # one query and one atom: every contraction of 8 or more terms has a lone output entry
+        # one query and one atom: every contraction of 8 or more terms has a lone
+        # output entry, and the softmax weight is exactly 1, so the row is W V x_1
         rng = np.random.default_rng(15)
         for d, key_dim, dh in itertools.product((1, 8, 11), (1, 9), (1, 10)):
             att = attention_of(rng, d, key_dim, [dh])
             pts, X = rng.normal(size=(1, d)) * 1e3, rng.normal(size=(1, d))
-            assert_bitwise_equal(both_bodies(att, pts, np.ones(1), X))
+            results = both_bodies(att, pts, np.ones(1), X)
+            assert_bitwise_equal(results)
+            head = att.heads[0]
+            want = contiguous_transpose_rowmul(contiguous_transpose_rowmul(pts, head.v), head.w)
+            assert results[0][0].tobytes() == want.tobytes(), (d, key_dim, dh)
 
     @pytest.mark.parametrize(
         "m, n, d, key_dim, small",

@@ -72,6 +72,11 @@ class TestNewDiscrete:
         with pytest.raises(LengthMismatch):
             ic.new_discrete([[1.0], [2.0]], [1.0], box1())
 
+    def test_rejects_weights_that_are_not_one_row(self):
+        # flattened, the (2, 4) weights would pair with the 8 points
+        with pytest.raises(LengthMismatch, match=r"\(n,\) array, got shape \(2, 4\)$"):
+            ic.new_discrete(np.linspace(-1.0, 1.0, 8)[:, None], np.full((2, 4), 0.125))
+
     def test_rejects_points_that_are_not_rows(self):
         with pytest.raises(LengthMismatch, match=r"\(n, d\) array, got shape \(2, 1, 2\)"):
             ic.new_discrete([[[0.5, 0.2]], [[0.1, 0.3]]], [0.5, 0.5])

@@ -15,23 +15,23 @@ All of it is evaluated by one batched kernel, :func:`layer_step`, on query
 rows (m, d) against context points (n, d) and weights (n,) in the order given;
 the single-point functions are its m = 1 calls on a canonical measure's arrays.
 
-The kernel has two bodies, bitwise equal; the size of a call picks one.
-Every short contraction (keys, queries, the V and W maps, each MLP layer) is
-one product summed along its leading axis, ``_leading_sum``; the bodies
-differ only in how they form the two (m, n) contractions, the logits and the
-pooled values, and in row blocking.  A call whose (m, n) products have fewer
-than ``SMALL_ENTRIES`` entries, as on the few-atom contexts of flows and
-extraction, takes the small body, which forms those two as whole products
-as well.  On large contexts such (d, m, n) products cost more than adding
-one (m, n) term at a time (1.2-1.9x at 256 atoms in d = 4, two heads, on a
-2-core Xeon), so larger calls take the blocked body, which owns its scratch:
-one array per call holds a block of query rows' logits and softmax weights,
-and the product terms of the contractions over the atoms, for every head in
-turn.  It attends in blocks of ``max(1, SCRATCH_ENTRIES // n)`` query rows,
-so the scratch has at most 2 * max(SCRATCH_ENTRIES, n) entries however many
-queries meet; as rows do not depend on the batch, blocking changes no bit.
-numpy's summation order follows the memory layout (term by term along a
-leading axis, pairwise along a contiguous last one), so in both bodies
+The kernel has one attention body.  Every short contraction (keys, queries,
+the V and W maps, each MLP layer) is one product summed along its leading
+axis, ``_leading_sum``.  Per head, the body also forms two contractions over
+the atoms, the (m, n) logits and the pooled values, and the size of the call
+picks only how those two are summed.  A call whose rows x atoms x max(d,
+key_dim) is below ``SMALL_ENTRIES``, as on the few-atom contexts of flows and
+extraction, forms them as whole (key_dim, m, n) and (d, m, n) products.  On
+large contexts such products cost more than adding one (m, n) term at a time
+(1.9x at 256 atoms in d = 4 with two heads, on a 2-core Xeon), and on few
+atoms less (the term-by-term sums are 1.16-1.20x slower per call at 8-16
+atoms).  So a larger call adds the terms into one scratch of two (rows, n)
+arrays, the running sum and the current term, and attends in blocks of
+``max(1, SCRATCH_ENTRIES // n)`` query rows; the scratch has at most
+2 * max(SCRATCH_ENTRIES, n) entries however many queries meet.  Rows do not
+depend on the batch, so blocking changes no bit, and the two summation forms
+are bitwise equal.  numpy's summation order follows the memory layout (term
+by term along a leading axis, pairwise along a contiguous last one), so
 ``np.exp`` and every reduction read C-contiguous arrays.
 """
 
@@ -45,7 +45,14 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMeasure, LengthMismatch, MapUndefinedAtAtom, SkipNotUnit
+from .errors import (
+    DimensionMismatch,
+    EmptyMeasure,
+    LengthMismatch,
+    MapUndefinedAtAtom,
+    OutOfDomain,
+    SkipNotUnit,
+)
 from .measures import DiscreteMeasure, _canonical, _finite_rows, _floats, _relocated, canonicalize
 
 ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -56,7 +63,8 @@ ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 # The most (row, atom) entries of one block of the kernel's scratch.
 SCRATCH_ENTRIES = 2**20
-# Calls whose rows x atoms x max(d, key_dim) is smaller take the small body.
+# Calls whose rows x atoms x max(d, key_dim) is smaller sum their atom
+# contractions as whole products.
 SMALL_ENTRIES = 2**11
 
 
@@ -130,6 +138,10 @@ class MlpParams:
                 prev = a.shape[0]
             if prev != d:
                 raise DimensionMismatch("MLP must map back to its input dimension")
+            if not all(np.isfinite(a).all() and np.isfinite(b).all() for a, b in self.layers):
+                raise DimensionMismatch("MLP matrices must be finite")
+        if not math.isfinite(self.skip):
+            raise OutOfDomain(f"MLP skip must be finite, got {self.skip}")
 
     @property
     def dim(self) -> int | None:
@@ -149,13 +161,17 @@ class Layer:
     mlp: MlpParams
     scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.scale):
+            raise OutOfDomain(f"layer scale must be finite, got {self.scale}")
+
 
 # -- the batched layer kernel ------------------------------------------------------
 #
 # Every evaluation of attention, MLPs and layers runs through the row functions
 # below on queries X of shape (m, d).  Short contractions (over d, key_dim,
 # d_head or an MLP width) are accumulated term by term by ``_leading_sum``,
-# or one (m, n) term at a time for the blocked logits, and the atom axis is
+# whole or one (m, n) term at a time into a scratch, and the atom axis is
 # reduced along contiguous rows, so each output row depends on its own query
 # row only: evaluating m rows at once gives bitwise the same result as
 # evaluating each row alone.  BLAS products would not (their blocking and
@@ -176,22 +192,45 @@ def _held_to(Y: np.ndarray, X: np.ndarray, rows_error: type = MapUndefinedAtAtom
     return Y
 
 
-def _leading_sum(A: np.ndarray, Xt: np.ndarray) -> np.ndarray:
+def _leading_sum(A: np.ndarray, Xt: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """``A @ Xt`` for A (k, d) and Xt (d, m) of any layout: the C-ordered
     (d, k, m) product of the terms, summed along its leading axis.
 
     numpy adds leading-axis terms one at a time, in the order of the shared
     axis, so each output entry is bitwise the same whatever k, m and the
     layouts are.  A lone output entry (k = m = 1) is accumulated instead, as
-    numpy sums a lone run of 8 or more terms pairwise.  Raises
-    DimensionMismatch when the rows of Xt and the width of A differ.
+    numpy sums a lone run of 8 or more terms pairwise.  Given ``scratch``, two
+    (k, m) arrays, the terms are added in the same order one (k, m) product at
+    a time into ``scratch[0]``, which is returned, with ``scratch[1]`` holding
+    each term.  Raises DimensionMismatch when the rows of Xt and the width of
+    A differ.
     """
     if Xt.shape[0] != A.shape[1]:
         raise _mismatch(Xt.shape[0], A.shape[1])
+    if scratch is not None:
+        out, term = scratch
+        np.multiply(A[:, :1], Xt[0], out=out)
+        for a_j, x_j in zip(A.T[1:], Xt[1:]):
+            out += np.multiply(a_j[:, None], x_j, out=term)
+        return out
     terms = np.multiply(A.T[:, :, None], Xt[:, None, :], order="C")
     if A.shape[0] * Xt.shape[1] > 1:
         return np.add.reduce(terms, axis=0)
     return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _pooled(pts_t: np.ndarray, p: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """The (d, m) sums over the atoms of each coordinate row of ``pts_t`` (d, n)
+    times each softmax row of ``p`` (m, n), every row summed by numpy's pairwise
+    rule: the C-ordered (d, m, n) product reduced along its last axis, or,
+    given ``scratch`` (two (m, n) arrays, ``p`` in the first), one (m, n)
+    product per coordinate in ``scratch[1]``, reduced the same way."""
+    if scratch is None:
+        return np.add.reduce(np.multiply(pts_t[:, None, :], p, order="C"), axis=2)
+    pooled, term = np.empty((len(pts_t), len(p))), scratch[1]
+    for coord, pooled_j in zip(pts_t, pooled):
+        np.add.reduce(np.multiply(p, coord, out=term), axis=1, out=pooled_j)
+    return pooled
 
 
 def _attend(
@@ -207,92 +246,44 @@ def _attend(
     softmax stabilized by each row's maximum, and the pooled values mapped
     through W V, reducing over the atoms in the order given.  The (m, n)
     softmax weights of each head are appended to ``weights`` if given, as
-    copies.  A call whose rows x atoms x max(d, key_dim), the size of the
-    largest (m, n) products in ``_attend_small``, is below ``SMALL_ENTRIES``
-    runs there, any other in ``_attend_blocked``; the two bodies are bitwise
-    equal.
+    copies.  Each head's keys K x_l are computed once per call as C-ordered
+    (key_dim, n) rows; queries, the V and W maps and the keys are
+    ``_leading_sum`` products.  A call whose rows x atoms x max(d, key_dim),
+    the size of its largest whole products, is below ``SMALL_ENTRIES`` forms
+    the logits and the pooled values as whole products too, in one block of
+    rows.  Any other call sums them term by term in one scratch of two
+    (rows, n) arrays, reading contiguous copies of the coordinate rows, and
+    attends in blocks of ``max(1, SCRATCH_ENTRIES // n)`` query rows; the two
+    forms are bitwise equal (see the module docstring).  The atom reductions
+    call ``np.maximum.reduce`` and ``np.add.reduce`` directly: on rows of few
+    atoms, the Python wrappers of ``np.max`` and ``np.sum`` cost as much as
+    the arithmetic.
     """
     if pts.shape[0] == 0:
         raise EmptyMeasure("attention needs a nonempty context measure")
     m, n = X.shape[0], pts.shape[0]
-    probs = [np.empty((m, n)) for _ in params.heads] if weights is not None else None
-    small = m * n * max(X.shape[1], params.key_dim) < SMALL_ENTRIES
-    out = (_attend_small if small else _attend_blocked)(params, pts, w, X, probs)
-    if weights is not None:
-        weights.extend(probs)
-    return out
-
-
-def _attend_small(
-    params: AttentionParams, pts: np.ndarray, w: np.ndarray, X: np.ndarray, probs: list[np.ndarray] | None
-) -> np.ndarray:
-    """``_attend`` in a few whole-array calls per head, copying each head's
-    softmax weights into ``probs[h]`` if given.
-
-    Keys (d, key_dim, n), queries (d, key_dim, m), logits (key_dim, m, n) and
-    the V and W maps (d, d_head, m) are ``_leading_sum`` products.  The
-    pooled values are the C-ordered (d, m, n) product of ``pts.T`` and the
-    weights, reduced along its last axis: numpy sums each contiguous row
-    pairwise, as ``_attend_blocked`` sums the row of each coordinate.  Only
-    the logits and the pooled values grow with m x n; the other products
-    grow with the atoms or the rows alone.
-    """
-    pts_t, Xt = pts.T, X.T
-    scale = 1.0 / math.sqrt(params.key_dim)
-    out = np.zeros(X.shape, X.dtype)
-    for h, head in enumerate(params.heads):
-        keys = _leading_sum(head.k, pts_t)
-        p = _leading_sum((_leading_sum(head.q, Xt) * scale).T, keys)
-        p -= np.maximum.reduce(p, axis=1, keepdims=True)
-        np.exp(p, out=p)
-        p *= w
-        p /= np.add.reduce(p, axis=1, keepdims=True)
-        if probs is not None:
-            probs[h][...] = p
-        pooled = np.add.reduce(np.multiply(pts_t[:, None, :], p, order="C"), axis=2)
-        out += _leading_sum(head.w, _leading_sum(head.v, pooled)).T
-    return out
-
-
-def _attend_blocked(
-    params: AttentionParams, pts: np.ndarray, w: np.ndarray, X: np.ndarray, probs: list[np.ndarray] | None
-) -> np.ndarray:
-    """``_attend`` on query rows in blocks, each softmax weight row copied into
-    ``probs[h]`` if given.
-
-    Each head's keys K x_l are computed once per call as C-ordered (key_dim,
-    n) rows, so the logits add one contiguous key row per key dimension into
-    the scratch, in order.  Query rows go in blocks of ``max(1,
-    SCRATCH_ENTRIES // n)`` that reuse one scratch for every head (see the
-    module docstring).  The atom reductions call ``np.maximum.reduce`` and
-    ``np.add.reduce`` directly: on rows of few atoms, the Python wrappers of
-    ``np.max`` and ``np.sum`` cost as much as the arithmetic.
-    """
-    m, n = X.shape[0], pts.shape[0]
-    rows = max(1, SCRATCH_ENTRIES // n)
-    scratch = np.empty((2, min(m, rows), n))
-    pts_t = np.ascontiguousarray(pts.T)
+    whole = m * n * max(X.shape[1], params.key_dim) < SMALL_ENTRIES
+    rows = max(1, m if whole else SCRATCH_ENTRIES // n)
+    scratch = None if whole else np.empty((2, min(m, rows), n))
+    pts_t = pts.T if whole else np.ascontiguousarray(pts.T)
     keys = [_leading_sum(head.k, pts_t) for head in params.heads]
     scale = 1.0 / math.sqrt(params.key_dim)
+    probs = [np.empty((m, n)) for _ in params.heads] if weights is not None else None
     out = np.zeros(X.shape, X.dtype)
-    for lo in range(0, m, rows):
-        Xt = X[lo : lo + rows].T
-        p, term = scratch[0, : Xt.shape[1]], scratch[1, : Xt.shape[1]]
+    for lo in range(0, max(m, 1), rows):  # a call of no rows still checks their width
+        Xt, o = (X.T, out) if whole else (X[lo : lo + rows].T, out[lo : lo + rows])
+        block = None if whole else (scratch[0, : Xt.shape[1]], scratch[1, : Xt.shape[1]])
         for h, head in enumerate(params.heads):
-            q = _leading_sum(head.q, Xt) * scale
-            np.multiply(q[0][:, None], keys[h][0], out=p)
-            for q_j, k_j in zip(q[1:], keys[h][1:]):
-                p += np.multiply(q_j[:, None], k_j, out=term)
+            p = _leading_sum((_leading_sum(head.q, Xt) * scale).T, keys[h], block)
             p -= np.maximum.reduce(p, axis=1, keepdims=True)
             np.exp(p, out=p)
             p *= w
             p /= np.add.reduce(p, axis=1, keepdims=True)
             if probs is not None:
                 probs[h][lo : lo + rows] = p
-            pooled = np.empty((len(pts_t), len(p)))
-            for coord, pooled_j in zip(pts_t, pooled):
-                np.add.reduce(np.multiply(p, coord, out=term), axis=1, out=pooled_j)
-            out[lo : lo + rows] += _leading_sum(head.w, _leading_sum(head.v, pooled)).T
+            o += _leading_sum(head.w, _leading_sum(head.v, _pooled(pts_t, p, block))).T
+    if weights is not None:
+        weights.extend(probs)
     return out
 
 

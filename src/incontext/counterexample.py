@@ -13,6 +13,7 @@ atoms at once, elementwise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,8 @@ def discontinuity_scan(m_max: int) -> list[ScanRow]:
     mass is min(1e-6, eps^{3/2}/20) so the probe never detunes the oscillation
     past the patch check.
     """
+    if not isinstance(m_max, numbers.Integral):
+        raise OutOfDomain(f"scan needs an integer m_max, got {m_max}")
     if m_max < 2:
         raise OutOfDomain("scan needs m_max >= 2")
     f = counter_map()

@@ -15,6 +15,7 @@ tracer.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -133,6 +134,12 @@ def _integrate(v: VelocityField, w: np.ndarray, z: np.ndarray, h: float, steps: 
     return _freeze(path)
 
 
+def _check_integer(count: int, what: str) -> None:
+    """TooFewTimePoints unless ``count`` is a Python or numpy integer."""
+    if not isinstance(count, numbers.Integral):
+        raise TooFewTimePoints(f"need a whole number of {what}, got {count}")
+
+
 def _flow(v: VelocityField, mu0: DiscreteMeasure, steps: int, rk4: bool) -> Trajectory:
     mu_c = canonicalize(mu0)
     h = 1.0 / steps
@@ -146,6 +153,7 @@ def euler_flow(v: VelocityField, mu0: DiscreteMeasure, T: int) -> Trajectory:
     All atoms within a step advance from the same frozen state.  Weights and
     atom count never change; the initial measure is canonicalized once.
     """
+    _check_integer(T, "Euler steps")
     if T < 1:
         raise TooFewTimePoints("need at least one Euler step")
     return _flow(v, mu0, T, rk4=False)
@@ -153,6 +161,7 @@ def euler_flow(v: VelocityField, mu0: DiscreteMeasure, T: int) -> Trajectory:
 
 def rk4_flow(v: VelocityField, mu0: DiscreteMeasure, steps: int) -> Trajectory:
     """Classical 4-stage Runge-Kutta on the coupled particle system over [0, 1]."""
+    _check_integer(steps, "RK4 steps")
     if steps < 1:
         raise TooFewTimePoints("need at least one RK4 step")
     return _flow(v, mu0, steps, rk4=True)
@@ -211,6 +220,7 @@ def weak_residual(traj: Trajectory, v: VelocityField, phi) -> float:
 
 def scaled_stack(att: AttentionParams, mlp_p: MlpParams, T: int):
     """Depth-T stack (T >= 1) whose every layer applies 1/T of the base layer velocity."""
+    _check_integer(T, "layers")
     if T < 1:
         raise TooFewTimePoints(f"need a depth of at least one, got {T}")
     layer = Layer(att, mlp_p, scale=1.0 / T)

@@ -131,18 +131,19 @@ MUTANTS = (
     Mutant(
         "pooled-product-in-operand-order",
         "attention.py",
-        'pooled = np.add.reduce(np.multiply(pts_t[:, None, :], p, order="C"), axis=2)',
-        "pooled = np.add.reduce(np.multiply(pts_t[:, None, :], p), axis=2)",
+        'return np.add.reduce(np.multiply(pts_t[:, None, :], p, order="C"), axis=2)',
+        "return np.add.reduce(np.multiply(pts_t[:, None, :], p), axis=2)",
         ("tests/test_kernel.py::TestTwoBodies::test_bodies_are_bitwise_equal",),
-        "the small body reduces the pooled values over C-ordered rows, in numpy's pairwise order",
+        "whole products reduce the pooled values over C-ordered rows, in numpy's pairwise order",
     ),
     Mutant(
         "small-logits-reverse-the-key-dims",
         "attention.py",
-        "        p = _leading_sum((_leading_sum(head.q, Xt) * scale).T, keys)\n",
-        "        p = _leading_sum((_leading_sum(head.q, Xt) * scale).T[:, ::-1], keys[::-1])\n",
+        "            p = _leading_sum((_leading_sum(head.q, Xt) * scale).T, keys[h], block)\n",
+        "            q = (_leading_sum(head.q, Xt) * scale).T\n"
+        "            p = _leading_sum(q[:, ::-1], keys[h][::-1]) if block is None else _leading_sum(q, keys[h], block)\n",
         ("tests/test_kernel.py::TestTwoBodies::test_bodies_are_bitwise_equal",),
-        "the small body adds the key-dim terms of each logit in order",
+        "whole products add the key-dim terms of each logit in order",
     ),
     Mutant(
         "leading-sum-skips-the-width-check",
@@ -150,7 +151,7 @@ MUTANTS = (
         "    if Xt.shape[0] != A.shape[1]:\n        raise _mismatch(Xt.shape[0], A.shape[1])\n",
         "",
         ("tests/test_cli.py::TestDimensionMismatch::test_input_of_another_dimension_exits_one",),
-        "the small body raises DimensionMismatch on points of another width",
+        "the kernel raises DimensionMismatch on points of another width",
     ),
     Mutant(
         "lone-entry-summed-pairwise",
@@ -168,12 +169,20 @@ MUTANTS = (
     Mutant(
         "blocked-logits-reverse-key-order",
         "attention.py",
-        "            np.multiply(q[0][:, None], keys[h][0], out=p)\n"
-        "            for q_j, k_j in zip(q[1:], keys[h][1:]):\n",
-        "            np.multiply(q[-1][:, None], keys[h][-1], out=p)\n"
-        "            for q_j, k_j in zip(q[-2::-1], keys[h][-2::-1]):\n",
+        "        np.multiply(A[:, :1], Xt[0], out=out)\n"
+        "        for a_j, x_j in zip(A.T[1:], Xt[1:]):\n",
+        "        np.multiply(A[:, -1:], Xt[-1], out=out)\n"
+        "        for a_j, x_j in zip(A.T[-2::-1], Xt[-2::-1]):\n",
         ("tests/test_kernel.py::TestTwoBodies::test_bodies_are_bitwise_equal",),
-        "the blocked body adds the key-dim terms of each logit in order (two terms commute exactly)",
+        "the scratch form adds the key-dim terms of each logit in order (two terms commute exactly)",
+    ),
+    Mutant(
+        "scratch-rows-unbounded",
+        "attention.py",
+        "rows = max(1, m if whole else SCRATCH_ENTRIES // n)",
+        "rows = max(1, m)",
+        ("tests/test_kernel.py::TestWorkspace::test_scratch_is_bounded_for_many_atoms",),
+        "the scratch form attends in blocks of at most SCRATCH_ENTRIES // n query rows",
     ),
     Mutant(
         "empty-width-accepted",
@@ -190,6 +199,17 @@ MUTANTS = (
         "            if False:\n",
         ("tests/test_attention.py::test_empty_widths_raise_dimension_mismatch",),
         "an MLP with a layer of width 0 is refused when it is built",
+    ),
+    Mutant(
+        "non-finite-mlp-matrix-accepted",
+        "attention.py",
+        "            if not all(np.isfinite(a).all() and np.isfinite(b).all() for a, b in self.layers):\n",
+        "            if False:\n",
+        (
+            "tests/test_attention.py::test_non_finite_mlp_and_layer_numbers_raise",
+            "tests/test_cli.py::TestErrorBranches::test_exits_one_naming_the_error",
+        ),
+        "an MLP with a non-finite matrix or bias is refused when it is built",
     ),
     Mutant(
         "weights-of-any-shape-flattened",

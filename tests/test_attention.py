@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import incontext as ic
-from incontext.errors import DimensionMismatch, MapUndefinedAtAtom, SkipNotUnit
+from incontext.errors import DimensionMismatch, MapUndefinedAtAtom, OutOfDomain, SkipNotUnit
 
 from helpers import random_attention, random_measure, random_mlp, random_stack
 
@@ -218,13 +218,26 @@ def empty_width_layer(case, d=2):
     return ic.Layer(ic.AttentionParams((head,), len(q)), mlp_p)
 
 
-@pytest.mark.parametrize("n", [3, 64])  # the small and the blocked body
+@pytest.mark.parametrize("n", [3, 64])  # whole products and the scratch form
 @pytest.mark.parametrize("case", ["key-dim", "d-head", "mlp-hidden"])
 def test_empty_widths_raise_dimension_mismatch(case, n):
     rng = np.random.default_rng(15)
     pts = rng.uniform(-1.0, 1.0, size=(n, 2))
     with pytest.raises(DimensionMismatch, match="matrices must be nonempty$"):
         ic.layer_step(empty_width_layer(case), pts, np.full(n, 1.0 / n), pts)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_mlp_and_layer_numbers_raise(value):
+    rng = np.random.default_rng(16)
+    a, b = rng.normal(size=(2, 2)), rng.normal(size=2)
+    for layers in (((np.where(np.eye(2) > 0, value, a), b),), ((a, b), (a, np.array([0.0, value])))):
+        with pytest.raises(DimensionMismatch, match="^MLP matrices must be finite$"):
+            ic.MlpParams(1.0, layers)
+    with pytest.raises(OutOfDomain, match=f"^MLP skip must be finite, got {value}$"):
+        ic.MlpParams(value, ((a, b),))
+    with pytest.raises(OutOfDomain, match=f"^layer scale must be finite, got {value}$"):
+        ic.Layer(random_attention(rng, 2), random_mlp(rng, 2), value)
 
 
 RAGGED = [[0.0], [0.0, 1.0]]

@@ -666,7 +666,7 @@ class TestBadInputs:
         assert len(lines) == 1 + 5 * 2
 
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 
 
 class TestErrorBranches:
@@ -720,6 +720,36 @@ class TestErrorBranches:
             ),
             (
                 "forward --stack {s} --measure {m} --out {out}",
+                lambda d: _mlp(d["s"])["layers"][0].update(b=[INF, 0.0]),
+                "DimensionMismatch: MLP matrices must be finite",
+            ),
+            (
+                "flow --stack {s} --measure {m} --T 2 --out {out}",
+                lambda d: _mlp(d["s"])["layers"][0]["A"][1].__setitem__(0, NAN),
+                "DimensionMismatch: MLP matrices must be finite",
+            ),
+            (
+                "extract-g --map stack:{s} --measure {m} --x 0.1,0.2",
+                lambda d: _mlp(d["s"])["layers"][0].update(b=[0.0, -INF]),
+                "DimensionMismatch: MLP matrices must be finite",
+            ),
+            (
+                "forward --stack {s} --measure {m} --out {out}",
+                lambda d: _mlp(d["s"]).update(skip=NAN),
+                "OutOfDomain: MLP skip must be finite, got nan",
+            ),
+            (
+                "flow --stack {s} --measure {m} --T 2 --out {out}",
+                lambda d: d["s"]["layers"][0].update(scale=NAN),
+                "OutOfDomain: layer scale must be finite, got nan",
+            ),
+            (
+                "extract-g --map stack:{s} --measure {m} --x 0.1,0.2",
+                lambda d: d["s"]["layers"][0].update(scale=INF),
+                "OutOfDomain: layer scale must be finite, got inf",
+            ),
+            (
+                "forward --stack {s} --measure {m} --out {out}",
                 lambda d: _mlp(d["s"]).update(activation="relu"),
                 "LengthMismatch: unknown activation 'relu'",
             ),
@@ -766,7 +796,8 @@ class TestErrorBranches:
         ],
         ids=[
             "unknown-map", "probe-dim", "nan-point", "box-dim", "no-head", "query-shape", "output-shape",
-            "nan-matrix", "activation", "mlp-dim-change", "stack-dim", "mlp-stack-dim", "rk4-steps", "mmax",
+            "nan-matrix", "inf-mlp-bias", "nan-mlp-matrix-flow", "inf-mlp-bias-extract", "nan-skip", "nan-scale-flow",
+            "inf-scale-extract", "activation", "mlp-dim-change", "stack-dim", "mlp-stack-dim", "rk4-steps", "mmax",
             "weights-2d", "nan-token-in-box", "nan-token-default-box",
         ],
     )

@@ -144,6 +144,14 @@ class TestDiscontinuityScan:
         assert {r.family for r in rows} == {"limsup", "liminf"}
         assert sorted({r.m for r in rows}) == [2, 3, 4]
 
+    @pytest.mark.parametrize("m_max", [3.5, 4.0, "4"], ids=["half", "float", "str"])
+    def test_non_integral_m_max_raises(self, m_max):
+        with pytest.raises(OutOfDomain, match=f"^scan needs an integer m_max, got {m_max}$"):
+            ic.discontinuity_scan(m_max)
+
+    def test_numpy_integer_m_max(self):
+        assert ic.discontinuity_scan(np.int64(3)) == ic.discontinuity_scan(3)
+
     def test_extracted_matches_closed_form(self):
         rows = ic.discontinuity_scan(8)
         for r in rows:

@@ -1,5 +1,6 @@
 """The batched layer kernel: batch-size independence, agreement with the
-per-point reference evaluation, and the bitwise equality of its two bodies."""
+per-point reference evaluation, and the bitwise equality of the two ways its
+attention body sums the contractions over the atoms."""
 
 import importlib
 import itertools
@@ -19,8 +20,6 @@ from incontext.attention import (
     SCRATCH_ENTRIES,
     SMALL_ENTRIES,
     _attend,
-    _attend_blocked,
-    _attend_small,
     _context,
     _leading_sum,
     _mlp_rows,
@@ -392,26 +391,51 @@ def attention_of(rng, d, key_dim, head_dims):
     return ic.AttentionParams(heads, key_dim)
 
 
-def both_bodies(att, pts, w, X):
-    """Each body's rows and per-head softmax weights for one call."""
+KERNEL = importlib.import_module("incontext.attention")
+
+
+def spied_blocks(monkeypatch):
+    """Patch ``_pooled`` to record each call's block of softmax rows: its row
+    count, or None where whole products ran without a scratch."""
+    blocks, pooled = [], KERNEL._pooled
+
+    def spy(pts_t, p, scratch=None):
+        blocks.append(None if scratch is None else len(p))
+        return pooled(pts_t, p, scratch)
+
+    monkeypatch.setattr(KERNEL, "_pooled", spy)
+    return blocks
+
+
+def both_forms(att, pts, w, X):
+    """Rows and per-head softmax weights of one ``_attend`` call, summed as
+    whole products, then term by term in blocks of about a third of the rows."""
     m, n = X.shape[0], pts.shape[0]
+    rows = (m + 2) // 3
     results = []
-    for body in (_attend_small, _attend_blocked):
-        probs = [np.empty((m, n)) for _ in att.heads]
-        results.append((body(att, pts, w, X, probs), probs))
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = spied_blocks(mp)
+        mp.setattr(KERNEL, "SCRATCH_ENTRIES", n * rows)
+        for limit in (2**62, 0):
+            mp.setattr(KERNEL, "SMALL_ENTRIES", limit)
+            weights = []
+            results.append((_attend(att, pts, w, X, weights), weights))
+    # one whole block, then several from 2 rows on, each walked head by head
+    assert blocks == [None for _ in att.heads] + [min(rows, m - lo) for lo in range(0, m, rows) for _ in att.heads]
     return results
 
 
 def assert_bitwise_equal(results):
-    (small, small_probs), (blocked, blocked_probs) = results
-    assert small.tobytes() == blocked.tobytes()
-    assert [p.tobytes() for p in small_probs] == [p.tobytes() for p in blocked_probs]
+    (whole, whole_probs), (scratch, scratch_probs) = results
+    assert whole.tobytes() == scratch.tobytes()
+    assert [p.tobytes() for p in whole_probs] == [p.tobytes() for p in scratch_probs]
 
 
 class TestTwoBodies:
-    """The small and the blocked body of the attention kernel are bitwise equal
-    on every shape and layout; the call's size picks one, and the small one
-    stays within a fixed multiple of its constant."""
+    """The attention body's two summation forms, whole products and term by
+    term in a scratch, are bitwise equal on every shape and layout, also over
+    several row blocks; the call's size picks one, and whole products stay
+    within a fixed multiple of its constant."""
 
     # widths reach 9, one past the 8-term runs that numpy sums pairwise
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -425,7 +449,7 @@ class TestTwoBodies:
         att = attention_of(rng, d, key_dim, head_dims)
         pts, X = layouts(rng, n, d)[pts_layout], layouts(rng, m, d)[x_layout]
         w = rng.uniform(0.1, 1.0, size=n)
-        assert_bitwise_equal(both_bodies(att, pts, w / w.sum(), X))
+        assert_bitwise_equal(both_forms(att, pts, w / w.sum(), X))
 
     def test_lone_entries_of_many_terms_are_summed_in_order(self):
         # one query and one atom: every contraction of 8 or more terms has a lone
@@ -434,7 +458,7 @@ class TestTwoBodies:
         for d, key_dim, dh in itertools.product((1, 8, 11), (1, 9), (1, 10)):
             att = attention_of(rng, d, key_dim, [dh])
             pts, X = rng.normal(size=(1, d)) * 1e3, rng.normal(size=(1, d))
-            results = both_bodies(att, pts, np.ones(1), X)
+            results = both_forms(att, pts, np.ones(1), X)
             assert_bitwise_equal(results)
             head = att.heads[0]
             want = contiguous_transpose_rowmul(contiguous_transpose_rowmul(pts, head.v), head.w)
@@ -455,26 +479,25 @@ class TestTwoBodies:
     def test_the_call_size_picks_the_body(self, monkeypatch, m, n, d, key_dim, small):
         rng = np.random.default_rng(16)
         att = random_attention(rng, d, key_dim=key_dim)
-        kernel, calls = importlib.import_module("incontext.attention"), []
-        for name in ("_attend_small", "_attend_blocked"):
-            body = getattr(kernel, name)
-            monkeypatch.setattr(kernel, name, lambda *args, body=body, name=name: calls.append(name) or body(*args))
+        blocks = spied_blocks(monkeypatch)
         pts, w, X = rng.normal(size=(n, d)), np.full(n, 1.0 / n), rng.normal(size=(m, d))
         _attend(att, pts, w, X)
-        assert calls == ["_attend_small" if small else "_attend_blocked"]
+        assert blocks == [None if small else m]
 
     @pytest.mark.parametrize(
         "m, n, d, key_dim",
         [(31, 33, 2, 2), (45, 45, 1, 1), (22, 23, 4, 4), (1, 1023, 2, 2), (1023, 1, 2, 2), (1, 511, 4, 4),
          (511, 1, 4, 4), (2047, 1, 1, 1)],
     )
-    def test_small_body_memory_is_bounded_by_its_constant(self, m, n, d, key_dim):
-        # just below the constant, no product has more than max(d, key_dim)
+    def test_small_body_memory_is_bounded_by_its_constant(self, monkeypatch, m, n, d, key_dim):
+        # just below the constant, no whole product has more than max(d, key_dim)
         # times SMALL_ENTRIES entries (d_head = d here); a broadcast multiply also
         # holds two operand buffers of its output's size, and arrays of the rows lie beside it
         rng = np.random.default_rng(17)
         assert SMALL_ENTRIES - 50 < m * n * max(d, key_dim) < SMALL_ENTRIES
         att = random_attention(rng, d, heads=2, key_dim=key_dim)
         pts, w, X = rng.normal(size=(n, d)), np.full(n, 1.0 / n), rng.normal(size=(m, d))
-        peak = traced_peak(lambda: _attend_small(att, pts, w, X, None))
+        blocks = spied_blocks(monkeypatch)
+        peak = traced_peak(lambda: _attend(att, pts, w, X))
+        assert blocks == [None, None]
         assert peak < 8 * max(d, key_dim) * SMALL_ENTRIES * 8, peak

@@ -296,6 +296,45 @@ class TestDepthLimit:
         assert cost <= 1e-13
 
 
+class TestStepCounts:
+    """Step counts and depths are integers, Python or numpy; any other number is
+    refused as TooFewTimePoints, while characteristic_map rounds steps * t."""
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(2.0), "3"], ids=["half", "float", "numpy-float", "str"])
+    def test_non_integral_counts_raise(self, count):
+        rng = np.random.default_rng(6)
+        att, mlp_p, mu0 = random_attention(rng, 2), random_mlp(rng, 2), ic.dirac([0.0, 0.0])
+        calls = [
+            ("Euler steps", lambda: ic.euler_flow(zero_field(), mu0, count)),
+            ("RK4 steps", lambda: ic.rk4_flow(zero_field(), mu0, count)),
+            ("layers", lambda: ic.scaled_stack(att, mlp_p, count)),
+            ("layers", lambda: ic.depth_limit_error(att, mlp_p, mu0, count)),
+        ]
+        for what, call in calls:
+            with pytest.raises(TooFewTimePoints, match=f"^need a whole number of {what}, got {count}$"):
+                call()
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_integers_count(self, kind):
+        rng = np.random.default_rng(7)
+        att, mlp_p = random_attention(rng, 2), random_mlp(rng, 2)
+        mu0 = ic.canonicalize(random_measure(rng, 3, 2))
+        v = ic.VelocityField.from_layer(att, mlp_p)
+        assert np.array_equal(ic.euler_flow(v, mu0, kind(3)).points, ic.euler_flow(v, mu0, 3).points)
+        assert np.array_equal(ic.rk4_flow(v, mu0, kind(2)).points, ic.rk4_flow(v, mu0, 2).points)
+        stack = ic.scaled_stack(att, mlp_p, kind(4))
+        assert stack.depth == 4 and stack.layers[0].scale == 0.25
+        assert ic.depth_limit_error(att, mlp_p, mu0, kind(2)) == ic.depth_limit_error(att, mlp_p, mu0, 2)
+
+    def test_characteristic_map_rounds_a_non_integral_step_count(self):
+        rng = np.random.default_rng(8)
+        v = ic.VelocityField.from_layer(random_attention(rng, 2), random_mlp(rng, 2))
+        mu0, x = random_measure(rng, 3, 2), rng.uniform(-1.0, 1.0, size=2)
+        want = ic.characteristic_map(v, mu0, x, 0.5, steps=10)
+        for steps in (10.0, 9.6, np.float64(10.4)):
+            assert np.array_equal(ic.characteristic_map(v, mu0, x, 0.5, steps=steps), want)
+
+
 class TestTranslationEquivariance:
     def test_mean_centered_field(self):
         # velocity depending only on displacement from the weighted mean

@@ -53,7 +53,7 @@ from .errors import (
     OutOfDomain,
     SkipNotUnit,
 )
-from .measures import DiscreteMeasure, _canonical, _finite_rows, _floats, _relocated, canonicalize
+from .measures import DiscreteMeasure, _canonical, _count, _finite_rows, _floats, _real, _relocated, canonicalize
 
 ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "tanh": np.tanh,
@@ -78,9 +78,17 @@ class HeadParams:
     w: np.ndarray
 
 
+def _arrays(arrays, what: str) -> None:
+    """DimensionMismatch naming the type of the first of ``arrays`` that is not a numpy array."""
+    for a in arrays:
+        if not isinstance(a, np.ndarray):
+            raise DimensionMismatch(f"{what} must be numpy arrays, got {type(a).__name__}")
+
+
 @dataclass(frozen=True)
 class AttentionParams:
-    """Multi-head attention parameters with shared key dimension."""
+    """Multi-head attention parameters with shared key dimension; a matrix that is not a numpy
+    array, or a ``key_dim`` that is not a Python or numpy integer of at least 1, raises DimensionMismatch."""
 
     heads: tuple[HeadParams, ...]
     key_dim: int
@@ -88,10 +96,14 @@ class AttentionParams:
     def __post_init__(self) -> None:
         if not self.heads:
             raise LengthMismatch("attention needs at least one head")
-        if any(m.ndim != 2 for h in self.heads for m in (h.q, h.k, h.v, h.w)):
+        matrices = [m for h in self.heads for m in (h.q, h.k, h.v, h.w)]
+        _arrays(matrices, "attention matrices")
+        if any(m.ndim != 2 for m in matrices):
             raise DimensionMismatch("attention matrices must be 2-d")
-        if self.key_dim < 1 or any(m.size == 0 for h in self.heads for m in (h.q, h.k, h.v, h.w)):
-            raise DimensionMismatch("attention matrices must be nonempty")
+        empty = "attention matrices must be nonempty"
+        _count(self.key_dim, 1, DimensionMismatch, "key_dim must be an integer, got {!r}", empty)
+        if any(m.size == 0 for m in matrices):
+            raise DimensionMismatch(empty)
         d = self.heads[0].q.shape[1]
         for h in self.heads:
             if h.q.shape != (self.key_dim, d) or h.k.shape != (self.key_dim, d):
@@ -115,7 +127,9 @@ class AttentionParams:
 class MlpParams:
     """MLP ``x -> skip * x + act(A_L(...act(A_1 x + b_1)...) + b_L)``.
 
-    An empty layer list is the pure skip map ``skip * x``.
+    An empty layer list is the pure skip map ``skip * x``.  A matrix or bias
+    that is not a numpy array raises DimensionMismatch, and a skip that is
+    not a finite real number OutOfDomain.
     """
 
     skip: float
@@ -126,6 +140,7 @@ class MlpParams:
         if self.activation not in ACTIVATIONS:
             raise LengthMismatch(f"unknown activation {self.activation!r}")
         if self.layers:
+            _arrays((m for layer in self.layers for m in layer), "MLP matrices and biases")
             if any(a.ndim != 2 or b.ndim != 1 for a, b in self.layers):
                 raise DimensionMismatch("each MLP layer needs a 2-d matrix A and a 1-d bias b")
             if any(a.size == 0 for a, _ in self.layers):
@@ -140,7 +155,7 @@ class MlpParams:
                 raise DimensionMismatch("MLP must map back to its input dimension")
             if not all(np.isfinite(a).all() and np.isfinite(b).all() for a, b in self.layers):
                 raise DimensionMismatch("MLP matrices must be finite")
-        if not math.isfinite(self.skip):
+        if not math.isfinite(_real(self.skip)):
             raise OutOfDomain(f"MLP skip must be finite, got {self.skip}")
 
     @property
@@ -162,7 +177,7 @@ class Layer:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.scale):
+        if not math.isfinite(_real(self.scale)):
             raise OutOfDomain(f"layer scale must be finite, got {self.scale}")
 
 

@@ -13,14 +13,13 @@ atoms at once, elementwise.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .derivative import MeasureMap, extract_g_detailed
 from .errors import NotProbability, OutOfDomain
-from .measures import Box, DiscreteMeasure, _raw_measure, new_discrete, push_forward
+from .measures import Box, DiscreteMeasure, _count, _raw_measure, _real, new_discrete, push_forward
 from .transport import w1_1d
 
 DOMAIN_HALF_WIDTH = 3.0
@@ -41,9 +40,10 @@ def r_map(a: float, x: float | np.ndarray) -> float | np.ndarray:
     ``r_map(a, x) = x + (1/10) cos^2(pi x / 2) cos(a x)`` for |x| < 1.  The
     bump vanishes with its derivative at x = +-1, so the map is C^1 on the
     whole interval and fixes everything with |x| >= 1.  Acts elementwise on
-    an array; a float gives a float.
+    an array; a float gives a float.  An ``a`` that is not a finite real
+    number of at least 0 raises OutOfDomain.
     """
-    if a < 0.0:
+    if not 0.0 <= _real(a) < np.inf:
         raise OutOfDomain(f"frequency parameter must be nonnegative, got {a}")
     x = np.asarray(x, dtype=float)
     size = np.abs(x)
@@ -98,7 +98,7 @@ def counter_map() -> MeasureMap:
 
 def two_atom_measure(eps: float) -> DiscreteMeasure:
     """(1 - eps) delta_2 + eps delta_sqrt(eps) on [-3, 3]."""
-    if not 0.0 < eps < 1.0:
+    if not 0.0 < _real(eps) < 1.0:
         raise OutOfDomain(f"eps must lie in (0, 1), got {eps}")
     # already canonical: sqrt(eps) < 1 < 2, and both weights are positive
     return _raw_measure(np.array([[math.sqrt(eps)], [2.0]]), np.array([eps, 1.0 - eps]), DOMAIN_BOX, True)
@@ -134,10 +134,7 @@ def discontinuity_scan(m_max: int) -> list[ScanRow]:
     mass is min(1e-6, eps^{3/2}/20) so the probe never detunes the oscillation
     past the patch check.
     """
-    if not isinstance(m_max, numbers.Integral):
-        raise OutOfDomain(f"scan needs an integer m_max, got {m_max}")
-    if m_max < 2:
-        raise OutOfDomain("scan needs m_max >= 2")
+    _count(m_max, 2, OutOfDomain, "scan needs an integer m_max, got {}", "scan needs m_max >= 2")
     f = counter_map()
     delta2 = new_discrete([[2.0]], [1.0], DOMAIN_BOX)
     rows = []

@@ -25,22 +25,22 @@ import numpy as np
 
 from .attention import InContextMap, Layer, layer_step
 from .errors import DimensionMismatch
-from .measures import DiscreteMeasure, TokenSequence, _empirical, _finite_rows, _freeze, _with_atoms
+from .measures import DiscreteMeasure, TokenSequence, _count, _empirical, _finite_rows, _freeze, _with_atoms
 
 
 @dataclass(frozen=True)
 class LayerStack:
-    """Ordered attention+MLP layers; an empty stack is the identity map."""
+    """Ordered attention+MLP layers; an empty stack is the identity map.  A ``dim`` that is not
+    a Python or numpy integer of at least 1 raises DimensionMismatch."""
 
     layers: tuple[Layer, ...]
     dim: int
 
     def __post_init__(self) -> None:
+        _count(self.dim, 1, DimensionMismatch, "stack dimension must be an integer of at least 1, got {!r}")
         for layer in self.layers:
             if layer.attention.dim != self.dim:
-                raise DimensionMismatch(
-                    f"layer dimension {layer.attention.dim} != stack dimension {self.dim}"
-                )
+                raise DimensionMismatch(f"layer dimension {layer.attention.dim} != stack dimension {self.dim}")
             if layer.mlp.dim is not None and layer.mlp.dim != self.dim:
                 raise DimensionMismatch("MLP dimension does not match the stack")
 

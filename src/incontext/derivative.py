@@ -29,9 +29,9 @@ import numpy as np
 
 from .attention import InContextMap
 from .deep_transformer import LayerStack, forward_measure
-from .errors import AnchorsTooClose, DimensionMismatch, DisplacementTooLarge, NonpositiveWeight, ProbeMassLost
-from .measures import Box, DiscreteMeasure, _distances, _floats, _squared_distances, add_atom, canonicalize
-from .measures import push_forward
+from .errors import AnchorsTooClose, DimensionMismatch, DisplacementTooLarge, ProbeMassLost
+from .measures import Box, DiscreteMeasure, _amount, _distances, _floats, _real, _squared_distances, add_atom
+from .measures import canonicalize, push_forward
 
 DEFAULT_EPS = 1e-6
 MAX_PATCH_RADIUS = 0.05
@@ -200,7 +200,7 @@ def _min_spacing(points: np.ndarray) -> float:
 def _usable_radius(r: float, spacing: float) -> float:
     """The patch radius rule: min(r, spacing / 4), AnchorsTooClose if ``r`` is
     not positive or the result is below 1e-8."""
-    if not r > 0.0:
+    if not _real(r) > 0.0:
         raise AnchorsTooClose("patch radius must be positive")
     r = min(r, spacing / 4.0)
     if r < MIN_PATCH_RADIUS:
@@ -306,9 +306,8 @@ def _verified_probe(
     keeps r (the constant is right there).  eps is halved until every existing
     image moves less than r_eff / 4.
     """
-    if not 0.0 < eps < np.inf:
-        raise NonpositiveWeight(f"eps must be positive and finite, got {eps!r}")
-    cap = MAX_PATCH_RADIUS if patch_radius is None else _usable_radius(min(patch_radius, MAX_PATCH_RADIUS), np.inf)
+    _amount(eps, "eps")
+    cap = MAX_PATCH_RADIUS if patch_radius is None else min(_usable_radius(patch_radius, np.inf), MAX_PATCH_RADIUS)
     mu = canonicalize(mu)
     f_mu = canonicalize(f(mu))
     spacing = _min_spacing(f_mu.points)

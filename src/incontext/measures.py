@@ -19,6 +19,7 @@ the caller's input once, and ``_freeze`` stores every array as a read-only view.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -128,8 +129,7 @@ class DiscreteMeasure:
     def scaled(self, s: float) -> "DiscreteMeasure":
         """Weights times ``s``; NonpositiveWeight when a scaled weight rounds
         to 0 or the scaled total is not finite."""
-        if not 0.0 < s < np.inf:
-            raise NonpositiveWeight(f"scale factor must be positive and finite, got {s!r}")
+        _amount(s, "scale factor")
         with np.errstate(over="ignore"):
             w = self.weights * s
             if not _valid_weights(w):
@@ -187,6 +187,25 @@ def _floats(x) -> np.ndarray:
         return np.asarray(x, dtype=float)
     except ValueError:
         raise DimensionMismatch("query rows must be numbers in rows of one length") from None
+
+
+def _count(value, least: int, error: type, whole: str, below: str | None = None) -> None:
+    """``error(whole)`` unless ``value`` is a Python or numpy integer, ``error(below or whole)`` below ``least``."""
+    if not isinstance(value, (int, numbers.Integral)):  # int first: no slow ABC registry lookup
+        raise error(whole.format(value))
+    if value < least:
+        raise error((below or whole).format(value))
+
+
+def _real(x):
+    """``x`` if it is a Python or numpy real number, else NaN, which a range test written ``not lo < x`` refuses."""
+    return x if isinstance(x, (float, numbers.Real)) else np.nan  # float first, as in _count
+
+
+def _amount(x, what: str) -> None:
+    """NonpositiveWeight unless ``x`` is a real number in (0, inf)."""
+    if not 0.0 < _real(x) < np.inf:
+        raise NonpositiveWeight(f"{what} must be positive and finite, got {x!r}")
 
 
 def _raw_measure(points: np.ndarray, weights: np.ndarray, box: Box, canonical: bool) -> DiscreteMeasure:
@@ -397,8 +416,7 @@ def add_atom(mu: DiscreteMeasure, x: np.ndarray, mass: float) -> DiscreteMeasure
     """Canonical form of ``mu + mass * delta(x)`` (merges with an existing atom
     only when x equals it exactly).  Raises PointOutsideBox, naming x, when x
     is not finite, and NonpositiveWeight when the total mass is not."""
-    if not 0.0 < mass < np.inf:
-        raise NonpositiveWeight(f"added mass must be positive and finite, got {mass!r}")
+    _amount(mass, "added mass")
     x = _floats(x).reshape(1, -1)
     if x.shape[1] != mu.dim:
         raise LengthMismatch("atom dimension does not match the measure")
@@ -522,9 +540,11 @@ def iota_inv(mu: DiscreteMeasure, n: int) -> TokenSequence:
 
     Requires every weight to be an integer multiple of 1/n (within
     MULTIPLICITY_TOL on the multiplicity) with multiplicities summing to n;
-    otherwise raises NotRationalGrid.  Output tokens are sorted
+    otherwise raises NotRationalGrid, as it does for an n that is not a
+    Python or numpy integer of at least 1.  Output tokens are sorted
     lexicographically.
     """
+    _count(n, 1, NotRationalGrid, "need a whole number of tokens, got {!r}", "weights are not multiples of 1/{}")
     mu_c = canonicalize(mu)
     counts = mu_c.weights * n
     rounded = np.rint(counts)

@@ -48,10 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch, DimensionNotOne, DualityGap, ExhaustedRetries, MassMismatch, NonpositiveWeight, ProblemTooLarge
-)
-from .measures import DiscreteMeasure, _distances, _raw_measure, canonicalize, is_dif
+from .errors import DimensionMismatch, DimensionNotOne, DualityGap, ExhaustedRetries, MassMismatch, ProblemTooLarge
+from .measures import DiscreteMeasure, _amount, _distances, _raw_measure, canonicalize, is_dif
 
 MASS_TOL = 1e-10
 ATOM_CAP = 200
@@ -343,8 +341,7 @@ def make_dif(mu: DiscreteMeasure, eps: float, seed: int) -> DiscreteMeasure:
     deterministic given ``seed``.  Measures already having distinct subset
     sums are returned unchanged (canonicalized).
     """
-    if not 0.0 < eps < np.inf:
-        raise NonpositiveWeight(f"eps must be positive and finite, got {eps!r}")
+    _amount(eps, "eps")
     mu_c = canonicalize(mu)
     if is_dif(mu_c):
         return mu_c

@@ -15,7 +15,6 @@ tracer.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +23,7 @@ import numpy as np
 from .attention import AttentionParams, Layer, MlpParams, _held_to, velocity_rows
 from .deep_transformer import LayerStack, forward_measure
 from .errors import DimensionMismatch, NonFiniteState, TooFewTimePoints
-from .measures import Box, DiscreteMeasure, _floats, _freeze, _raw_measure, canonicalize
+from .measures import Box, DiscreteMeasure, _count, _floats, _freeze, _raw_measure, _real, canonicalize
 from .transport import w1_matching
 
 VelocityFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -134,12 +133,6 @@ def _integrate(v: VelocityField, w: np.ndarray, z: np.ndarray, h: float, steps: 
     return _freeze(path)
 
 
-def _check_integer(count: int, what: str) -> None:
-    """TooFewTimePoints unless ``count`` is a Python or numpy integer."""
-    if not isinstance(count, numbers.Integral):
-        raise TooFewTimePoints(f"need a whole number of {what}, got {count}")
-
-
 def _flow(v: VelocityField, mu0: DiscreteMeasure, steps: int, rk4: bool) -> Trajectory:
     mu_c = canonicalize(mu0)
     h = 1.0 / steps
@@ -151,19 +144,18 @@ def euler_flow(v: VelocityField, mu0: DiscreteMeasure, T: int) -> Trajectory:
     """T explicit Euler steps of size 1/T on [0, 1].
 
     All atoms within a step advance from the same frozen state.  Weights and
-    atom count never change; the initial measure is canonicalized once.
+    atom count never change; the initial measure is canonicalized once.  A T
+    that is not a Python or numpy integer of at least 1 raises
+    TooFewTimePoints.
     """
-    _check_integer(T, "Euler steps")
-    if T < 1:
-        raise TooFewTimePoints("need at least one Euler step")
+    _count(T, 1, TooFewTimePoints, "need a whole number of Euler steps, got {}", "need at least one Euler step")
     return _flow(v, mu0, T, rk4=False)
 
 
 def rk4_flow(v: VelocityField, mu0: DiscreteMeasure, steps: int) -> Trajectory:
-    """Classical 4-stage Runge-Kutta on the coupled particle system over [0, 1]."""
-    _check_integer(steps, "RK4 steps")
-    if steps < 1:
-        raise TooFewTimePoints("need at least one RK4 step")
+    """Classical 4-stage Runge-Kutta on the coupled particle system over [0, 1]; ``steps`` that
+    is not a Python or numpy integer of at least 1 raises TooFewTimePoints."""
+    _count(steps, 1, TooFewTimePoints, "need a whole number of RK4 steps, got {}", "need at least one RK4 step")
     return _flow(v, mu0, steps, rk4=True)
 
 
@@ -180,13 +172,15 @@ def characteristic_map(
     a passive tracer evaluated against the same stage particles, so a query
     placed on an atom reproduces that atom's trajectory exactly (the query is
     one more row of each velocity evaluation).  ``steps`` is the step count
-    for the full unit horizon; integration to time t uses round(steps * t)
-    steps of equal size.  Raises DimensionMismatch when x is not a point of
-    the dimension of ``mu0``.
+    for the full unit horizon, a real number of at least 1; integration to
+    time t uses round(steps * t) steps of equal size.  A t or ``steps`` that
+    is not a real number in its range, a string, None, NaN or an infinite
+    ``steps`` included, raises TooFewTimePoints.  Raises DimensionMismatch
+    when x is not a point of the dimension of ``mu0``.
     """
-    if not 0.0 <= t <= 1.0:
+    if not 0.0 <= _real(t) <= 1.0:
         raise TooFewTimePoints(f"time {t} outside [0, 1]")
-    if steps < 1:
+    if not 1 <= _real(steps) < np.inf:
         raise TooFewTimePoints(f"need at least one RK4 step, got {steps}")
     y = np.array(_floats(x).reshape(-1))
     if y.shape[0] != mu0.dim:
@@ -220,9 +214,7 @@ def weak_residual(traj: Trajectory, v: VelocityField, phi) -> float:
 
 def scaled_stack(att: AttentionParams, mlp_p: MlpParams, T: int):
     """Depth-T stack (T >= 1) whose every layer applies 1/T of the base layer velocity."""
-    _check_integer(T, "layers")
-    if T < 1:
-        raise TooFewTimePoints(f"need a depth of at least one, got {T}")
+    _count(T, 1, TooFewTimePoints, "need a whole number of layers, got {}", "need a depth of at least one, got {}")
     layer = Layer(att, mlp_p, scale=1.0 / T)
     return LayerStack(tuple([layer] * T), att.dim)
 

@@ -187,7 +187,8 @@ MUTANTS = (
     Mutant(
         "empty-width-accepted",
         "attention.py",
-        "        if self.key_dim < 1 or any(m.size == 0 for h in self.heads for m in (h.q, h.k, h.v, h.w)):\n",
+        "        _count(self.key_dim, 1, DimensionMismatch, \"key_dim must be an integer, got {!r}\", empty)\n"
+        "        if any(m.size == 0 for m in matrices):\n",
         "        if False:\n",
         ("tests/test_attention.py::test_empty_widths_raise_dimension_mismatch",),
         "attention with key_dim 0 or a head of d_head 0 is refused when it is built",
@@ -210,6 +211,22 @@ MUTANTS = (
             "tests/test_cli.py::TestErrorBranches::test_exits_one_naming_the_error",
         ),
         "an MLP with a non-finite matrix or bias is refused when it is built",
+    ),
+    Mutant(
+        "count-accepts-any-number",
+        "measures.py",
+        "    if not isinstance(value, (int, numbers.Integral)):  # int first: no slow ABC registry lookup\n",
+        "    if False:\n",
+        ("tests/test_api_numbers.py::test_bad_number_raises_its_named_error",),
+        "a count that is not a Python or numpy integer raises the caller's named error",
+    ),
+    Mutant(
+        "amount-accepts-any-type",
+        "measures.py",
+        "    return x if isinstance(x, (float, numbers.Real)) else np.nan  # float first, as in _count\n",
+        "    return x\n",
+        ("tests/test_api_numbers.py::test_bad_number_raises_its_named_error",),
+        "an amount or real parameter that is not a real number raises the error an out-of-range value does",
     ),
     Mutant(
         "weights-of-any-shape-flattened",

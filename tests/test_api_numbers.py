@@ -1,0 +1,132 @@
+"""The Python API's number rule, as one fixed table.
+
+Counts (steps, depths, key widths, dimensions, token counts, m_max) are
+Python or numpy integers; amounts (scale factors, masses, eps) and the other
+real parameters are real numbers.  A value of the wrong type raises the same
+named DomainError, with the same message, as an out-of-range value: never a
+TypeError, ValueError, AttributeError or OverflowError from inside a call.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+import incontext as ic
+from incontext.errors import (
+    AnchorsTooClose,
+    DimensionMismatch,
+    NonpositiveWeight,
+    NotRationalGrid,
+    OutOfDomain,
+    TooFewTimePoints,
+)
+
+from helpers import random_attention, random_mlp
+
+BAD_VALUES = {"str": "3", "none": None, "nan": float("nan"), "inf": float("inf"), "neg-inf": -np.inf}
+NOT_WHOLE = {"float": 2.5, "numpy-float": np.float64(2.0)}
+
+ATT, MLP = random_attention(np.random.default_rng(30), 1), random_mlp(np.random.default_rng(31), 1)
+MU = ic.new_discrete([[0.0], [1.0]], [0.5, 0.5])
+FIELD = ic.VelocityField(lambda t, pts, w, X: np.zeros_like(X))
+IDENTITY = ic.MeasureMap.identity()
+PSI = ic.coordinate_test(0, ic.default_box(1))
+HEAD = ic.HeadParams(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+
+# name, call on the bad value, error, message template (formatted with the value)
+LAYERS = "need a whole number of layers, got {}"
+COUNTS = [
+    ("euler-T", lambda x: ic.euler_flow(FIELD, MU, x), TooFewTimePoints, "need a whole number of Euler steps, got {}"),
+    ("rk4-steps", lambda x: ic.rk4_flow(FIELD, MU, x), TooFewTimePoints, "need a whole number of RK4 steps, got {}"),
+    ("scaled-stack-T", lambda x: ic.scaled_stack(ATT, MLP, x), TooFewTimePoints, LAYERS),
+    ("depth-limit-T", lambda x: ic.depth_limit_error(ATT, MLP, MU, x), TooFewTimePoints, LAYERS),
+    ("scan-m-max", ic.discontinuity_scan, OutOfDomain, "scan needs an integer m_max, got {}"),
+    ("key-dim", lambda x: ic.AttentionParams((HEAD,), x), DimensionMismatch, "key_dim must be an integer, got {!r}"),
+    ("stack-dim", lambda x: ic.LayerStack((), x), DimensionMismatch,
+     "stack dimension must be an integer of at least 1, got {!r}"),
+    ("iota-inv-n", lambda x: ic.iota_inv(MU, x), NotRationalGrid, "need a whole number of tokens, got {!r}"),
+]
+EPS = "eps must be positive and finite, got {!r}"
+AMOUNTS = [
+    ("scaled", MU.scaled, NonpositiveWeight, "scale factor must be positive and finite, got {!r}"),
+    ("add-atom-mass", lambda x: ic.add_atom(MU, [0.5], x), NonpositiveWeight,
+     "added mass must be positive and finite, got {!r}"),
+    ("make-dif-eps", lambda x: ic.make_dif(MU, x, 0), NonpositiveWeight, EPS),
+    ("extract-eps", lambda x: ic.extract_g(IDENTITY, MU, [0.5], x), NonpositiveWeight, EPS),
+    ("regular-derivative-eps", lambda x: ic.regular_derivative(IDENTITY, MU, [0.5], PSI, x), NonpositiveWeight, EPS),
+]
+# real parameters with other ranges, each with the values it refuses
+RADIUS = "patch radius must be positive"
+REALS = [
+    ("characteristic-map-steps", lambda x: ic.characteristic_map(FIELD, MU, [0.5], 0.5, steps=x), TooFewTimePoints,
+     "need at least one RK4 step, got {}", ("str", "none", "nan", "inf", "neg-inf")),
+    ("characteristic-map-t", lambda x: ic.characteristic_map(FIELD, MU, [0.5], x), TooFewTimePoints,
+     "time {} outside [0, 1]", ("str", "none", "nan", "inf")),
+    ("mlp-skip", lambda x: ic.MlpParams(x, ()), OutOfDomain, "MLP skip must be finite, got {}",
+     ("str", "none", "nan", "inf")),
+    ("layer-scale", lambda x: ic.Layer(ATT, MLP, x), OutOfDomain, "layer scale must be finite, got {}",
+     ("str", "none", "nan", "inf")),
+    ("r-map-a", lambda x: ic.r_map(x, 0.5), OutOfDomain, "frequency parameter must be nonnegative, got {}",
+     ("str", "none", "nan", "inf")),
+    ("two-atom-eps", ic.two_atom_measure, OutOfDomain, "eps must lie in (0, 1), got {}", ("str", "none", "nan", "inf")),
+    ("regular-derivative-radius", lambda x: ic.regular_derivative(IDENTITY, MU, [0.5], PSI, patch_radius=x),
+     AnchorsTooClose, RADIUS, ("str", "nan", "neg-inf")),
+    ("patched-test-radius", lambda x: ic.build_patched_test(PSI, [[0.0], [1.0]], x), AnchorsTooClose, RADIUS,
+     ("str", "none", "nan", "neg-inf")),
+]
+NESTED = [[1.0]]
+# matrices and biases given as lists, not numpy arrays
+ARRAYS = [
+    (
+        "attention-nested-lists",
+        lambda _: ic.AttentionParams((ic.HeadParams(NESTED, NESTED, NESTED, NESTED),), 1),
+        DimensionMismatch,
+        "attention matrices must be numpy arrays, got list",
+    ),
+    (
+        "attention-one-list",
+        lambda _: ic.AttentionParams((ic.HeadParams(HEAD.q, HEAD.k, NESTED, HEAD.w),), 1),
+        DimensionMismatch,
+        "attention matrices must be numpy arrays, got list",
+    ),
+    (
+        "mlp-nested-lists",
+        lambda _: ic.MlpParams(1.0, ((NESTED, [0.0]),)),
+        DimensionMismatch,
+        "MLP matrices and biases must be numpy arrays, got list",
+    ),
+    (
+        "mlp-list-bias",
+        lambda _: ic.MlpParams(1.0, ((np.ones((1, 1)), [0.0]),)),
+        DimensionMismatch,
+        "MLP matrices and biases must be numpy arrays, got list",
+    ),
+]
+
+
+def _rows():
+    for name, call, error, message in COUNTS:
+        for kind, value in {**BAD_VALUES, **NOT_WHOLE}.items():
+            yield pytest.param(call, value, error, message, id=f"{name}-{kind}")
+    for name, call, error, message in AMOUNTS:
+        for kind, value in BAD_VALUES.items():
+            yield pytest.param(call, value, error, message, id=f"{name}-{kind}")
+    for name, call, error, message, kinds in REALS:
+        for kind in kinds:
+            yield pytest.param(call, BAD_VALUES[kind], error, message, id=f"{name}-{kind}")
+    for name, call, error, message in ARRAYS:
+        yield pytest.param(call, None, error, message, id=name)
+
+
+@pytest.mark.parametrize(("call", "value", "error", "message"), list(_rows()))
+def test_bad_number_raises_its_named_error(call, value, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message.format(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_numpy_integers_are_counts(kind):
+    assert ic.AttentionParams((HEAD,), kind(1)).key_dim == 1
+    assert ic.LayerStack((), kind(1)).dim == 1
+    assert ic.iota_inv(ic.dirac([0.5]), kind(1)) == ic.new_tokens([[0.5]])

@@ -1,15 +1,16 @@
 """Command-line driver.
 
 Subcommands: ``w1``, ``forward``, ``forward-tokens``, ``flow``,
-``depth-limit``, ``extract-g``, ``counterexample`` and ``self-test``.  Domain,
-file and memory errors exit 1, naming the error on stderr; usage errors exit 2.
+``depth-limit``, ``extract-g``, ``counterexample`` and ``self-test``.  Domain
+errors (a bad input document among them), file and memory errors exit 1, naming
+the error on stderr; usage errors exit 2; any other exception is a program fault
+and leaves ``main`` uncaught.
 Outputs are byte-identical across runs with the same arguments and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Callable, Iterator
 
@@ -242,9 +243,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except MemoryError as exc:
         print(f"error: OutOfMemory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: BadInputFile: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

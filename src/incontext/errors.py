@@ -1,7 +1,8 @@
 """Domain error types.
 
-Every contract violation raises a named subclass of :class:`DomainError` so
-callers (and the CLI) can distinguish bad inputs from genuine bugs.
+Every contract violation, a malformed input document included, raises a named
+subclass of :class:`DomainError` so callers (and the CLI) can distinguish bad
+inputs from genuine bugs: any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ class EmptySequence(DomainError):
 
 class NotRationalGrid(DomainError):
     pass
+
+
+# -- input documents ---------------------------------------------------------------
+class BadInputFile(DomainError):
+    """A document that is not UTF-8 JSON, nests too deeply, lacks a key or has a
+    value of the wrong JSON type; raised by ``serialize`` alone."""
 
 
 # -- transport ----------------------------------------------------------------

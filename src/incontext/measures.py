@@ -198,8 +198,14 @@ def _count(value, least: int, error: type, whole: str, below: str | None = None)
 
 
 def _real(x):
-    """``x`` if it is a Python or numpy real number, else NaN, which a range test written ``not lo < x`` refuses."""
-    return x if isinstance(x, (float, numbers.Real)) else np.nan  # float first, as in _count
+    """``x`` as a float if it is a Python or numpy real number, an integer beyond
+    the float range as an infinity, else NaN, which a range test written ``not lo < x`` refuses."""
+    if not isinstance(x, (float, numbers.Real)):  # float first, as in _count
+        return np.nan
+    try:
+        return float(x)
+    except OverflowError:
+        return np.inf if x > 0 else -np.inf
 
 
 def _amount(x, what: str) -> None:

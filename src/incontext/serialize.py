@@ -17,7 +17,7 @@ import numpy as np
 
 from .attention import AttentionParams, HeadParams, MlpParams
 from .deep_transformer import Layer, LayerStack
-from .errors import LengthMismatch
+from .errors import BadInputFile, LengthMismatch
 from .measures import Box, DiscreteMeasure, TokenSequence, default_box, new_discrete, new_tokens
 from .transport import TransportPlan
 
@@ -79,17 +79,26 @@ def measure_to_doc(mu: DiscreteMeasure) -> dict:
     }
 
 
-def _object(value: Any, what: str) -> dict:
-    """``value`` itself, after checking that it is a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
+class _Document(dict):
+    """A decoded JSON object: reading a key it lacks raises BadInputFile."""
+
+    def __missing__(self, key: str):
+        raise BadInputFile(f"missing key {key!r}")
 
 
-def _list(value: Any, what: str) -> list:
-    """``value`` itself, after checking that it is a JSON array."""
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON array, got {type(value).__name__}")
+def _type_name(value: Any) -> str:
+    """The Python type name of a decoded JSON value, ``dict`` for an object."""
+    return "dict" if isinstance(value, dict) else type(value).__name__
+
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
+
+
+def _json(value: Any, kind: type, what: str):
+    """``value`` itself, after checking that it is a JSON object, array or string
+    (``kind`` dict, list or str)."""
+    if not isinstance(value, kind):
+        raise BadInputFile(f"{what} must be a JSON {_JSON_TYPES[kind]}, got {_type_name(value)}")
     return value
 
 
@@ -99,28 +108,28 @@ def _numbers(value: Any, what: str) -> np.ndarray:
     try:
         arr = np.asarray(value)
     except ValueError as exc:  # ragged nesting
-        raise ValueError(f"{what} must be a rectangular array of numbers") from exc
+        raise BadInputFile(f"{what} must be a rectangular array of numbers") from exc
     if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be numeric, got {type(value).__name__}")
+        raise BadInputFile(f"{what} must be numeric, got {_type_name(value)}")
     return arr.astype(float, copy=False)
 
 
 def _number(value: Any, what: str) -> float:
     arr = _numbers(value, what)
     if arr.ndim:
-        raise ValueError(f"{what} must be a number, got an array")
+        raise BadInputFile(f"{what} must be a number, got an array")
     return float(arr)
 
 
 def _integer(value: Any, what: str) -> int:
     x = _number(value, what)
     if not x.is_integer():
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise BadInputFile(f"{what} must be an integer, got {value!r}")
     return int(x)
 
 
 def _box_from_doc(box: Any) -> Box:
-    box = _object(box, "box")
+    box = _json(box, dict, "box")
     return Box(_numbers(box["lo"], "box lo"), _numbers(box["hi"], "box hi"))
 
 
@@ -161,10 +170,10 @@ def attention_to_doc(params: AttentionParams) -> dict:
 
 
 def attention_from_doc(doc: dict) -> AttentionParams:
-    doc = _object(doc, "attention")
+    doc = _json(doc, dict, "attention")
     heads = tuple(
         HeadParams(_numbers(h["Q"], "Q"), _numbers(h["K"], "K"), _numbers(h["V"], "V"), _numbers(h["W"], "W"))
-        for h in (_object(h, "per_head entry") for h in _list(doc["per_head"], "per_head"))
+        for h in (_json(h, dict, "per_head entry") for h in _json(doc["per_head"], list, "per_head"))
     )
     if len(heads) != _integer(doc["heads"], "heads"):
         raise LengthMismatch("head count does not match per_head entries")
@@ -180,12 +189,13 @@ def mlp_to_doc(params: MlpParams) -> dict:
 
 
 def mlp_from_doc(doc: dict) -> MlpParams:
-    doc = _object(doc, "mlp")
+    doc = _json(doc, dict, "mlp")
     layers = tuple(
         (_numbers(layer["A"], "A"), _numbers(layer["b"], "b"))
-        for layer in (_object(layer, "mlp layer") for layer in _list(doc["layers"], "mlp layers"))
+        for layer in (_json(layer, dict, "mlp layer") for layer in _json(doc["layers"], list, "mlp layers"))
     )
-    return MlpParams(_number(doc["skip"], "skip"), layers, str(doc.get("activation", "tanh")))
+    activation = _json(doc.get("activation", "tanh"), str, "activation")
+    return MlpParams(_number(doc["skip"], "skip"), layers, activation)
 
 
 def stack_to_doc(stack: LayerStack) -> dict:
@@ -205,7 +215,7 @@ def stack_from_doc(doc: dict) -> LayerStack:
             mlp_from_doc(entry["mlp"]),
             _number(entry.get("scale", 1.0), "scale"),
         )
-        for entry in (_object(entry, "stack layer") for entry in _list(doc["layers"], "stack layers"))
+        for entry in (_json(entry, dict, "stack layer") for entry in _json(doc["layers"], list, "stack layers"))
     )
     return LayerStack(layers, _integer(doc["dim"], "dim"))
 
@@ -220,9 +230,14 @@ def plan_to_doc(plan: TransportPlan) -> dict:
 
 
 def load_json(path: str) -> dict:
-    """Parse a JSON file whose document is an object."""
+    """Parse a JSON file whose document is an object; BadInputFile when it is not
+    UTF-8 JSON, nests too deeply or is not an object, or a read of it misses a key."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _object(json.load(fh), f"the document in {path}")
+        try:
+            doc = json.load(fh, object_pairs_hook=_Document)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise BadInputFile(f"cannot decode the document in {path}: {exc}") from None
+    return _json(doc, dict, f"the document in {path}")
 
 
 def save_json(path: str, doc: Any) -> None:

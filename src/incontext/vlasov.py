@@ -22,7 +22,7 @@ import numpy as np
 
 from .attention import AttentionParams, Layer, MlpParams, _held_to, velocity_rows
 from .deep_transformer import LayerStack, forward_measure
-from .errors import DimensionMismatch, NonFiniteState, TooFewTimePoints
+from .errors import DimensionMismatch, NonFiniteState, ProblemTooLarge, TooFewTimePoints
 from .measures import Box, DiscreteMeasure, _count, _floats, _freeze, _raw_measure, _real, canonicalize
 from .transport import w1_matching
 
@@ -106,8 +106,11 @@ def _integrate(v: VelocityField, w: np.ndarray, z: np.ndarray, h: float, steps: 
     canonical atom order; rows from n on are passive tracers.  Each stage
     hands the field read-only views of its particle rows, w and all of z.
     The steps run under one ``np.errstate(over="ignore", invalid="ignore")``:
-    a state that overflows raises NonFiniteState without a warning.
+    a state that overflows raises NonFiniteState without a warning.  A path
+    of more bytes than the address space holds raises ProblemTooLarge.
     """
+    if (int(steps) + 1) * z.nbytes > np.iinfo(np.intp).max:  # Python ints: no wrap-around
+        raise ProblemTooLarge(f"a flow path of {steps} steps exceeds the address space")
     n = len(w)
 
     def k(t: float, zs: np.ndarray) -> np.ndarray:
@@ -213,8 +216,11 @@ def weak_residual(traj: Trajectory, v: VelocityField, phi) -> float:
 
 
 def scaled_stack(att: AttentionParams, mlp_p: MlpParams, T: int):
-    """Depth-T stack (T >= 1) whose every layer applies 1/T of the base layer velocity."""
+    """Depth-T stack (T >= 1) whose every layer applies 1/T of the base layer velocity;
+    ProblemTooLarge when its T layer references exceed the address space."""
     _count(T, 1, TooFewTimePoints, "need a whole number of layers, got {}", "need a depth of at least one, got {}")
+    if int(T) * 8 > np.iinfo(np.intp).max:
+        raise ProblemTooLarge(f"a stack of depth {T} exceeds the address space")
     layer = Layer(att, mlp_p, scale=1.0 / T)
     return LayerStack(tuple([layer] * T), att.dim)
 

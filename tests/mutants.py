@@ -223,8 +223,8 @@ MUTANTS = (
     Mutant(
         "amount-accepts-any-type",
         "measures.py",
-        "    return x if isinstance(x, (float, numbers.Real)) else np.nan  # float first, as in _count\n",
-        "    return x\n",
+        "    if not isinstance(x, (float, numbers.Real)):  # float first, as in _count\n        return np.nan\n",
+        "",
         ("tests/test_api_numbers.py::test_bad_number_raises_its_named_error",),
         "an amount or real parameter that is not a real number raises the error an out-of-range value does",
     ),
@@ -468,6 +468,25 @@ MUTANTS = (
         "    return plan\n",
         ("tests/test_cli.py::TestOverflowingCost::test_w1_exits_one",),
         "no plan with an overflowing cost is returned or written",
+    ),
+    Mutant(
+        "numbers-raise-value-error",
+        "serialize.py",
+        'raise BadInputFile(f"{what} must be numeric, got {_type_name(value)}")',
+        'raise ValueError(f"{what} must be numeric, got {_type_name(value)}")',
+        ("tests/test_cli.py::TestBadInputs::test_mistyped_measure_exits_one",),
+        "a document value of the wrong JSON type is a BadInputFile, not a bare ValueError",
+    ),
+    Mutant(
+        "load-json-lets-decode-errors-through",
+        "serialize.py",
+        "        except (ValueError, RecursionError) as exc:",
+        "        except OSError as exc:",
+        (
+            "tests/test_cli.py::TestBadInputs::test_malformed_json_exits_one",
+            "tests/test_cli.py::TestBadInputs::test_undecodable_document_exits_one",
+        ),
+        "a file that is not UTF-8 JSON, or nests too deeply, is a BadInputFile",
     ),
     Mutant(
         "reduced-cost-tolerance-sign",

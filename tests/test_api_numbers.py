@@ -4,7 +4,9 @@ Counts (steps, depths, key widths, dimensions, token counts, m_max) are
 Python or numpy integers; amounts (scale factors, masses, eps) and the other
 real parameters are real numbers.  A value of the wrong type raises the same
 named DomainError, with the same message, as an out-of-range value: never a
-TypeError, ValueError, AttributeError or OverflowError from inside a call.
+TypeError, ValueError, AttributeError or OverflowError from inside a call.  An
+integer beyond the float range is refused as infinity is, and a count whose
+arrays or layer tuples would exceed the address space raises ProblemTooLarge.
 """
 
 import re
@@ -19,12 +21,15 @@ from incontext.errors import (
     NonpositiveWeight,
     NotRationalGrid,
     OutOfDomain,
+    ProblemTooLarge,
     TooFewTimePoints,
 )
 
 from helpers import random_attention, random_mlp
 
 BAD_VALUES = {"str": "3", "none": None, "nan": float("nan"), "inf": float("inf"), "neg-inf": -np.inf}
+# amounts and reals refuse an integer beyond the float range as they refuse infinity
+BAD_REALS = {**BAD_VALUES, "int-beyond-float": 10**400}
 NOT_WHOLE = {"float": 2.5, "numpy-float": np.float64(2.0)}
 
 ATT, MLP = random_attention(np.random.default_rng(30), 1), random_mlp(np.random.default_rng(31), 1)
@@ -60,20 +65,30 @@ AMOUNTS = [
 RADIUS = "patch radius must be positive"
 REALS = [
     ("characteristic-map-steps", lambda x: ic.characteristic_map(FIELD, MU, [0.5], 0.5, steps=x), TooFewTimePoints,
-     "need at least one RK4 step, got {}", ("str", "none", "nan", "inf", "neg-inf")),
+     "need at least one RK4 step, got {}", ("str", "none", "nan", "inf", "neg-inf", "int-beyond-float")),
     ("characteristic-map-t", lambda x: ic.characteristic_map(FIELD, MU, [0.5], x), TooFewTimePoints,
-     "time {} outside [0, 1]", ("str", "none", "nan", "inf")),
+     "time {} outside [0, 1]", ("str", "none", "nan", "inf", "int-beyond-float")),
     ("mlp-skip", lambda x: ic.MlpParams(x, ()), OutOfDomain, "MLP skip must be finite, got {}",
-     ("str", "none", "nan", "inf")),
+     ("str", "none", "nan", "inf", "int-beyond-float")),
     ("layer-scale", lambda x: ic.Layer(ATT, MLP, x), OutOfDomain, "layer scale must be finite, got {}",
-     ("str", "none", "nan", "inf")),
+     ("str", "none", "nan", "inf", "int-beyond-float")),
     ("r-map-a", lambda x: ic.r_map(x, 0.5), OutOfDomain, "frequency parameter must be nonnegative, got {}",
-     ("str", "none", "nan", "inf")),
-    ("two-atom-eps", ic.two_atom_measure, OutOfDomain, "eps must lie in (0, 1), got {}", ("str", "none", "nan", "inf")),
+     ("str", "none", "nan", "inf", "int-beyond-float")),
+    ("two-atom-eps", ic.two_atom_measure, OutOfDomain, "eps must lie in (0, 1), got {}",
+     ("str", "none", "nan", "inf", "int-beyond-float")),
     ("regular-derivative-radius", lambda x: ic.regular_derivative(IDENTITY, MU, [0.5], PSI, patch_radius=x),
      AnchorsTooClose, RADIUS, ("str", "nan", "neg-inf")),
     ("patched-test-radius", lambda x: ic.build_patched_test(PSI, [[0.0], [1.0]], x), AnchorsTooClose, RADIUS,
      ("str", "none", "nan", "neg-inf")),
+]
+# counts too large for the address space, given as 2**100, which steps * t keeps exact at t = 1
+FLOW_PATH, DEPTH = "a flow path of {} steps exceeds the address space", "a stack of depth {} exceeds the address space"
+TOO_LARGE = [
+    ("euler-T", lambda x: ic.euler_flow(FIELD, MU, x), FLOW_PATH),
+    ("rk4-steps", lambda x: ic.rk4_flow(FIELD, MU, x), FLOW_PATH),
+    ("characteristic-map-steps", lambda x: ic.characteristic_map(FIELD, MU, [0.5], 1.0, steps=x), FLOW_PATH),
+    ("scaled-stack-T", lambda x: ic.scaled_stack(ATT, MLP, x), DEPTH),
+    ("depth-limit-T", lambda x: ic.depth_limit_error(ATT, MLP, MU, x), DEPTH),
 ]
 NESTED = [[1.0]]
 # matrices and biases given as lists, not numpy arrays
@@ -110,11 +125,13 @@ def _rows():
         for kind, value in {**BAD_VALUES, **NOT_WHOLE}.items():
             yield pytest.param(call, value, error, message, id=f"{name}-{kind}")
     for name, call, error, message in AMOUNTS:
-        for kind, value in BAD_VALUES.items():
+        for kind, value in BAD_REALS.items():
             yield pytest.param(call, value, error, message, id=f"{name}-{kind}")
     for name, call, error, message, kinds in REALS:
         for kind in kinds:
-            yield pytest.param(call, BAD_VALUES[kind], error, message, id=f"{name}-{kind}")
+            yield pytest.param(call, BAD_REALS[kind], error, message, id=f"{name}-{kind}")
+    for name, call, message in TOO_LARGE:
+        yield pytest.param(call, 2**100, ProblemTooLarge, message, id=f"{name}-too-large")
     for name, call, error, message in ARRAYS:
         yield pytest.param(call, None, error, message, id=name)
 

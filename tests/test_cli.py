@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import incontext as ic
+from incontext import cli, selftest
 from incontext import serialize as ser
-from incontext import selftest
 from incontext.cli import main
 
 from helpers import (
@@ -488,7 +488,7 @@ class TestRepeatedCalls:
             assert got == want, argv
 
 
-BAD = "BadInputFile: ValueError: "
+BAD = "BadInputFile: "
 
 
 def _attention(doc):
@@ -503,6 +503,21 @@ def _mlp(doc):
     return doc["layers"][0]["mlp"]
 
 
+# a required key: the subcommand, its input file that lacks the key and the path to the object holding it
+MISSING_KEYS = [
+    *[("forward", "m.json", (), key) for key in ("points", "weights", "box")],
+    *[("forward", "m.json", ("box",), key) for key in ("lo", "hi")],
+    ("forward-tokens", "t.json", (), "tokens"),
+    *[("forward", "s.json", (), key) for key in ("dim", "layers")],
+    *[("forward", "s.json", ("layers", 0), key) for key in ("attention", "mlp")],
+    *[("forward", "s.json", ("layers", 0, "attention"), key) for key in ("per_head", "heads", "key_dim")],
+    ("forward", "s.json", ("layers", 0, "attention", "per_head", 0), "Q"),
+    ("forward", "s.json", ("layers", 0, "mlp"), "skip"),
+    ("forward", "s.json", ("layers", 0, "mlp", "layers", 0), "A"),
+    *[("depth-limit", "base.json", (), key) for key in ("attention", "mlp")],
+]
+
+
 class TestBadInputs:
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -510,12 +525,51 @@ class TestBadInputs:
         assert main(["w1", "--a", str(bad), "--b", str(bad)]) == 1
         assert "BadInputFile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data", [b"[" * 100000 + b"]" * 100000, b'{"points": "\xff"}'], ids=["deep-nesting", "not-utf-8"]
+    )
+    def test_undecodable_document_exits_one(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        b = write_measure(tmp_path / "b.json", ic.dirac([0.0]))
+        assert main(["w1", "--a", str(bad), "--b", b]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: BadInputFile: cannot decode the document in {bad}: ")
+        assert captured.err.count("\n") == 1, captured.err
+
+    @pytest.mark.parametrize(
+        "command, name, path, key", MISSING_KEYS, ids=[f"{name[:-5]}-{key}" for _, name, _, key in MISSING_KEYS]
+    )
+    def test_missing_key_exits_one(self, tmp_path, capsys, command, name, path, key):
+        rng = np.random.default_rng(35)
+        argv = _subcommand_argv(command, tmp_path, random_stack(rng, 2), random_measure(rng, 3, 2))
+        doc = json.loads((tmp_path / name).read_text())
+        owner = doc
+        for step in path:
+            owner = owner[step]
+        del owner[key]
+        (tmp_path / name).write_text(json.dumps(doc))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: BadInputFile: missing key {key!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_value_error_from_a_subcommand_leaves_main(self, monkeypatch):
+        # a ValueError that escapes a subcommand is a program fault, not a bad input file
+        def fault(args):
+            raise ValueError("a program fault")
+
+        monkeypatch.setitem(cli._DISPATCH, "w1", fault)
+        with pytest.raises(ValueError, match="^a program fault$"):
+            main(["w1", "--a", "a.json", "--b", "b.json"])
+
     def test_non_object_document_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "list.json"
         bad.write_text("[1, 2]")
         b = write_measure(tmp_path / "b.json", ic.dirac([0.0]))
         assert main(["w1", "--a", str(bad), "--b", b]) == 1
-        assert "error: BadInputFile: ValueError: the document in" in capsys.readouterr().err
+        assert "error: BadInputFile: the document in" in capsys.readouterr().err
 
     def test_non_object_box_exits_one(self, tmp_path, capsys):
         doc = ser.measure_to_doc(ic.dirac([0.0]))
@@ -523,7 +577,7 @@ class TestBadInputs:
         bad = tmp_path / "box.json"
         ser.save_json(str(bad), doc)
         assert main(["w1", "--a", str(bad), "--b", str(bad)]) == 1
-        assert "error: BadInputFile: ValueError: box must be a JSON object" in capsys.readouterr().err
+        assert "error: BadInputFile: box must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit, what",
@@ -543,7 +597,7 @@ class TestBadInputs:
         ser.save_json(str(s), doc)
         m = write_measure(tmp_path / "m.json", random_measure(rng, 2, 1))
         assert main(["forward", "--stack", str(s), "--measure", m, "--out", str(tmp_path / "y.json")]) == 1
-        assert f"error: BadInputFile: ValueError: {what} must be a JSON object" in capsys.readouterr().err
+        assert f"error: BadInputFile: {what} must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit, what",
@@ -561,7 +615,7 @@ class TestBadInputs:
         ser.save_json(str(s), doc)
         m = write_measure(tmp_path / "m.json", random_measure(rng, 2, 2))
         assert main(["forward", "--stack", str(s), "--measure", m, "--out", str(tmp_path / "y.json")]) == 1
-        assert f"error: BadInputFile: ValueError: {what} must be a JSON array" in capsys.readouterr().err
+        assert f"error: BadInputFile: {what} must be a JSON array" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "lo, hi, message",
@@ -594,6 +648,8 @@ class TestBadInputs:
                 lambda doc: _mlp(doc)["layers"][0].update(A=1),
                 "DimensionMismatch: each MLP layer needs a 2-d matrix A and a 1-d bias b",
             ),
+            (lambda doc: _mlp(doc).update(activation=[1]), f"{BAD}activation must be a JSON string, got list"),
+            (lambda doc: _mlp(doc).update(activation=None), f"{BAD}activation must be a JSON string, got NoneType"),
         ],
     )
     def test_mistyped_stack_field_exits_one(self, tmp_path, capsys, edit, message):
@@ -924,6 +980,23 @@ class TestNonFiniteSizes:
         argv[argv.index("--Ts") + 1] = "0"
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: TooFewTimePoints: ")
+
+    @pytest.mark.parametrize(
+        "command, option, message",
+        [
+            ("flow", "--T", "a flow path of {} steps exceeds the address space"),
+            ("depth-limit", "--Ts", "a stack of depth {} exceeds the address space"),
+        ],
+    )
+    def test_thirty_digit_count_exits_one(self, tmp_path, capsys, command, option, message):
+        rng = np.random.default_rng(31)
+        argv = _subcommand_argv(command, tmp_path, random_stack(rng, 2), random_measure(rng, 3, 2))
+        count = "1" + "0" * 29
+        argv[argv.index(option) + 1] = count
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: ProblemTooLarge: {message.format(count)}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("depths", [",", ",,", ""])
     def test_no_depth_exits_one(self, tmp_path, capsys, depths):

@@ -96,6 +96,9 @@ class AttentionParams:
     def __post_init__(self) -> None:
         if not self.heads:
             raise LengthMismatch("attention needs at least one head")
+        for h in self.heads:
+            if not isinstance(h, HeadParams):
+                raise DimensionMismatch(f"attention heads must be HeadParams, got {type(h).__name__}")
         matrices = [m for h in self.heads for m in (h.q, h.k, h.v, h.w)]
         _arrays(matrices, "attention matrices")
         if any(m.ndim != 2 for m in matrices):
@@ -140,6 +143,8 @@ class MlpParams:
         if self.activation not in ACTIVATIONS:
             raise LengthMismatch(f"unknown activation {self.activation!r}")
         if self.layers:
+            if any(not isinstance(layer, (tuple, list)) or len(layer) != 2 for layer in self.layers):
+                raise DimensionMismatch("each MLP layer must be a pair (A, b)")
             _arrays((m for layer in self.layers for m in layer), "MLP matrices and biases")
             if any(a.ndim != 2 or b.ndim != 1 for a, b in self.layers):
                 raise DimensionMismatch("each MLP layer needs a 2-d matrix A and a 1-d bias b")

@@ -29,8 +29,8 @@ import numpy as np
 
 from .attention import InContextMap
 from .deep_transformer import LayerStack, forward_measure
-from .errors import AnchorsTooClose, DimensionMismatch, DisplacementTooLarge, ProbeMassLost
-from .measures import Box, DiscreteMeasure, _amount, _distances, _floats, _real, _squared_distances, add_atom
+from .errors import AnchorsTooClose, DimensionMismatch, DisplacementTooLarge, OutOfDomain, ProbeMassLost
+from .measures import Box, DiscreteMeasure, _amount, _count, _distances, _floats, _real, _squared_distances, add_atom
 from .measures import canonicalize, push_forward
 
 DEFAULT_EPS = 1e-6
@@ -121,8 +121,13 @@ def coordinate_test(ell: int, box: Box) -> TestFunction:
 
     A per-coordinate C^2 ramp takes the cutoff from one on the box to zero at
     distance 1 outside, giving a compactly supported C^1 function whose
-    Lipschitz bound is recorded conservatively.
+    Lipschitz bound is recorded conservatively.  An ``ell`` that is not a
+    Python or numpy integer in [0, d) raises OutOfDomain.
     """
+    out_of_range = f"coordinate index must be an integer in [0, {box.dim}), got {{!r}}"
+    ell = _count(ell, 0, OutOfDomain, out_of_range)
+    if ell >= box.dim:
+        raise OutOfDomain(out_of_range.format(ell))
     lo, hi = box.lo, box.hi
 
     def cutoff(Y: np.ndarray) -> np.ndarray:

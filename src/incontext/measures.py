@@ -189,12 +189,15 @@ def _floats(x) -> np.ndarray:
         raise DimensionMismatch("query rows must be numbers in rows of one length") from None
 
 
-def _count(value, least: int, error: type, whole: str, below: str | None = None) -> None:
-    """``error(whole)`` unless ``value`` is a Python or numpy integer, ``error(below or whole)`` below ``least``."""
+def _count(value, least: int, error: type, whole: str, below: str | None = None) -> int:
+    """``value`` as a Python int if it is a Python or numpy integer, else ``error(whole)``;
+    ``error(below or whole)`` below ``least``.  Callers rebind their count to it, so no
+    arithmetic on the count wraps in a narrow numpy dtype."""
     if not isinstance(value, (int, numbers.Integral)):  # int first: no slow ABC registry lookup
         raise error(whole.format(value))
     if value < least:
         raise error((below or whole).format(value))
+    return int(value)
 
 
 def _real(x):

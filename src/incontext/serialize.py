@@ -104,11 +104,18 @@ def _json(value: Any, kind: type, what: str):
 
 def _numbers(value: Any, what: str) -> np.ndarray:
     """``value`` as a float array, after checking that it is a JSON number or
-    a rectangular array of numbers; one numpy conversion, no per-element loop."""
+    a rectangular array of numbers; one numpy conversion, and a per-element
+    loop only for integers beyond int64, which numpy holds as objects.  Those
+    are read as floats; one beyond the float range is a BadInputFile."""
     try:
         arr = np.asarray(value)
     except ValueError as exc:  # ragged nesting
         raise BadInputFile(f"{what} must be a rectangular array of numbers") from exc
+    if arr.dtype == object and all(type(x) is int or type(x) is float for x in arr.flat):
+        try:
+            return arr.astype(float)
+        except OverflowError as exc:
+            raise BadInputFile(f"{what} holds an integer beyond the float range") from exc
     if arr.dtype.kind not in "iuf":
         raise BadInputFile(f"{what} must be numeric, got {_type_name(value)}")
     return arr.astype(float, copy=False)

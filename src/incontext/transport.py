@@ -13,11 +13,12 @@ Four routes:
   monotone optimal plan, so 1-D plans do not depend on which optimal vertex
   a solver reaches.
 * ``w1_matching`` on everything else — an exact linear-programming solve on
-  the bipartite atom graph, at a fixed total mass.  It solves over a sparse
-  column set (near neighbours plus a north-west-corner plan, so that every
-  restricted LP is feasible) and adds each column with negative reduced cost
-  until none is left.  When either side has at most 36 atoms the set is
-  every column.
+  the bipartite atom graph, at a fixed total mass, by HiGHS's dual simplex
+  through scipy's bundled HiGHS binding, called directly.  It solves over a
+  sparse column set (near neighbours plus a north-west-corner plan, so that
+  every restricted LP is feasible) and adds each column with negative
+  reduced cost until none is left.  When either side has at most 36 atoms
+  the set is every column.
 
 How each plan route is certified:
 
@@ -48,8 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionNotOne, DualityGap, ExhaustedRetries, MassMismatch, ProblemTooLarge
-from .measures import DiscreteMeasure, _amount, _distances, _raw_measure, canonicalize, is_dif
+from .errors import (
+    DimensionMismatch, DimensionNotOne, DualityGap, ExhaustedRetries, MassMismatch, OutOfDomain, ProblemTooLarge
+)
+from .measures import DiscreteMeasure, _amount, _count, _distances, _raw_measure, canonicalize, is_dif
 
 MASS_TOL = 1e-10
 ATOM_CAP = 200
@@ -147,7 +150,9 @@ def _uniform_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
 # The scipy solvers are imported on first call, not at module level, so that
 # the routes which never solve an assignment or an LP start without loading
 # scipy.  They keep scipy's names here because perfbench/tracer.py times the
-# solvers by wrapping these two module attributes.
+# solvers by wrapping these two module attributes.  The LP calls scipy's
+# HiGHS binding directly: ``scipy.optimize.linprog`` around the same solve
+# converts the matrix and builds per-column bound multipliers in Python.
 
 
 def linear_sum_assignment(cost: np.ndarray):
@@ -157,11 +162,64 @@ def linear_sum_assignment(cost: np.ndarray):
     return solve(cost)
 
 
-def linprog(c: np.ndarray, **kwargs):
-    """``scipy.optimize.linprog`` with cost vector ``c``."""
-    from scipy.optimize import linprog as solve
+# The options ``scipy.optimize.linprog(method="highs")`` passes, with the
+# transport LP's presolve and tolerances.  At mass LP_MASS and HiGHS's
+# tightest tolerances (the defaults are 1e-7) the marginals hold to about
+# 1e-13 of the mass and the cost is optimal to rounding.  Presolve removes
+# nothing from a transport LP and costs 35-50% of the solve.
+_HIGHS_OPTIONS = {
+    "presolve": "off",
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+    "simplex_strategy": 1,  # dual simplex
+    "output_flag": False,
+    "log_to_console": False,
+}
 
-    return solve(c, **kwargs)
+
+@dataclass(frozen=True)
+class LpSolution:
+    """An optimal transport LP solution: the flow ``x`` on each column, and
+    the dual of each marginal row, sources first."""
+
+    x: np.ndarray
+    duals: np.ndarray
+
+
+def linprog(c: np.ndarray, src: np.ndarray, tgt: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
+    """Minimize ``c @ x`` over flows ``x >= 0`` on the columns (src[k],
+    tgt[k]) whose row sums are ``a`` and column sums ``b``, by HiGHS's dual
+    simplex.
+
+    Column k of the constraint matrix holds a one in row src[k] and in row
+    n + tgt[k].  The LP is feasible and bounded, so any status but optimal
+    means the solver met numbers it cannot handle: ProblemTooLarge.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    k = len(c)
+    bounds = np.concatenate([a, b])
+    starts = np.arange(0, 2 * k, 2, dtype=np.int32)
+    rows = np.column_stack([src, len(a) + tgt]).astype(np.int32).ravel()
+    solver = highs._Highs()
+    for key, value in _HIGHS_OPTIONS.items():
+        solver.setOptionValue(key, value)
+    # columns, rows, nonzeros, matrix format, sense, objective offset; column
+    # cost and bounds; row bounds; the matrix; every column continuous
+    status = solver.passModel(
+        k, len(bounds), 2 * k, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        c, np.zeros(k), np.full(k, np.inf),
+        bounds, bounds,
+        starts, rows, np.ones(2 * k),
+        np.zeros(k, dtype=np.int32),
+    )
+    if status != highs.HighsStatus.kError:
+        status = solver.run()
+    model = solver.getModelStatus()
+    if status == highs.HighsStatus.kError or model != highs.HighsModelStatus.kOptimal:
+        raise ProblemTooLarge(f"transport LP failed: {solver.modelStatusToString(model)}")
+    solution = solver.getSolution()
+    return LpSolution(np.array(solution.col_value), np.array(solution.row_dual))
 
 
 def _assignment_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
@@ -171,21 +229,6 @@ def _assignment_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     mass = mu.weights[rows]
     cost = float(np.sum(mass * dist[rows, cols]))
     return TransportPlan(rows, cols, mass, cost)
-
-
-def _marginal_constraints(n: int, m: int, src: np.ndarray, tgt: np.ndarray):
-    """Equality-constraint matrix of the n x m transport LP over the columns
-    (src[k], tgt[k]).
-
-    Rows 0..n-1 sum each source atom's outgoing flow, rows n..n+m-1 each
-    target atom's incoming flow.
-    """
-    from scipy import sparse
-
-    k = np.arange(len(src))
-    rows = np.concatenate([src, n + tgt])
-    data = np.ones(2 * len(src))
-    return sparse.csr_matrix((data, (rows, np.concatenate([k, k]))), shape=(n + m, len(src)))
 
 
 def _north_west_corner(a: np.ndarray, b: np.ndarray):
@@ -270,20 +313,12 @@ def _lp_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     _finite(np.maximum.reduce(dist, axis=None), "atom distances overflow")  # the largest; a NaN propagates
     # rescale the target marginal so both sides sum identically
     b_target = nu.weights * (total / nu.total_mass)
-    # At mass LP_MASS and HiGHS's tightest tolerances (the defaults are 1e-7)
-    # the marginals hold to about 1e-13 of the mass and the cost is optimal to
-    # rounding.  Presolve removes nothing from a transport LP and costs 35-50%
-    # of the solve.
-    b_eq = np.concatenate([mu.weights, b_target]) * (LP_MASS / total)
-    options = {"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    scale = LP_MASS / total
     active = _first_columns(dist, mu.weights, b_target)
     while True:
         src, tgt = np.nonzero(active)
-        a_eq = _marginal_constraints(n, m, src, tgt)
-        res = linprog(dist[src, tgt], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=options)
-        if res.status != 0:  # the LP is feasible and bounded: the solver met sizes it cannot handle
-            raise ProblemTooLarge(f"transport LP failed: {res.message}")
-        u, v = res.eqlin.marginals[:n], res.eqlin.marginals[n:]
+        res = linprog(dist[src, tgt], src, tgt, mu.weights * scale, b_target * scale)
+        u, v = res.duals[:n], res.duals[n:]
         entering = ~active & (dist - u[:, None] - v < -REDUCED_COST_TOL)
         if not entering.any():
             break
@@ -339,9 +374,11 @@ def make_dif(mu: DiscreteMeasure, eps: float, seed: int) -> DiscreteMeasure:
     Each weight moves by less than eps/n, the perturbed measure stays within
     extended-W1 distance eps of the canonical input, and the draw is
     deterministic given ``seed``.  Measures already having distinct subset
-    sums are returned unchanged (canonicalized).
+    sums are returned unchanged (canonicalized).  A seed that is not a Python
+    or numpy integer of at least 0 raises OutOfDomain.
     """
     _amount(eps, "eps")
+    _count(seed, 0, OutOfDomain, "seed must be a nonnegative integer, got {!r}")
     mu_c = canonicalize(mu)
     if is_dif(mu_c):
         return mu_c

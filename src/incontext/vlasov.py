@@ -151,14 +151,14 @@ def euler_flow(v: VelocityField, mu0: DiscreteMeasure, T: int) -> Trajectory:
     that is not a Python or numpy integer of at least 1 raises
     TooFewTimePoints.
     """
-    _count(T, 1, TooFewTimePoints, "need a whole number of Euler steps, got {}", "need at least one Euler step")
+    T = _count(T, 1, TooFewTimePoints, "need a whole number of Euler steps, got {}", "need at least one Euler step")
     return _flow(v, mu0, T, rk4=False)
 
 
 def rk4_flow(v: VelocityField, mu0: DiscreteMeasure, steps: int) -> Trajectory:
     """Classical 4-stage Runge-Kutta on the coupled particle system over [0, 1]; ``steps`` that
     is not a Python or numpy integer of at least 1 raises TooFewTimePoints."""
-    _count(steps, 1, TooFewTimePoints, "need a whole number of RK4 steps, got {}", "need at least one RK4 step")
+    steps = _count(steps, 1, TooFewTimePoints, "need a whole number of RK4 steps, got {}", "need at least one RK4 step")
     return _flow(v, mu0, steps, rk4=True)
 
 
@@ -185,6 +185,7 @@ def characteristic_map(
         raise TooFewTimePoints(f"time {t} outside [0, 1]")
     if not 1 <= _real(steps) < np.inf:
         raise TooFewTimePoints(f"need at least one RK4 step, got {steps}")
+    t, steps = _real(t), _real(steps)  # floats: steps * t and t / n are not rounded in a narrow numpy dtype
     y = np.array(_floats(x).reshape(-1))
     if y.shape[0] != mu0.dim:
         raise DimensionMismatch(f"query point of length {y.shape[0]} in a measure of dimension {mu0.dim}")
@@ -215,11 +216,18 @@ def weak_residual(traj: Trajectory, v: VelocityField, phi) -> float:
     return worst
 
 
+def _depth(T) -> int:
+    """The depth T as a Python int; TooFewTimePoints unless it is an integer of at least 1."""
+    return _count(
+        T, 1, TooFewTimePoints, "need a whole number of layers, got {}", "need a depth of at least one, got {}"
+    )
+
+
 def scaled_stack(att: AttentionParams, mlp_p: MlpParams, T: int):
     """Depth-T stack (T >= 1) whose every layer applies 1/T of the base layer velocity;
     ProblemTooLarge when its T layer references exceed the address space."""
-    _count(T, 1, TooFewTimePoints, "need a whole number of layers, got {}", "need a depth of at least one, got {}")
-    if int(T) * 8 > np.iinfo(np.intp).max:
+    T = _depth(T)
+    if T * 8 > np.iinfo(np.intp).max:
         raise ProblemTooLarge(f"a stack of depth {T} exceeds the address space")
     layer = Layer(att, mlp_p, scale=1.0 / T)
     return LayerStack(tuple([layer] * T), att.dim)
@@ -231,6 +239,7 @@ def depth_limit_error(att: AttentionParams, mlp_p: MlpParams, mu0: DiscreteMeasu
     Both are built from one base layer (``att``, ``mlp_p``); the reference
     uses 4T RK4 steps of that layer's velocity.
     """
+    T = _depth(T)
     stack_final = forward_measure(scaled_stack(att, mlp_p, T), mu0)
     ref_final = rk4_flow(VelocityField.from_layer(att, mlp_p), mu0, 4 * T).final
     return w1_matching(stack_final, ref_final).cost

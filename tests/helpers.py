@@ -268,6 +268,17 @@ def reference_marginal_constraints(n, m):
     return sparse.csr_matrix((data, (rows, cols)), shape=(n + m, n * m))
 
 
+def reference_linprog(c, a_eq, b_eq):
+    """``scipy.optimize.linprog(method="highs")`` on a transport LP, with the
+    options the library solves at: the flows and the equality duals."""
+    from scipy.optimize import linprog
+
+    options = {"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=options)
+    assert res.status == 0, res.message
+    return res.x, res.eqlin.marginals
+
+
 def full_lp_plan(mu, nu):
     """Optimal flows and cost of the transport LP over all n*m columns.
 
@@ -275,8 +286,6 @@ def full_lp_plan(mu, nu):
     list-built equality matrix: no column selection and no certificate.
     Returns the (n, m) flow at the measures' own mass and its cost.
     """
-    from scipy.optimize import linprog
-
     from incontext.transport import LP_MASS
 
     n, m = mu.n, nu.n
@@ -284,15 +293,6 @@ def full_lp_plan(mu, nu):
     diff = mu.points[:, None, :] - nu.points[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     b_eq = np.concatenate([mu.weights, nu.weights * (total / nu.total_mass)]) * (LP_MASS / total)
-    options = {"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-    res = linprog(
-        dist.reshape(-1),
-        A_eq=reference_marginal_constraints(n, m),
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options=options,
-    )
-    assert res.status == 0, res.message
-    flow = res.x.reshape(n, m) * (total / LP_MASS)
+    x, _ = reference_linprog(dist.reshape(-1), reference_marginal_constraints(n, m), b_eq)
+    flow = x.reshape(n, m) * (total / LP_MASS)
     return flow, float(np.sum(flow * dist))

@@ -496,6 +496,30 @@ MUTANTS = (
         ("tests/test_transport.py::TestSparseColumns::test_only_improving_columns_enter",),
         "a column enters the LP only when its reduced cost is negative",
     ),
+    Mutant(
+        "lp-solve-at-default-dual-tolerance",
+        "transport.py",
+        '    "dual_feasibility_tolerance": 1e-10,\n',
+        "",
+        ("tests/test_transport.py::TestLpAssembly::test_restricted_lps_match_scipy_linprog",),
+        "the direct HiGHS solve passes the dual tolerance linprog passed, so it reaches the same vertex",
+    ),
+    Mutant(
+        "count-keeps-its-numpy-dtype",
+        "measures.py",
+        "    return int(value)\n",
+        "    return value\n",
+        ("tests/test_api_numbers.py::test_narrow_numpy_counts_act_as_python_ints",),
+        "a count is used as a Python int, so steps + 1 and 4 * T do not wrap",
+    ),
+    Mutant(
+        "numbers-refuse-integers-beyond-int64",
+        "serialize.py",
+        "    if arr.dtype == object and all(type(x) is int or type(x) is float for x in arr.flat):",
+        "    if False:",
+        ("tests/test_serialize.py::TestJsonDocs::test_integers_beyond_int64_read_as_floats",),
+        "a JSON integer beyond int64 is read as a float",
+    ),
 )
 
 

@@ -41,6 +41,7 @@ HEAD = ic.HeadParams(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)), np.ones(
 
 # name, call on the bad value, error, message template (formatted with the value)
 LAYERS = "need a whole number of layers, got {}"
+COORDINATE, SEED = "coordinate index must be an integer in [0, 1), got {!r}", "seed must be a nonnegative integer, got {!r}"
 COUNTS = [
     ("euler-T", lambda x: ic.euler_flow(FIELD, MU, x), TooFewTimePoints, "need a whole number of Euler steps, got {}"),
     ("rk4-steps", lambda x: ic.rk4_flow(FIELD, MU, x), TooFewTimePoints, "need a whole number of RK4 steps, got {}"),
@@ -51,6 +52,8 @@ COUNTS = [
     ("stack-dim", lambda x: ic.LayerStack((), x), DimensionMismatch,
      "stack dimension must be an integer of at least 1, got {!r}"),
     ("iota-inv-n", lambda x: ic.iota_inv(MU, x), NotRationalGrid, "need a whole number of tokens, got {!r}"),
+    ("coordinate-test-ell", lambda x: ic.coordinate_test(x, ic.default_box(1)), OutOfDomain, COORDINATE),
+    ("make-dif-seed", lambda x: ic.make_dif(MU, 0.1, x), OutOfDomain, SEED),
 ]
 EPS = "eps must be positive and finite, got {!r}"
 AMOUNTS = [
@@ -118,6 +121,18 @@ ARRAYS = [
         "MLP matrices and biases must be numpy arrays, got list",
     ),
 ]
+# other arguments of the wrong kind or out of range, each with the one call that shows it
+ARGUMENTS = [
+    ("coordinate-test-ell-beyond-dim", lambda _: ic.coordinate_test(1, ic.default_box(1)), OutOfDomain,
+     COORDINATE.format(1)),
+    ("coordinate-test-ell-negative", lambda _: ic.coordinate_test(-1, ic.default_box(1)), OutOfDomain,
+     COORDINATE.format(-1)),
+    ("make-dif-seed-negative", lambda _: ic.make_dif(MU, 0.1, -1), OutOfDomain, SEED.format(-1)),
+    ("mlp-layer-not-a-pair", lambda _: ic.MlpParams(1.0, ((np.ones((1, 1)),),)), DimensionMismatch,
+     "each MLP layer must be a pair (A, b)"),
+    ("attention-head-a-tuple", lambda _: ic.AttentionParams(((HEAD.q, HEAD.k, HEAD.v, HEAD.w),), 1),
+     DimensionMismatch, "attention heads must be HeadParams, got tuple"),
+]
 
 
 def _rows():
@@ -132,7 +147,7 @@ def _rows():
             yield pytest.param(call, BAD_REALS[kind], error, message, id=f"{name}-{kind}")
     for name, call, message in TOO_LARGE:
         yield pytest.param(call, 2**100, ProblemTooLarge, message, id=f"{name}-too-large")
-    for name, call, error, message in ARRAYS:
+    for name, call, error, message in ARRAYS + ARGUMENTS:
         yield pytest.param(call, None, error, message, id=name)
 
 
@@ -147,3 +162,24 @@ def test_numpy_integers_are_counts(kind):
     assert ic.AttentionParams((HEAD,), kind(1)).key_dim == 1
     assert ic.LayerStack((), kind(1)).dim == 1
     assert ic.iota_inv(ic.dirac([0.5]), kind(1)) == ic.new_tokens([[0.5]])
+
+
+FLOW = ic.VelocityField.from_layer(ATT, MLP)
+# counts in a dtype where steps + 1 or 4 * T wraps around
+NARROW = [
+    ("euler-T", lambda x: ic.euler_flow(FLOW, MU, x).points, np.uint8(255)),
+    ("rk4-steps", lambda x: ic.rk4_flow(FLOW, MU, x).points, np.uint8(255)),
+    ("depth-limit-T", lambda x: ic.depth_limit_error(ATT, MLP, MU, x), np.uint8(64)),
+]
+
+
+@pytest.mark.parametrize(("call", "value"), [pytest.param(call, value, id=name) for name, call, value in NARROW])
+def test_narrow_numpy_counts_act_as_python_ints(call, value):
+    assert np.array_equal(call(value), call(int(value)))
+
+
+def test_narrow_numpy_reals_act_as_python_floats():
+    # in float16, 255 * t rounds to 178.5 and then to 178 steps, not 179
+    t = np.float16(0.7)
+    got = ic.characteristic_map(FLOW, MU, [0.5], t, steps=np.uint8(255))
+    assert np.array_equal(got, ic.characteristic_map(FLOW, MU, [0.5], float(t), steps=255))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import incontext as ic
 from incontext import serialize as ser
 from incontext.cli import _trajectory_blocks, main
+from incontext.errors import BadInputFile
 from incontext.vlasov import Trajectory
 
 from helpers import random_attention, random_measure, random_mlp, random_stack, reference_emit, reference_flow_csv
@@ -62,6 +63,17 @@ class TestJsonDocs:
         doc = json.loads(ser.dumps(ser.measure_to_doc(mu)))
         back = ser.measure_from_doc(doc)
         assert back == mu
+
+    BOX = '"box": {"lo": [-1e21], "hi": [1e21]}'
+
+    def test_integers_beyond_int64_read_as_floats(self):
+        doc = json.loads('{"points": [[100000000000000000000], [-1.5]], "weights": [1, 2], ' + self.BOX + "}")
+        assert np.array_equal(ser.measure_from_doc(doc).points, [[1e20], [-1.5]])
+
+    def test_an_integer_beyond_the_float_range_is_bad_input(self):
+        doc = json.loads('{"points": [[1' + "0" * 400 + ']], "weights": [1], ' + self.BOX + "}")
+        with pytest.raises(BadInputFile, match="^points holds an integer beyond the float range$"):
+            ser.measure_from_doc(doc)
 
     def test_tokens_roundtrip(self):
         seq = ic.new_tokens([[0.1, 0.2], [0.1, 0.2], [-1.0, 2.0]])

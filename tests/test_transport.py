@@ -11,7 +11,7 @@ import incontext as ic
 from incontext import transport
 from incontext.errors import DimensionMismatch, DimensionNotOne, DualityGap, MassMismatch, ProblemTooLarge
 from incontext.transport import (
-    MASS_TOL, NEIGHBOURS, TransportPlan, _certify, _lp_plan, _marginal_constraints, _monotone_plan
+    LP_MASS, MASS_TOL, NEIGHBOURS, TransportPlan, _certify, _lp_plan, _monotone_plan
 )
 
 from helpers import (
@@ -20,6 +20,7 @@ from helpers import (
     permutation_match_costs,
     random_measure,
     random_probability,
+    reference_linprog,
     reference_marginal_constraints,
 )
 
@@ -250,15 +251,48 @@ class TestLpAccuracy:
 
 
 class TestLpAssembly:
+    """``transport.linprog`` builds the column-wise constraint matrix from the
+    column list and solves through scipy's HiGHS binding.  scipy's ``linprog``
+    on the list-built matrix, at the same options, must return the same flows
+    and duals bit for bit."""
+
+    @staticmethod
+    def assert_same_solve(c, src, tgt, a, b):
+        n, m = len(a), len(b)
+        got = transport.linprog(c, src, tgt, a, b)
+        a_eq = reference_marginal_constraints(n, m)[:, src * m + tgt]
+        x, duals = reference_linprog(c, a_eq, np.concatenate([a, b]))
+        assert np.array_equal(got.x, x) and np.array_equal(got.duals, duals)
+
     @pytest.mark.parametrize("n,m", [(1, 1), (3, 5), (50, 40), (100, 80), (120, 120)])
     def test_matches_list_built_matrix(self, n, m):
+        rng = np.random.default_rng(n * m)
+        a, b = random_probability(rng, n, 2), random_probability(rng, m, 2)
         src, tgt = np.nonzero(np.ones((n, m), dtype=bool))
-        got = _marginal_constraints(n, m, src, tgt)
-        want = reference_marginal_constraints(n, m)
-        assert got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        dist = np.sqrt(np.sum((a.points[src] - b.points[tgt]) ** 2, axis=1))
+        self.assert_same_solve(dist, src, tgt, a.weights * LP_MASS, b.weights * LP_MASS)
+
+    # n, m, d and kind of 18 pairs; the two-cluster pairs need a second solve
+    RESTRICTED = [
+        (3, 5, 2, "uniform"), (5, 3, 3, "uniform"), (12, 20, 2, "grid"), (36, 36, 3, "uniform"),
+        (37, 50, 2, "uniform"), (60, 45, 3, "grid"), (80, 70, 2, "two-cluster"), (90, 120, 3, "uniform"),
+        (120, 120, 2, "uniform"), (120, 120, 3, "uniform"), (60, 60, 2, "jittered"), (100, 40, 3, "two-cluster"),
+        (45, 90, 2, "grid"), (120, 3, 2, "uniform"), (7, 110, 3, "uniform"), (70, 70, 3, "jittered"),
+        (50, 40, 2, "uniform"), (110, 100, 3, "grid"),
+    ]
+
+    def test_restricted_lps_match_scipy_linprog(self, monkeypatch):
+        calls = []
+        solve = transport.linprog
+        monkeypatch.setattr(transport, "linprog", lambda *args: calls.append(args) or solve(*args))
+        for seed, (n, m, d, kind) in enumerate(self.RESTRICTED):
+            before = len(calls)
+            _lp_plan(*lp_pair(np.random.default_rng(seed), n, m, d, kind))
+            assert len(calls) - before >= (2 if kind == "two-cluster" else 1)
+        monkeypatch.undo()
+        assert len(calls) >= 20
+        for args in calls:
+            self.assert_same_solve(*args)
 
 
 @contextmanager

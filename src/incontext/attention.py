@@ -79,15 +79,17 @@ class HeadParams:
 
 
 def _arrays(arrays, what: str) -> None:
-    """DimensionMismatch naming the type of the first of ``arrays`` that is not a numpy array."""
+    """DimensionMismatch naming the type of the first of ``arrays`` not a numpy array, or its dtype if not real."""
     for a in arrays:
         if not isinstance(a, np.ndarray):
             raise DimensionMismatch(f"{what} must be numpy arrays, got {type(a).__name__}")
+        if a.dtype.kind not in "biuf":
+            raise DimensionMismatch(f"{what} must be real, got dtype {a.dtype}")
 
 
 @dataclass(frozen=True)
 class AttentionParams:
-    """Multi-head attention parameters with shared key dimension; a matrix that is not a numpy
+    """Multi-head attention parameters with shared key dimension; a matrix that is not a real numpy
     array, or a ``key_dim`` that is not a Python or numpy integer of at least 1, raises DimensionMismatch."""
 
     heads: tuple[HeadParams, ...]
@@ -131,7 +133,7 @@ class MlpParams:
     """MLP ``x -> skip * x + act(A_L(...act(A_1 x + b_1)...) + b_L)``.
 
     An empty layer list is the pure skip map ``skip * x``.  A matrix or bias
-    that is not a numpy array raises DimensionMismatch, and a skip that is
+    that is not a real numpy array raises DimensionMismatch, and a skip that is
     not a finite real number OutOfDomain.
     """
 
@@ -337,7 +339,7 @@ def layer_step(layer: Layer, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> n
     scale 1 a row maps to F(x + Att(ctx, x)); at scale c to x + c * velocity.
     Each row's result is bitwise independent of the batch size m, as if alone.
     """
-    X = np.asarray(X, dtype=float)
+    X = _floats(X)
     if layer.scale == 1.0:
         return _mlp_rows(layer.mlp, X + _attend(layer.attention, pts, w, X))
     return X + layer.scale * velocity_rows(layer.attention, layer.mlp, pts, w, X)

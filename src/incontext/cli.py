@@ -108,15 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_w1(args: argparse.Namespace) -> int:
     a = measure_from_doc(load_json(args.a))
     b = measure_from_doc(load_json(args.b))
-    if args.extended:
-        print(fmt(w1_extended(a, b)))
-        return 0
-    if args.plan is None:
-        print(fmt(w1(a, b)))
-        return 0
-    plan = w1_matching(a, b)
-    save_json(args.plan, plan_to_doc(plan))
-    print(fmt(plan.cost))
+    if args.plan is None:  # --plan and --extended exclude each other
+        value = (w1_extended if args.extended else w1)(a, b)
+    else:
+        plan = w1_matching(a, b)
+        save_json(args.plan, plan_to_doc(plan))
+        value = plan.cost
+    print(fmt(value))
     return 0
 
 
@@ -192,15 +190,9 @@ def _cmd_extract_g(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
-    rows = discontinuity_scan(args.mmax)
-    write_csv(
-        args.out,
-        ["family", "m", "eps", "w1_to_delta2", "g_value_closed_form", "g_value_extracted"],
-        [
-            [r.family, r.m, r.eps, r.w1_to_limit, r.g_closed_form, r.g_extracted]
-            for r in rows
-        ],
-    )
+    header = ["family", "m", "eps", "w1_to_delta2", "g_value_closed_form", "g_value_extracted"]
+    # a ScanRow's __dict__ holds its fields in declaration order; astuple would deep-copy each
+    write_csv(args.out, header, [vars(row).values() for row in discontinuity_scan(args.mmax)])
     return 0
 
 

@@ -182,10 +182,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _floats(x) -> np.ndarray:
     """A query point or query rows as a float array; DimensionMismatch when
-    they are not numbers in rows of one length (numpy's ragged-array error)."""
+    they are not real numbers in rows of one length: ragged rows, complex or
+    object entries, or an array of a dtype other than bool, integer or float."""
     try:
+        if getattr(getattr(x, "dtype", None), "kind", "f") not in "biuf":
+            raise TypeError
         return np.asarray(x, dtype=float)
-    except ValueError:
+    except (ValueError, TypeError):
         raise DimensionMismatch("query rows must be numbers in rows of one length") from None
 
 

@@ -5,8 +5,9 @@ AssertionError with a short message on violation.  Checks call into the
 package through module attributes so a deliberately broken function (as in a
 mutation drill) is picked up rather than a captured reference.
 
-The seeded generators and the literal gap oracle below are also the test
-suite's: ``tests/helpers.py`` imports them from here.
+The seeded generators (``random_measure``, ``random_probability``, ``random_attention``,
+``random_mlp``, ``random_stack``) and the literal gap oracle below are also the
+test suite's: ``tests/helpers.py`` imports them from here.
 """
 
 from __future__ import annotations
@@ -61,6 +62,20 @@ def random_mlp(rng: np.random.Generator, dim: int):
     )
 
 
+def random_probability(rng: np.random.Generator, n: int, dim: int, box=None, lo: float = -2.5, hi: float = 2.5):
+    """n atoms uniform in [lo, hi]^dim; weights uniform in [0.2, 1], normalized to mass 1."""
+    pts = rng.uniform(lo, hi, size=(n, dim))
+    w = rng.uniform(0.2, 1.0, size=n)
+    return meas_mod.new_discrete(pts, w / w.sum(), box)
+
+
+def random_stack(rng: np.random.Generator, dim: int, depth: int = 1, heads: int = 1, scale: float = 1.0):
+    layers = tuple(
+        deep_mod.Layer(random_attention(rng, dim, heads=heads), random_mlp(rng, dim), scale) for _ in range(depth)
+    )
+    return deep_mod.LayerStack(layers, dim)
+
+
 def gap_oracle_literal(weights, require_nonempty_k: bool = False) -> float:
     """Gap by literal enumeration of disjoint index-set pairs (small n only)."""
     n = len(weights)
@@ -77,8 +92,7 @@ def gap_oracle_literal(weights, require_nonempty_k: bool = False) -> float:
     return best
 
 
-def check_canonical_roundtrip(seed: int) -> None:
-    rng = np.random.default_rng(seed)
+def check_canonical_roundtrip(rng: np.random.Generator) -> None:
     for _ in range(20):
         n = int(rng.integers(1, 7))
         seq = meas_mod.new_tokens(rng.integers(-2, 3, size=(n, 2)).astype(float))
@@ -90,8 +104,7 @@ def check_canonical_roundtrip(seed: int) -> None:
         assert again == meas_mod.canonicalize(mu), "canonicalize not idempotent"
 
 
-def check_pushforward_mass(seed: int) -> None:
-    rng = np.random.default_rng(seed)
+def check_pushforward_mass(rng: np.random.Generator) -> None:
     for _ in range(20):
         mu = random_measure(rng, int(rng.integers(1, 9)), 2)
         nu = meas_mod.push_forward(mu, lambda p: np.tanh(p) + 0.5)
@@ -99,8 +112,7 @@ def check_pushforward_mass(seed: int) -> None:
         assert rel <= 1e-12, f"push-forward mass drift {rel}"
 
 
-def check_gap_oracle(seed: int) -> None:
-    rng = np.random.default_rng(seed)
+def check_gap_oracle(rng: np.random.Generator) -> None:
     for _ in range(10):
         n = int(rng.integers(1, 9))
         w = rng.uniform(0.1, 2.0, size=n)
@@ -110,8 +122,7 @@ def check_gap_oracle(seed: int) -> None:
         assert abs(got - want) <= 1e-12, f"gap {got} vs oracle {want}"
 
 
-def check_make_dif(seed: int) -> None:
-    rng = np.random.default_rng(seed)
+def check_make_dif(rng: np.random.Generator) -> None:
     for trial in range(10):
         n = int(rng.integers(2, 7))
         w = np.repeat(rng.uniform(0.3, 1.0), n)  # equal weights: certainly degenerate
@@ -122,8 +133,7 @@ def check_make_dif(seed: int) -> None:
         assert moved < 1e-3, f"make_dif moved too far: {moved}"
 
 
-def check_w1_oracle(seed: int) -> None:
-    rng = np.random.default_rng(seed)
+def check_w1_oracle(rng: np.random.Generator) -> None:
     for _ in range(25):
         a = random_measure(rng, int(rng.integers(1, 7)), 1)
         m = int(rng.integers(1, 7))
@@ -136,15 +146,9 @@ def check_w1_oracle(seed: int) -> None:
         assert abs(d_cdf - d_flow) <= 1e-10, f"1d oracle mismatch {d_cdf} vs {d_flow}"
 
 
-def check_metric_axioms(seed: int) -> None:
-    rng = np.random.default_rng(seed)
+def check_metric_axioms(rng: np.random.Generator) -> None:
     for _ in range(10):
-        ms = []
-        for _ in range(3):
-            n = int(rng.integers(1, 6))
-            pts = rng.uniform(-2.5, 2.5, size=(n, 2))
-            w = rng.uniform(0.2, 1.0, size=n)
-            ms.append(meas_mod.new_discrete(pts, w / w.sum()))
+        ms = [random_probability(rng, int(rng.integers(1, 6)), 2) for _ in range(3)]
         d01 = trans_mod.w1_matching(ms[0], ms[1]).cost
         d10 = trans_mod.w1_matching(ms[1], ms[0]).cost
         d02 = trans_mod.w1_matching(ms[0], ms[2]).cost
@@ -154,8 +158,7 @@ def check_metric_axioms(seed: int) -> None:
         assert trans_mod.w1_matching(ms[0], ms[0]).cost == 0.0, "self distance not zero"
 
 
-def check_attention_invariances(seed: int) -> None:
-    rng = np.random.default_rng(seed)
+def check_attention_invariances(rng: np.random.Generator) -> None:
     for _ in range(10):
         dim = 2
         params = random_attention(rng, dim)
@@ -172,8 +175,7 @@ def check_attention_invariances(seed: int) -> None:
         assert np.array_equal(att_mod.attention(params, shuffled, x), base), "relabeling changed output"
 
 
-def check_velocity_identity(seed: int) -> None:
-    rng = np.random.default_rng(seed)
+def check_velocity_identity(rng: np.random.Generator) -> None:
     for _ in range(10):
         dim = int(rng.integers(1, 3))
         params = random_attention(rng, dim)
@@ -185,14 +187,10 @@ def check_velocity_identity(seed: int) -> None:
         assert np.max(np.abs(x + v - direct)) <= 1e-13, "velocity identity broken"
 
 
-def check_token_equivariance(seed: int) -> None:
-    rng = np.random.default_rng(seed)
+def check_token_equivariance(rng: np.random.Generator) -> None:
     for _ in range(10):
         dim = 2
-        stack = deep_mod.LayerStack(
-            (deep_mod.Layer(random_attention(rng, dim), random_mlp(rng, dim)),),
-            dim,
-        )
+        stack = random_stack(rng, dim)
         n = int(rng.integers(2, 6))
         toks = rng.uniform(-2, 2, size=(n, dim))
         toks[1] = toks[0]  # force a duplicate
@@ -204,7 +202,7 @@ def check_token_equivariance(seed: int) -> None:
         assert np.array_equal(out_p.tokens, out.tokens[perm]), "not permutation equivariant"
 
 
-def check_integrator_order(seed: int) -> None:
+def check_integrator_order(rng: np.random.Generator) -> None:
     decay = vla_mod.VelocityField(lambda t, pts, w, x: -x)
     mu0 = meas_mod.dirac([1.0])
     exact = math.exp(-1.0)
@@ -214,13 +212,9 @@ def check_integrator_order(seed: int) -> None:
     assert 12.0 <= e32 / e64 <= 20.0, f"rk4 order ratio off: {e32 / e64}"
 
 
-def check_extraction(seed: int) -> None:
-    rng = np.random.default_rng(seed)
+def check_extraction(rng: np.random.Generator) -> None:
     dim = 2
-    stack = deep_mod.LayerStack(
-        (deep_mod.Layer(random_attention(rng, dim), random_mlp(rng, dim)),),
-        dim,
-    )
+    stack = random_stack(rng, dim)
     f = der_mod.MeasureMap.from_stack(stack)
     mu = random_measure(rng, 3, dim)
     for _ in range(3):
@@ -230,7 +224,7 @@ def check_extraction(seed: int) -> None:
         assert np.max(np.abs(got - want)) <= 1e-4, "extraction drifted from the stack map"
 
 
-def check_counterexample(seed: int) -> None:
+def check_counterexample(rng: np.random.Generator) -> None:
     rows = cex_mod.discontinuity_scan(6)
     up = {r.m: r for r in rows if r.family == "limsup"}
     down = {r.m: r for r in rows if r.family == "liminf"}
@@ -238,14 +232,8 @@ def check_counterexample(seed: int) -> None:
         sep = abs(up[m].g_extracted - down[m].g_extracted)
         assert sep > 0.15, f"families not separated at m={m}: {sep}"
         assert max(up[m].w1_to_limit, down[m].w1_to_limit) < 0.05, "inputs not close"
-    rng = np.random.default_rng(seed)
     for _ in range(10):
-        pair = []
-        for _ in range(2):
-            n = int(rng.integers(1, 5))
-            pts = rng.uniform(-2.9, 2.9, size=(n, 1))
-            w = rng.uniform(0.2, 1.0, size=n)
-            pair.append(meas_mod.new_discrete(pts, w / w.sum(), cex_mod.domain_box()))
+        pair = [random_probability(rng, int(rng.integers(1, 5)), 1, cex_mod.domain_box(), -2.9, 2.9) for _ in range(2)]
         lhs = trans_mod.w1_1d(cex_mod.f_counter(pair[0]), cex_mod.f_counter(pair[1]))
         near = [
             float(np.sum(m.weights[np.abs(m.points[:, 0]) <= 1.5])) for m in pair
@@ -271,11 +259,12 @@ CHECKS = [
 
 
 def run_self_test(seed: int = 0) -> bool:
-    """Run every check; print one PASS/FAIL line each; return overall success."""
+    """Run every check on its own generator seeded with ``seed``, so its draws do not depend on
+    the checks before it; print one PASS/FAIL line each; return overall success."""
     ok = True
     for name, check in CHECKS:
         try:
-            check(seed)
+            check(np.random.default_rng(seed))
         except AssertionError as exc:
             ok = False
             print(f"FAIL {name}: {exc}")

@@ -60,7 +60,7 @@ def _emit(value: Any) -> str:
         return json.dumps(value)
     if value is None:
         return "null"
-    raise LengthMismatch(f"cannot serialize value of type {type(value).__name__}")
+    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def dumps(doc: Any) -> str:

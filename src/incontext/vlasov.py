@@ -216,17 +216,10 @@ def weak_residual(traj: Trajectory, v: VelocityField, phi) -> float:
     return worst
 
 
-def _depth(T) -> int:
-    """The depth T as a Python int; TooFewTimePoints unless it is an integer of at least 1."""
-    return _count(
-        T, 1, TooFewTimePoints, "need a whole number of layers, got {}", "need a depth of at least one, got {}"
-    )
-
-
 def scaled_stack(att: AttentionParams, mlp_p: MlpParams, T: int):
-    """Depth-T stack (T >= 1) whose every layer applies 1/T of the base layer velocity;
-    ProblemTooLarge when its T layer references exceed the address space."""
-    T = _depth(T)
+    """Depth-T stack whose every layer applies 1/T of the base layer velocity; TooFewTimePoints unless
+    T is an integer of at least 1, ProblemTooLarge when its T layer references exceed the address space."""
+    T = _count(T, 1, TooFewTimePoints, "need a whole number of layers, got {}", "need a depth of at least one, got {}")
     if T * 8 > np.iinfo(np.intp).max:
         raise ProblemTooLarge(f"a stack of depth {T} exceeds the address space")
     layer = Layer(att, mlp_p, scale=1.0 / T)
@@ -239,7 +232,7 @@ def depth_limit_error(att: AttentionParams, mlp_p: MlpParams, mu0: DiscreteMeasu
     Both are built from one base layer (``att``, ``mlp_p``); the reference
     uses 4T RK4 steps of that layer's velocity.
     """
-    T = _depth(T)
-    stack_final = forward_measure(scaled_stack(att, mlp_p, T), mu0)
-    ref_final = rk4_flow(VelocityField.from_layer(att, mlp_p), mu0, 4 * T).final
+    stack = scaled_stack(att, mlp_p, T)
+    stack_final = forward_measure(stack, mu0)
+    ref_final = rk4_flow(VelocityField.from_layer(att, mlp_p), mu0, 4 * stack.depth).final
     return w1_matching(stack_final, ref_final).cost

@@ -4,9 +4,10 @@ The oracles here deliberately avoid the library's algorithms: transport costs
 come from literal permutation search, subset-sum gaps from explicit
 enumeration of index-set pairs, JSON text from a per-value recursive emitter.
 Expected values frozen into tests were
-computed with these.  The seeded measure, attention and MLP generators and the
-literal gap oracle are the ones ``self-test`` runs on, imported from
-``incontext.selftest``.
+computed with these.  The seeded generators (``random_measure``,
+``random_probability``, ``random_attention``, ``random_mlp``,
+``random_stack``) and the literal gap oracle are the ones ``self-test`` runs
+on, imported from ``incontext.selftest``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from incontext.selftest import (  # noqa: F401 - re-exported for the tests
     random_attention,
     random_measure,
     random_mlp,
+    random_probability,
+    random_stack,
 )
 
 
@@ -35,20 +38,6 @@ def each_row(point_fn):
         return np.array([point_fn(*head, x) for x in X])
 
     return rows_fn
-
-
-def random_probability(rng, n, dim, box=None, lo=-2.5, hi=2.5):
-    pts = rng.uniform(lo, hi, size=(n, dim))
-    w = rng.uniform(0.2, 1.0, size=n)
-    return ic.new_discrete(pts, w / w.sum(), box)
-
-
-def random_stack(rng, dim, depth=1, heads=1):
-    layers = tuple(
-        ic.Layer(random_attention(rng, dim, heads=heads), random_mlp(rng, dim))
-        for _ in range(depth)
-    )
-    return ic.LayerStack(layers, dim)
 
 
 # positive coordinates make every logit +inf, and inf - max = nan

@@ -520,6 +520,22 @@ MUTANTS = (
         ("tests/test_serialize.py::TestJsonDocs::test_integers_beyond_int64_read_as_floats",),
         "a JSON integer beyond int64 is read as a float",
     ),
+    Mutant(
+        "runner-shares-one-generator",
+        "selftest.py",
+        "    for name, check in CHECKS:\n        try:\n            check(np.random.default_rng(seed))\n",
+        "    rng = np.random.default_rng(seed)\n    for name, check in CHECKS:\n        try:\n            check(rng)\n",
+        ("tests/test_cli.py::TestSelfTest::test_each_check_draws_from_its_own_generator",),
+        "each self-test check draws from its own generator seeded from --seed",
+    ),
+    Mutant(
+        "arrays-of-any-dtype-accepted",
+        "attention.py",
+        '        if a.dtype.kind not in "biuf":\n            raise DimensionMismatch(f"{what} must be real, got dtype {a.dtype}")\n',
+        "",
+        ("tests/test_api_numbers.py::test_bad_number_raises_its_named_error",),
+        "attention and MLP parameters of a complex, object or string dtype are refused by name",
+    ),
 )
 
 

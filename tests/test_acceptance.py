@@ -22,6 +22,7 @@ from helpers import (
     random_measure,
     random_mlp,
     random_probability,
+    random_stack,
 )
 
 
@@ -36,11 +37,7 @@ def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
 def seeded_stack(rng, dim=2):
     depth = int(rng.integers(1, 3))
     heads = int(rng.integers(1, 3))
-    layers = tuple(
-        ic.Layer(random_attention(rng, dim, heads=heads), random_mlp(rng, dim))
-        for _ in range(depth)
-    )
-    return ic.LayerStack(layers, dim)
+    return random_stack(rng, dim, depth, heads)
 
 
 def test_criterion_1_w1_oracles():

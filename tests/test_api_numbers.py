@@ -7,6 +7,8 @@ named DomainError, with the same message, as an out-of-range value: never a
 TypeError, ValueError, AttributeError or OverflowError from inside a call.  An
 integer beyond the float range is refused as infinity is, and a count whose
 arrays or layer tuples would exceed the address space raises ProblemTooLarge.
+Query points and parameter matrices are arrays of real numbers: a complex,
+object or string array is refused by name, never cast or half used.
 """
 
 import re
@@ -25,7 +27,7 @@ from incontext.errors import (
     TooFewTimePoints,
 )
 
-from helpers import random_attention, random_mlp
+from helpers import random_attention, random_mlp, random_stack
 
 BAD_VALUES = {"str": "3", "none": None, "nan": float("nan"), "inf": float("inf"), "neg-inf": -np.inf}
 # amounts and reals refuse an integer beyond the float range as they refuse infinity
@@ -121,6 +123,32 @@ ARRAYS = [
         "MLP matrices and biases must be numpy arrays, got list",
     ),
 ]
+# query points and rows that are not real numbers, and the calls that read them
+BAD_QUERIES = {
+    "complex-array": np.array([0.5 + 1j]),
+    "complex-list": [0.5j],
+    "object-array": np.array([None], dtype=object),
+    "str-array": np.array(["0.5"]),
+}
+STACK = random_stack(np.random.default_rng(32), 1)
+QUERY = "query rows must be numbers in rows of one length"
+QUERIES = [
+    ("attention", lambda x: ic.attention(ATT, MU, x)),
+    ("forward-map", lambda x: ic.forward_map(STACK, MU, x)),
+    ("characteristic-map", lambda x: ic.characteristic_map(FIELD, MU, x, 0.5)),
+    ("add-atom", lambda x: ic.add_atom(MU, x, 0.5)),
+    ("extract-g", lambda x: ic.extract_g(IDENTITY, MU, x, 1e-3)),
+    ("layer-step", lambda x: ic.layer_step(STACK.layers[0], MU.points, MU.weights, x)),
+]
+# parameter matrices and biases of a dtype that is not real, built from a 1 x 1 array
+BAD_DTYPES = {"complex": complex, "object": object, "str": str}
+MLP_REAL = "MLP matrices and biases must be real, got dtype {.dtype}"
+PARAMS = [
+    ("attention-matrix", lambda a: ic.AttentionParams((ic.HeadParams(HEAD.q, HEAD.k, a, HEAD.w),), 1),
+     "attention matrices must be real, got dtype {.dtype}"),
+    ("mlp-matrix", lambda a: ic.MlpParams(1.0, ((a, np.zeros(1)),)), MLP_REAL),
+    ("mlp-bias", lambda a: ic.MlpParams(1.0, ((np.ones((1, 1)), a[0]),)), MLP_REAL),
+]
 # other arguments of the wrong kind or out of range, each with the one call that shows it
 ARGUMENTS = [
     ("coordinate-test-ell-beyond-dim", lambda _: ic.coordinate_test(1, ic.default_box(1)), OutOfDomain,
@@ -147,6 +175,12 @@ def _rows():
             yield pytest.param(call, BAD_REALS[kind], error, message, id=f"{name}-{kind}")
     for name, call, message in TOO_LARGE:
         yield pytest.param(call, 2**100, ProblemTooLarge, message, id=f"{name}-too-large")
+    for name, call in QUERIES:
+        for kind, value in BAD_QUERIES.items():
+            yield pytest.param(call, value, DimensionMismatch, QUERY, id=f"{name}-{kind}")
+    for name, call, message in PARAMS:
+        for kind, dtype in BAD_DTYPES.items():
+            yield pytest.param(call, np.ones((1, 1), dtype=dtype), DimensionMismatch, message, id=f"{name}-{kind}")
     for name, call, error, message in ARRAYS + ARGUMENTS:
         yield pytest.param(call, None, error, message, id=name)
 

@@ -11,6 +11,7 @@ import incontext as ic
 from incontext import cli, selftest
 from incontext import serialize as ser
 from incontext.cli import main
+from incontext.errors import OutOfDomain
 
 from helpers import (
     OVERFLOW_POINTS,
@@ -431,6 +432,21 @@ class TestSelfTest:
         assert [l.split()[0] for l in first.splitlines()] == [
             l.split()[0] for l in second.splitlines()
         ]
+
+    def test_each_check_draws_from_its_own_generator(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(selftest, "CHECKS", [(name, lambda rng: draws.append(rng.random(3))) for name in "ab"])
+        assert selftest.run_self_test(5)
+        want = np.random.default_rng(5).random(3)
+        assert len(draws) == 2 and all(np.array_equal(d, want) for d in draws)
+
+    def test_a_check_that_raises_another_error_fails_by_its_type(self, capsys, monkeypatch):
+        def check(rng):
+            raise OutOfDomain("no such point")
+
+        monkeypatch.setattr(selftest, "CHECKS", [("probe", check)])
+        assert main(["self-test"]) == 1
+        assert capsys.readouterr().out == "FAIL probe: OutOfDomain: no such point\n"
 
     def test_mutation_is_caught(self, capsys, monkeypatch):
         # flip the sign of the 1d distance: the transport oracle check must trip

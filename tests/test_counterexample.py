@@ -73,6 +73,11 @@ class TestKappa:
         with pytest.raises(OutOfDomain):
             ic.kappa(ic.new_discrete([[0.0, 0.0]], [1.0]))
 
+    def test_support_beyond_the_domain_rejected(self):
+        wide = ic.Box(np.array([-4.0]), np.array([4.0]))
+        with pytest.raises(OutOfDomain, match=r"^support leaves \[-3, 3\]$"):
+            ic.kappa(ic.dirac([3.5], box=wide))
+
 
 class TestFCounter:
     def test_fixes_far_atom(self):

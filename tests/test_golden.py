@@ -24,7 +24,7 @@ import scipy
 import incontext as ic
 from incontext import serialize as ser
 from incontext.cli import main
-from incontext.selftest import random_attention, random_measure, random_mlp
+from incontext.selftest import random_attention, random_measure, random_mlp, random_stack
 
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 DIR = "<dir>"
@@ -32,13 +32,6 @@ DIR = "<dir>"
 
 def versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
-
-
-def _stack(rng, dim, depth, heads=1, scale=1.0):
-    layers = tuple(
-        ic.Layer(random_attention(rng, dim, heads=heads), random_mlp(rng, dim), scale) for _ in range(depth)
-    )
-    return ic.LayerStack(layers, dim)
 
 
 def _probability(rng, n, dim):
@@ -59,9 +52,9 @@ def _inputs(rng) -> dict:
         "small2.json": ser.measure_to_doc(random_measure(rng, 3, 2)),
         "uniform2.json": ser.measure_to_doc(random_measure(rng, 4, 2, uniform=True)),
         "tokens.json": ser.tokens_to_doc(ic.new_tokens(toks)),
-        "one_head.json": ser.stack_to_doc(_stack(rng, 2, depth=2)),
-        "two_heads.json": ser.stack_to_doc(_stack(rng, 3, depth=1, heads=2)),
-        "scaled.json": ser.stack_to_doc(_stack(rng, 2, depth=3, scale=0.25)),
+        "one_head.json": ser.stack_to_doc(random_stack(rng, 2, depth=2)),
+        "two_heads.json": ser.stack_to_doc(random_stack(rng, 3, depth=1, heads=2)),
+        "scaled.json": ser.stack_to_doc(random_stack(rng, 2, depth=3, scale=0.25)),
         "base.json": base,
         "a1.json": ser.measure_to_doc(_probability(rng, 7, 1)),
         "b1.json": ser.measure_to_doc(_probability(rng, 5, 1)),

@@ -475,6 +475,15 @@ class TestIota:
         with pytest.raises(NotRationalGrid):
             ic.iota_inv(mu, 3)
 
+    def test_inverse_rejects_multiplicities_of_another_total(self):
+        mu = ic.new_discrete([[0.0], [1.0], [2.0]], [0.5, 0.5, 0.5], box1())
+        with pytest.raises(NotRationalGrid, match="^multiplicities sum to 3, expected 2$"):
+            ic.iota_inv(mu, 2)
+
+    def test_iota_rejects_an_empty_sequence(self):
+        with pytest.raises(EmptySequence, match="^cannot identify an empty sequence with a measure$"):
+            ic.iota(ic.TokenSequence(np.zeros((0, 1)), box1()))
+
     def test_roundtrip_exhaustive_small(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(-2, 2, size=4)

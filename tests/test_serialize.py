@@ -64,6 +64,11 @@ class TestJsonDocs:
         back = ser.measure_from_doc(doc)
         assert back == mu
 
+    def test_a_value_it_cannot_write_is_a_program_fault(self):
+        # no domain error: cli.main would report it as a bad input and exit 1
+        with pytest.raises(TypeError, match="^cannot serialize value of type object$"):
+            ser.dumps({"x": object()})
+
     BOX = '"box": {"lo": [-1e21], "hi": [1e21]}'
 
     def test_integers_beyond_int64_read_as_floats(self):

@@ -52,8 +52,8 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        lo = np.array(self.lo, dtype=float)
-        hi = np.array(self.hi, dtype=float)
+        lo = np.array(_floats(self.lo, LengthMismatch, "box corners must be real numbers"))
+        hi = np.array(_floats(self.hi, LengthMismatch, "box corners must be real numbers"))
         if lo.ndim != 1 or hi.ndim != 1 or lo.shape != hi.shape:
             raise LengthMismatch("box corners must be 1-d vectors of equal length")
         if not np.isfinite(np.concatenate((lo, hi))).all():
@@ -180,16 +180,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _floats(x) -> np.ndarray:
-    """A query point or query rows as a float array; DimensionMismatch when
-    they are not real numbers in rows of one length: ragged rows, complex or
-    object entries, or an array of a dtype other than bool, integer or float."""
+def _floats(
+    x, error: type = DimensionMismatch, message: str = "query rows must be numbers in rows of one length"
+) -> np.ndarray:
+    """``x`` as a float array, not copied if it already is one; ``error(message)``
+    unless numpy reads it as a rectangular array of bool, integer or float
+    numbers.  A list is checked as numpy reads it, so complex, object and
+    string entries are refused, never cast.  Query points and rows take the
+    default; each constructor passes the error it raises for a malformed array."""
     try:
-        if getattr(getattr(x, "dtype", None), "kind", "f") not in "biuf":
-            raise TypeError
-        return np.asarray(x, dtype=float)
-    except (ValueError, TypeError):
-        raise DimensionMismatch("query rows must be numbers in rows of one length") from None
+        a = np.asarray(x)
+    except ValueError:  # ragged rows
+        raise error(message) from None
+    if a.dtype.kind not in "biuf":
+        raise error(message)
+    return a.astype(float, copy=False)
 
 
 def _count(value, least: int, error: type, whole: str, below: str | None = None) -> int:
@@ -240,13 +245,14 @@ def new_discrete(
 ) -> DiscreteMeasure:
     """Validate and build a discrete measure.
 
-    Raises LengthMismatch (also for weights that are not one row),
-    NonpositiveWeight (a weight that is not positive, or a total mass that is
-    not finite), PointOutsideBox or EmptyMeasure when the inputs violate the
-    carrier invariants.  ``box`` defaults to [-3, 3]^d.
+    Raises LengthMismatch (also for weights that are not one row, and for
+    points or weights that are not real numbers), NonpositiveWeight (a weight
+    that is not positive, or a total mass that is not finite), PointOutsideBox
+    or EmptyMeasure when the inputs violate the carrier invariants.  ``box``
+    defaults to [-3, 3]^d.
     """
-    pts = np.atleast_2d(np.array(points, dtype=float))
-    w = np.atleast_1d(np.array(weights, dtype=float))
+    pts = np.atleast_2d(np.array(_floats(points, LengthMismatch, "points must be real numbers in rows of one length")))
+    w = np.atleast_1d(np.array(_floats(weights, LengthMismatch, "weights must be real numbers in one row")))
     if w.ndim > 1:
         raise LengthMismatch(f"weights must form an (n,) array, got shape {w.shape}")
     # an empty point list becomes shape (1, 0) under atleast_2d
@@ -271,8 +277,10 @@ def new_discrete(
 
 
 def dirac(point: Sequence[float] | np.ndarray, mass: float = 1.0, box: Box | None = None) -> DiscreteMeasure:
-    """Single point mass ``mass * delta(point)``."""
-    return new_discrete(np.atleast_2d(np.asarray(point, dtype=float)), [mass], box)
+    """Single point mass ``mass * delta(point)``; a mass that is not a real
+    number is refused as a nonpositive one is (NonpositiveWeight)."""
+    pts = np.atleast_2d(_floats(point, LengthMismatch, "a point must be real numbers"))
+    return new_discrete(pts, [_real(mass)], box)
 
 
 def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -517,7 +525,7 @@ def is_dif(mu: DiscreteMeasure) -> bool:
 
 
 def new_tokens(tokens: Sequence[Sequence[float]] | np.ndarray, box: Box | None = None) -> TokenSequence:
-    toks = np.atleast_2d(np.array(tokens, dtype=float))
+    toks = np.atleast_2d(np.array(_floats(tokens, LengthMismatch, "tokens must be real numbers in rows of one length")))
     # an empty token list becomes shape (1, 0) under atleast_2d
     if toks.size == 0:
         raise EmptySequence("a token sequence needs at least one token")

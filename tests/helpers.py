@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +29,17 @@ from incontext.selftest import (  # noqa: F401 - re-exported for the tests
     random_probability,
     random_stack,
 )
+
+# the directory holding the package these tests import, so that a fresh
+# interpreter runs the same copy of it (``tests/mutants.py`` runs a mutated one)
+SRC = Path(ic.__file__).resolve().parent.parent
+
+
+def src_env(**extra):
+    """The environment for a fresh interpreter that imports the package under test."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 def each_row(point_fn):

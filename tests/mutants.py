@@ -69,6 +69,21 @@ PROBE_LOOP = (
 )
 
 
+# The body of ``transport._scipy_extension``, which loads one compiled scipy
+# module from its file without importing the packages around it.
+SCIPY_EXTENSION_BODY = (
+    "    module = sys.modules.get(name)\n"
+    "    if module is None:\n"
+    "        base = os.path.join(os.path.dirname(importlib.util.find_spec(\"scipy\").origin), *name.split(\".\")[1:])\n"
+    "        path = next(base + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.exists(base + s))\n"
+    "        spec = importlib.util.spec_from_file_location(name, path)\n"
+    "        module = importlib.util.module_from_spec(spec)\n"
+    "        sys.modules[name] = module\n"
+    "        spec.loader.exec_module(module)\n"
+    "    return module\n"
+)
+
+
 MUTANTS = (
     Mutant(
         "nearest-last-on-tie",
@@ -358,24 +373,24 @@ MUTANTS = (
     Mutant(
         "box-shares-the-callers-corners",
         "measures.py",
-        "lo = np.array(self.lo, dtype=float)",
-        "lo = np.asarray(self.lo, dtype=float)",
+        'lo = np.array(_floats(self.lo, LengthMismatch, "box corners must be real numbers"))',
+        'lo = _floats(self.lo, LengthMismatch, "box corners must be real numbers")',
         ("tests/test_measures.py::TestOwnership::test_box_copies_the_corners",),
         "a carrier copies the caller's arrays once at its validated edge",
     ),
     Mutant(
         "new-discrete-shares-the-callers-points",
         "measures.py",
-        "pts = np.atleast_2d(np.array(points, dtype=float))",
-        "pts = np.atleast_2d(np.asarray(points, dtype=float))",
+        "pts = np.atleast_2d(np.array(_floats(points, ",
+        "pts = np.atleast_2d((_floats(points, ",
         ("tests/test_measures.py::TestOwnership::test_new_discrete_copies_points_and_weights",),
         "a carrier copies the caller's arrays once at its validated edge",
     ),
     Mutant(
         "new-tokens-shares-the-callers-tokens",
         "measures.py",
-        "toks = np.atleast_2d(np.array(tokens, dtype=float))",
-        "toks = np.atleast_2d(np.asarray(tokens, dtype=float))",
+        "toks = np.atleast_2d(np.array(_floats(tokens, ",
+        "toks = np.atleast_2d((_floats(tokens, ",
         ("tests/test_measures.py::TestOwnership::test_new_tokens_copies_the_tokens",),
         "a carrier copies the caller's arrays once at its validated edge",
     ),
@@ -503,6 +518,20 @@ MUTANTS = (
         "",
         ("tests/test_transport.py::TestLpAssembly::test_restricted_lps_match_scipy_linprog",),
         "the direct HiGHS solve passes the dual tolerance linprog passed, so it reaches the same vertex",
+    ),
+    Mutant(
+        "solver-imports-scipy-optimize",
+        "transport.py",
+        SCIPY_EXTENSION_BODY,
+        "    return importlib.import_module(name)\n",
+        (
+            "tests/test_cli.py::TestStartup::test_assignment_route_loads_scipy",
+            "tests/test_cli.py::TestStartup::test_lp_route_loads_only_the_highs_binding",
+            "tests/test_cli.py::TestStartup::test_depth_limit_loads_only_the_assignment_solver",
+            "tests/test_cli.py::TestStartup::test_self_test_loads_only_the_two_solvers",
+            "tests/test_transport.py::TestSolverModules::test_scipy_optimize_imported_later_reuses_both_solvers",
+        ),
+        "the W1 routes load only the compiled solver they call, never the scipy.optimize package",
     ),
     Mutant(
         "count-keeps-its-numpy-dtype",

@@ -7,8 +7,10 @@ named DomainError, with the same message, as an out-of-range value: never a
 TypeError, ValueError, AttributeError or OverflowError from inside a call.  An
 integer beyond the float range is refused as infinity is, and a count whose
 arrays or layer tuples would exceed the address space raises ProblemTooLarge.
-Query points and parameter matrices are arrays of real numbers: a complex,
-object or string array is refused by name, never cast or half used.
+Query points, parameter matrices and the arrays a measure, token sequence or
+box is built from are arrays of real numbers: a complex, object or string
+array, or a list numpy reads as one, is refused by name, never cast or half
+used.
 """
 
 import re
@@ -20,6 +22,7 @@ import incontext as ic
 from incontext.errors import (
     AnchorsTooClose,
     DimensionMismatch,
+    LengthMismatch,
     NonpositiveWeight,
     NotRationalGrid,
     OutOfDomain,
@@ -63,6 +66,8 @@ AMOUNTS = [
     ("add-atom-mass", lambda x: ic.add_atom(MU, [0.5], x), NonpositiveWeight,
      "added mass must be positive and finite, got {!r}"),
     ("make-dif-eps", lambda x: ic.make_dif(MU, x, 0), NonpositiveWeight, EPS),
+    ("dirac-mass", lambda x: ic.dirac([0.5], x), NonpositiveWeight,
+     "weights must be strictly positive with a finite total"),
     ("extract-eps", lambda x: ic.extract_g(IDENTITY, MU, [0.5], x), NonpositiveWeight, EPS),
     ("regular-derivative-eps", lambda x: ic.regular_derivative(IDENTITY, MU, [0.5], PSI, x), NonpositiveWeight, EPS),
 ]
@@ -127,8 +132,11 @@ ARRAYS = [
 BAD_QUERIES = {
     "complex-array": np.array([0.5 + 1j]),
     "complex-list": [0.5j],
+    "numpy-complex-list": [np.complex128(0.5j)],
     "object-array": np.array([None], dtype=object),
     "str-array": np.array(["0.5"]),
+    "str-list": ["0.5"],
+    "ragged-list": [[0.5], [0.5, 1.0]],
 }
 STACK = random_stack(np.random.default_rng(32), 1)
 QUERY = "query rows must be numbers in rows of one length"
@@ -139,6 +147,16 @@ QUERIES = [
     ("add-atom", lambda x: ic.add_atom(MU, x, 0.5)),
     ("extract-g", lambda x: ic.extract_g(IDENTITY, MU, x, 1e-3)),
     ("layer-step", lambda x: ic.layer_step(STACK.layers[0], MU.points, MU.weights, x)),
+]
+# constructors given one of BAD_QUERIES as a row of points or tokens, as weights or as a corner
+ROWS = "{} must be real numbers in rows of one length"
+CONSTRUCTORS = [
+    ("new-discrete-points", lambda x: ic.new_discrete([x], [1.0]), ROWS.format("points")),
+    ("new-discrete-weights", lambda x: ic.new_discrete([[0.5]], x), "weights must be real numbers in one row"),
+    ("new-tokens", lambda x: ic.new_tokens([x]), ROWS.format("tokens")),
+    ("dirac", ic.dirac, "a point must be real numbers"),
+    ("box-lo", lambda x: ic.Box(x, [1.0]), "box corners must be real numbers"),
+    ("box-hi", lambda x: ic.Box([0.0], x), "box corners must be real numbers"),
 ]
 # parameter matrices and biases of a dtype that is not real, built from a 1 x 1 array
 BAD_DTYPES = {"complex": complex, "object": object, "str": str}
@@ -178,6 +196,9 @@ def _rows():
     for name, call in QUERIES:
         for kind, value in BAD_QUERIES.items():
             yield pytest.param(call, value, DimensionMismatch, QUERY, id=f"{name}-{kind}")
+    for name, call, message in CONSTRUCTORS:
+        for kind, value in BAD_QUERIES.items():
+            yield pytest.param(call, value, LengthMismatch, message, id=f"{name}-{kind}")
     for name, call, message in PARAMS:
         for kind, dtype in BAD_DTYPES.items():
             yield pytest.param(call, np.ones((1, 1), dtype=dtype), DimensionMismatch, message, id=f"{name}-{kind}")

@@ -21,16 +21,8 @@ from helpers import (
     random_mlp,
     random_probability,
     random_stack,
+    src_env,
 )
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def src_env(**extra):
-    """The environment for a fresh interpreter that imports this checkout's package."""
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    return env
 
 
 def write_measure(path, mu):
@@ -206,40 +198,64 @@ class TestForwardCommands:
 
 
 def scipy_loaded_after(*argv):
-    """Whether a fresh interpreter has scipy loaded after importing the CLI
-    and, if ``argv`` is given, running ``main(argv)`` with exit code 0."""
+    """The sorted names of the scipy modules a fresh interpreter has loaded
+    after importing the CLI and, if ``argv`` is given, running ``main(argv)``
+    with exit code 0."""
     code = (
         "import sys\n"
         "from incontext.cli import main\n"
         "argv = sys.argv[1:]\n"
         "assert not argv or main(argv) == 0\n"
-        "print('scipy' in sys.modules)\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('scipy')))\n"
     )
     done = subprocess.run([sys.executable, "-c", code, *argv], env=src_env(), check=True, capture_output=True, text=True)
-    return done.stdout.splitlines()[-1] == "True"
+    return done.stdout.splitlines()[-1].split()
+
+
+LSAP = ["scipy.optimize._lsap"]
+# the HiGHS binding registers two submodules of its own when it loads
+HIGHS = ["scipy.optimize._highspy._core", "scipy.optimize._highspy._core.cb",
+         "scipy.optimize._highspy._core.simplex_constants"]
 
 
 class TestStartup:
+    """Each route loads only the compiled solver it calls, never the
+    ``scipy.optimize`` package around it."""
+
     def test_import_does_not_load_scipy(self):
-        assert not scipy_loaded_after()
+        assert scipy_loaded_after() == []
 
     def test_forward_does_not_load_scipy(self, tmp_path):
         rng = np.random.default_rng(10)
         s = write_stack(tmp_path / "s.json", random_stack(rng, 2))
         m = write_measure(tmp_path / "m.json", random_measure(rng, 4, 2))
-        assert not scipy_loaded_after("forward", "--stack", s, "--measure", m, "--out", str(tmp_path / "y.json"))
+        assert scipy_loaded_after("forward", "--stack", s, "--measure", m, "--out", str(tmp_path / "y.json")) == []
 
     def test_assignment_route_loads_scipy(self, tmp_path):
         rng = np.random.default_rng(11)
         a = write_measure(tmp_path / "a.json", random_measure(rng, 4, 2, uniform=True))
         b = write_measure(tmp_path / "b.json", random_measure(rng, 4, 2, uniform=True))
-        assert scipy_loaded_after("w1", "--a", a, "--b", b, "--plan", str(tmp_path / "plan.json"))
+        assert scipy_loaded_after("w1", "--a", a, "--b", b, "--plan", str(tmp_path / "plan.json")) == LSAP
+
+    def test_lp_route_loads_only_the_highs_binding(self, tmp_path):
+        rng = np.random.default_rng(16)
+        a = write_measure(tmp_path / "a.json", random_probability(rng, 5, 2))
+        b = write_measure(tmp_path / "b.json", random_probability(rng, 7, 2))
+        assert scipy_loaded_after("w1", "--a", a, "--b", b) == HIGHS
+
+    def test_depth_limit_loads_only_the_assignment_solver(self, tmp_path):
+        rng = np.random.default_rng(17)
+        argv = _subcommand_argv("depth-limit", tmp_path, random_stack(rng, 2), random_measure(rng, 3, 2, uniform=True))
+        assert scipy_loaded_after(*argv) == LSAP
 
     def test_one_dim_plan_does_not_load_scipy(self, tmp_path):
         rng = np.random.default_rng(15)
         a = write_measure(tmp_path / "a.json", random_probability(rng, 5, 1))
         b = write_measure(tmp_path / "b.json", random_probability(rng, 7, 1))
-        assert not scipy_loaded_after("w1", "--a", a, "--b", b, "--plan", str(tmp_path / "plan.json"))
+        assert scipy_loaded_after("w1", "--a", a, "--b", b, "--plan", str(tmp_path / "plan.json")) == []
+
+    def test_self_test_loads_only_the_two_solvers(self):
+        assert scipy_loaded_after("self-test") == sorted(HIGHS + LSAP)
 
 
 class TestFlowCommand:

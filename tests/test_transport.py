@@ -1,3 +1,4 @@
+import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -22,6 +23,7 @@ from helpers import (
     random_probability,
     reference_linprog,
     reference_marginal_constraints,
+    src_env,
 )
 
 
@@ -440,6 +442,52 @@ class TestCertificateScale:
             certified += 1
             assert abs(got - want) <= 1e-15 * want, seed
         assert certified >= 9
+
+
+# A fresh interpreter solves one assignment and one LP through transport, then
+# imports scipy.optimize: the package must reuse the two solver modules.  The
+# LP (costs 4, 1, 2, 3; marginals [1/2, 1/2] and [1/4, 3/4]) has the unique
+# optimum x = [0, 1/2, 1/4, 1/4].
+IMPORT_ORDER = """\
+import sys
+import numpy as np
+from incontext import transport
+cost = np.array([[4.0, 1.0], [2.0, 3.0]])
+a, b = np.array([0.5, 0.5]), np.array([0.25, 0.75])
+src, tgt = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+rows, cols = transport.linear_sum_assignment(cost)
+lp = transport.linprog(cost.ravel(), src, tgt, a, b)
+core = sys.modules["scipy.optimize._highspy._core"]
+assert "scipy.optimize" not in sys.modules
+import scipy.optimize
+assert scipy.optimize.linear_sum_assignment is sys.modules["scipy.optimize._lsap"].linear_sum_assignment
+assert sys.modules["scipy.optimize._highspy._core"] is core
+assert [r.tolist() for r in scipy.optimize.linear_sum_assignment(cost)] == [rows.tolist(), cols.tolist()]
+A = np.zeros((4, 4))
+A[src, np.arange(4)] = A[2 + tgt, np.arange(4)] = 1.0
+res = scipy.optimize.linprog(cost.ravel(), A_eq=A, b_eq=np.concatenate([a, b]), method="highs")
+assert res.status == 0 and np.allclose(res.x, [0.0, 0.5, 0.25, 0.25]) and np.allclose(lp.x, res.x)
+print("ok")
+"""
+
+
+class TestSolverModules:
+    """transport loads scipy's two compiled solvers from their files, under
+    their own names, so they are the very modules scipy.optimize uses."""
+
+    def test_scipy_optimize_imported_later_reuses_both_solvers(self):
+        done = subprocess.run([sys.executable, "-c", IMPORT_ORDER], env=src_env(), capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
+
+    def test_an_already_imported_solver_is_reused(self):
+        import scipy.optimize
+
+        lsap = transport._scipy_extension("scipy.optimize._lsap")
+        assert lsap is sys.modules["scipy.optimize._lsap"]
+        assert lsap.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+        core = "scipy.optimize._highspy._core"
+        assert transport._scipy_extension(core) is sys.modules[core]
 
 
 class TestSolverTracing:

@@ -45,15 +45,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyMeasure,
-    LengthMismatch,
-    MapUndefinedAtAtom,
-    OutOfDomain,
-    SkipNotUnit,
-)
-from .measures import DiscreteMeasure, _canonical, _count, _finite_rows, _floats, _real, _relocated, canonicalize
+from .errors import DimensionMismatch, EmptyMeasure, LengthMismatch, OutOfDomain, SkipNotUnit
+from .measures import DiscreteMeasure, _canonical, _count, _finite_rows, _floats, _held_to, _mismatch, _real
+from .measures import _relocated, canonicalize
 
 ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "tanh": np.tanh,
@@ -177,13 +171,16 @@ def identity_mlp() -> MlpParams:
 
 @dataclass(frozen=True)
 class Layer:
-    """One attention+MLP block with an optional velocity scale."""
+    """One attention+MLP block with an optional velocity scale; fields of another type raise DimensionMismatch."""
 
     attention: AttentionParams
     mlp: MlpParams
     scale: float = 1.0
 
     def __post_init__(self) -> None:
+        for value, kind in ((self.attention, AttentionParams), (self.mlp, MlpParams)):
+            if not isinstance(value, kind):
+                raise DimensionMismatch(f"layer parameters must be {kind.__name__}, got {type(value).__name__}")
         if not math.isfinite(_real(self.scale)):
             raise OutOfDomain(f"layer scale must be finite, got {self.scale}")
 
@@ -198,20 +195,6 @@ class Layer:
 # row only: evaluating m rows at once gives bitwise the same result as
 # evaluating each row alone.  BLAS products would not (their blocking and
 # kernels change with the operand shapes), so none is used here.
-
-
-def _mismatch(d: int, width: int) -> DimensionMismatch:
-    return DimensionMismatch(f"points of dimension {d} meet a matrix of width {width}")
-
-
-def _held_to(Y: np.ndarray, X: np.ndarray, rows_error: type = MapUndefinedAtAtom) -> np.ndarray:
-    """``Y`` itself when it has the shape of the query rows X: ``rows_error`` for
-    another row count, DimensionMismatch for another width."""
-    if Y.shape[:1] != X.shape[:1]:
-        raise rows_error(f"map returned shape {Y.shape} for {X.shape[0]} atoms")
-    if Y.shape != X.shape:
-        raise _mismatch(X.shape[1], math.prod(Y.shape[1:]))
-    return Y
 
 
 def _leading_sum(A: np.ndarray, Xt: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:

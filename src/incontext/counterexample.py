@@ -19,7 +19,7 @@ import numpy as np
 
 from .derivative import MeasureMap, extract_g_detailed
 from .errors import NotProbability, OutOfDomain
-from .measures import Box, DiscreteMeasure, _count, _raw_measure, _real, new_discrete, push_forward
+from .measures import Box, DiscreteMeasure, _count, _floats, _raw_measure, _real, new_discrete, push_forward
 from .transport import w1_1d
 
 DOMAIN_HALF_WIDTH = 3.0
@@ -40,12 +40,12 @@ def r_map(a: float, x: float | np.ndarray) -> float | np.ndarray:
     ``r_map(a, x) = x + (1/10) cos^2(pi x / 2) cos(a x)`` for |x| < 1.  The
     bump vanishes with its derivative at x = +-1, so the map is C^1 on the
     whole interval and fixes everything with |x| >= 1.  Acts elementwise on
-    an array; a float gives a float.  An ``a`` that is not a finite real
-    number of at least 0 raises OutOfDomain.
+    real numbers (else DimensionMismatch); a float gives a float.  An ``a``
+    that is not a finite real number of at least 0 raises OutOfDomain.
     """
     if not 0.0 <= _real(a) < np.inf:
         raise OutOfDomain(f"frequency parameter must be nonnegative, got {a}")
-    x = np.asarray(x, dtype=float)
+    x = _floats(x)
     size = np.abs(x)
     outside = x[size > DOMAIN_HALF_WIDTH]
     if outside.size:

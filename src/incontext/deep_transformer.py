@@ -31,7 +31,7 @@ from .measures import DiscreteMeasure, TokenSequence, _count, _empirical, _finit
 @dataclass(frozen=True)
 class LayerStack:
     """Ordered attention+MLP layers; an empty stack is the identity map.  A ``dim`` that is not
-    a Python or numpy integer of at least 1 raises DimensionMismatch."""
+    a Python or numpy integer of at least 1, or a layer that is not a Layer, raises DimensionMismatch."""
 
     layers: tuple[Layer, ...]
     dim: int
@@ -39,6 +39,8 @@ class LayerStack:
     def __post_init__(self) -> None:
         _count(self.dim, 1, DimensionMismatch, "stack dimension must be an integer of at least 1, got {!r}")
         for layer in self.layers:
+            if not isinstance(layer, Layer):
+                raise DimensionMismatch(f"stack layers must be Layer, got {type(layer).__name__}")
             if layer.attention.dim != self.dim:
                 raise DimensionMismatch(f"layer dimension {layer.attention.dim} != stack dimension {self.dim}")
             if layer.mlp.dim is not None and layer.mlp.dim != self.dim:

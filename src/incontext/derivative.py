@@ -29,9 +29,10 @@ import numpy as np
 
 from .attention import InContextMap
 from .deep_transformer import LayerStack, forward_measure
-from .errors import AnchorsTooClose, DimensionMismatch, DisplacementTooLarge, OutOfDomain, ProbeMassLost
-from .measures import Box, DiscreteMeasure, _amount, _count, _distances, _floats, _real, _squared_distances, add_atom
-from .measures import canonicalize, push_forward
+from .errors import AnchorsTooClose, DimensionMismatch, DisplacementTooLarge, MapUndefinedAtAtom, OutOfDomain
+from .errors import ProbeMassLost
+from .measures import Box, DiscreteMeasure, _amount, _count, _distances, _floats, _held_to, _real, _squared_distances
+from .measures import add_atom, canonicalize, push_forward
 
 DEFAULT_EPS = 1e-6
 MAX_PATCH_RADIUS = 0.05
@@ -75,9 +76,9 @@ class TestFunction:
     """C^1 compactly supported scalar function with a Lipschitz bound.
 
     ``base_value``/``base_gradient`` map point rows (m, d) to the unpatched
-    values (m,) and gradients (m, d); when a patch is present, evaluation
-    blends to the anchor value inside each anchor ball through a C^1 radial
-    ramp (identically the anchor value within half the patch radius).
+    real values (m,) and gradients (m, d), else DimensionMismatch; with a patch,
+    evaluation blends to the anchor value inside each anchor ball through a C^1
+    radial ramp (identically the anchor value within half the patch radius).
     ``value``/``gradient`` take rows too, or one point (d,).
     """
 
@@ -85,6 +86,12 @@ class TestFunction:
     base_gradient: Callable[[np.ndarray], np.ndarray]
     lip: float
     patch: Patch | None = None
+
+    def _base_values(self, Y: np.ndarray) -> np.ndarray:
+        v = _floats(self.base_value(Y), DimensionMismatch, "test function values must be real numbers")
+        if v.shape != Y.shape[:1]:
+            raise DimensionMismatch(f"test function returned shape {v.shape} for {Y.shape[0]} rows")
+        return v
 
     def _nearest_anchor(self, Y: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per row: nearest anchor, its distance and value, and (dist - r/2) / (r/2)."""
@@ -95,7 +102,7 @@ class TestFunction:
     def value(self, y: np.ndarray) -> float | np.ndarray:
         y = _floats(y)
         Y = np.atleast_2d(y)
-        v = self.base_value(Y)
+        v = self._base_values(Y)
         if self.patch is not None:
             _, dist, a, _ = self._nearest_anchor(Y)
             v = _blend(v, a, dist, self.patch.radius)
@@ -104,11 +111,11 @@ class TestFunction:
     def gradient(self, y: np.ndarray) -> np.ndarray:
         y = _floats(y)
         Y = np.atleast_2d(y)
-        g = np.asarray(self.base_gradient(Y), dtype=float)
+        g = _held_to(self.base_gradient(Y), Y, DimensionMismatch)
         if self.patch is not None:
             j, dist, a, u = self._nearest_anchor(Y)
             r = self.patch.radius
-            lift = _smoothstep_deriv(u) / (r / 2.0) * (self.base_value(Y) - a)
+            lift = _smoothstep_deriv(u) / (r / 2.0) * (self._base_values(Y) - a)
             # only rows beyond r/2 are blended; the floor keeps the others finite
             radial = (Y - self.patch.anchors[j]) / np.maximum(dist, r / 2.0)[:, None]
             blend = _smoothstep(u)[:, None] * g + lift[:, None] * radial
@@ -220,21 +227,25 @@ def build_patched_test(base: TestFunction, anchors: np.ndarray, r: float) -> Tes
     AnchorsTooClose if r is not positive or that radius is below 1e-8.  The
     patched function deviates from the base by at most Lip(base) * r.
     """
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    anchors = np.atleast_2d(_floats(anchors))
     if anchors.shape[0] == 0:
         return base
     r = _usable_radius(r, _min_spacing(anchors))
-    return replace(base, patch=Patch(anchors, r, base.base_value(anchors)))
+    return replace(base, patch=Patch(anchors, r, base._base_values(anchors)))
 
 
 @dataclass(eq=False)
 class MeasureMap:
-    """Black-box measure-to-measure map; extraction reads the output dimension off its images."""
+    """Black-box measure-to-measure map; extraction reads the output dimension off its images.
+    A result that is not a DiscreteMeasure raises MapUndefinedAtAtom naming its type."""
 
     fn: Callable[[DiscreteMeasure], DiscreteMeasure]
 
     def __call__(self, mu: DiscreteMeasure) -> DiscreteMeasure:
-        return self.fn(mu)
+        nu = self.fn(mu)
+        if not isinstance(nu, DiscreteMeasure):
+            raise MapUndefinedAtAtom(f"measure map must return a DiscreteMeasure, got {type(nu).__name__}")
+        return nu
 
     @staticmethod
     def identity() -> "MeasureMap":
@@ -284,7 +295,7 @@ def _paired_quotient(psi: TestFunction, probe: _PairedProbe) -> float:
     on the anchors followed by the unmatched atoms.
     """
     n = probe.anchors.shape[0]
-    values = psi.base_value(np.concatenate((probe.anchors, probe.free_points)))
+    values = psi._base_values(np.concatenate((probe.anchors, probe.free_points)))
     a = values[:n]
     v = _blend(values[n:], a[probe.free_anchor], probe.free_dist, probe.radius)
     unmatched = probe.free_weights * v
@@ -387,7 +398,7 @@ def extract_g_detailed(
     probe = _verified_probe(f, mu, x, eps)
     out_box = probe.box.enlarged(0.5)
     values = [_paired_quotient(coordinate_test(ell, out_box), probe) for ell in range(out_box.dim)]
-    return np.array(values, dtype=float), probe.eps
+    return np.array(values), probe.eps
 
 
 def extract_g(
@@ -414,7 +425,6 @@ def split_reg_irreg(
     the raw unpatched difference quotient identically.
     """
     mu_c = canonicalize(mu)
-    x = _floats(x).reshape(-1)
     probe = add_atom(mu_c, x, eps)
     reg = psi.value(g(probe, x))
     drift = psi.value(g.rows(probe, mu_c.points)) - psi.value(g.rows(mu_c, mu_c.points))

@@ -15,10 +15,13 @@ sequences and uniform empirical measures.
 
 Carriers own their arrays: ``Box``, ``new_discrete`` and ``new_tokens`` copy
 the caller's input once, and ``_freeze`` stores every array as a read-only view.
+Arrays from caller code, what a caller's map returns included, are read here
+alone, by ``_floats`` and ``_held_to``.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -42,6 +45,8 @@ GAP_SUPPORT_CAP = 20
 
 # iota_inv accepts a multiplicity n * weight this close to an integer.
 MULTIPLICITY_TOL = 1e-9
+
+RETURNED = "map must return real numbers in rows of one length"
 
 
 @dataclass(frozen=True)
@@ -73,9 +78,10 @@ class Box:
     def hull(self, points: np.ndarray) -> "Box":
         """Smallest box containing both self and the given points (self when
         it already contains them)."""
-        if self.contains(points):
+        pts = _floats(points)
+        if self.contains(pts):
             return self
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(pts)
         return Box(np.minimum(self.lo, pts.min(axis=0)), np.maximum(self.hi, pts.max(axis=0)))
 
     def enlarged(self, margin: float) -> "Box":
@@ -195,6 +201,21 @@ def _floats(
     if a.dtype.kind not in "biuf":
         raise error(message)
     return a.astype(float, copy=False)
+
+
+def _mismatch(d: int, width: int) -> DimensionMismatch:
+    return DimensionMismatch(f"points of dimension {d} meet a matrix of width {width}")
+
+
+def _held_to(Y, X: np.ndarray, rows_error: type = MapUndefinedAtAtom) -> np.ndarray:
+    """``Y``, what a map returned for the query rows X, as floats of X's shape: ``rows_error`` if it
+    is not real numbers (:func:`_floats`) or has another row count, DimensionMismatch for another width."""
+    Y = _floats(Y, rows_error, RETURNED)
+    if Y.shape[:1] != X.shape[:1]:
+        raise rows_error(f"map returned shape {Y.shape} for {X.shape[0]} atoms")
+    if Y.shape != X.shape:
+        raise _mismatch(X.shape[1], math.prod(Y.shape[1:]))
+    return Y
 
 
 def _count(value, least: int, error: type, whole: str, below: str | None = None) -> int:
@@ -396,7 +417,7 @@ def push_forward(mu: DiscreteMeasure, rows_map: Callable[[np.ndarray], np.ndarra
     """:func:`relocate` each atom to its row of ``rows_map(points)``, the map taking
     all atoms as rows (n, d) at once; a map that raises raises MapUndefinedAtAtom."""
     try:
-        images = np.asarray(rows_map(mu.points), dtype=float)
+        images = rows_map(mu.points)
     except Exception as exc:  # noqa: BLE001 - map failure is a domain error
         raise MapUndefinedAtAtom(f"map failed: {exc}") from exc
     return relocate(mu, images)
@@ -413,13 +434,13 @@ def _finite_rows(images: np.ndarray) -> np.ndarray:
 def relocate(mu: DiscreteMeasure, images: np.ndarray) -> DiscreteMeasure:
     """Canonical measure with atom i of ``mu`` moved to row i of ``images``.
 
-    A push needs exactly one finite row per atom: other images than (n, d'),
-    d' >= 1, raise MapUndefinedAtAtom, as does a row that is not finite,
-    naming its atom.  The output box is the input box hulled with the images when d' is
+    A push needs exactly one finite row of real numbers per atom: other images
+    than (n, d'), d' >= 1, raise MapUndefinedAtAtom, as does a row that is not
+    finite, naming its atom.  The output box is the input box hulled with the images when d' is
     its dimension, else the images' own bounding box.  Images that coincide
     exactly merge; total mass is preserved up to the rounding of those sums.
     """
-    return _relocated(mu, images)[0]
+    return _relocated(mu, _floats(images, MapUndefinedAtAtom, RETURNED))[0]
 
 
 def _relocated(mu: DiscreteMeasure, images: np.ndarray) -> tuple[DiscreteMeasure, np.ndarray, np.ndarray]:
@@ -490,13 +511,12 @@ def gap_strict(mu: DiscreteMeasure) -> float:
     Meet-in-the-middle over signed subset sums; +inf when no such pair exists
     (n = 1).  Raises SupportTooLarge beyond GAP_SUPPORT_CAP atoms.
     """
-    w = np.asarray(mu.weights, dtype=float)
-    n = w.shape[0]
+    n = mu.n
     if n > GAP_SUPPORT_CAP:
         raise SupportTooLarge(f"support size {n} exceeds enumeration cap {GAP_SUPPORT_CAP}")
     half = n // 2
-    sa, pa, na = _half_signed_sums(w[:half])
-    sb, pb, nb = _half_signed_sums(w[half:])
+    sa, pa, na = _half_signed_sums(mu.weights[:half])
+    sb, pb, nb = _half_signed_sums(mu.weights[half:])
     # both signs in the union; A's negative-only sums would mirror the second term bit for bit
     return min(
         _min_abs_pair_sum(sa[pa & na], np.sort(sb)),

@@ -20,10 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import AttentionParams, Layer, MlpParams, _held_to, velocity_rows
+from .attention import AttentionParams, Layer, MlpParams, velocity_rows
 from .deep_transformer import LayerStack, forward_measure
 from .errors import DimensionMismatch, NonFiniteState, ProblemTooLarge, TooFewTimePoints
-from .measures import Box, DiscreteMeasure, _count, _floats, _freeze, _raw_measure, _real, canonicalize
+from .measures import Box, DiscreteMeasure, _count, _floats, _freeze, _held_to, _raw_measure, _real, canonicalize
 from .transport import w1_matching
 
 VelocityFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -33,9 +33,9 @@ VelocityFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 class VelocityField:
     """Velocity ``(t, points, weights, X) -> dX/dt`` on query rows X of shape (m, d).
 
-    ``fn`` receives all m rows at once and returns X's shape, or the call
-    raises DimensionMismatch, as it does for an X that is not 2-d; row i is
-    the velocity at X[i] in the field of sum_j weights[j] * delta(points[j]),
+    ``fn`` receives all m rows at once and returns real numbers in X's shape,
+    or the call raises DimensionMismatch, as it does for an X that is not 2-d;
+    row i is the velocity at X[i] in the field of sum_j weights[j] * delta(points[j]),
     points (n, d) and weights (n,), whose atoms the layer fields reduce in
     the order given.  In a flow all three arguments are read-only views of
     the stage state, X with the tracer rows.
@@ -47,7 +47,7 @@ class VelocityField:
         X = _floats(X)
         if X.ndim != 2:
             raise DimensionMismatch(f"query rows must form an (m, d) array, got shape {X.shape}")
-        return _held_to(np.asarray(self.fn(t, points, weights, X), dtype=float), X, DimensionMismatch)
+        return _held_to(self.fn(t, points, weights, X), X, DimensionMismatch)
 
     @staticmethod
     def from_layer(att: AttentionParams, mlp_p: MlpParams) -> "VelocityField":

@@ -320,7 +320,7 @@ MUTANTS = (
     ),
     Mutant(
         "stage-skips-the-row-count-check",
-        "attention.py",
+        "measures.py",
         "    if Y.shape[:1] != X.shape[:1]:\n"
         "        raise rows_error(f\"map returned shape {Y.shape} for {X.shape[0]} atoms\")\n",
         "",
@@ -329,7 +329,7 @@ MUTANTS = (
     ),
     Mutant(
         "stage-skips-the-width-check",
-        "attention.py",
+        "measures.py",
         "    if Y.shape != X.shape:\n        raise _mismatch(X.shape[1], math.prod(Y.shape[1:]))\n",
         "",
         (
@@ -354,10 +354,18 @@ MUTANTS = (
     Mutant(
         "field-reshaped-to-the-query",
         "vlasov.py",
-        "return _held_to(np.asarray(self.fn(t, points, weights, X), dtype=float), X, DimensionMismatch)",
+        "return _held_to(self.fn(t, points, weights, X), X, DimensionMismatch)",
         "return np.asarray(self.fn(t, points, weights, X), dtype=float).reshape(X.shape)",
         ("tests/test_vlasov.py::TestFieldShape::test_a_field_of_another_shape_raises",),
         "a velocity field must return its query's shape; nothing reshapes it",
+    ),
+    Mutant(
+        "returned-rows-cast-to-float",
+        "measures.py",
+        "    Y = _floats(Y, rows_error, RETURNED)\n",
+        "    Y = np.asarray(Y, dtype=float)\n",
+        ("tests/test_api_numbers.py::test_a_map_that_returns_other_than_real_numbers_raises",),
+        "rows a caller's map returns are real numbers, refused by name, never cast",
     ),
     Mutant(
         "extract-a-fixed-number-of-coordinates",

@@ -10,10 +10,13 @@ arrays or layer tuples would exceed the address space raises ProblemTooLarge.
 Query points, parameter matrices and the arrays a measure, token sequence or
 box is built from are arrays of real numbers: a complex, object or string
 array, or a list numpy reads as one, is refused by name, never cast or half
-used.
+used.  What a caller's map returns (a rows map, a stage, a velocity field, a
+test function, a measure map) is read by the same rule, and a list or an
+integer array that holds real numbers is read as floats.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from incontext.errors import (
     AnchorsTooClose,
     DimensionMismatch,
     LengthMismatch,
+    MapUndefinedAtAtom,
     NonpositiveWeight,
     NotRationalGrid,
     OutOfDomain,
@@ -147,6 +151,9 @@ QUERIES = [
     ("add-atom", lambda x: ic.add_atom(MU, x, 0.5)),
     ("extract-g", lambda x: ic.extract_g(IDENTITY, MU, x, 1e-3)),
     ("layer-step", lambda x: ic.layer_step(STACK.layers[0], MU.points, MU.weights, x)),
+    ("r-map", lambda x: ic.r_map(0.0, x)),
+    ("patched-test-anchors", lambda x: ic.build_patched_test(PSI, x, 0.1)),
+    ("box-hull", ic.default_box(1).hull),
 ]
 # constructors given one of BAD_QUERIES as a row of points or tokens, as weights or as a corner
 ROWS = "{} must be real numbers in rows of one length"
@@ -178,6 +185,14 @@ ARGUMENTS = [
      "each MLP layer must be a pair (A, b)"),
     ("attention-head-a-tuple", lambda _: ic.AttentionParams(((HEAD.q, HEAD.k, HEAD.v, HEAD.w),), 1),
      DimensionMismatch, "attention heads must be HeadParams, got tuple"),
+    ("stack-layer-an-int", lambda _: ic.forward_measure(ic.LayerStack((5,), 1), MU), DimensionMismatch,
+     "stack layers must be Layer, got int"),
+    ("layer-mlp-none", lambda _: ic.Layer(ATT, None), DimensionMismatch,
+     "layer parameters must be MlpParams, got NoneType"),
+    ("scaled-stack-attention-an-int", lambda _: ic.scaled_stack(5, MLP, 2), DimensionMismatch,
+     "layer parameters must be AttentionParams, got int"),
+    ("measure-map-returns-its-points", lambda _: ic.extract_g(ic.MeasureMap(lambda m: m.points), MU, [0.5]),
+     MapUndefinedAtAtom, "measure map must return a DiscreteMeasure, got ndarray"),
 ]
 
 
@@ -238,3 +253,97 @@ def test_narrow_numpy_reals_act_as_python_floats():
     t = np.float16(0.7)
     got = ic.characteristic_map(FLOW, MU, [0.5], t, steps=np.uint8(255))
     assert np.array_equal(got, ic.characteristic_map(FLOW, MU, [0.5], float(t), steps=255))
+
+
+# what a caller's map returns, made from the array ``good`` a valid map returns
+BAD_RETURNS = {
+    "complex-array": lambda good: good + 0.5j,
+    "complex-list": lambda good: (good + 0.5j).tolist(),
+    "object-array": lambda good: good.astype(object),
+    "str-array": lambda good: good.astype(str),
+    "ragged-list": lambda good: [[0.5], [0.5, 1.0]],
+}
+
+
+def _stage(bad):
+    return ic.InContextMap((lambda pts, w, X: bad(X + 0.25),), 1)
+
+
+def _field(bad):
+    return ic.VelocityField(lambda t, pts, w, X: bad(np.zeros_like(X)))
+
+
+def _values(bad, psi=PSI):
+    return replace(psi, base_value=lambda Y: bad(PSI.base_value(Y)))
+
+
+def _gradients(bad):
+    return replace(PSI, base_gradient=lambda Y: bad(PSI.base_gradient(Y)))
+
+
+TRAJ = ic.euler_flow(FIELD, MU, 2)
+PATCHED = ic.build_patched_test(PSI, [[0.0]], 0.1)  # its gradient lifts the base values
+ROWS_RETURNED = "map must return real numbers in rows of one length"
+VALUES = "test function values must be real numbers"
+# map kinds: name, call on a map that returns bad(good), error, message (formatted with the type of what it returns)
+BASE_VALUES = [
+    ("base-value-value", lambda bad: _values(bad).value(MU.points)),
+    ("base-value-gradient", lambda bad: _values(bad, PATCHED).gradient(MU.points)),
+    ("base-value-regular-derivative", lambda bad: ic.regular_derivative(IDENTITY, MU, [0.5], _values(bad))),
+    ("base-value-weak-residual", lambda bad: ic.weak_residual(TRAJ, FIELD, _values(bad))),
+]
+RETURNED = [
+    ("push-forward", lambda bad: ic.push_forward(MU, lambda X: bad(X + 0.25)), MapUndefinedAtAtom, ROWS_RETURNED),
+    ("stage-push", lambda bad: _stage(bad).push(MU), MapUndefinedAtAtom, ROWS_RETURNED),
+    ("stage-rows", lambda bad: _stage(bad).rows(MU, MU.points), MapUndefinedAtAtom, ROWS_RETURNED),
+    ("field-call", lambda bad: _field(bad)(0.0, MU.points, MU.weights, MU.points), DimensionMismatch, ROWS_RETURNED),
+    ("field-euler-flow", lambda bad: ic.euler_flow(_field(bad), MU, 2), DimensionMismatch, ROWS_RETURNED),
+    *[(name, call, DimensionMismatch, VALUES) for name, call in BASE_VALUES],
+    ("base-gradient-gradient", lambda bad: _gradients(bad).gradient(MU.points), DimensionMismatch, ROWS_RETURNED),
+    ("base-gradient-weak-residual", lambda bad: ic.weak_residual(TRAJ, FIELD, _gradients(bad)), DimensionMismatch,
+     ROWS_RETURNED),
+    ("measure-map-extract-g", lambda bad: ic.extract_g(ic.MeasureMap(lambda m: bad(m.points)), MU, [0.5]),
+     MapUndefinedAtAtom, "measure map must return a DiscreteMeasure, got {}"),
+]
+
+
+@pytest.mark.parametrize(
+    ("call", "bad", "error", "message"),
+    [
+        pytest.param(call, bad, error, message, id=f"{name}-{kind}")
+        for name, call, error, message in RETURNED
+        for kind, bad in BAD_RETURNS.items()
+    ],
+)
+def test_a_map_that_returns_other_than_real_numbers_raises(call, bad, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message.format(type(bad(MU.points)).__name__))}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in BASE_VALUES])
+def test_base_values_as_a_column_raise(call):
+    with pytest.raises(DimensionMismatch, match=r"^test function returned shape \((\d+), 1\) for \1 rows$"):
+        call(lambda good: good[:, None])
+
+
+# valid maps whose images are whole numbers, so a list or an integer array holds the same values
+READ_AS_FLOATS = [
+    ("push-forward", lambda conv: ic.push_forward(MU, lambda X: conv(2 * X)).points),
+    ("stage-push", lambda conv: _stage(lambda X: conv(2 * X - 0.5)).push(MU).points),
+    ("stage-rows", lambda conv: _stage(lambda X: conv(2 * X - 0.5)).rows(MU, MU.points)),
+    ("field-call", lambda conv: _field(lambda Z: conv(Z + 1))(0.0, MU.points, MU.weights, MU.points)),
+    ("field-euler-flow", lambda conv: ic.euler_flow(_field(lambda Z: conv(Z + 1)), MU, 2).points),
+]
+
+
+@pytest.mark.parametrize(
+    ("call", "conv"),
+    [
+        pytest.param(call, conv, id=f"{name}-{kind}")
+        for name, call in READ_AS_FLOATS
+        for kind, conv in {"list": np.ndarray.tolist, "int-array": lambda good: good.astype(np.int64)}.items()
+    ],
+)
+def test_a_list_or_integer_array_returned_is_read_as_floats(call, conv):
+    got, want = call(conv), call(lambda good: good)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()

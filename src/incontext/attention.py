@@ -15,18 +15,19 @@ All of it is evaluated by one batched kernel, :func:`layer_step`, on query
 rows (m, d) against context points (n, d) and weights (n,) in the order given;
 the single-point functions are its m = 1 calls on a canonical measure's arrays.
 
-The kernel has one attention body.  Every short contraction (keys, queries,
-the V and W maps, each MLP layer) is one product summed along its leading
-axis, ``_leading_sum``.  Per head, the body also forms two contractions over
-the atoms, the (m, n) logits and the pooled values, and the size of the call
-picks only how those two are summed.  A call whose rows x atoms x max(d,
-key_dim) is below ``SMALL_ENTRIES``, as on the few-atom contexts of flows and
-extraction, forms them as whole (key_dim, m, n) and (d, m, n) products.  On
-large contexts such products cost more than adding one (m, n) term at a time
-(1.9x at 256 atoms in d = 4 with two heads, on a 2-core Xeon), and on few
-atoms less (the term-by-term sums are 1.16-1.20x slower per call at 8-16
-atoms).  So a larger call adds the terms into one scratch of two (rows, n)
-arrays, the running sum and the current term, and attends in blocks of
+The kernel has one attention body; it checks the widths of its rows once per
+call, and every short contraction (keys, queries, the V and W maps, each MLP
+layer) is one product summed along its leading axis, ``_product``.  Per head,
+it also forms two contractions over the atoms, the (m, n) logits and the
+pooled values, and the size of the call picks only how those two are summed.
+A call whose rows x atoms x max(d, key_dim) is below ``SMALL_ENTRIES``, as on
+the few-atom contexts of flows and extraction, forms them as whole (key_dim,
+m, n) and (d, m, n) products on all its rows at once.  On large contexts such
+products cost more than adding one (m, n) term at a time (1.9x at 256 atoms in
+d = 4 with two heads, on a 2-core Xeon), and on few atoms less (the
+term-by-term sums are 1.16-1.20x slower per call at 8-16 atoms).  So a larger
+call adds the terms into one scratch of two (rows, n) arrays, the running sum
+and the current term, and attends in blocks of
 ``max(1, SCRATCH_ENTRIES // n)`` query rows; the scratch has at most
 2 * max(SCRATCH_ENTRIES, n) entries however many queries meet.  Rows do not
 depend on the batch, so blocking changes no bit, and the two summation forms
@@ -189,8 +190,8 @@ class Layer:
 #
 # Every evaluation of attention, MLPs and layers runs through the row functions
 # below on queries X of shape (m, d).  Short contractions (over d, key_dim,
-# d_head or an MLP width) are accumulated term by term by ``_leading_sum``,
-# whole or one (m, n) term at a time into a scratch, and the atom axis is
+# d_head or an MLP width) are accumulated term by term, whole by ``_product``
+# or one (m, n) term at a time into a scratch by ``_leading_sum``; the atom axis is
 # reduced along contiguous rows, so each output row depends on its own query
 # row only: evaluating m rows at once gives bitwise the same result as
 # evaluating each row alone.  BLAS products would not (their blocking and
@@ -198,26 +199,25 @@ class Layer:
 
 
 def _leading_sum(A: np.ndarray, Xt: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """``A @ Xt`` for A (k, d) and Xt (d, m) of any layout: the C-ordered
-    (d, k, m) product of the terms, summed along its leading axis.
-
-    numpy adds leading-axis terms one at a time, in the order of the shared
-    axis, so each output entry is bitwise the same whatever k, m and the
-    layouts are.  A lone output entry (k = m = 1) is accumulated instead, as
-    numpy sums a lone run of 8 or more terms pairwise.  Given ``scratch``, two
-    (k, m) arrays, the terms are added in the same order one (k, m) product at
-    a time into ``scratch[0]``, which is returned, with ``scratch[1]`` holding
-    each term.  Raises DimensionMismatch when the rows of Xt and the width of
-    A differ.
-    """
+    """``_product(A, Xt)``, or DimensionMismatch when the rows of Xt and the width of A differ;
+    given ``scratch``, two (k, m) arrays, the same terms are added in the same order one (k, m)
+    product at a time into ``scratch[0]``, which is returned, ``scratch[1]`` holding each term."""
     if Xt.shape[0] != A.shape[1]:
         raise _mismatch(Xt.shape[0], A.shape[1])
-    if scratch is not None:
-        out, term = scratch
-        np.multiply(A[:, :1], Xt[0], out=out)
-        for a_j, x_j in zip(A.T[1:], Xt[1:]):
-            out += np.multiply(a_j[:, None], x_j, out=term)
-        return out
+    if scratch is None:
+        return _product(A, Xt)
+    out, term = scratch
+    np.multiply(A[:, :1], Xt[0], out=out)
+    for a_j, x_j in zip(A.T[1:], Xt[1:]):
+        out += np.multiply(a_j[:, None], x_j, out=term)
+    return out
+
+
+def _product(A: np.ndarray, Xt: np.ndarray) -> np.ndarray:
+    """``A @ Xt`` for A (k, d) and Xt (d, m) of any layout: the C-ordered (d, k, m) product of
+    the terms, summed along its leading axis, which numpy does term by term in the order of d,
+    so each entry is bitwise the same whatever k, m and the layouts are.  A lone entry
+    (k = m = 1) is accumulated, as numpy sums a lone run of 8 or more terms pairwise."""
     terms = np.multiply(A.T[:, :, None], Xt[:, None, :], order="C")
     if A.shape[0] * Xt.shape[1] > 1:
         return np.add.reduce(terms, axis=0)
@@ -238,6 +238,15 @@ def _pooled(pts_t: np.ndarray, p: np.ndarray, scratch: tuple[np.ndarray, np.ndar
     return pooled
 
 
+def _softmax(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The logits ``p`` (m, n) turned in place into each row's weighted softmax."""
+    p -= np.maximum.reduce(p, axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p *= w
+    p /= np.add.reduce(p, axis=1, keepdims=True)
+    return p
+
+
 def _attend(
     params: AttentionParams,
     pts: np.ndarray,
@@ -251,55 +260,58 @@ def _attend(
     softmax stabilized by each row's maximum, and the pooled values mapped
     through W V, reducing over the atoms in the order given.  The (m, n)
     softmax weights of each head are appended to ``weights`` if given, as
-    copies.  Each head's keys K x_l are computed once per call as C-ordered
-    (key_dim, n) rows; queries, the V and W maps and the keys are
-    ``_leading_sum`` products.  A call whose rows x atoms x max(d, key_dim),
-    the size of its largest whole products, is below ``SMALL_ENTRIES`` forms
-    the logits and the pooled values as whole products too, in one block of
-    rows.  Any other call sums them term by term in one scratch of two
-    (rows, n) arrays, reading contiguous copies of the coordinate rows, and
-    attends in blocks of ``max(1, SCRATCH_ENTRIES // n)`` query rows; the two
-    forms are bitwise equal (see the module docstring).  The atom reductions
-    call ``np.maximum.reduce`` and ``np.add.reduce`` directly: on rows of few
-    atoms, the Python wrappers of ``np.max`` and ``np.sum`` cost as much as
-    the arithmetic.
+    arrays of their own.  Each head's keys K x_l are formed once per call.  The
+    logits and the pooled values are whole products on all rows at once, or
+    summed term by term in a scratch of query-row blocks (module docstring).
+    The atom reductions call ``np.maximum.reduce`` and ``np.add.reduce``
+    directly: on rows of few atoms, the wrappers ``np.max`` and ``np.sum``
+    cost as much as the arithmetic.
     """
     if pts.shape[0] == 0:
         raise EmptyMeasure("attention needs a nonempty context measure")
+    d = params.dim
+    for rows in (pts, X):
+        if rows.shape[1] != d:
+            raise _mismatch(rows.shape[1], d)
     m, n = X.shape[0], pts.shape[0]
-    whole = m * n * max(X.shape[1], params.key_dim) < SMALL_ENTRIES
-    rows = max(1, m if whole else SCRATCH_ENTRIES // n)
-    scratch = None if whole else np.empty((2, min(m, rows), n))
-    pts_t = pts.T if whole else np.ascontiguousarray(pts.T)
-    keys = [_leading_sum(head.k, pts_t) for head in params.heads]
     scale = 1.0 / math.sqrt(params.key_dim)
-    probs = [np.empty((m, n)) for _ in params.heads] if weights is not None else None
     out = np.zeros(X.shape, X.dtype)
-    for lo in range(0, max(m, 1), rows):  # a call of no rows still checks their width
-        Xt, o = (X.T, out) if whole else (X[lo : lo + rows].T, out[lo : lo + rows])
-        block = None if whole else (scratch[0, : Xt.shape[1]], scratch[1, : Xt.shape[1]])
+    if m * n * max(d, params.key_dim) < SMALL_ENTRIES:
+        pts_t, Xt = pts.T, X.T
+        for head in params.heads:
+            p = _softmax(_product((_product(head.q, Xt) * scale).T, _product(head.k, pts_t)), w)
+            if weights is not None:
+                weights.append(p)  # a new array per head, never written again
+            out += _product(head.w, _product(head.v, _pooled(pts_t, p))).T
+        return out
+    rows = max(1, SCRATCH_ENTRIES // n)
+    scratch = np.empty((2, min(m, rows), n))
+    pts_t = np.ascontiguousarray(pts.T)
+    keys = [_product(head.k, pts_t) for head in params.heads]
+    probs = [np.empty((m, n)) for _ in params.heads] if weights is not None else None
+    for lo in range(0, m, rows):
+        Xt, o = X[lo : lo + rows].T, out[lo : lo + rows]
+        block = (scratch[0, : Xt.shape[1]], scratch[1, : Xt.shape[1]])
         for h, head in enumerate(params.heads):
-            p = _leading_sum((_leading_sum(head.q, Xt) * scale).T, keys[h], block)
-            p -= np.maximum.reduce(p, axis=1, keepdims=True)
-            np.exp(p, out=p)
-            p *= w
-            p /= np.add.reduce(p, axis=1, keepdims=True)
+            p = _softmax(_leading_sum((_product(head.q, Xt) * scale).T, keys[h], block), w)
             if probs is not None:
                 probs[h][lo : lo + rows] = p
-            o += _leading_sum(head.w, _leading_sum(head.v, _pooled(pts_t, p, block))).T
+            o += _product(head.w, _product(head.v, _pooled(pts_t, p, block))).T
     if weights is not None:
         weights.extend(probs)
     return out
 
 
-def _mlp_rows(params: MlpParams, X: np.ndarray) -> np.ndarray:
+def _mlp_rows(params: MlpParams, X: np.ndarray, skipped: np.ndarray | None = None) -> np.ndarray:
+    """``skip * X``, or ``skipped`` if given, plus the activated layer chain at the rows X."""
+    skipped = params.skip * X if skipped is None else skipped
     if not params.layers:
-        return params.skip * X
+        return skipped
     act = ACTIVATIONS[params.activation]
     h = X
     for a, b in params.layers:
         h = act(_leading_sum(a, h.T).T + b)
-    return params.skip * X + h
+    return skipped + h
 
 
 def velocity_rows(att: AttentionParams, mlp_p: MlpParams, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -312,7 +324,7 @@ def velocity_rows(att: AttentionParams, mlp_p: MlpParams, pts: np.ndarray, w: np
         raise SkipNotUnit(f"velocity needs skip coefficient 1, got {mlp_p.skip}")
     a = _attend(att, pts, w, X)
     g = X + a
-    return a + (_mlp_rows(mlp_p, g) - g)
+    return a + (_mlp_rows(mlp_p, g, g) - g)  # 1.0 * g is g, bit for bit
 
 
 def layer_step(layer: Layer, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from .derivative import MeasureMap, extract_g_detailed
 from .errors import DomainError, TooFewTimePoints
 from .selftest import run_self_test
 from .serialize import (
+    _key,
     attention_from_doc,
     fmt,
     load_json,
@@ -142,19 +143,17 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trajectory_blocks(traj: Trajectory) -> Iterator[np.ndarray]:
-    """One (n, d + 3) block per time step, rows ``t, atom_index, x_1..x_d, weight``.
+def _trajectory_blocks(traj: Trajectory) -> Iterator[str]:
+    """One block of CSV lines per time step, rows ``t, atom_index, x_1..x_d, weight``.
 
-    Every step reuses one array, so a block is valid until the next is drawn.
+    Each atom's index and weight are formatted once and t once per step, so a step
+    formats only its d coordinates, in one ``"%.17g"`` call; ``"%.17g" % x`` is ``fmt(x)``.
     """
-    n, d = traj.points.shape[1:]
-    block = np.empty((n, d + 3))
-    block[:, 1] = np.arange(n)
-    block[:, -1] = traj.weights
-    for t, state in zip(traj.times, traj.points):
-        block[:, 0] = t
-        block[:, 2:-1] = state
-        yield block
+    coords = ",%.17g" * traj.points.shape[2]
+    atoms = [f"{i}{coords},{'%.17g' % w}\n" for i, w in enumerate(traj.weights.tolist())]
+    for t, state in zip(traj.times.tolist(), traj.points):
+        prefix = "%.17g," % t
+        yield (prefix + prefix.join(atoms)) % tuple(state.ravel().tolist())
 
 
 def _cmd_depth_limit(args: argparse.Namespace) -> int:
@@ -162,7 +161,7 @@ def _cmd_depth_limit(args: argparse.Namespace) -> int:
     if not depths:
         raise TooFewTimePoints(f"--Ts {text!r} names no depth")
     doc = load_json(args.base)
-    att, mlp_p = attention_from_doc(doc["attention"]), mlp_from_doc(doc["mlp"])
+    att, mlp_p = attention_from_doc(_key(doc, "attention")), mlp_from_doc(_key(doc, "mlp"))
     mu = measure_from_doc(load_json(args.measure))
     rows = [[T, depth_limit_error(att, mlp_p, mu, T)] for T in depths]
     write_csv(args.out, ["T", "error"], rows)

@@ -47,6 +47,7 @@ GAP_SUPPORT_CAP = 20
 MULTIPLICITY_TOL = 1e-9
 
 RETURNED = "map must return real numbers in rows of one length"
+_FLOAT64 = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,10 @@ class Box:
 
     def hull(self, points: np.ndarray) -> "Box":
         """Smallest box containing both self and the given points (self when
-        it already contains them)."""
+        it already contains them); DimensionMismatch for points of another width."""
         pts = _floats(points)
+        if pts.shape[-1:] != self.lo.shape:
+            raise DimensionMismatch(f"points of shape {pts.shape} meet a box of dimension {self.dim}")
         if self.contains(pts):
             return self
         pts = np.atleast_2d(pts)
@@ -194,6 +197,8 @@ def _floats(
     numbers.  A list is checked as numpy reads it, so complex, object and
     string entries are refused, never cast.  Query points and rows take the
     default; each constructor passes the error it raises for a malformed array."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
     try:
         a = np.asarray(x)
     except ValueError:  # ragged rows

@@ -79,11 +79,11 @@ def measure_to_doc(mu: DiscreteMeasure) -> dict:
     }
 
 
-class _Document(dict):
-    """A decoded JSON object: reading a key it lacks raises BadInputFile."""
-
-    def __missing__(self, key: str):
+def _key(doc: dict, key: str):
+    """``doc[key]`` of a decoded JSON object; BadInputFile naming the key when it is missing."""
+    if key not in doc:
         raise BadInputFile(f"missing key {key!r}")
+    return doc[key]
 
 
 def _type_name(value: Any) -> str:
@@ -137,7 +137,7 @@ def _integer(value: Any, what: str) -> int:
 
 def _box_from_doc(box: Any) -> Box:
     box = _json(box, dict, "box")
-    return Box(_numbers(box["lo"], "box lo"), _numbers(box["hi"], "box hi"))
+    return Box(_numbers(_key(box, "lo"), "box lo"), _numbers(_key(box, "hi"), "box hi"))
 
 
 def _dim_checked(doc: dict, value):
@@ -148,8 +148,8 @@ def _dim_checked(doc: dict, value):
 
 
 def measure_from_doc(doc: dict) -> DiscreteMeasure:
-    points, weights = _numbers(doc["points"], "points"), _numbers(doc["weights"], "weights")
-    return _dim_checked(doc, new_discrete(points, weights, _box_from_doc(doc["box"])))
+    points, weights = _numbers(_key(doc, "points"), "points"), _numbers(_key(doc, "weights"), "weights")
+    return _dim_checked(doc, new_discrete(points, weights, _box_from_doc(_key(doc, "box"))))
 
 
 def tokens_to_doc(seq: TokenSequence) -> dict:
@@ -157,7 +157,7 @@ def tokens_to_doc(seq: TokenSequence) -> dict:
 
 
 def tokens_from_doc(doc: dict) -> TokenSequence:
-    toks = np.atleast_2d(_numbers(doc["tokens"], "tokens"))
+    toks = np.atleast_2d(_numbers(_key(doc, "tokens"), "tokens"))
     # the default box hulls the tokens with non-finite entries clipped, so new_tokens names them
     box = _box_from_doc(doc["box"]) if "box" in doc else default_box(toks.shape[1]).hull(np.nan_to_num(toks))
     return _dim_checked(doc, new_tokens(toks, box))
@@ -179,12 +179,12 @@ def attention_to_doc(params: AttentionParams) -> dict:
 def attention_from_doc(doc: dict) -> AttentionParams:
     doc = _json(doc, dict, "attention")
     heads = tuple(
-        HeadParams(_numbers(h["Q"], "Q"), _numbers(h["K"], "K"), _numbers(h["V"], "V"), _numbers(h["W"], "W"))
-        for h in (_json(h, dict, "per_head entry") for h in _json(doc["per_head"], list, "per_head"))
+        HeadParams(*(_numbers(_key(h, k), k) for k in ("Q", "K", "V", "W")))
+        for h in (_json(h, dict, "per_head entry") for h in _json(_key(doc, "per_head"), list, "per_head"))
     )
-    if len(heads) != _integer(doc["heads"], "heads"):
+    if len(heads) != _integer(_key(doc, "heads"), "heads"):
         raise LengthMismatch("head count does not match per_head entries")
-    return AttentionParams(heads, _integer(doc["key_dim"], "key_dim"))
+    return AttentionParams(heads, _integer(_key(doc, "key_dim"), "key_dim"))
 
 
 def mlp_to_doc(params: MlpParams) -> dict:
@@ -198,11 +198,11 @@ def mlp_to_doc(params: MlpParams) -> dict:
 def mlp_from_doc(doc: dict) -> MlpParams:
     doc = _json(doc, dict, "mlp")
     layers = tuple(
-        (_numbers(layer["A"], "A"), _numbers(layer["b"], "b"))
-        for layer in (_json(layer, dict, "mlp layer") for layer in _json(doc["layers"], list, "mlp layers"))
+        (_numbers(_key(layer, "A"), "A"), _numbers(_key(layer, "b"), "b"))
+        for layer in (_json(layer, dict, "mlp layer") for layer in _json(_key(doc, "layers"), list, "mlp layers"))
     )
     activation = _json(doc.get("activation", "tanh"), str, "activation")
-    return MlpParams(_number(doc["skip"], "skip"), layers, activation)
+    return MlpParams(_number(_key(doc, "skip"), "skip"), layers, activation)
 
 
 def stack_to_doc(stack: LayerStack) -> dict:
@@ -218,13 +218,13 @@ def stack_to_doc(stack: LayerStack) -> dict:
 def stack_from_doc(doc: dict) -> LayerStack:
     layers = tuple(
         Layer(
-            attention_from_doc(entry["attention"]),
-            mlp_from_doc(entry["mlp"]),
+            attention_from_doc(_key(entry, "attention")),
+            mlp_from_doc(_key(entry, "mlp")),
             _number(entry.get("scale", 1.0), "scale"),
         )
-        for entry in (_json(entry, dict, "stack layer") for entry in _json(doc["layers"], list, "stack layers"))
+        for entry in (_json(entry, dict, "stack layer") for entry in _json(_key(doc, "layers"), list, "stack layers"))
     )
-    return LayerStack(layers, _integer(doc["dim"], "dim"))
+    return LayerStack(layers, _integer(_key(doc, "dim"), "dim"))
 
 
 def plan_to_doc(plan: TransportPlan) -> dict:
@@ -237,11 +237,12 @@ def plan_to_doc(plan: TransportPlan) -> dict:
 
 
 def load_json(path: str) -> dict:
-    """Parse a JSON file whose document is an object; BadInputFile when it is not
-    UTF-8 JSON, nests too deeply or is not an object, or a read of it misses a key."""
+    """Parse a JSON file whose document is an object, as plain dicts and lists;
+    BadInputFile when it is not UTF-8 JSON, nests too deeply or is not an object.
+    Readers take its required keys through ``_key``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, object_pairs_hook=_Document)
+            doc = json.load(fh)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise BadInputFile(f"cannot decode the document in {path}: {exc}") from None
     return _json(doc, dict, f"the document in {path}")
@@ -252,21 +253,18 @@ def save_json(path: str, doc: Any) -> None:
         fh.write(dumps(doc))
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any] | np.ndarray]) -> None:
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any] | str]) -> None:
     """CSV with '.' decimals, ',' separators, a header row and LF endings.
 
     Each item of ``rows`` is one row of cells, floats written by ``fmt`` and
-    other cells by ``str``, or a 2-d float array holding a block of rows,
-    written by one ``"%.17g"`` format call.  ``"%.17g" % x`` is ``fmt(x)`` for
-    every double, and an integral float below 2**53 reads as its integer, so
-    a block's integer columns print as ``str`` would print them.
+    other cells by ``str``, or a str of whole lines already formatted, written
+    as it is.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            if isinstance(row, np.ndarray):
-                r, c = row.shape
-                fh.write(((",".join(["%.17g"] * c) + "\n") * r) % tuple(row.ravel().tolist()))
+            if isinstance(row, str):
+                fh.write(row)
                 continue
             cells = [
                 fmt(c) if isinstance(c, (float, np.floating)) else str(c) for c in row

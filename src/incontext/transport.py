@@ -167,7 +167,10 @@ def _uniform_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
 
 
 def _scipy_extension(name: str):
-    """The compiled scipy module ``name``, loaded without importing its packages."""
+    """The compiled scipy module ``name``, loaded without importing its packages and registered
+    in ``sys.modules`` only: a later ``import scipy.optimize`` binds neither ``_lsap`` on it nor
+    ``_core`` on ``scipy.optimize._highspy``.  ``from scipy.optimize import _lsap`` works, but
+    plain attribute access such as ``scipy.optimize._lsap.linear_sum_assignment`` raises AttributeError."""
     module = sys.modules.get(name)
     if module is None:
         base = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), *name.split(".")[1:])

@@ -7,10 +7,12 @@ evaluates all particles and tracers.  The state is one (n, d) array in the
 atom order of the canonical initial measure; each stage hands the field
 read-only views of its particle rows, the weights and X, with no copy, re-sort
 or per-stage measure, so flows are bitwise equivariant under relabelling the
-initial atoms.  One step loop runs explicit Euler (a depth-T residual stack
-with velocity scale 1/T), classical RK4 (the convergence reference) and the
-characteristic map, which carries a query point along the flow as a passive
-tracer.
+initial atoms.  Those float64 rows are the flow's own, so ``fn`` gets them
+unread; per stage the flow reads only what ``fn`` returns, held to real numbers
+in the state's shape.  One step loop runs explicit Euler (a depth-T residual
+stack with velocity scale 1/T), classical RK4 (the convergence reference) and
+the characteristic map, which carries a query point along the flow as a
+passive tracer.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ class VelocityField:
     or the call raises DimensionMismatch, as it does for an X that is not 2-d;
     row i is the velocity at X[i] in the field of sum_j weights[j] * delta(points[j]),
     points (n, d) and weights (n,), whose atoms the layer fields reduce in
-    the order given.  In a flow all three arguments are read-only views of
-    the stage state, X with the tracer rows.
+    the order given.  A flow calls ``fn`` directly on read-only float64 views of the
+    stage state, X with the tracer rows, and per stage reads only what it returns.
     """
 
     fn: VelocityFn
@@ -63,7 +65,8 @@ class VelocityField:
 
         def fn(t: float, pts: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
             layer = layers[min(int(t * len(layers)), len(layers) - 1)]
-            return layer.scale * velocity_rows(layer.attention, layer.mlp, pts, w, X)
+            rows = velocity_rows(layer.attention, layer.mlp, pts, w, X)
+            return rows if layer.scale == 1.0 else layer.scale * rows  # 1.0 * rows is rows, bit for bit
 
         return VelocityField(fn)
 
@@ -116,7 +119,7 @@ def _integrate(v: VelocityField, w: np.ndarray, z: np.ndarray, h: float, steps: 
     def k(t: float, zs: np.ndarray) -> np.ndarray:
         zs = _freeze(zs)
         _check_finite(zs[:n])
-        return v(t, zs[:n], w, zs)
+        return _held_to(v.fn(t, zs[:n], w, zs), zs, DimensionMismatch)
 
     path = np.empty((steps + 1,) + z.shape)
     path[0] = z

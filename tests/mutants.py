@@ -140,7 +140,7 @@ MUTANTS = (
         "attention.py",
         "probs = [np.empty((m, n)) for _ in params.heads] if weights is not None else None",
         "probs = [np.empty((m, n))] * len(params.heads) if weights is not None else None",
-        ("tests/test_kernel.py::TestWorkspace::test_attention_weights_are_per_head_copies",),
+        ("tests/test_kernel.py::TestWorkspace::test_blocked_attention_weights_are_per_head_copies",),
         "each head's softmax weights are its own array",
     ),
     Mutant(
@@ -154,9 +154,9 @@ MUTANTS = (
     Mutant(
         "small-logits-reverse-the-key-dims",
         "attention.py",
-        "            p = _leading_sum((_leading_sum(head.q, Xt) * scale).T, keys[h], block)\n",
-        "            q = (_leading_sum(head.q, Xt) * scale).T\n"
-        "            p = _leading_sum(q[:, ::-1], keys[h][::-1]) if block is None else _leading_sum(q, keys[h], block)\n",
+        "            p = _softmax(_product((_product(head.q, Xt) * scale).T, _product(head.k, pts_t)), w)\n",
+        "            q, k = (_product(head.q, Xt) * scale).T, _product(head.k, pts_t)\n"
+        "            p = _softmax(_product(q[:, ::-1], k[::-1]), w)\n",
         ("tests/test_kernel.py::TestTwoBodies::test_bodies_are_bitwise_equal",),
         "whole products add the key-dim terms of each logit in order",
     ),
@@ -165,8 +165,16 @@ MUTANTS = (
         "attention.py",
         "    if Xt.shape[0] != A.shape[1]:\n        raise _mismatch(Xt.shape[0], A.shape[1])\n",
         "",
+        ("tests/test_attention.py::TestMlp::test_point_of_another_width_raises",),
+        "an MLP raises DimensionMismatch on points of another width",
+    ),
+    Mutant(
+        "attend-skips-the-width-check",
+        "attention.py",
+        "    for rows in (pts, X):\n        if rows.shape[1] != d:\n            raise _mismatch(rows.shape[1], d)\n",
+        "",
         ("tests/test_cli.py::TestDimensionMismatch::test_input_of_another_dimension_exits_one",),
-        "the kernel raises DimensionMismatch on points of another width",
+        "the kernel raises DimensionMismatch on points of another width, once per call",
     ),
     Mutant(
         "lone-entry-summed-pairwise",
@@ -184,17 +192,17 @@ MUTANTS = (
     Mutant(
         "blocked-logits-reverse-key-order",
         "attention.py",
-        "        np.multiply(A[:, :1], Xt[0], out=out)\n"
-        "        for a_j, x_j in zip(A.T[1:], Xt[1:]):\n",
-        "        np.multiply(A[:, -1:], Xt[-1], out=out)\n"
-        "        for a_j, x_j in zip(A.T[-2::-1], Xt[-2::-1]):\n",
+        "    np.multiply(A[:, :1], Xt[0], out=out)\n"
+        "    for a_j, x_j in zip(A.T[1:], Xt[1:]):\n",
+        "    np.multiply(A[:, -1:], Xt[-1], out=out)\n"
+        "    for a_j, x_j in zip(A.T[-2::-1], Xt[-2::-1]):\n",
         ("tests/test_kernel.py::TestTwoBodies::test_bodies_are_bitwise_equal",),
         "the scratch form adds the key-dim terms of each logit in order (two terms commute exactly)",
     ),
     Mutant(
         "scratch-rows-unbounded",
         "attention.py",
-        "rows = max(1, m if whole else SCRATCH_ENTRIES // n)",
+        "rows = max(1, SCRATCH_ENTRIES // n)",
         "rows = max(1, m)",
         ("tests/test_kernel.py::TestWorkspace::test_scratch_is_bounded_for_many_atoms",),
         "the scratch form attends in blocks of at most SCRATCH_ENTRIES // n query rows",
@@ -354,10 +362,45 @@ MUTANTS = (
     Mutant(
         "field-reshaped-to-the-query",
         "vlasov.py",
-        "return _held_to(self.fn(t, points, weights, X), X, DimensionMismatch)",
-        "return np.asarray(self.fn(t, points, weights, X), dtype=float).reshape(X.shape)",
+        "return _held_to(v.fn(t, zs[:n], w, zs), zs, DimensionMismatch)",
+        "return np.asarray(v.fn(t, zs[:n], w, zs), dtype=float).reshape(zs.shape)",
         ("tests/test_vlasov.py::TestFieldShape::test_a_field_of_another_shape_raises",),
         "a velocity field must return its query's shape; nothing reshapes it",
+    ),
+    Mutant(
+        "weight-cell-by-repr",
+        "cli.py",
+        "{'%.17g' % w}",
+        "{w!r}",
+        (
+            "tests/test_serialize.py::TestFlowCsv::test_any_trajectory_matches_the_cell_writer",
+            "tests/test_serialize.py::TestFlowCsv::test_flow_command_matches_the_cell_writer",
+        ),
+        "the flow CSV writes each weight with 17 significant digits, formatted once per atom",
+    ),
+    Mutant(
+        "flow-skips-the-field-check",
+        "vlasov.py",
+        "return _held_to(v.fn(t, zs[:n], w, zs), zs, DimensionMismatch)",
+        "return v.fn(t, zs[:n], w, zs)",
+        ("tests/test_api_numbers.py::test_a_map_that_returns_other_than_real_numbers_raises",),
+        "a flow holds every stage's field rows, a library field's too, to real numbers in the state's shape",
+    ),
+    Mutant(
+        "floats-pass-any-array",
+        "measures.py",
+        "    if type(x) is np.ndarray and x.dtype is _FLOAT64:\n",
+        "    if type(x) is np.ndarray:\n",
+        ("tests/test_api_numbers.py::test_bad_number_raises_its_named_error",),
+        "an array is returned unread only when it already holds float64 numbers",
+    ),
+    Mutant(
+        "hull-of-any-width",
+        "measures.py",
+        "        if pts.shape[-1:] != self.lo.shape:\n",
+        "        if False:\n",
+        ("tests/test_api_numbers.py::test_bad_number_raises_its_named_error",),
+        "a box hulls only points of its own width",
     ),
     Mutant(
         "returned-rows-cast-to-float",

@@ -191,6 +191,8 @@ ARGUMENTS = [
      "layer parameters must be MlpParams, got NoneType"),
     ("scaled-stack-attention-an-int", lambda _: ic.scaled_stack(5, MLP, 2), DimensionMismatch,
      "layer parameters must be AttentionParams, got int"),
+    ("box-hull-other-width", lambda _: ic.default_box(1).hull([[5.0, 5.0]]), DimensionMismatch,
+     "points of shape (1, 2) meet a box of dimension 1"),
     ("measure-map-returns-its-points", lambda _: ic.extract_g(ic.MeasureMap(lambda m: m.points), MU, [0.5]),
      MapUndefinedAtAtom, "measure map must return a DiscreteMeasure, got ndarray"),
 ]

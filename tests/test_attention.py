@@ -147,6 +147,12 @@ class TestMlp:
         with pytest.raises(DimensionMismatch):
             ic.MlpParams(1.0, ((np.zeros((3, 2)), np.zeros(3)), (np.zeros((2, 4)), np.zeros(2))))
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_point_of_another_width_raises(self, d):
+        p = ic.MlpParams(1.0, ((np.eye(2), np.zeros(2)),), "tanh")
+        with pytest.raises(DimensionMismatch, match=f"^points of dimension {d} meet a matrix of width 2$"):
+            ic.mlp(p, np.zeros(d))
+
     @pytest.mark.parametrize(
         "a, b",
         [

@@ -268,6 +268,22 @@ class TestWorkspace:
             alone = ic.AttentionParams((head,), att.key_dim)
             assert np.array_equal(ic.attention_weights(alone, mu, x)[0], p)
 
+    def test_blocked_attention_weights_are_per_head_copies(self, monkeypatch):
+        # the scratch form, in blocks of 2 rows, fills one (m, n) array per head
+        rng = np.random.default_rng(11)
+        att = random_attention(rng, 3, heads=2, key_dim=2)
+        mu = ic.canonicalize(random_measure(rng, 30, 3))
+        X = rng.normal(size=(5, 3))
+        monkeypatch.setattr(KERNEL, "SMALL_ENTRIES", 0)
+        monkeypatch.setattr(KERNEL, "SCRATCH_ENTRIES", 2 * mu.n)
+        got = []
+        _attend(att, mu.points, mu.weights, X, got)
+        assert len(got) == 2 and not np.shares_memory(got[0], got[1])
+        for head, p in zip(att.heads, got):
+            alone = []
+            _attend(ic.AttentionParams((head,), att.key_dim), mu.points, mu.weights, X, alone)
+            assert p.shape == (5, mu.n) and np.array_equal(alone[0], p)
+
     @pytest.mark.parametrize("heads", [2, 4])
     def test_layer_step_allocates_less_than_three_logit_arrays(self, heads):
         rng = np.random.default_rng(12)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import incontext as ic
 from incontext import serialize as ser
@@ -136,7 +137,7 @@ class TestCsv:
 
 
 class TestFloatBlocks:
-    """A float block is written by one ``"%.17g"`` format call, byte for byte as ``fmt``."""
+    """A block of lines formatted by one ``"%.17g"`` format call reads, byte for byte, as ``fmt``."""
 
     @PROPERTY
     @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
@@ -163,19 +164,43 @@ class TestFloatBlocks:
         assert "%.17g" % float(i) == str(i)
 
     def test_block_equals_its_rows_cell_by_cell(self, tmp_path):
-        block = np.array([[0.0, 1.0, -0.0, 1e-300], [0.5, 2.0, 5e-324, -1 / 3], [1.0, 3.0, -1e308, np.nan]])
-        cells = [[row[0], int(row[1]), *row[2:]] for row in block.tolist()]
-        ser.write_csv(str(tmp_path / "a.csv"), ["t", "i", "x", "w"], [block[:1], block[1:]])
+        # a block is text formatted by one "%.17g" call per step, written as it is
+        cells = [[0.0, 1, -0.0, 1e-300], [0.5, 2, 5e-324, -1 / 3], [1.0, 3, -1e308, float("nan")]]
+        text = ("%.17g,%d,%.17g,%.17g\n" * 3) % tuple(c for row in cells for c in row)
+        ser.write_csv(str(tmp_path / "a.csv"), ["t", "i", "x", "w"], [text[:20], text[20:]])
         ser.write_csv(str(tmp_path / "b.csv"), ["t", "i", "x", "w"], cells)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_mixed_rows_keep_their_cells(self, tmp_path):
         path = tmp_path / "out.csv"
-        ser.write_csv(str(path), ["a", "b"], [["x", 0.5], np.array([[1.0, -0.0]]), [2, 0.25]])
+        ser.write_csv(str(path), ["a", "b"], [["x", 0.5], "1,-0\n", [2, 0.25]])
         assert path.read_text() == "a,b\nx,0.5\n1,-0\n2,0.25\n"
 
 
+# coordinates with signed zeros, subnormals and the ends of the float range;
+# weights of 17 significant digits, down to the least subnormal
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+WEIGHTS = st.one_of(
+    st.sampled_from([5e-324, 0.1, 1 / 3, 0.30000000000000004, 1e308]),
+    st.floats(5e-324, 1e308),
+)
+
+
 class TestFlowCsv:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3), st.integers(1, 20), st.integers(1, 5), st.data())
+    def test_any_trajectory_matches_the_cell_writer(self, tmp_path_factory, d, n, steps, data):
+        points = data.draw(arrays(np.float64, (steps + 1, n, d), elements=COORDINATES))
+        weights = data.draw(arrays(np.float64, n, elements=WEIGHTS))
+        traj = Trajectory(np.arange(steps + 1) * (1.0 / steps), points, weights, ic.default_box(d))
+        path = tmp_path_factory.getbasetemp() / "flow-property.csv"
+        header = ["t", "atom_index"] + [f"x_{i + 1}" for i in range(d)] + ["weight"]
+        ser.write_csv(str(path), header, _trajectory_blocks(traj))
+        assert path.read_text() == reference_flow_csv(traj)
+
     def test_trajectory_with_signed_zero_and_tiny_values_matches_the_cell_writer(self, tmp_path):
         points = np.array(
             [[[-0.0, 1e-300], [0.5, -5e-324]], [[1e-300, -0.0], [-1e308, 1 / 3]], [[0.0, 2.5], [-2.5, 1e16]]]

@@ -47,7 +47,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyMeasure, LengthMismatch, OutOfDomain, SkipNotUnit
-from .measures import DiscreteMeasure, _canonical, _count, _finite_rows, _floats, _held_to, _mismatch, _real
+from .measures import DiscreteMeasure, _call, _canonical, _count, _finite_rows, _floats, _held_to, _mismatch, _real
 from .measures import _relocated, canonicalize
 
 ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -394,7 +394,7 @@ def _push_stage(
     context: tuple[DiscreteMeasure, np.ndarray, np.ndarray], stage: Callable
 ) -> tuple[DiscreteMeasure, np.ndarray, np.ndarray]:
     nu = context[0]
-    return _relocated(nu, _held_to(stage(nu.points, nu.weights, nu.points), nu.points))
+    return _relocated(nu, _held_to(_call(stage, nu.points, nu.weights, nu.points), nu.points))
 
 
 @dataclass(frozen=True)
@@ -403,16 +403,23 @@ class InContextMap:
 
     Stage k, ``f(points, weights, X)``, maps query rows X (m, dim) to their
     image rows (m, dim) against the arrays of its canonical context: the input
-    measure pushed through stages 0..k-1.  Another row count raises
+    measure pushed through stages 0..k-1.  Stages are caller code, called by
+    the one rule of ``measures._call``.  Another row count raises
     MapUndefinedAtAtom and another width DimensionMismatch, so a chain keeps
-    the atom count, the mass and the dimension.  ``rows`` and ``push`` run
-    the stages under one ``np.errstate(over="ignore", invalid="ignore")``,
-    so an image that overflows meets its finiteness check without a warning.
-    Nothing is cached.
+    the atom count, the mass and the dimension.  ``stages`` that are not a
+    tuple or list, or a ``dim`` that is not an integer of at least 1, raise
+    DimensionMismatch.  ``rows`` and ``push`` run the stages under one
+    ``np.errstate(over="ignore", invalid="ignore")``, so an image that
+    overflows meets its finiteness check without a warning.  Nothing is cached.
     """
 
     stages: tuple[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], ...]
     dim: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.stages, (tuple, list)):
+            raise DimensionMismatch(f"in-context map stages must be a tuple or list, got {type(self.stages).__name__}")
+        _count(self.dim, 1, DimensionMismatch, "in-context map dimension must be an integer of at least 1, got {!r}")
 
     def _contexts(self, mu: DiscreteMeasure) -> Iterator[tuple[DiscreteMeasure, np.ndarray, np.ndarray]]:
         """Each stage's context, then the pushed measure, each computed when it is read.
@@ -436,7 +443,7 @@ class InContextMap:
             raise _mismatch(math.prod(X.shape[1:]), self.dim)
         with np.errstate(over="ignore", invalid="ignore"):
             for stage, (nu, *_) in zip(self.stages, self._contexts(mu)):
-                X = _held_to(stage(nu.points, nu.weights, X), X)
+                X = _held_to(_call(stage, nu.points, nu.weights, X), X)
         return _finite_rows(X)
 
     def __call__(self, mu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
@@ -466,4 +473,4 @@ def compose_diamond(g1: InContextMap, g2: InContextMap) -> InContextMap:
     """Diamond composition (mu, x) -> g2(g1 push-forward of mu, g1(mu, x)): g1's stages, then g2's."""
     if g1.dim != g2.dim:
         raise DimensionMismatch(f"cannot chain output dimension {g1.dim} into input dimension {g2.dim}")
-    return InContextMap(g1.stages + g2.stages, g1.dim)
+    return InContextMap((*g1.stages, *g2.stages), g1.dim)

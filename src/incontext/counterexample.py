@@ -119,9 +119,7 @@ class ScanRow:
 def _family_eps(family: str, m: int) -> float:
     if family == "limsup":
         return 1.0 / (2.0 * math.pi * m) ** 2
-    if family == "liminf":
-        return 1.0 / ((2.0 * m + 1.0) * math.pi) ** 2
-    raise OutOfDomain(f"unknown family {family!r}")
+    return 1.0 / ((2.0 * m + 1.0) * math.pi) ** 2  # liminf
 
 
 def discontinuity_scan(m_max: int) -> list[ScanRow]:

@@ -30,13 +30,16 @@ from .measures import DiscreteMeasure, TokenSequence, _count, _empirical, _finit
 
 @dataclass(frozen=True)
 class LayerStack:
-    """Ordered attention+MLP layers; an empty stack is the identity map.  A ``dim`` that is not
-    a Python or numpy integer of at least 1, or a layer that is not a Layer, raises DimensionMismatch."""
+    """Ordered attention+MLP layers; an empty stack is the identity map.  ``layers`` that are not a
+    tuple or list, a ``dim`` that is not a Python or numpy integer of at least 1, or a layer that is
+    not a Layer, raise DimensionMismatch."""
 
     layers: tuple[Layer, ...]
     dim: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.layers, (tuple, list)):
+            raise DimensionMismatch(f"stack layers must be a tuple or list, got {type(self.layers).__name__}")
         _count(self.dim, 1, DimensionMismatch, "stack dimension must be an integer of at least 1, got {!r}")
         for layer in self.layers:
             if not isinstance(layer, Layer):

@@ -31,8 +31,8 @@ from .attention import InContextMap
 from .deep_transformer import LayerStack, forward_measure
 from .errors import AnchorsTooClose, DimensionMismatch, DisplacementTooLarge, MapUndefinedAtAtom, OutOfDomain
 from .errors import ProbeMassLost
-from .measures import Box, DiscreteMeasure, _amount, _count, _distances, _floats, _held_to, _real, _squared_distances
-from .measures import add_atom, canonicalize, push_forward
+from .measures import Box, DiscreteMeasure, _amount, _call, _count, _distances, _floats, _held_to, _real
+from .measures import _squared_distances, add_atom, canonicalize, push_forward
 
 DEFAULT_EPS = 1e-6
 MAX_PATCH_RADIUS = 0.05
@@ -76,7 +76,8 @@ class TestFunction:
     """C^1 compactly supported scalar function with a Lipschitz bound.
 
     ``base_value``/``base_gradient`` map point rows (m, d) to the unpatched
-    real values (m,) and gradients (m, d), else DimensionMismatch; with a patch,
+    real values (m,) and gradients (m, d), else DimensionMismatch; both are
+    caller code, called by the one rule of ``measures._call``.  With a patch,
     evaluation blends to the anchor value inside each anchor ball through a C^1
     radial ramp (identically the anchor value within half the patch radius).
     ``value``/``gradient`` take rows too, or one point (d,).
@@ -88,7 +89,7 @@ class TestFunction:
     patch: Patch | None = None
 
     def _base_values(self, Y: np.ndarray) -> np.ndarray:
-        v = _floats(self.base_value(Y), DimensionMismatch, "test function values must be real numbers")
+        v = _floats(_call(self.base_value, Y), DimensionMismatch, "test function values must be real numbers")
         if v.shape != Y.shape[:1]:
             raise DimensionMismatch(f"test function returned shape {v.shape} for {Y.shape[0]} rows")
         return v
@@ -111,7 +112,7 @@ class TestFunction:
     def gradient(self, y: np.ndarray) -> np.ndarray:
         y = _floats(y)
         Y = np.atleast_2d(y)
-        g = _held_to(self.base_gradient(Y), Y, DimensionMismatch)
+        g = _held_to(_call(self.base_gradient, Y), Y, DimensionMismatch)
         if self.patch is not None:
             j, dist, a, u = self._nearest_anchor(Y)
             r = self.patch.radius
@@ -237,12 +238,13 @@ def build_patched_test(base: TestFunction, anchors: np.ndarray, r: float) -> Tes
 @dataclass(eq=False)
 class MeasureMap:
     """Black-box measure-to-measure map; extraction reads the output dimension off its images.
-    A result that is not a DiscreteMeasure raises MapUndefinedAtAtom naming its type."""
+    ``fn`` is caller code, called by the one rule of ``measures._call``; a result that is not a
+    DiscreteMeasure raises MapUndefinedAtAtom naming its type."""
 
     fn: Callable[[DiscreteMeasure], DiscreteMeasure]
 
     def __call__(self, mu: DiscreteMeasure) -> DiscreteMeasure:
-        nu = self.fn(mu)
+        nu = _call(self.fn, mu)
         if not isinstance(nu, DiscreteMeasure):
             raise MapUndefinedAtAtom(f"measure map must return a DiscreteMeasure, got {type(nu).__name__}")
         return nu

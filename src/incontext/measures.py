@@ -16,7 +16,9 @@ sequences and uniform empirical measures.
 Carriers own their arrays: ``Box``, ``new_discrete`` and ``new_tokens`` copy
 the caller's input once, and ``_freeze`` stores every array as a read-only view.
 Arrays from caller code, what a caller's map returns included, are read here
-alone, by ``_floats`` and ``_held_to``.
+alone, by ``_floats`` and ``_held_to``, and every map kind calls caller code
+through ``_call``: a DomainError or MemoryError it raises passes through, any
+other exception becomes MapUndefinedAtAtom("map failed: ...").
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     EmptyMeasure,
     EmptySequence,
     LengthMismatch,
@@ -37,6 +40,7 @@ from .errors import (
     NonpositiveWeight,
     NotRationalGrid,
     PointOutsideBox,
+    ProblemTooLarge,
     SupportTooLarge,
 )
 
@@ -221,6 +225,17 @@ def _held_to(Y, X: np.ndarray, rows_error: type = MapUndefinedAtAtom) -> np.ndar
     if Y.shape != X.shape:
         raise _mismatch(X.shape[1], math.prod(Y.shape[1:]))
     return Y
+
+
+def _call(fn, *args):
+    """``fn(*args)``, for caller code of every map kind: a DomainError or MemoryError passes through,
+    any other exception (a non-callable ``fn`` included) becomes MapUndefinedAtAtom, with it as the cause."""
+    try:
+        return fn(*args)
+    except (DomainError, MemoryError):
+        raise
+    except Exception as exc:  # noqa: BLE001 - caller code that fails is a domain error
+        raise MapUndefinedAtAtom(f"map failed: {exc}") from exc
 
 
 def _count(value, least: int, error: type, whole: str, below: str | None = None) -> int:
@@ -420,12 +435,8 @@ def _with_atoms(canonical: tuple[DiscreteMeasure, np.ndarray, np.ndarray]) -> tu
 
 def push_forward(mu: DiscreteMeasure, rows_map: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:
     """:func:`relocate` each atom to its row of ``rows_map(points)``, the map taking
-    all atoms as rows (n, d) at once; a map that raises raises MapUndefinedAtAtom."""
-    try:
-        images = rows_map(mu.points)
-    except Exception as exc:  # noqa: BLE001 - map failure is a domain error
-        raise MapUndefinedAtAtom(f"map failed: {exc}") from exc
-    return relocate(mu, images)
+    all atoms as rows (n, d) at once and called by the caller-code rule of :func:`_call`."""
+    return relocate(mu, _call(rows_map, mu.points))
 
 
 def _finite_rows(images: np.ndarray) -> np.ndarray:
@@ -586,10 +597,13 @@ def iota_inv(mu: DiscreteMeasure, n: int) -> TokenSequence:
     Requires every weight to be an integer multiple of 1/n (within
     MULTIPLICITY_TOL on the multiplicity) with multiplicities summing to n;
     otherwise raises NotRationalGrid, as it does for an n that is not a
-    Python or numpy integer of at least 1.  Output tokens are sorted
+    Python or numpy integer of at least 1.  An n whose tokens would exceed
+    the address space raises ProblemTooLarge.  Output tokens are sorted
     lexicographically.
     """
-    _count(n, 1, NotRationalGrid, "need a whole number of tokens, got {!r}", "weights are not multiples of 1/{}")
+    n = _count(n, 1, NotRationalGrid, "need a whole number of tokens, got {!r}", "weights are not multiples of 1/{}")
+    if n * mu.dim * 8 > np.iinfo(np.intp).max:
+        raise ProblemTooLarge(f"a token sequence of {n} tokens exceeds the address space")
     mu_c = canonicalize(mu)
     counts = mu_c.weights * n
     rounded = np.rint(counts)

@@ -25,7 +25,7 @@ import numpy as np
 from .attention import AttentionParams, Layer, MlpParams, velocity_rows
 from .deep_transformer import LayerStack, forward_measure
 from .errors import DimensionMismatch, NonFiniteState, ProblemTooLarge, TooFewTimePoints
-from .measures import Box, DiscreteMeasure, _count, _floats, _freeze, _held_to, _raw_measure, _real, canonicalize
+from .measures import Box, DiscreteMeasure, _call, _count, _floats, _freeze, _held_to, _raw_measure, _real, canonicalize
 from .transport import w1_matching
 
 VelocityFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -39,8 +39,9 @@ class VelocityField:
     or the call raises DimensionMismatch, as it does for an X that is not 2-d;
     row i is the velocity at X[i] in the field of sum_j weights[j] * delta(points[j]),
     points (n, d) and weights (n,), whose atoms the layer fields reduce in
-    the order given.  A flow calls ``fn`` directly on read-only float64 views of the
-    stage state, X with the tracer rows, and per stage reads only what it returns.
+    the order given.  ``fn`` is caller code, called by the one rule of ``measures._call``.
+    A flow calls ``fn`` on read-only float64 views of the stage state, X with the
+    tracer rows, and per stage reads only what it returns.
     """
 
     fn: VelocityFn
@@ -49,7 +50,7 @@ class VelocityField:
         X = _floats(X)
         if X.ndim != 2:
             raise DimensionMismatch(f"query rows must form an (m, d) array, got shape {X.shape}")
-        return _held_to(self.fn(t, points, weights, X), X, DimensionMismatch)
+        return _held_to(_call(self.fn, t, points, weights, X), X, DimensionMismatch)
 
     @staticmethod
     def from_layer(att: AttentionParams, mlp_p: MlpParams) -> "VelocityField":
@@ -119,7 +120,7 @@ def _integrate(v: VelocityField, w: np.ndarray, z: np.ndarray, h: float, steps: 
     def k(t: float, zs: np.ndarray) -> np.ndarray:
         zs = _freeze(zs)
         _check_finite(zs[:n])
-        return _held_to(v.fn(t, zs[:n], w, zs), zs, DimensionMismatch)
+        return _held_to(_call(v.fn, t, zs[:n], w, zs), zs, DimensionMismatch)
 
     path = np.empty((steps + 1,) + z.shape)
     path[0] = z

@@ -262,7 +262,7 @@ MUTANTS = (
     Mutant(
         "chain-hands-every-stage-the-input-context",
         "attention.py",
-        "    return _relocated(nu, _held_to(stage(nu.points, nu.weights, nu.points), nu.points))\n",
+        "    return _relocated(nu, _held_to(_call(stage, nu.points, nu.weights, nu.points), nu.points))\n",
         "    return context\n",
         (
             "tests/test_attention.py::TestComposeDiamond::test_nested_push_calls_each_stage_once",
@@ -362,8 +362,8 @@ MUTANTS = (
     Mutant(
         "field-reshaped-to-the-query",
         "vlasov.py",
-        "return _held_to(v.fn(t, zs[:n], w, zs), zs, DimensionMismatch)",
-        "return np.asarray(v.fn(t, zs[:n], w, zs), dtype=float).reshape(zs.shape)",
+        "return _held_to(_call(v.fn, t, zs[:n], w, zs), zs, DimensionMismatch)",
+        "return np.asarray(_call(v.fn, t, zs[:n], w, zs), dtype=float).reshape(zs.shape)",
         ("tests/test_vlasov.py::TestFieldShape::test_a_field_of_another_shape_raises",),
         "a velocity field must return its query's shape; nothing reshapes it",
     ),
@@ -381,8 +381,8 @@ MUTANTS = (
     Mutant(
         "flow-skips-the-field-check",
         "vlasov.py",
-        "return _held_to(v.fn(t, zs[:n], w, zs), zs, DimensionMismatch)",
-        "return v.fn(t, zs[:n], w, zs)",
+        "return _held_to(_call(v.fn, t, zs[:n], w, zs), zs, DimensionMismatch)",
+        "return _call(v.fn, t, zs[:n], w, zs)",
         ("tests/test_api_numbers.py::test_a_map_that_returns_other_than_real_numbers_raises",),
         "a flow holds every stage's field rows, a library field's too, to real numbers in the state's shape",
     ),
@@ -615,6 +615,14 @@ MUTANTS = (
         "",
         ("tests/test_api_numbers.py::test_bad_number_raises_its_named_error",),
         "attention and MLP parameters of a complex, object or string dtype are refused by name",
+    ),
+    Mutant(
+        "caller-code-called-directly",
+        "vlasov.py",
+        "        return _held_to(_call(self.fn, t, points, weights, X), X, DimensionMismatch)\n",
+        "        return _held_to(self.fn(t, points, weights, X), X, DimensionMismatch)\n",
+        ("tests/test_api_numbers.py::test_caller_code_that_fails_raises_by_one_rule",),
+        "every map kind calls caller code through measures._call, so its failures end by one rule",
     ),
 )
 

@@ -12,7 +12,10 @@ box is built from are arrays of real numbers: a complex, object or string
 array, or a list numpy reads as one, is refused by name, never cast or half
 used.  What a caller's map returns (a rows map, a stage, a velocity field, a
 test function, a measure map) is read by the same rule, and a list or an
-integer array that holds real numbers is read as floats.
+integer array that holds real numbers is read as floats.  Caller code itself
+is called by one rule for every map kind: a DomainError or MemoryError it
+raises passes through unchanged, and any other exception, a non-callable's
+included, ends as MapUndefinedAtAtom("map failed: ...") with it as the cause.
 """
 
 import re
@@ -50,6 +53,7 @@ HEAD = ic.HeadParams(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)), np.ones(
 
 # name, call on the bad value, error, message template (formatted with the value)
 LAYERS = "need a whole number of layers, got {}"
+IN_CONTEXT_DIM = "in-context map dimension must be an integer of at least 1, got {!r}"
 COORDINATE, SEED = "coordinate index must be an integer in [0, 1), got {!r}", "seed must be a nonnegative integer, got {!r}"
 COUNTS = [
     ("euler-T", lambda x: ic.euler_flow(FIELD, MU, x), TooFewTimePoints, "need a whole number of Euler steps, got {}"),
@@ -60,6 +64,7 @@ COUNTS = [
     ("key-dim", lambda x: ic.AttentionParams((HEAD,), x), DimensionMismatch, "key_dim must be an integer, got {!r}"),
     ("stack-dim", lambda x: ic.LayerStack((), x), DimensionMismatch,
      "stack dimension must be an integer of at least 1, got {!r}"),
+    ("in-context-map-dim", lambda x: ic.InContextMap((), x), DimensionMismatch, IN_CONTEXT_DIM),
     ("iota-inv-n", lambda x: ic.iota_inv(MU, x), NotRationalGrid, "need a whole number of tokens, got {!r}"),
     ("coordinate-test-ell", lambda x: ic.coordinate_test(x, ic.default_box(1)), OutOfDomain, COORDINATE),
     ("make-dif-seed", lambda x: ic.make_dif(MU, 0.1, x), OutOfDomain, SEED),
@@ -97,12 +102,14 @@ REALS = [
 ]
 # counts too large for the address space, given as 2**100, which steps * t keeps exact at t = 1
 FLOW_PATH, DEPTH = "a flow path of {} steps exceeds the address space", "a stack of depth {} exceeds the address space"
+TOKENS = "a token sequence of {} tokens exceeds the address space"
 TOO_LARGE = [
     ("euler-T", lambda x: ic.euler_flow(FIELD, MU, x), FLOW_PATH),
     ("rk4-steps", lambda x: ic.rk4_flow(FIELD, MU, x), FLOW_PATH),
     ("characteristic-map-steps", lambda x: ic.characteristic_map(FIELD, MU, [0.5], 1.0, steps=x), FLOW_PATH),
     ("scaled-stack-T", lambda x: ic.scaled_stack(ATT, MLP, x), DEPTH),
     ("depth-limit-T", lambda x: ic.depth_limit_error(ATT, MLP, MU, x), DEPTH),
+    ("iota-inv-n", lambda x: ic.iota_inv(MU, x), TOKENS),
 ]
 NESTED = [[1.0]]
 # matrices and biases given as lists, not numpy arrays
@@ -187,6 +194,13 @@ ARGUMENTS = [
      DimensionMismatch, "attention heads must be HeadParams, got tuple"),
     ("stack-layer-an-int", lambda _: ic.forward_measure(ic.LayerStack((5,), 1), MU), DimensionMismatch,
      "stack layers must be Layer, got int"),
+    ("stack-layers-an-int", lambda _: ic.LayerStack(5, 1), DimensionMismatch,
+     "stack layers must be a tuple or list, got int"),
+    ("in-context-map-stages-an-int", lambda _: ic.InContextMap(5, 1), DimensionMismatch,
+     "in-context map stages must be a tuple or list, got int"),
+    ("in-context-map-dim-zero", lambda _: ic.InContextMap((), 0), DimensionMismatch, IN_CONTEXT_DIM.format(0)),
+    # 2**62 fits in int64, so only the address-space test refuses it
+    ("iota-inv-n-2-to-the-62", lambda _: ic.iota_inv(MU, 2**62), ProblemTooLarge, TOKENS.format(2**62)),
     ("layer-mlp-none", lambda _: ic.Layer(ATT, None), DimensionMismatch,
      "layer parameters must be MlpParams, got NoneType"),
     ("scaled-stack-attention-an-int", lambda _: ic.scaled_stack(5, MLP, 2), DimensionMismatch,
@@ -349,3 +363,60 @@ READ_AS_FLOATS = [
 def test_a_list_or_integer_array_returned_is_read_as_floats(call, conv):
     got, want = call(conv), call(lambda good: good)
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def _raising(exc):
+    def fn(*_):
+        raise exc
+
+    return fn
+
+
+# every map kind of RETURNED, and the point call of a stage and the tracer of a field,
+# each called on caller code ``fn`` in place of its map
+CALLER = [
+    ("push-forward", lambda fn: ic.push_forward(MU, fn)),
+    ("stage-push", lambda fn: ic.InContextMap((fn,), 1).push(MU)),
+    ("stage-rows", lambda fn: ic.InContextMap((fn,), 1).rows(MU, MU.points)),
+    ("stage-call", lambda fn: ic.InContextMap((fn,), 1)(MU, [0.5])),
+    ("field-call", lambda fn: ic.VelocityField(fn)(0.0, MU.points, MU.weights, MU.points)),
+    ("field-euler-flow", lambda fn: ic.euler_flow(ic.VelocityField(fn), MU, 2)),
+    ("field-characteristic-map", lambda fn: ic.characteristic_map(ic.VelocityField(fn), MU, [0.5], 0.5)),
+    ("base-value-value", lambda fn: replace(PSI, base_value=fn).value(MU.points)),
+    ("base-value-gradient", lambda fn: replace(PATCHED, base_value=fn).gradient(MU.points)),
+    ("base-value-regular-derivative",
+     lambda fn: ic.regular_derivative(IDENTITY, MU, [0.5], replace(PSI, base_value=fn))),
+    ("base-value-weak-residual", lambda fn: ic.weak_residual(TRAJ, FIELD, replace(PSI, base_value=fn))),
+    ("base-gradient-gradient", lambda fn: replace(PSI, base_gradient=fn).gradient(MU.points)),
+    ("base-gradient-weak-residual", lambda fn: ic.weak_residual(TRAJ, FIELD, replace(PSI, base_gradient=fn))),
+    ("measure-map-extract-g", lambda fn: ic.extract_g(ic.MeasureMap(fn), MU, [0.5])),
+]
+OWN, OWN_MEMORY = OutOfDomain("the map's own error"), MemoryError("the map's own memory error")
+# caller code that fails, and what the call raises: MapUndefinedAtAtom with this message
+# and a cause of this type, or the very error the code raised
+FAILURES = {
+    "zero-division": (lambda *_: 1 / 0, ("map failed: division by zero", ZeroDivisionError)),
+    "own-domain-error": (_raising(OWN), OWN),
+    "not-callable": (5, ("map failed: 'int' object is not callable", TypeError)),
+    "memory-error": (_raising(OWN_MEMORY), OWN_MEMORY),
+}
+
+
+@pytest.mark.parametrize(
+    ("call", "fn", "expected"),
+    [
+        pytest.param(call, fn, expected, id=f"{name}-{kind}")
+        for name, call in CALLER
+        for kind, (fn, expected) in FAILURES.items()
+    ],
+)
+def test_caller_code_that_fails_raises_by_one_rule(call, fn, expected):
+    if isinstance(expected, BaseException):
+        with pytest.raises(type(expected)) as info:
+            call(fn)
+        assert info.value is expected
+    else:
+        message, cause = expected
+        with pytest.raises(MapUndefinedAtAtom, match=f"^{re.escape(message)}$") as info:
+            call(fn)
+        assert type(info.value.__cause__) is cause

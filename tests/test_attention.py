@@ -298,6 +298,14 @@ class TestComposeDiamond:
         with pytest.raises(DimensionMismatch):
             ic.compose_diamond(ic.InContextMap.identity(2), ic.InContextMap.identity(3))
 
+    def test_stages_given_as_a_list_chain_with_a_tuple(self):
+        def shift(pts, w, X):
+            return X + 0.25
+
+        comp = ic.compose_diamond(ic.InContextMap([shift], 1), ic.InContextMap((shift,), 1))
+        assert comp.stages == (shift, shift)
+        assert np.array_equal(comp(ic.dirac([0.0]), [0.0]), [0.5])
+
     def test_a_chain_without_stages_checks_the_query_width(self):
         # no kernel runs, so the chain itself must refuse a 3-vector for a 2-d measure
         mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])

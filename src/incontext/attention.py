@@ -408,9 +408,10 @@ class InContextMap:
     MapUndefinedAtAtom and another width DimensionMismatch, so a chain keeps
     the atom count, the mass and the dimension.  ``stages`` that are not a
     tuple or list, or a ``dim`` that is not an integer of at least 1, raise
-    DimensionMismatch.  ``rows`` and ``push`` run the stages under one
-    ``np.errstate(over="ignore", invalid="ignore")``, so an image that
-    overflows meets its finiteness check without a warning.  Nothing is cached.
+    DimensionMismatch; a list is stored as a tuple.  ``rows`` and ``push``
+    run the stages under one ``np.errstate(over="ignore", invalid="ignore")``,
+    so an image that overflows meets its finiteness check without a warning.
+    Nothing is cached.
     """
 
     stages: tuple[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], ...]
@@ -420,6 +421,7 @@ class InContextMap:
         if not isinstance(self.stages, (tuple, list)):
             raise DimensionMismatch(f"in-context map stages must be a tuple or list, got {type(self.stages).__name__}")
         _count(self.dim, 1, DimensionMismatch, "in-context map dimension must be an integer of at least 1, got {!r}")
+        object.__setattr__(self, "stages", tuple(self.stages))  # hashable, and equal to the map built on a tuple
 
     def _contexts(self, mu: DiscreteMeasure) -> Iterator[tuple[DiscreteMeasure, np.ndarray, np.ndarray]]:
         """Each stage's context, then the pushed measure, each computed when it is read.

@@ -60,7 +60,7 @@ def kappa(mu: DiscreteMeasure) -> float:
     if mu.dim != 1:
         raise OutOfDomain(f"defined in dimension one, got {mu.dim}")
     size = np.abs(mu.points[:, 0])
-    if (size > DOMAIN_HALF_WIDTH).any():
+    if np.logical_or.reduce(size > DOMAIN_HALF_WIDTH):
         raise OutOfDomain("support leaves [-3, 3]")
     return float(np.add.reduce(mu.weights * (2.0 - size).clip(0.0, 1.0)))
 

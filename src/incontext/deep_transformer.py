@@ -32,7 +32,7 @@ from .measures import DiscreteMeasure, TokenSequence, _count, _empirical, _finit
 class LayerStack:
     """Ordered attention+MLP layers; an empty stack is the identity map.  ``layers`` that are not a
     tuple or list, a ``dim`` that is not a Python or numpy integer of at least 1, or a layer that is
-    not a Layer, raise DimensionMismatch."""
+    not a Layer, raise DimensionMismatch; a list is stored as a tuple."""
 
     layers: tuple[Layer, ...]
     dim: int
@@ -41,6 +41,7 @@ class LayerStack:
         if not isinstance(self.layers, (tuple, list)):
             raise DimensionMismatch(f"stack layers must be a tuple or list, got {type(self.layers).__name__}")
         _count(self.dim, 1, DimensionMismatch, "stack dimension must be an integer of at least 1, got {!r}")
+        object.__setattr__(self, "layers", tuple(self.layers))  # hashable, and equal to the stack built on a tuple
         for layer in self.layers:
             if not isinstance(layer, Layer):
                 raise DimensionMismatch(f"stack layers must be Layer, got {type(layer).__name__}")

@@ -8,10 +8,10 @@ enough eps), so the quotient isolates the value the map assigns to the probe
 point.  Running the quotient against patched coordinate projections (ramped
 to zero over a width of 1 outside their box) recovers the full vector
 ``G(mu, x)`` of the in-context map with ``f = G(mu)_# mu``.  Each extraction
-settles the probe and pairs its image with ``f(mu)`` once: every image atom
-goes to its nearest atom of ``f(mu)``, found in bounded blocks of rows, so no
-(n, m) distance matrix is built.  Every coordinate's quotient is then a
-weighted sum of its patched test function.
+settles the probe and pairs its image with ``f(mu)`` in one pairing walk per
+eps (nearest atoms both ways, in bounded blocks of rows, so no (n, m) distance
+matrix is built).  Each coordinate's quotient reads the paired atoms'
+coordinates, which the patched projection takes there bit for bit, in one pass.
 
 Test functions are C^1 with compact support: a base evaluator with gradient, a
 Lipschitz bound, and an optional patch (anchor set, radius, C^1 ramp blending
@@ -174,18 +174,34 @@ def linear_combination(a: float, f1: TestFunction, b: float, f2: TestFunction) -
     )
 
 
-def _nearest(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``A``: the index of its nearest row of ``B`` (the lowest on a
-    tie) and the distance to it; bitwise the dense ``argmin`` and row minimum,
-    taken over blocks of at most SPACING_BLOCK_ENTRIES distances."""
+def _pairing(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest rows both ways, from one walk over blocks of rows of ``A`` of at
+    most SPACING_BLOCK_ENTRIES distances each: per row of ``A`` the index of its
+    nearest row of ``B`` and the distance to it, then the same per row of ``B``
+    towards ``A`` (index 0 at +inf when ``A`` has no rows).  The kernel is
+    exactly symmetric, so each is bitwise the dense ``argmin`` (the lowest index
+    on a tie, the first NaN if any) and minimum: a column keeps its index unless
+    a later block holds a smaller distance, or the first NaN."""
     rows = max(1, SPACING_BLOCK_ENTRIES // B.shape[0])
     index = np.empty(A.shape[0], dtype=np.intp)
     dist = np.empty(A.shape[0])
+    cols = np.arange(B.shape[0])
+    col_index, col_dist = np.zeros(B.shape[0], dtype=np.intp), np.full(B.shape[0], np.inf)
     for lo in range(0, A.shape[0], rows):
         block = _distances(A[lo : lo + rows], B)  # an overflowing distance reads +inf: far
         at = block.argmin(axis=1, out=index[lo : lo + rows])
         dist[lo : lo + rows] = block[np.arange(len(at)), at]
-    return index, dist
+        up = block.argmin(axis=0)
+        near = block[up, cols]
+        later = (near < col_dist) | np.isnan(near) & ~np.isnan(col_dist)
+        col_index[later] = up[later] + lo
+        col_dist[later] = near[later]
+    return index, dist, col_index, col_dist
+
+
+def _nearest(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row half of :func:`_pairing`: per row of ``A``, its nearest row of ``B`` and the distance."""
+    return _pairing(A, B)[:2]
 
 
 def _min_spacing(points: np.ndarray) -> float:
@@ -269,42 +285,40 @@ class MeasureMap:
 
 @dataclass(frozen=True)
 class _PairedProbe:
-    """A probe image paired with the atoms of f(mu), the patch ``anchors``: each
+    """A probe image paired with the atoms of f(mu), the patch anchors: each
     image atom within ``radius`` / 2 of its nearest anchor is matched to it.
-    ``excess`` is, per anchor, the mass matched to it minus its own weight;
-    ``free_*`` are the unmatched image atoms, their weights, nearest anchors and
-    distances to them; ``added`` is the mass added to mu at ``eps``; ``box``
-    holds both image supports."""
+    ``points`` are the anchors, then the unmatched image atoms; ``excess`` is,
+    per anchor, the mass matched to it minus its own weight; ``free_*`` are the
+    unmatched atoms' weights, nearest anchors and distances to them; ``added``
+    is the mass added to mu at ``eps``."""
 
     eps: float
     added: float
-    anchors: np.ndarray
     radius: float
     excess: np.ndarray
-    free_points: np.ndarray
+    points: np.ndarray
     free_weights: np.ndarray
     free_anchor: np.ndarray
     free_dist: np.ndarray
-    box: Box
 
 
-def _paired_quotient(psi: TestFunction, probe: _PairedProbe) -> float:
-    """<psi_p, f_probe - f_mu> / added, with ``psi_p`` the patched ``psi``.
+def _paired_quotient(values: np.ndarray, probe: _PairedProbe) -> np.ndarray:
+    """<psi_p, f_probe - f_mu> / added for each row of ``values``, the values
+    of one test function psi at ``probe.points``, with ``psi_p`` the patched psi.
 
     Matched probe atoms carry exactly their anchor's patched value, so each
     anchor's value weighted by its excess mass cancels the large common terms
-    before any rounding can be amplified by 1/eps.  ``psi`` is evaluated once,
-    on the anchors followed by the unmatched atoms.
+    before any rounding can be amplified by 1/eps.  Every row is reduced along
+    a contiguous row, so each quotient is bitwise the one of its row alone.
     """
-    n = probe.anchors.shape[0]
-    values = psi._base_values(np.concatenate((probe.anchors, probe.free_points)))
-    a = values[:n]
-    v = _blend(values[n:], a[probe.free_anchor], probe.free_dist, probe.radius)
+    n = probe.excess.size
+    a = values[:, :n]
+    v = _blend(values[:, n:], a[:, probe.free_anchor], probe.free_dist, probe.radius)
     unmatched = probe.free_weights * v
-    anchored = np.add.reduce(probe.excess * a)
+    anchored = np.add.reduce(np.multiply(probe.excess, a, order="C"), axis=1)
     # summed left to right from 0.0 (np.sum would pair the terms)
-    total = np.add.accumulate(np.concatenate(([0.0], unmatched, [anchored])))[-1]
-    return float(total) / probe.added
+    terms = np.concatenate((np.zeros((len(values), 1)), unmatched, anchored[:, None]), axis=1)
+    return np.add.accumulate(terms, axis=1)[:, -1] / probe.added
 
 
 def _verified_probe(
@@ -339,8 +353,7 @@ def _verified_probe(
         f_probe = canonicalize(f(probe))
         if f_probe.dim != f_mu.dim:
             raise DimensionMismatch(f"f maps the probe to dimension {f_probe.dim} and mu to {f_mu.dim}")
-        picks, moved = _nearest(f_mu.points, f_probe.points)
-        nearest, near_dist = _nearest(f_probe.points, f_mu.points)
+        picks, moved, nearest, near_dist = _pairing(f_mu.points, f_probe.points)
         # the probe's own image is the one atom no atom of f(mu) picks, whatever its weight
         unpicked = np.ones(f_probe.n, dtype=bool)
         unpicked[picks] = False
@@ -357,10 +370,9 @@ def _verified_probe(
     # summed in probe atom order from 0.0, as np.add.at would
     matched_mass = np.bincount(nearest[matched], weights=f_probe.weights[matched], minlength=f_mu.n)
     free = ~matched
-    free_atoms = (f_probe.points[free], f_probe.weights[free], nearest[free], near_dist[free])
+    points = np.concatenate((f_mu.points, f_probe.points[free]))
     excess = matched_mass - f_mu.weights
-    box = f_mu.box.hull(f_probe.points)
-    return _PairedProbe(eps, added, f_mu.points, r_eff, excess, *free_atoms, box)
+    return _PairedProbe(eps, added, r_eff, excess, points, f_probe.weights[free], nearest[free], near_dist[free])
 
 
 def regular_derivative(
@@ -382,7 +394,8 @@ def regular_derivative(
     r/4 safety check, else DisplacementTooLarge is raised.  A bad eps or cap
     raises (NonpositiveWeight, AnchorsTooClose) before f is evaluated.
     """
-    return _paired_quotient(psi, _verified_probe(f, mu, x, eps, patch_radius))
+    probe = _verified_probe(f, mu, x, eps, patch_radius)
+    return float(_paired_quotient(psi._base_values(probe.points)[None], probe)[0])
 
 
 def extract_g_detailed(
@@ -393,14 +406,13 @@ def extract_g_detailed(
 ) -> tuple[np.ndarray, float]:
     """Recover G(mu, x) componentwise along patched coordinate projections.
 
-    Returns (vector, eps actually used), one value per coordinate of f(mu).
-    The coordinate cutoffs are built on a box hulling both image supports, so
-    they are exactly the coordinate projections wherever the images live.
+    Returns (vector, eps actually used), one value per coordinate of f(mu),
+    from one pairing walk per eps.  Each coordinate's quotient reads the paired
+    atoms' coordinates, which ``coordinate_test(ell, box)`` takes there bit for
+    bit on any box that holds both image supports (its cutoff is 1.0 there).
     """
     probe = _verified_probe(f, mu, x, eps)
-    out_box = probe.box.enlarged(0.5)
-    values = [_paired_quotient(coordinate_test(ell, out_box), probe) for ell in range(out_box.dim)]
-    return np.array(values), probe.eps
+    return _paired_quotient(probe.points.T, probe), probe.eps
 
 
 def extract_g(

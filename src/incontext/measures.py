@@ -66,9 +66,9 @@ class Box:
         hi = np.array(_floats(self.hi, LengthMismatch, "box corners must be real numbers"))
         if lo.ndim != 1 or hi.ndim != 1 or lo.shape != hi.shape:
             raise LengthMismatch("box corners must be 1-d vectors of equal length")
-        if not np.isfinite(np.concatenate((lo, hi))).all():
+        if not np.logical_and.reduce(np.isfinite(np.concatenate((lo, hi)))):
             raise PointOutsideBox("box corners must be finite")
-        if not (lo <= hi).all():
+        if not np.logical_and.reduce(lo <= hi):
             raise PointOutsideBox("box lower corner exceeds upper corner")
         object.__setattr__(self, "lo", _freeze(lo))
         object.__setattr__(self, "hi", _freeze(hi))
@@ -78,7 +78,7 @@ class Box:
         return self.lo.shape[0]
 
     def contains(self, points: np.ndarray) -> bool:
-        return bool(((points >= self.lo) & (points <= self.hi)).all())
+        return bool(np.logical_and.reduce((points >= self.lo) & (points <= self.hi), axis=None))
 
     def hull(self, points: np.ndarray) -> "Box":
         """Smallest box containing both self and the given points (self when
@@ -92,7 +92,11 @@ class Box:
         return Box(np.minimum(self.lo, pts.min(axis=0)), np.maximum(self.hi, pts.max(axis=0)))
 
     def enlarged(self, margin: float) -> "Box":
-        return Box(self.lo - margin, self.hi + margin)
+        """The box grown by ``margin`` on every side, or shrunk by a negative one;
+        LengthMismatch for a margin that is not a real number, as for a corner."""
+        if not isinstance(margin, (float, numbers.Real)):
+            raise LengthMismatch(f"box margin must be a real number, got {margin!r}")
+        return Box(self.lo - _real(margin), self.hi + _real(margin))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Box):
@@ -276,7 +280,7 @@ def _valid_weights(w: np.ndarray) -> bool:
     sums it) is finite, which bounds every weight too.  Positive terms can
     only overflow, and callers hold ``np.errstate(over="ignore")`` and raise
     NonpositiveWeight, so a bad weight ends as that error, never a warning."""
-    return bool((w > 0.0).all() and np.add.reduce(w) < np.inf)
+    return bool(np.logical_and.reduce(w > 0.0) and np.add.reduce(w) < np.inf)
 
 
 def new_discrete(
@@ -442,8 +446,9 @@ def push_forward(mu: DiscreteMeasure, rows_map: Callable[[np.ndarray], np.ndarra
 def _finite_rows(images: np.ndarray) -> np.ndarray:
     """``images`` itself; MapUndefinedAtAtom naming the first row that is not finite as its atom."""
     finite = np.isfinite(images)
-    if not finite.all():
-        raise MapUndefinedAtAtom(f"map returned a non-finite value at atom {np.flatnonzero(~finite.all(axis=1))[0]}")
+    if not np.logical_and.reduce(finite, axis=None):
+        bad = np.flatnonzero(~np.logical_and.reduce(finite, axis=1))[0]
+        raise MapUndefinedAtAtom(f"map returned a non-finite value at atom {bad}")
     return images
 
 
@@ -477,7 +482,7 @@ def add_atom(mu: DiscreteMeasure, x: np.ndarray, mass: float) -> DiscreteMeasure
     x = _floats(x).reshape(1, -1)
     if x.shape[1] != mu.dim:
         raise LengthMismatch("atom dimension does not match the measure")
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise PointOutsideBox(f"added atom {x[0].tolist()} must be finite")
     box = mu.box.hull(x)
     pts = np.concatenate((mu.points, x))

@@ -92,7 +92,7 @@ class Trajectory:
 
 
 def _check_finite(rows: np.ndarray) -> None:
-    if not np.isfinite(rows).all():
+    if not np.logical_and.reduce(np.isfinite(rows), axis=None):
         raise NonFiniteState("particle positions became non-finite")
 
 

@@ -51,8 +51,7 @@ PROBE_LOOP = (
     "        f_probe = canonicalize(f(probe))\n"
     "        if f_probe.dim != f_mu.dim:\n"
     "            raise DimensionMismatch(f\"f maps the probe to dimension {f_probe.dim} and mu to {f_mu.dim}\")\n"
-    "        picks, moved = _nearest(f_mu.points, f_probe.points)\n"
-    "        nearest, near_dist = _nearest(f_probe.points, f_mu.points)\n"
+    "        picks, moved, nearest, near_dist = _pairing(f_mu.points, f_probe.points)\n"
     "        # the probe's own image is the one atom no atom of f(mu) picks, whatever its weight\n"
     "        unpicked = np.ones(f_probe.n, dtype=bool)\n"
     "        unpicked[picks] = False\n"
@@ -97,6 +96,14 @@ MUTANTS = (
         "the nearest-atom search keeps argmin's lowest index on a tie",
     ),
     Mutant(
+        "pairing-column-later-block-on-tie",
+        "derivative.py",
+        "later = (near < col_dist) | np.isnan(near) & ~np.isnan(col_dist)",
+        "later = (near <= col_dist) | np.isnan(near) & ~np.isnan(col_dist)",
+        ("tests/test_derivative.py::TestNearest::test_column_half_equals_the_dense_argmin_bitwise",),
+        "the pairing's column half keeps the earlier block's index on a tie, as argmin(axis=0) does",
+    ),
+    Mutant(
         "spacing-without-the-root",
         "derivative.py",
         "    return math.sqrt(least)\n",
@@ -118,10 +125,26 @@ MUTANTS = (
     Mutant(
         "quotient-divides-by-eps",
         "derivative.py",
-        "return float(total) / probe.added",
-        "return float(total) / probe.eps",
+        "return np.add.accumulate(terms, axis=1)[:, -1] / probe.added",
+        "return np.add.accumulate(terms, axis=1)[:, -1] / probe.eps",
         ("tests/test_derivative.py::TestExtractG::test_probe_at_an_atom_divides_by_the_added_mass",),
         "the difference quotient divides by the mass actually added",
+    ),
+    Mutant(
+        "quotient-anchors-from-the-wrong-row",
+        "derivative.py",
+        "    a = values[:, :n]\n",
+        "    a = values[::-1, :n]\n",
+        ("tests/test_derivative.py::TestExtractG::test_each_coordinate_is_the_quotient_of_its_projection_bitwise",),
+        "each coordinate's quotient reads its own row of values at the anchors",
+    ),
+    Mutant(
+        "quotient-sums-anchors-across-rows",
+        "derivative.py",
+        "np.multiply(probe.excess, a, order=\"C\")",
+        "probe.excess * a",
+        ("tests/test_derivative.py::TestExtractG::test_each_coordinate_is_the_quotient_of_its_projection_bitwise",),
+        "each coordinate's anchored sum runs along a contiguous row, so it is bitwise the sum of that row alone",
     ),
     Mutant(
         "leading-sum-by-matmul",
@@ -413,8 +436,8 @@ MUTANTS = (
     Mutant(
         "extract-a-fixed-number-of-coordinates",
         "derivative.py",
-        "for ell in range(out_box.dim)]",
-        "for ell in range(2)]",
+        "return _paired_quotient(probe.points.T, probe), probe.eps",
+        "return _paired_quotient(probe.points[:, :2].T, probe), probe.eps",
         (
             "tests/test_derivative.py::TestOutputDimension::test_identity_extracts_every_coordinate",
             "tests/test_derivative.py::TestOutputDimension::test_a_map_into_another_dimension_extracts_its_values",

@@ -207,6 +207,12 @@ ARGUMENTS = [
      "layer parameters must be AttentionParams, got int"),
     ("box-hull-other-width", lambda _: ic.default_box(1).hull([[5.0, 5.0]]), DimensionMismatch,
      "points of shape (1, 2) meet a box of dimension 1"),
+    ("box-enlarged-by-a-string", lambda _: ic.default_box(1).enlarged("a"), LengthMismatch,
+     "box margin must be a real number, got 'a'"),
+    ("box-enlarged-by-none", lambda _: ic.default_box(1).enlarged(None), LengthMismatch,
+     "box margin must be a real number, got None"),
+    ("box-enlarged-by-a-list", lambda _: ic.default_box(1).enlarged([1, 2, 3]), LengthMismatch,
+     "box margin must be a real number, got [1, 2, 3]"),
     ("measure-map-returns-its-points", lambda _: ic.extract_g(ic.MeasureMap(lambda m: m.points), MU, [0.5]),
      MapUndefinedAtAtom, "measure map must return a DiscreteMeasure, got ndarray"),
 ]

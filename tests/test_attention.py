@@ -306,6 +306,15 @@ class TestComposeDiamond:
         assert comp.stages == (shift, shift)
         assert np.array_equal(comp(ic.dirac([0.0]), [0.0]), [0.5])
 
+    def test_a_map_built_on_a_list_is_hashable_and_equals_its_tuple_form(self):
+        def shift(pts, w, X):
+            return X + 0.25
+
+        listed, tupled = ic.InContextMap([shift], 1), ic.InContextMap((shift,), 1)
+        assert listed.stages == (shift,) and listed == tupled
+        assert hash(listed) == hash(tupled) and len({listed, tupled}) == 1
+        assert hash(ic.InContextMap([], 2)) == hash(ic.InContextMap((), 2))
+
     def test_a_chain_without_stages_checks_the_query_width(self):
         # no kernel runs, so the chain itself must refuse a 3-vector for a 2-d measure
         mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])

@@ -21,6 +21,13 @@ class TestForwardMap:
         x = np.array([0.5, -0.5])
         assert np.array_equal(ic.forward_map(stack, mu, x), x)
 
+    def test_a_stack_built_on_a_list_equals_its_tuple_form(self):
+        # an empty stack hashes; layers hold arrays, so a stack of layers does not
+        assert ic.LayerStack([], 1) == ic.LayerStack((), 1) and hash(ic.LayerStack([], 1)) == hash(ic.LayerStack((), 1))
+        layers = [identity_layer(2, None), identity_layer(2, None)]
+        listed = ic.LayerStack(layers, 2)
+        assert listed.layers == tuple(layers) and listed == ic.LayerStack(tuple(layers), 2)
+
     def test_empty_stack_rejects_a_query_of_another_dimension(self):
         mu = ic.new_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
         with pytest.raises(DimensionMismatch, match="^points of dimension 3 meet a matrix of width 2$"):

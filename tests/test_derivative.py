@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import incontext as ic
 from incontext.derivative import (
@@ -9,6 +11,7 @@ from incontext.derivative import (
     SPACING_BLOCK_ENTRIES,
     _min_spacing,
     _nearest,
+    _pairing,
     regular_derivative,
 )
 from incontext.errors import (
@@ -165,6 +168,47 @@ class TestNearest:
     def test_picks_the_lowest_index_on_a_tie(self):
         index, dist = _nearest(np.array([[1.0], [3.0], [0.0]]), np.array([[0.0], [2.0], [2.0], [0.0]]))
         assert index.tolist() == [0, 1, 0] and dist.tolist() == [1.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_column_half_equals_the_dense_argmin_bitwise(self, d):
+        # m = 64 columns give blocks of 1024 rows; rows on a small integer grid
+        # tie with rows of earlier blocks, and a NaN row or column must be taken
+        # where argmin(axis=0) takes it: the first NaN, in whichever block
+        rng = np.random.default_rng(80 + d)
+        m = 64
+        rows = SPACING_BLOCK_ENTRIES // m
+        for n in (1, 5, rows, rows + 1, 3000):
+            A = rng.integers(-2, 3, size=(n, d)).astype(float)
+            B = rng.integers(-2, 3, size=(m, d)).astype(float)
+            B[1::5] += 0.5  # 1-D midpoints: ties inside one block too
+            variants = [(A, B)]
+            if n > rows:
+                later_nan = A.copy()
+                later_nan[(rows + n) // 2, 0] = later_nan[-1, -1] = np.nan
+                nan_column = B.copy()
+                nan_column[7, -1] = np.nan
+                variants += [(later_nan, B), (A, nan_column), (later_nan, nan_column)]
+            for A_v, B_v in variants:
+                dense = reference_distances(A_v, B_v)
+                want = dense.argmin(axis=0)
+                index, dist, col_index, col_dist = _pairing(A_v, B_v)
+                assert col_index.dtype == np.intp and np.array_equal(col_index, want), n
+                assert col_dist.tobytes() == dense[want, np.arange(m)].tobytes(), n
+                assert np.array_equal(index, dense.argmin(axis=1)), n
+                assert dist.tobytes() == dense[np.arange(n), index].tobytes(), n
+            if n > rows:
+                # the ties this must keep: columns whose least distance recurs in a later block
+                plain = reference_distances(A, B)
+                least = plain.min(axis=0)
+                assert (np.logical_or.reduce(plain[rows:] == least, axis=0) & (plain[:rows].min(axis=0) == least)).any()
+
+    def test_no_rows_find_nothing(self):
+        index, dist, col_index, col_dist = _pairing(np.zeros((0, 2)), np.ones((3, 2)))
+        assert index.size == dist.size == 0
+        assert col_index.tolist() == [0, 0, 0] and col_dist.tolist() == [np.inf] * 3
+        base = ic.coordinate_test(0, ic.default_box(2))
+        patched = ic.build_patched_test(base, np.array([[0.0, 0.0], [1.0, 1.0]]), 0.1)
+        assert patched.value(np.zeros((0, 2))).shape == (0,) and patched.gradient(np.zeros((0, 2))).shape == (0, 2)
 
     def test_extraction_memory_does_not_grow_with_the_square_of_n(self):
         mu = ic.new_discrete(np.linspace(-2.5, 2.5, 5000)[:, None], np.full(5000, 1 / 5000))
@@ -361,9 +405,9 @@ class TestExtractG:
             assert ic.w1_matching(rebuilt, ic.forward_measure(stack, mu)).cost <= 1e-4
 
     def test_probe_is_settled_and_paired_once(self, monkeypatch):
-        # one spacing pass over the image support and one pairing (a nearest
-        # search each way) per eps tried; the coordinates read the pairing
-        # and compute no distance
+        # one spacing pass over the image support and one pairing walk (both
+        # nearest searches from one block of distances) per eps tried; the
+        # coordinates read the pairing and compute no distance
         from incontext import derivative
 
         calls = []
@@ -377,8 +421,39 @@ class TestExtractG:
         mu = random_measure(rng, 12, 2)
         _, eps_used = ic.extract_g_detailed(f, mu, rng.uniform(-1, 1, size=2), 1e-6)
         assert eps_used == 1e-6
-        # each walk over 12 or 13 atoms is a single block
-        assert calls == ["d"] + ["n", "d"] * 2
+        # each walk over 12 or 13 atoms is a single block; no nearest search runs apart
+        assert calls == ["d", "d"]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        d=st.integers(1, 3),
+        depth=st.integers(0, 2),
+        normalized=st.booleans(),
+        at_atom=st.booleans(),
+    )
+    @example(seed=0, n=30, d=3, depth=1, normalized=True, at_atom=False)
+    def test_each_coordinate_is_the_quotient_of_its_projection_bitwise(self, seed, n, d, depth, normalized, at_atom):
+        # one quotient pass reads the paired atoms' coordinates; on a box that
+        # holds both image supports the patched projection takes exactly those.
+        # Normalizing the image, or probing at an atom, leaves mass on the
+        # anchors, so the anchored sums are read too
+        rng = np.random.default_rng(seed)
+        stack = random_stack(rng, d, depth=depth)
+
+        def image(nu):
+            out = ic.forward_measure(stack, nu)
+            return out.normalized() if normalized else out
+
+        f = ic.MeasureMap(image)
+        mu = random_measure(rng, n, d)
+        x = mu.points[n // 2] if at_atom else rng.uniform(-1.5, 1.5, size=d)
+        values, eps_used = ic.extract_g_detailed(f, mu, x)
+        mu_c = ic.canonicalize(mu)
+        box = f(mu_c).box.hull(f(ic.add_atom(mu_c, x, eps_used)).points)
+        quotients = [regular_derivative(f, mu, x, ic.coordinate_test(ell, box)) for ell in range(d)]
+        assert values.shape == (d,) and values.tobytes() == np.array(quotients).tobytes()
 
     def test_query_image_near_existing_image(self):
         # the probe's image lands 0.01 from an existing image atom, inside the

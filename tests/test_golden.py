@@ -4,10 +4,13 @@ Each job runs ``cli.main`` in-process on input files drawn from the seeded
 generators of ``incontext.selftest`` and is recorded as its exit code and the
 sha256 of its stdout, its stderr and its output file.  The jobs cover every
 subcommand, every W1 route and a few named-error exits.
-``golden_outputs.json`` holds the record and the numpy and scipy versions that
-made it; the last bits of an output may change with those versions, so a
-version mismatch fails the test rather than skipping it.  After an intended
-change of outputs, regenerate the record with ``python tests/golden_update.py``.
+``golden_outputs.json`` holds the record, the numpy and scipy versions that
+made it and the SIMD tier numpy dispatched to; the last bits of an output may
+change with any of them (numpy picks its ``exp`` and ``tanh`` loops by tier),
+so a mismatch fails the test rather than skipping it.  The jobs that evaluate
+no attention and no MLP must keep their record on a narrower tier too.  After
+an intended change of outputs, regenerate the record with
+``python tests/golden_update.py``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +36,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 DIR = "<dir>"
 
 
+def simd_tier() -> str:
+    """The highest x86-64 SIMD tier numpy enabled: X86_V4, X86_V3, or "below X86_V3"."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return next((tier for tier in ("X86_V4", "X86_V3") if __cpu_features__.get(tier)), "below X86_V3")
+
+
 def versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "simd": simd_tier()}
 
 
 def _probability(rng, n, dim):
@@ -115,16 +128,44 @@ JOBS = {
 }
 
 
+# jobs that evaluate no attention and no MLP (the W1 routes, identity and
+# counterexample extractions, the counterexample scans and the error exits)
+TIER_FREE = (
+    "w1_closed_form",
+    "w1_assignment",
+    "w1_monotone_plan",
+    "w1_lp",
+    "w1_extended",
+    "w1_assignment_d9",
+    "w1_lp_d9",
+    "extract_identity",
+    "extract_counterexample",
+    "extract_counterexample_halvings",
+    "extract_existing_atom",
+    "extract_identity_d9",
+    "counterexample",
+    "counterexample_m20",
+    "error_mass_mismatch",
+    "error_dimension_mismatch",
+    "error_too_few_steps",
+    "error_bad_input",
+    "error_missing_file",
+)
+# numpy's x86-64-v4 and v3 dispatch targets (AVX-512 and AVX2), as its NPY_DISABLE_CPU_FEATURES names them
+NARROWED = "X86_V4 AVX512_ICL AVX512_SPR X86_V3"
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_jobs(workdir: Path) -> dict:
-    """Every job's record, run in ``workdir``; paths in stdout and stderr read ``<dir>``."""
+def run_jobs(workdir: Path, names=tuple(JOBS)) -> dict:
+    """The record of each named job, run in ``workdir``; paths in stdout and stderr read ``<dir>``."""
     for name, doc in _inputs(np.random.default_rng(16)).items():
         ser.save_json(str(workdir / name), doc)
     records = {}
-    for name, line in JOBS.items():
+    for name in names:
+        line = JOBS[name]
         for out_file in workdir.glob("y.*"):
             out_file.unlink()
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -142,8 +183,26 @@ def run_jobs(workdir: Path) -> dict:
 
 def test_outputs_match_the_golden_record(tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    assert golden["versions"] == versions(), "golden outputs were made with other numpy/scipy versions"
+    assert golden["versions"] == versions(), f"golden outputs were made with {golden['versions']}, not {versions()}"
     records = run_jobs(tmp_path)
     assert set(records) == set(golden["jobs"])
     for name, record in records.items():
         assert record == golden["jobs"][name], name
+
+
+def test_jobs_without_a_layer_keep_their_record_on_a_narrower_simd_tier(tmp_path):
+    # numpy reads NPY_DISABLE_CPU_FEATURES at import, so the jobs run in a child interpreter
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NARROWED)
+    env["PYTHONPATH"] = os.pathsep.join((str(here.parent / "src"), str(here)))
+    code = (
+        "import json, sys; from pathlib import Path; from test_golden import TIER_FREE, run_jobs, simd_tier; "
+        "print(json.dumps([simd_tier(), run_jobs(Path(sys.argv[1]), TIER_FREE)]))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    tier, records = json.loads(out.stdout)
+    assert tier == "below X86_V3"
+    golden = json.loads(GOLDEN.read_text())["jobs"]
+    for name in TIER_FREE:
+        assert records[name] == golden[name], name

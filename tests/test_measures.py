@@ -512,6 +512,39 @@ class TestBox:
         assert b.hull(np.array([0.5, -0.5])) is b
         assert b.hull(np.array([[0.0, 3.5]])) is not b
 
+    @pytest.mark.parametrize("margin", [0.5, 2, np.float32(0.25), np.int64(1), -1.5, -2.0])
+    def test_enlarged_moves_each_corner_by_the_margin(self, margin):
+        # a negative margin that keeps lo <= hi shrinks the box, to a point at -2.0
+        b = ic.Box([-3.0, 0.0], [3.0, 4.0]).enlarged(margin)
+        assert b.lo.tolist() == [-3.0 - float(margin), 0.0 - float(margin)]
+        assert b.hi.tolist() == [3.0 + float(margin), 4.0 + float(margin)]
+
+    def test_enlarged_past_its_centre_raises(self):
+        with pytest.raises(PointOutsideBox, match="^box lower corner exceeds upper corner$"):
+            ic.default_box(1).enlarged(-3.5)
+
+
+class TestEquality:
+    """Carriers compare equal only to their own kind: any other operand reads
+    NotImplemented, so Python falls back to identity and ``==`` is False."""
+
+    MU = ic.new_discrete([[0.0, 1.0], [2.0, -1.0]], [0.25, 0.5])
+    SEQ = ic.new_tokens([[0.5], [0.5], [-1.0]])
+
+    @pytest.mark.parametrize("other", [5, "a", None, (0.0, 1.0)], ids=["int", "str", "none", "tuple"])
+    def test_other_kinds_compare_unequal(self, other):
+        for carrier in (ic.default_box(2), self.MU, self.SEQ):
+            assert carrier.__eq__(other) is NotImplemented
+            assert not carrier == other and carrier != other
+
+    def test_the_three_kinds_compare_unequal_to_one_another(self):
+        box = ic.default_box(1)
+        assert box != self.SEQ and self.SEQ != self.MU and self.MU != box
+
+    def test_reprs_are_pinned(self):
+        assert repr(self.MU) == "DiscreteMeasure(n=2, dim=2, mass=0.75)"
+        assert repr(self.SEQ) == "TokenSequence(n=3, dim=1)"
+
 
 def _carrier_arrays(carrier):
     """Every array a carrier holds, its box corners included."""
